@@ -19,36 +19,19 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import analytic
-from .analytic import COOP_SCHEMES, SchemeId, scheme_dmt
+from .analytic import SchemeId
 from .core import ParameterError, SystemParams, validate
-from .regions import (
-    OracleConfig,
-    oracle_d1_hk,
-    oracle_min_exponent,
-    oracle_min_exponent_coop,
-    region_o11_hk,
-    region_o12_hk,
-    region_o1_coop,
-    region_o2_coop,
-    region_o3_coop,
-    region_o11_dd,
-    region_o12_dd,
-    region_rx1_cmo,
-    region_rx2_cmo,
-    region_rx2_hk,
-    _min_rx2,
-    _min_rx1,
-    _region_rx1_tian1,
-)
-from .simulator import SimConfig, estimate_outage, estimate_throughput, fit_loglog_slope, PointEstimate
+from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
+from .verify import VERIFY_SCHEMES, worst_gap
 
 RATE_SWEEP_FLOOR = 1e-3  # curve sweeps never touch exact-zero rates
 SWEEP_VARS = ("r1", "r2", "beta", "b", "t2")
-VERIFY_SCHEMES = ("hk", "cmo", "tian", "hk-keep", "coop-cmo", "coop-tian", "coop-dd")
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,18 +49,24 @@ def _fmt(x) -> str:
 
 def _parse_triplet(text: str, what: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ParameterError(f"{what} expects LO:HI:STEP, got {text!r}")
-    lo, hi, step = (float(v) for v in parts)
+    values = [float(v) for v in parts]
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"{what}: values must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    lo, hi, step = values
     if hi < lo:
         raise ParameterError(f"{what}: HI must be >= LO")
     if hi == lo:
         return [lo]
     if step <= 0:
         raise ParameterError(f"{what}: STEP must be > 0")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not span < MAX_GRID_POINTS:
+        raise ParameterError(f"{what}: more than {MAX_GRID_POINTS} grid points")
+    n = int(math.floor(span + 1e-9)) + 1
     return [lo + k * step for k in range(n)]
 
 
@@ -95,10 +84,7 @@ def _parse_sweep(text: str):
 
 
 def _parse_schemes(text: str) -> list[SchemeId]:
-    out = [_parse_single_scheme(tok.strip()) for tok in text.split(",")]
-    if not out:
-        raise ParameterError("at least one scheme is required")
-    return out
+    return [_parse_single_scheme(tok.strip()) for tok in text.split(",")]
 
 
 def _parse_single_scheme(text: str) -> SchemeId:
@@ -111,7 +97,11 @@ def _parse_single_scheme(text: str) -> SchemeId:
 
 def _load_config(path: str) -> dict:
     cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc}")
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -157,15 +147,11 @@ def cmd_curve(args) -> int:
     schemes = _parse_schemes(args.scheme)
     var, values = _parse_sweep(args.sweep)
     base = _system_params(args)
-    for s in schemes:
-        if s in COOP_SCHEMES and args.L != 2:
-            raise ParameterError("cooperative schemes require L=2")
-
     rows = []
     for s in schemes:
         for v in values:
-            p = validate(SystemParams(**{**_fields(base), var: v}))
-            res = scheme_dmt(s, p)
+            p = validate(replace(base, **{var: v}))
+            res = analytic.scheme_dmt(s, p)
             branch = "|".join(f"{fid}:{br}" for fid, br, _ in res.branch_trace)
             rows.append([s.value, p.L, p.r1, p.r2, p.t2, p.b, p.beta,
                          res.d1, res.d2, "analytic", branch])
@@ -178,104 +164,14 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _fields(p: SystemParams) -> dict:
-    return {"r1": p.r1, "r2": p.r2, "t2": p.t2, "b": p.b, "beta": p.beta, "L": p.L}
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def sample_params(rng: np.random.Generator, scheme: SchemeId,
-                  rate_floor: float = 1e-3) -> SystemParams:
-    """Random operating point for verification sweeps.
-
-    Rates in [0.05, 0.95], beta in [0.2, 2], b in [0, 0.5], t2 <= r2 with
-    the private rate kept above the oracle's floor; L in 1..4 for
-    non-cooperative schemes, 2 under cooperation.
-    """
-    r1 = float(rng.uniform(0.05, 0.95))
-    r2 = float(rng.uniform(0.05, 0.95))
-    beta = float(rng.uniform(0.2, 2.0))
-    if scheme in COOP_SCHEMES:
-        return SystemParams(r1=r1, r2=r2, t2=0.0, b=0.0, beta=beta, L=2)
-    L = int(rng.integers(1, 5))
-    if scheme in (SchemeId.TIAN, SchemeId.CMO):
-        return SystemParams(r1=r1, r2=r2, t2=0.0, b=0.0, beta=beta, L=L)
-    t2 = float(rng.uniform(0.0, r2))
-    t2 = min(t2, r2 - rate_floor)  # keep the private stream's rate active
-    t2 = max(t2, 0.0)
-    b = float(rng.uniform(0.0, 0.5))
-    return SystemParams(r1=r1, r2=r2, t2=t2, b=b, beta=beta, L=L)
-
-
-def _verify_checks(scheme: SchemeId, p: SystemParams, cfg: OracleConfig):
-    """Yield (check name, analytic value, oracle value) pairs."""
-    r1, r2, beta = p.r1, p.r2, p.beta
-    if scheme is SchemeId.HK:
-        yield "d1_hk", analytic.d1_hk(p), oracle_d1_hk(p, cfg)
-        yield "d2_hk", analytic.d2_hk(p), _min_rx2(region_rx2_hk(p), cfg)
-    elif scheme is SchemeId.CMO:
-        yield "d1_cmo", analytic.d1_cmo(p), _min_rx1(region_rx1_cmo(p), cfg)
-        yield "d2_cmo", analytic.d2_cmo(p), _min_rx2(region_rx2_cmo(p), cfg)
-    elif scheme is SchemeId.TIAN:
-        yield "d1_tian_general", analytic.d1_tian_general(p), oracle_d1_hk(p, cfg)
-        # the single-term closed form equals its ACK-at-round-1 region pair
-        first_term = min(_min_rx1(region_o11_hk(p, 1), cfg),
-                         _min_rx1(region_o12_hk(p, 1), cfg))
-        yield "d1_tian", analytic.d1_tian(p), first_term
-        yield "d2_tian", analytic.d2_tian(p), _min_rx2(region_rx2_cmo(p), cfg)
-    elif scheme is SchemeId.HK_KEEP:
-        keep = min(_min_rx1(region_o11_hk(p, p.L), cfg),
-                   _min_rx1(region_o12_hk(p, p.L), cfg))
-        yield "d1_hk_keep", analytic.d1_hk_keep(p), keep
-    elif scheme is SchemeId.COOP_CMO:
-        yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_o1_coop(r1, beta), cfg)
-        yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_o2_coop(r1, r2, beta), cfg)
-        yield "d2c_cmo2", analytic.d2c_cmo2(r1, r2, beta), \
-            _coop_rx2_oracle(p, cfg, dynamic=False, tian=False)
-    elif scheme is SchemeId.COOP_TIAN:
-        yield "d1c_tian2", analytic.d1c_tian2(r1, beta), \
-            oracle_min_exponent_coop(region_o3_coop(r1, beta), cfg)
-        yield "d2c_tian2", analytic.d2c_tian2(r1, r2, beta), \
-            _coop_rx2_oracle(p, cfg, dynamic=False, tian=True)
-    elif scheme is SchemeId.COOP_DD:
-        yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_o11_dd(r1, beta), cfg)
-        yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_o12_dd(r1, r2, beta), cfg)
-        yield "d2c_dd2", analytic.d2c_dd2(r1, r2, beta), \
-            _coop_rx2_oracle(p, cfg, dynamic=True, tian=False)
-    else:
-        raise ParameterError(f"scheme {scheme.value} has no verify checks")
-
-
-def _coop_rx2_oracle(p: SystemParams, cfg: OracleConfig, dynamic: bool,
-                     tian: bool) -> float:
-    """RX2 exponent under cooperation, assembled from region minima only.
-
-    Mirrors the dominant error-event split: either RX1 ACKed round 1 and
-    TX2's own retransmission still failed, or RX1 NACKed (TX2 relayed) and
-    RX2's single round was already in outage.
-    """
-    one = SystemParams(r1=p.r1, r2=p.r2, beta=p.beta, L=1)
-    rx1_cmo1 = _min_rx1(region_rx1_cmo(one, rounds=1), cfg)
-    rx1_tian1 = _min_rx1(_region_rx1_tian1(p.r1, p.beta), cfg)
-    if dynamic:
-        rx1_round1 = max(rx1_cmo1, rx1_tian1)
-    else:
-        rx1_round1 = rx1_tian1 if tian else rx1_cmo1
-    rx2_one = _min_rx2(region_rx2_cmo(one, rounds=1), cfg)
-    two = SystemParams(r1=p.r1, r2=p.r2, beta=p.beta, L=2)
-    rx2_two = _min_rx2(region_rx2_cmo(two, rounds=2), cfg)
-    return min(rx1_round1 + rx2_one, rx2_two)
-
-
 def cmd_verify(args) -> int:
-    cfg = OracleConfig()
     tol = args.tol
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError("--tol must be finite and >= 0")
     rng = np.random.default_rng(args.seed)
     schemes = _parse_schemes(args.scheme) if args.scheme else \
         [SchemeId(s) for s in VERIFY_SCHEMES]
@@ -287,15 +183,7 @@ def cmd_verify(args) -> int:
     rows = []
     failed = False
     for scheme in schemes:
-        worst = 0.0
-        worst_desc = ""
-        for _ in range(args.samples):
-            p = sample_params(rng, scheme, cfg.rate_floor)
-            for name, ana, orc in _verify_checks(scheme, p, cfg):
-                gap = abs(ana - orc)
-                if gap > worst:
-                    worst = gap
-                    worst_desc = f"{name}@{_fields(p)}"
+        worst, worst_desc = worst_gap(scheme, args.samples, rng)
         status = "ok" if worst <= tol else "FAIL"
         failed |= status == "FAIL"
         rows.append([scheme.value, args.samples, worst, tol, status])
@@ -313,32 +201,28 @@ def cmd_verify(args) -> int:
 # simulate / throughput
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
     scheme = _parse_single_scheme(args.scheme)
     p = _system_params(args)
     grid = _parse_triplet(args.rho_db, "--rho-db")
-    sim = SimConfig(rho_db_grid=tuple(grid), trials=args.trials, T=args.T,
-                    seed=args.seed, scheme=scheme).check()
+    return scheme, p, SimConfig(rho_db_grid=tuple(grid), trials=args.trials,
+                                T=args.T, seed=args.seed).check()
 
-    pts1, pts2 = [], []
-    rows = []
-    for k, db in enumerate(grid):
-        rho = 10.0 ** (db / 10.0)
-        est = estimate_outage(scheme, p, rho, sim.trials, sim.seed,
-                              stream=k, T=sim.T)
-        pts1.append(PointEstimate(db, est.p_out1, *est.ci1))
-        pts2.append(PointEstimate(db, est.p_out2, *est.ci2))
-        rows.append(["point", scheme.value, db,
-                     est.p_out1, (est.ci1[1] - est.ci1[0]) / 2.0,
-                     est.p_out2, (est.ci2[1] - est.ci2[0]) / 2.0,
-                     sim.trials, "", "", "", "", "", ""])
+
+def cmd_simulate(args) -> int:
+    scheme, p, sim = _sim_setup(args)
+    pts1, pts2 = outage_points(scheme, p, sim)
+    rows = [["point", scheme.value, a.rho_db,
+             a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
+             b.p_out, (b.ci_hi - b.ci_lo) / 2.0,
+             sim.trials, "", "", "", "", "", ""] for a, b in zip(pts1, pts2)]
 
     slope1, se1, dropped1 = fit_loglog_slope(pts1)
     slope2, se2, dropped2 = fit_loglog_slope(pts2)
     for dropped, rx in ((dropped1, "RX1"), (dropped2, "RX2")):
         if dropped:
             print(f"note: {rx} zero-outage points dropped from fit: {dropped}")
-    res = scheme_dmt(scheme, p)
+    res = analytic.scheme_dmt(scheme, p)
 
     def cell(x):
         return "" if x is None or not math.isfinite(x) else x
@@ -357,17 +241,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    scheme = _parse_single_scheme(args.scheme)
-    p = _system_params(args)
-    grid = _parse_triplet(args.rho_db, "--rho-db")
-    SimConfig(rho_db_grid=tuple(grid), trials=args.trials, T=args.T,
-              seed=args.seed, scheme=scheme).check()
-
+    scheme, p, sim = _sim_setup(args)
     rows = []
-    for k, db in enumerate(grid):
-        rho = 10.0 ** (db / 10.0)
-        est = estimate_throughput(scheme, p, rho, args.trials, args.seed,
-                                  stream=k, T=args.T)
+    for k, db, rho in sim.points():
+        est = estimate_throughput(scheme, p, rho, sim.trials, sim.seed,
+                                  stream=k, T=sim.T)
         rows.append([scheme.value, db, est.eta1, est.eta2,
                      est.ratio1, est.ratio2, est.mean_zeta])
 
@@ -465,10 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv, namespace=namespace)
         _merge_config(args)
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -74,8 +74,8 @@ def validate(params: SystemParams) -> SystemParams:
     p = params
     for name, val in (("r1", p.r1), ("r2", p.r2), ("t2", p.t2),
                       ("b", p.b), ("beta", p.beta)):
-        if not isinstance(val, (int, float)) or math.isnan(val):
-            raise ParameterError(f"{name} must be a real number")
+        if not isinstance(val, (int, float)) or not math.isfinite(val):
+            raise ParameterError(f"{name} must be a finite real number")
     if not 0.0 <= p.r1 <= 1.0:
         raise ParameterError("r1 must lie in [0, 1]")
     if not 0.0 <= p.r2 <= 1.0:

@@ -72,28 +72,15 @@ class OutageRegion:
     or 'coop' (over gamma11/gamma21 and the listening fraction f).
     """
 
-    def __init__(self, region_id, kind, mask, beta, active_rates,
-                 params=None, rounds=None):
+    def __init__(self, region_id, kind, mask, beta, active_rates):
         self.region_id = region_id
         self.kind = kind
         self.beta = beta
         self.active_rates = tuple(active_rates)
-        self.params = params
-        self.rounds = rounds
         self._mask = mask
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
-
-    def mask(self, g11, g21, f=None):
-        if self.kind == "rx2":
-            raise TypeError(f"{self.region_id} is an RX2 region (gamma22 only)")
-        return self._mask(g11, g21, f)
-
-    def mask22(self, g22):
-        if self.kind != "rx2":
-            raise TypeError(f"{self.region_id} is not an RX2 region")
-        return self._mask(g22)
 
     def contains(self, pt: ExponentPoint) -> bool:
         pt.check()
@@ -129,7 +116,7 @@ def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
             l * _pp(1.0 - g22 - b) < s2 - STRICT_EPS
         )
 
-    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", mask, p.beta, (r2,), p, l)
+    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", mask, p.beta, (r2,))
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
@@ -142,7 +129,7 @@ def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
         interfered = _pp(1.0 - g11 - _pp(beta - g21 - b))
         return i * interfered + (L - i) * _pp(1.0 - g11) < r1 - STRICT_EPS
 
-    return OutageRegion(f"O11_HK(i={i})", "rx1", mask, beta, (r1,), p, L)
+    return OutageRegion(f"O11_HK(i={i})", "rx1", mask, beta, (r1,))
 
 
 def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
@@ -157,14 +144,14 @@ def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
         tail = np.maximum(_pp(1.0 - g11), _pp(beta - g21))
         return i * joint + (L - i) * tail < rate - STRICT_EPS
 
-    return OutageRegion(f"O12_HK(i={i})", "rx1", mask, beta, (p.r1,), p, L)
+    return OutageRegion(f"O12_HK(i={i})", "rx1", mask, beta, (p.r1,))
 
 
 def region_o11_stop(p: SystemParams, i: int) -> OutageRegion:
     """Stop-both policy variant; identical to O11 (post-ACK rounds are
     already interference-free in the individual constraint)."""
     r = region_o11_hk(p, i)
-    return OutageRegion(f"O11_STOP(i={i})", "rx1", r._mask, p.beta, (p.r1,), p, p.L)
+    return OutageRegion(f"O11_STOP(i={i})", "rx1", r._mask, p.beta, (p.r1,))
 
 
 def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
@@ -179,7 +166,7 @@ def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
         joint = _pp(np.maximum(1.0 - g11, beta - g21) - _pp(beta - g21 - b))
         return i * joint + (L - i) * _pp(1.0 - g11) < rate - STRICT_EPS
 
-    return OutageRegion(f"O12_STOP(i={i})", "rx1", mask, beta, (p.r1,), p, L)
+    return OutageRegion(f"O12_STOP(i={i})", "rx1", mask, beta, (p.r1,))
 
 
 def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
@@ -193,7 +180,7 @@ def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
         joint = l * np.maximum(_pp(1.0 - g11), _pp(beta - g21)) < r1 + r2 - STRICT_EPS
         return own | joint
 
-    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", mask, beta, (r1,), p, l)
+    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", mask, beta, (r1,))
 
 
 def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
@@ -205,11 +192,12 @@ def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     def mask(g22):
         return l * _pp(1.0 - g22) < r2 - STRICT_EPS
 
-    return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", mask, p.beta, (r2,), p, l)
+    return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", mask, p.beta, (r2,))
 
 
-def _region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
-    # single-round noise-treating outage at RX1 (cooperative RX2 composites)
+def region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
+    """Single-round noise-treating outage at RX1."""
+
     def mask(g11, g21, f=None):
         return _pp(1.0 - g11 - _pp(beta - g21)) < r1 - STRICT_EPS
 

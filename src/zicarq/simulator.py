@@ -35,7 +35,6 @@ class SimConfig:
     trials: int
     T: int = 1000
     seed: int = 0
-    scheme: SchemeId = SchemeId.CMO
 
     def check(self) -> "SimConfig":
         if self.trials < 1:
@@ -46,6 +45,19 @@ class SimConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("rho_db_grid must be strictly increasing")
         return self
+
+    def points(self):
+        """(stream, rho_db, linear rho) for each point of the SNR grid.
+
+        Point k of the grid draws from stream k, so points are independent
+        yet individually reproducible.
+        """
+        for k, db in enumerate(self.rho_db_grid):
+            try:
+                rho = 10.0 ** (db / 10.0)
+            except OverflowError:
+                raise ParameterError(f"rho_db={db:g} overflows a float") from None
+            yield k, db, rho
 
 
 @dataclass(frozen=True)
@@ -79,8 +91,17 @@ class EpisodeOutcome:
 
     err1: bool
     err2: bool
-    rounds_used: int
     zeta: int
+
+
+@dataclass(frozen=True)
+class Counts:
+    """Integer totals over n trials: RX1/RX2 errors and summed renewal time."""
+
+    n: int
+    k1: int
+    k2: int
+    zeta_sum: int
 
 
 @dataclass(frozen=True)
@@ -152,7 +173,7 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
     1 + rho**b (tests use 1.0 to collapse rate splitting onto the
     private-only scheme exactly).
     """
-    if rho <= 1.0:
+    if not rho > 1.0:
         raise ParameterError("rho must exceed 1 (linear scale)")
     validate(p)
     if scheme in COOP_SCHEMES:
@@ -167,18 +188,26 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
     return _episode_batch_noncoop(scheme, p, rho, g11, g21, g22, private_divisor)
 
 
+def _power(rho: float, exponent: float, name: str) -> float:
+    try:
+        return rho**exponent
+    except OverflowError:
+        raise ParameterError(f"rho**{name} overflows a float at rho={rho:g}, "
+                             f"{name}={exponent:g}") from None
+
+
 def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22, private_divisor):
     L = p.L
     lg = math.log2(rho)
     R1, R2, T2 = p.r1 * lg, p.r2 * lg, p.t2 * lg
     S2 = R2 - T2
     A = g11 * rho
-    B = g21 * rho**p.beta
+    B = g21 * _power(rho, p.beta, "beta")
     C = g22 * rho
     n = A.shape[0]
 
     if scheme is SchemeId.HK:
-        div = (1.0 + rho**p.b) if private_divisor is None else private_divisor
+        div = (1.0 + _power(rho, p.b, "b")) if private_divisor is None else private_divisor
         m2_full = np.log2(1.0 + C)
         m2_priv = np.log2(1.0 + C / div)
         Bn = B / div
@@ -244,7 +273,7 @@ def _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T):
     lg = math.log2(rho)
     R1, R2 = p.r1 * lg, p.r2 * lg
     A = g11 * rho
-    B = g21 * rho**p.beta
+    B = g21 * _power(rho, p.beta, "beta")
     C = g22 * rho
 
     m1 = np.log2(1.0 + A)
@@ -299,8 +328,7 @@ def run_episode(scheme: SchemeId | str, params: SystemParams, rho: float,
          abs(realization.h22) ** 2, abs(realization.h_relay) ** 2]
     arrs = [np.asarray([x], dtype=np.float64) for x in g]
     err1, err2, zeta = _episode_batch(scheme, params, rho, *arrs, T=T)
-    z = int(zeta[0])
-    return EpisodeOutcome(bool(err1[0]), bool(err2[0]), z, z)
+    return EpisodeOutcome(bool(err1[0]), bool(err2[0]), int(zeta[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,30 +348,37 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, min(center - half, ph)), min(1.0, max(center + half, ph))
 
 
-def estimate_outage(scheme: SchemeId | str, params: SystemParams, rho: float,
-                    trials: int, seed: int, *, stream: int = 0, T: int = 1000,
-                    block_size: int = 1 << 16) -> OutageEstimate:
-    """Empirical outage probabilities at one SNR point.
+def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
+               trials: int, seed: int, *, stream: int = 0, T: int = 1000,
+               block_size: int = 1 << 16) -> Counts:
+    """Run ``trials`` episodes at one SNR point and count their events.
 
     Aggregation uses integer event counts, so the result is independent
     of ``block_size`` (the partition of trials into vectorized blocks).
     """
     scheme = SchemeId(scheme)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    k1 = k2 = 0
-    done = 0
-    while done < trials:
+    if trials < 1 or block_size < 1:
+        raise ParameterError("trials and block_size must be >= 1")
+    k1 = k2 = zeta_sum = 0
+    for done in range(0, trials, block_size):
         n = min(block_size, trials - done)
         g = _trial_gains(seed, done, n, stream)
-        err1, err2, _ = _episode_batch(scheme, params, rho,
-                                       g[:, 0], g[:, 1], g[:, 2], g[:, 3], T)
+        err1, err2, zeta = _episode_batch(scheme, params, rho,
+                                          g[:, 0], g[:, 1], g[:, 2], g[:, 3], T)
         k1 += int(np.count_nonzero(err1))
         k2 += int(np.count_nonzero(err2))
-        done += n
-    return OutageEstimate(k1 / trials, k2 / trials,
-                          wilson_interval(k1, trials),
-                          wilson_interval(k2, trials), trials)
+        zeta_sum += int(np.sum(zeta))
+    return Counts(trials, k1, k2, zeta_sum)
+
+
+def estimate_outage(scheme: SchemeId | str, params: SystemParams, rho: float,
+                    trials: int, seed: int, *, stream: int = 0, T: int = 1000,
+                    block_size: int = 1 << 16) -> OutageEstimate:
+    """Empirical outage probabilities at one SNR point."""
+    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T,
+                   block_size=block_size)
+    return OutageEstimate(c.k1 / c.n, c.k2 / c.n, wilson_interval(c.k1, c.n),
+                          wilson_interval(c.k2, c.n), c.n)
 
 
 def fit_loglog_slope(points: list[PointEstimate]):
@@ -369,29 +404,29 @@ def fit_loglog_slope(points: list[PointEstimate]):
     return slope, stderr, dropped
 
 
-def estimate_diversity(scheme: SchemeId | str, params: SystemParams,
-                       cfg: SimConfig) -> tuple[DiversityEstimate, DiversityEstimate]:
-    """Slope estimates for RX1 and RX2 over the configured SNR grid.
-
-    Point k of the grid draws from stream k, so points are independent
-    yet individually reproducible.
-    """
+def outage_points(scheme: SchemeId | str, params: SystemParams, cfg: SimConfig
+                  ) -> tuple[tuple[PointEstimate, ...], tuple[PointEstimate, ...]]:
+    """RX1 and RX2 outage estimates at every point of the SNR grid."""
     cfg = cfg.check()
     pts1, pts2 = [], []
-    for k, db in enumerate(cfg.rho_db_grid):
-        rho = 10.0 ** (db / 10.0)
+    for k, db, rho in cfg.points():
         est = estimate_outage(scheme, params, rho, cfg.trials, cfg.seed,
                               stream=k, T=cfg.T)
         pts1.append(PointEstimate(db, est.p_out1, *est.ci1))
         pts2.append(PointEstimate(db, est.p_out2, *est.ci2))
+    return tuple(pts1), tuple(pts2)
 
+
+def estimate_diversity(scheme: SchemeId | str, params: SystemParams,
+                       cfg: SimConfig) -> tuple[DiversityEstimate, DiversityEstimate]:
+    """Slope estimates for RX1 and RX2 over the configured SNR grid."""
     out = []
-    for pts in (pts1, pts2):
+    for pts in outage_points(scheme, params, cfg):
         slope, stderr, dropped = fit_loglog_slope(pts)
         if slope is None:
             raise ValueError("fewer than 2 usable points for the slope fit "
                              f"(dropped {dropped})")
-        out.append(DiversityEstimate(slope, stderr, tuple(pts), dropped))
+        out.append(DiversityEstimate(slope, stderr, pts, dropped))
     return out[0], out[1]
 
 
@@ -399,19 +434,9 @@ def estimate_throughput(scheme: SchemeId | str, params: SystemParams, rho: float
                         trials: int, seed: int, *, stream: int = 0, T: int = 1000,
                         block_size: int = 1 << 16) -> ThroughputEstimate:
     """Empirical per-user throughput: first-block rate over mean renewal time."""
-    scheme = SchemeId(scheme)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    zsum = 0
-    done = 0
-    while done < trials:
-        n = min(block_size, trials - done)
-        g = _trial_gains(seed, done, n, stream)
-        _, _, zeta = _episode_batch(scheme, params, rho,
-                                    g[:, 0], g[:, 1], g[:, 2], g[:, 3], T)
-        zsum += int(np.sum(zeta))
-        done += n
-    mean_zeta = zsum / trials
+    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T,
+                   block_size=block_size)
+    mean_zeta = c.zeta_sum / c.n
     lg = math.log2(rho)
     R1, R2 = params.r1 * lg, params.r2 * lg
     return ThroughputEstimate(R1 / mean_zeta, R2 / mean_zeta,

@@ -34,10 +34,11 @@ from zicarq.analytic import (
     d2c_tian2,
     d_static_overall,
 )
-from zicarq.cli import main, sample_params
+from zicarq.cli import main
 from zicarq.core import SystemParams
 from zicarq.regions import OracleConfig, oracle_d1_hk_stop, rate_region_subset_check
 from zicarq.simulator import SimConfig, estimate_diversity, estimate_throughput
+from zicarq.verify import sample_params
 
 CFG = OracleConfig()
 
@@ -144,13 +145,13 @@ def test_criterion_6_monte_carlo_slopes():
     """Empirical log-log slopes against the closed forms."""
     grid = (15, 20, 25, 30, 35)
     p = P(r1=0.2, r2=0.2, beta=0.5, L=1)
-    cfg = SimConfig(rho_db_grid=grid, trials=10**6, seed=11, scheme=SchemeId.CMO)
+    cfg = SimConfig(rho_db_grid=grid, trials=10**6, seed=11)
     d1, d2 = estimate_diversity(SchemeId.CMO, p, cfg)
     assert abs(d1.slope - 0.70) <= 0.15, f"RX1 slope {d1.slope}"
     assert abs(d2.slope - 0.80) <= 0.15, f"RX2 slope {d2.slope}"
 
     p2 = P(r1=0.2, r2=0.5, beta=0.5, L=2)
-    cfg2 = SimConfig(rho_db_grid=grid, trials=10**6, seed=11, scheme=SchemeId.CMO)
+    cfg2 = SimConfig(rho_db_grid=grid, trials=10**6, seed=11)
     _, d2b = estimate_diversity(SchemeId.CMO, p2, cfg2)
     assert abs(d2b.slope - 0.75) <= 0.15, f"RX2 slope {d2b.slope}"
     print(f"ACCEPTANCE 6 Monte Carlo slopes (RX1 {d1.slope:.3f}~0.70, "

@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zicarq.cli import main
+from zicarq.cli import SWEEP_VARS, _parse_triplet, main
+from zicarq.core import ParameterError
 
 
 def run(argv):
@@ -193,3 +198,86 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         rc = run(["curve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--beta", "inf"],
+        ["simulate", "--scheme", "hk", "--b", "inf"],
+        ["simulate", "--rho-db", "0:inf:1"],
+        ["simulate", "--rho-db", "nan"],
+        ["throughput", "--rho-db", "4000"],
+        ["simulate", "--scheme", "hk", "--b", "100", "--rho-db", "40"],
+        ["simulate", "--beta", "400", "--rho-db", "40"],
+        ["verify", "--samples", "-1"],
+        ["verify", "--samples", "1", "--tol", "nan"],
+        ["verify", "--samples", "1", "--tol", "inf"],
+        ["verify", "--samples", "1", "--tol", "-1"],
+        ["curve", "--config", "/nonexistent-dir/run.cfg"],
+    ], ids=" ".join)
+    def test_validation_error(self, argv, tmp_path, capsys):
+        rc = run(argv + ["--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_grid_point_cap(self):
+        # refused from the counts alone, before any point is built
+        with pytest.raises(ParameterError, match="grid points"):
+            _parse_triplet("1:2:1e-6", "--rho-db")
+
+
+# Fuzzed argv: numbers mix plausible values with non-finite and extreme
+# ones; trials, samples and grid sizes stay small so each call is quick.
+_NUM = st.one_of(st.floats(0.0, 2.0).map(str), st.floats().map(repr),
+                 st.sampled_from(["0", "1", "-1", "400", "1e308", "nan", "inf"]))
+_SCHEME = st.sampled_from(["cmo", "hk", "tian", "hk-keep", "hk-stop",
+                           "coop-cmo", "coop-tian", "coop-dd", "coop-static",
+                           "bogus"])
+_SCHEMES = st.lists(_SCHEME, min_size=1, max_size=3).map(",".join)
+
+
+def _triplet(lo, step):
+    return st.builds(lambda a, n, d: f"{a}:{a + n * d}:{d}",
+                     lo, st.integers(0, 19), step)
+
+
+_RHO_DB = st.one_of(_NUM, _triplet(st.floats(-5.0, 60.0), st.floats(0.5, 10.0)),
+                    st.sampled_from(["0:inf:1", "10:20:0", "20:10:5", "1:2",
+                                     "a:b:c", "4000", "10:20:nan"]))
+_SWEEP = st.builds(lambda var, rest: f"{var}:{rest}",
+                   st.sampled_from(SWEEP_VARS + ("L",)),
+                   st.one_of(_triplet(st.floats(-0.5, 2.0), st.floats(0.05, 1.0)),
+                             st.sampled_from(["0:inf:1", "0:1:0", "nan:1:1"])))
+_COMMON = {"--L": st.integers(-1, 5).map(str), "--r1": _NUM, "--r2": _NUM,
+           "--t2": _NUM, "--b": _NUM, "--beta": _NUM}
+_SIM = {"--scheme": _SCHEME, "--rho-db": _RHO_DB,
+        "--seed": st.integers(-3, 2**66).map(str),
+        "--T": st.integers(-1, 3000).map(str), **_COMMON}
+_ARGV = st.one_of(
+    st.tuples(st.just("curve"),
+              st.fixed_dictionaries({"--sweep": _SWEEP},
+                                    optional={"--scheme": _SCHEMES, **_COMMON})),
+    st.tuples(st.just("verify"),
+              st.fixed_dictionaries({"--samples": st.integers(-3, 1).map(str)},
+                                    optional={"--scheme": _SCHEMES, "--tol": _NUM,
+                                              "--seed": st.integers(-3, 2**66).map(str)})),
+    *(st.tuples(st.just(cmd),
+                st.fixed_dictionaries({"--trials": st.integers(-2, 2000).map(str)},
+                                      optional=_SIM))
+      for cmd in ("simulate", "throughput")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cmd_flags=_ARGV)
+def test_fuzz_main_exit_codes(cmd_flags, tmp_path_factory):
+    cmd, flags = cmd_flags
+    argv = [cmd, *(tok for kv in flags.items() for tok in kv),
+            "--out", str(tmp_path_factory.getbasetemp() / "fuzz.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

@@ -54,8 +54,9 @@ class TestRunEpisode:
 
     def test_rho_must_exceed_one(self):
         r = ChannelRealization(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ParameterError, match="rho"):
-            run_episode(SchemeId.CMO, HK_P, 0.5, r)
+        for rho in (0.5, math.nan):
+            with pytest.raises(ParameterError, match="rho"):
+                run_episode(SchemeId.CMO, HK_P, rho, r)
 
     def test_coop_requires_two_rounds(self):
         r = ChannelRealization(1.0, 1.0, 1.0, 1.0)
@@ -75,7 +76,6 @@ class TestRunEpisode:
             r = ChannelRealization.sample(rng)
             out = run_episode(SchemeId.HK, HK_P, 50.0, r)
             assert 1 <= out.zeta <= HK_P.L
-            assert out.rounds_used <= HK_P.L
             # both ACKed strictly before the deadline implies no error
             if out.zeta < HK_P.L:
                 assert not out.err1 and not out.err2
@@ -168,6 +168,8 @@ class TestEstimateOutage:
     def test_zero_trials_rejected(self):
         with pytest.raises(ParameterError, match="trials"):
             estimate_outage(SchemeId.CMO, HK_P, 100.0, 0, 0)
+        with pytest.raises(ParameterError, match="block_size"):
+            estimate_outage(SchemeId.CMO, HK_P, 100.0, 10, 0, block_size=-1)
 
     def test_probability_bounds_and_ci(self):
         est = estimate_outage(SchemeId.HK, HK_P, 50.0, 5000, 1)
