@@ -4,7 +4,7 @@ the single-antenna Z-interference channel.
 Three engines behind one CLI:
 
 * :mod:`zicarq.analytic`  closed-form diversity exponents per scheme,
-* :mod:`zicarq.regions`   high-SNR outage regions and a brute-force
+* :mod:`zicarq.regions`   high-SNR outage regions and an exact
   exponent oracle that independently verifies every closed form,
 * :mod:`zicarq.simulator` finite-SNR Monte Carlo of the actual protocols,
 * :mod:`zicarq.verify`    closed forms against the oracle at random points.

@@ -203,7 +203,7 @@ def d1_hk_stop(p: SystemParams, cfg=None) -> float:
     """RX1 diversity when TX2 silences both streams after its own ACK.
 
     No closed form exists for this policy; the value is computed by the
-    brute-force region oracle (thin wrapper).
+    exact region oracle (thin wrapper).
     """
     from . import regions
 

@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
         rows.append([scheme.value, args.samples, worst, tol, status])
         print(f"scheme={scheme.value:10s} samples={args.samples} "
               f"max|analytic-oracle|={worst:.3e} tol={tol:g} {status}"
-              + (f"  worst: {worst_desc}" if status == "FAIL" else ""))
+              f"  worst: {worst_desc}")
 
     if args.out:
         _write_csv(args.out,

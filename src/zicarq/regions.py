@@ -1,19 +1,34 @@
-"""High-SNR outage regions and the brute-force exponent oracle.
+"""High-SNR outage regions and the exact exponent oracle.
 
-Each outage event is a predicate over channel-gain exponents
-(gamma11, gamma21, gamma22, listening fraction f).  The oracle minimizes
-the relevant exponent sum over a region by exhaustive search, giving an
-independent ground truth for every closed form in :mod:`zicarq.analytic`.
+Each outage event is written once, as a small expression tree over the
+channel-gain exponents: affine terms in (gamma11, gamma21), ``pos_part``,
+``maximum``, sums and scalar multiples, and rate constraints ``F < r``
+joined by ``|`` and ``&``.  In cooperative events the coefficients are
+affine in the listening fraction f; RX2 events read gamma22 in the first
+coordinate.  Numpy membership and the oracle's candidate lines both come
+from that one tree, giving an independent ground truth for every closed
+form in :mod:`zicarq.analytic`.
 
-Search strategy.  Every region here is upward closed: weakening any
-channel (raising a gamma) can only keep the realization in outage.  The
-inner gamma11 coordinate is therefore resolved exactly by bisection on
-the membership predicate, while gamma21 (and the listening fraction for
-cooperative regions) are swept on a grid with local refinement passes
-that shrink the step tenfold around the incumbents.  The listening
-fraction is swept uniformly in v = 1/f, which makes the relay-link cost
-u = 1 - r1*v linear and keeps the sweep dense near f = r1 where the
-objective is steepest.
+Minimisation.  At fixed f an event is a finite union / intersection of
+piecewise-linear sublevel sets, so the linear objective gamma11 + gamma21
+attains its minimum over the box-limited region at a vertex (the standard
+DMT reduction: Zheng & Tse, IEEE Trans. IT 2003; El Gamal, Caire & Damen,
+IEEE Trans. IT 2006).  Every vertex is the intersection of two lines
+from a finite set: the kink lines of every ``pos_part``/``maximum`` node,
+the level lines ``piece = r - STRICT_EPS`` of every affine piece, and the
+four box edges.  The oracle intersects them pairwise, keeps the points the
+tree itself accepts, and takes the smallest objective.  RX2 events are
+1-D: the candidates are the piece roots and the box ends.
+
+Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
+The gamma solve above is exact at each v, so only v is searched: a
+uniform grid, a finer grid around every grid local minimum (the endpoints
+included), and in every cell of either grid whose two ends have different
+optimal vertices, the exact v where those two vertices' objectives (ratios
+of quadratics in f) cross.  The objective is piecewise concave in v, so
+its minimum sits at such a kink or at an endpoint.  Every value the
+oracle returns is the objective at a point the tree accepts (within a
+1e-12 slack on each rate).
 """
 
 from __future__ import annotations
@@ -25,33 +40,30 @@ import numpy as np
 
 from .core import ExponentPoint, SystemParams, validate
 
-# Regions are open sets written with strict inequalities; on a grid the
-# infimum over the open set equals the one over its closure, so membership
-# backs off the rate by a hair to dodge boundary ties.
+# Regions are open sets written with strict inequalities; membership backs
+# off the rate by a hair to dodge boundary ties.
 STRICT_EPS = 1e-12
 
-_BISECT_ITERS = 44
+# Candidate vertices lie on the boundary ``F = r - STRICT_EPS`` up to
+# rounding; the oracle's membership test and box test allow this slack.
+_SLACK = 1e-12
+
+# Search in v = 1/f: grid size, and points per refinement grid.
+_V_GRID = 17
+_V_REFINE = 9
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search resolution for the exponent oracle.
+    """Search box and rate floor of the exponent oracle.
 
-    gamma_step    final grid resolution in the gamma coordinates
     gamma_cap     search cap; None derives max(1, beta) + 0.5 per region
-    f_step        final resolution of the listening-fraction sweep
-    refine_rounds refinement passes, each shrinking the step tenfold
     rate_floor    smallest admissible active rate (limits live in the
                   closed forms, not in the oracle)
-    top_k         incumbents kept per pass for local refinement
     """
 
-    gamma_step: float = 1e-3
     gamma_cap: float | None = None
-    f_step: float = 1e-3
-    refine_rounds: int = 2
     rate_floor: float = 1e-3
-    top_k: int = 6
 
     def cap_for(self, beta: float) -> float:
         if self.gamma_cap is not None:
@@ -61,38 +73,184 @@ class OracleConfig:
         return max(1.0, beta) + 0.5
 
 
-def _pp(x):
-    return np.maximum(x, 0.0)
+# ---------------------------------------------------------------------------
+# expression trees
+# ---------------------------------------------------------------------------
+#
+# An affine piece is a (2, 3) array c: row d holds the coefficients of f**d
+# on (gamma11, gamma21, 1).  Pieces and lines are stacked as (n, 2, 3).
+
+def _unique(pieces: np.ndarray) -> np.ndarray:
+    rows = sorted(set(map(tuple, pieces.reshape(-1, 6).tolist())))
+    return np.array(rows, dtype=float).reshape(-1, 2, 3)
+
+
+def _affine_value(row, g11, g21):
+    out = row[2]
+    if row[0]:
+        out = out + row[0] * g11
+    if row[1]:
+        out = out + row[1] * g21
+    return out
+
+
+def _scale(k0: float, k1: float, pieces: np.ndarray) -> np.ndarray:
+    """(k0 + k1*f) * pieces, refusing terms quadratic in f."""
+    if k1 and pieces[:, 1].any():
+        raise ValueError("coefficients must stay affine in f")
+    out = k0 * pieces
+    out[:, 1] += k1 * pieces[:, 0]
+    return out
+
+
+class _Expr:
+    """A piecewise-linear expression: the affine pieces it can equal, the
+    kink lines (value 0) where it switches between them, and its numpy
+    evaluator.  Arithmetic with numbers and other expressions builds trees."""
+
+    def __init__(self, pieces, kinks, evaluate):
+        self.pieces = pieces
+        self.kinks = kinks
+        self._evaluate = evaluate
+
+    def value(self, env: dict):
+        """Value at env's g11/g21/f arrays; shared subtrees are evaluated once."""
+        if id(self) not in env:
+            env[id(self)] = self._evaluate(env)
+        return env[id(self)]
+
+    def _is_affine(self) -> bool:
+        return len(self.pieces) == 1 and not self.kinks
+
+    def _is_scalar(self) -> bool:
+        return self._is_affine() and not self.pieces[0, :, :2].any()
+
+    def __add__(self, other):
+        other = _as_expr(other)
+        if self._is_affine() and other._is_affine():
+            return _affine(self.pieces[0] + other.pieces[0])
+        return _Expr(_unique(self.pieces[:, None] + other.pieces[None]),
+                     self.kinks + other.kinks,
+                     lambda env: self.value(env) + other.value(env))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -1.0 * _as_expr(other)
+
+    def __rsub__(self, other):
+        return _as_expr(other) + -1.0 * self
+
+    def __mul__(self, other):
+        other = _as_expr(other)
+        coef, x = (self, other) if self._is_scalar() else (other, self)
+        if not coef._is_scalar():
+            raise TypeError("a product needs one factor free of gamma")
+        k0, k1 = coef.pieces[0, :, 2]
+        if x._is_affine():
+            return _affine(_scale(k0, k1, x.pieces)[0])
+        return _Expr(_scale(k0, k1, x.pieces), x.kinks,
+                     lambda env: (k0 + k1 * env["f"]) * x.value(env))
+
+    __rmul__ = __mul__
+
+    def __lt__(self, rate):
+        bound = float(rate) - STRICT_EPS
+        level = self.pieces.copy()
+        level[:, 0, 2] -= bound
+        return _Event([level] + self.kinks,
+                      lambda env, slack: self.value(env) < bound + slack)
+
+
+def _affine(c) -> _Expr:
+    c = np.asarray(c, dtype=float)
+
+    def evaluate(env):
+        out = _affine_value(c[0], env["g11"], env["g21"])
+        if c[1].any():
+            out = out + env["f"] * _affine_value(c[1], env["g11"], env["g21"])
+        return out
+
+    return _Expr(c[None], [], evaluate)
+
+
+def _as_expr(x) -> _Expr:
+    if isinstance(x, _Expr):
+        return x
+    c = np.zeros((2, 3))
+    c[0, 2] = x
+    return _affine(c)
+
+
+def symbols() -> tuple[_Expr, _Expr, _Expr]:
+    """The leaves (gamma11, gamma21, f); RX2 events use the first for gamma22."""
+    eye = np.eye(6).reshape(6, 2, 3)
+    return _affine(eye[0]), _affine(eye[1]), _affine(eye[5])
+
+
+def maximum(a, b) -> _Expr:
+    """max(a, b) of expressions or numbers."""
+    a, b = _as_expr(a), _as_expr(b)
+    diff = (a.pieces[:, None] - b.pieces[None]).reshape(-1, 2, 3)
+    return _Expr(_unique(np.concatenate([a.pieces, b.pieces])), [diff] + a.kinks + b.kinks,
+                 lambda env: np.maximum(a.value(env), b.value(env)))
+
+
+def pos_part(x) -> _Expr:
+    """max(x, 0) of an expression."""
+    return maximum(x, 0.0)
+
+
+class _Event:
+    """Rate constraints ``F < r`` joined by ``|`` (union) and ``&``
+    (intersection): their kink and level lines, and the membership test,
+    where ``slack`` widens every constraint."""
+
+    def __init__(self, lines, holds):
+        self.lines = lines
+        self.holds = holds
+
+    def __or__(self, other):
+        return _Event(self.lines + other.lines,
+                      lambda env, slack: self.holds(env, slack) | other.holds(env, slack))
+
+    def __and__(self, other):
+        return _Event(self.lines + other.lines,
+                      lambda env, slack: self.holds(env, slack) & other.holds(env, slack))
 
 
 class OutageRegion:
-    """One high-SNR outage event as an explicit membership predicate.
+    """One high-SNR outage event, held as rate constraints on expression trees.
 
-    kind is 'rx2' (predicate over gamma22), 'rx1' (over gamma11/gamma21),
+    kind is 'rx2' (event over gamma22), 'rx1' (over gamma11/gamma21),
     or 'coop' (over gamma11/gamma21 and the listening fraction f).
     """
 
-    def __init__(self, region_id, kind, mask, beta, active_rates):
+    def __init__(self, region_id, kind, event, beta, active_rates):
         self.region_id = region_id
         self.kind = kind
+        self.event = event
         self.beta = beta
         self.active_rates = tuple(active_rates)
-        self._mask = mask
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
 
+    def member(self, g11, g21=0.0, f=1.0, slack=0.0) -> np.ndarray:
+        """Elementwise membership; ``slack`` widens every rate constraint."""
+        held = self.event.holds({"g11": g11, "g21": g21, "f": f}, slack)
+        return np.broadcast_to(held, np.broadcast(g11, g21, f).shape)
+
+    def lines(self) -> np.ndarray:
+        """Kink and level lines of the tree, (n, 2, 3), excluding the box."""
+        lines = _unique(np.concatenate(self.event.lines))
+        return lines[lines[:, :, :2].any(axis=(1, 2))]
+
     def contains(self, pt: ExponentPoint) -> bool:
         pt.check()
         if self.kind == "rx2":
-            return bool(self._mask(np.asarray([pt.gamma22]))[0])
-        return bool(
-            self._mask(
-                np.asarray([pt.gamma11]),
-                np.asarray([pt.gamma21]),
-                np.asarray([pt.f]),
-            )[0]
-        )
+            return bool(self.member(pt.gamma22))
+        return bool(self.member(pt.gamma11, pt.gamma21, pt.f))
 
 
 def region_contains(region: OutageRegion, pt: ExponentPoint) -> bool:
@@ -101,7 +259,7 @@ def region_contains(region: OutageRegion, pt: ExponentPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# region factories (predicates transcribe the defining inequalities verbatim)
+# region factories (trees transcribe the defining inequalities verbatim)
 # ---------------------------------------------------------------------------
 
 def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
@@ -110,162 +268,127 @@ def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     if l < 1:
         raise ValueError("rounds must be >= 1")
     r2, s2, b = p.r2, p.s2, p.b
+    g22, _, _ = symbols()
+    event = (l * pos_part(1.0 - g22) < r2) | (l * pos_part(1.0 - g22 - b) < s2)
+    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", event, p.beta, (r2,))
 
-    def mask(g22):
-        return (l * _pp(1.0 - g22) < r2 - STRICT_EPS) | (
-            l * _pp(1.0 - g22 - b) < s2 - STRICT_EPS
-        )
 
-    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", mask, p.beta, (r2,))
+def _o11_event(p: SystemParams, i: int):
+    if not 1 <= i <= p.L:
+        raise ValueError(f"round index i={i} outside 1..{p.L}")
+    g11, g21, _ = symbols()
+    interfered = pos_part(1.0 - g11 - pos_part(p.beta - g21 - p.b))
+    return i * interfered + (p.L - i) * pos_part(1.0 - g11) < p.r1
+
+
+def _o12_event(p: SystemParams, i: int, stop: bool):
+    if not 1 <= i <= p.L:
+        raise ValueError(f"round index i={i} outside 1..{p.L}")
+    g11, g21, _ = symbols()
+    beta = p.beta
+    joint = pos_part(maximum(1.0 - g11, beta - g21) - pos_part(beta - g21 - p.b))
+    tail = pos_part(1.0 - g11) if stop else \
+        maximum(pos_part(1.0 - g11), pos_part(beta - g21))
+    return i * joint + (p.L - i) * tail < p.r1 + p.t2
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 individual-rate outage given TX2's ACK at round i (of L)."""
-    if not 1 <= i <= p.L:
-        raise ValueError(f"round index i={i} outside 1..{p.L}")
-    L, r1, beta, b = p.L, p.r1, p.beta, p.b
-
-    def mask(g11, g21, f=None):
-        interfered = _pp(1.0 - g11 - _pp(beta - g21 - b))
-        return i * interfered + (L - i) * _pp(1.0 - g11) < r1 - STRICT_EPS
-
-    return OutageRegion(f"O11_HK(i={i})", "rx1", mask, beta, (r1,))
+    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p, i), p.beta, (p.r1,))
 
 
 def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 joint-rate outage given TX2's ACK at round i (of L)."""
-    if not 1 <= i <= p.L:
-        raise ValueError(f"round index i={i} outside 1..{p.L}")
-    L, beta, b = p.L, p.beta, p.b
-    rate = p.r1 + p.t2
-
-    def mask(g11, g21, f=None):
-        joint = _pp(np.maximum(1.0 - g11, beta - g21) - _pp(beta - g21 - b))
-        tail = np.maximum(_pp(1.0 - g11), _pp(beta - g21))
-        return i * joint + (L - i) * tail < rate - STRICT_EPS
-
-    return OutageRegion(f"O12_HK(i={i})", "rx1", mask, beta, (p.r1,))
+    return OutageRegion(f"O12_HK(i={i})", "rx1", _o12_event(p, i, stop=False),
+                        p.beta, (p.r1,))
 
 
 def region_o11_stop(p: SystemParams, i: int) -> OutageRegion:
     """Stop-both policy variant; identical to O11 (post-ACK rounds are
     already interference-free in the individual constraint)."""
-    r = region_o11_hk(p, i)
-    return OutageRegion(f"O11_STOP(i={i})", "rx1", r._mask, p.beta, (p.r1,))
+    return OutageRegion(f"O11_STOP(i={i})", "rx1", _o11_event(p, i), p.beta, (p.r1,))
 
 
 def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
     """Stop-both policy variant of O12: after TX2's ACK the common stream
     is gone, so the tail rounds contribute the direct link only."""
-    if not 1 <= i <= p.L:
-        raise ValueError(f"round index i={i} outside 1..{p.L}")
-    L, beta, b = p.L, p.beta, p.b
-    rate = p.r1 + p.t2
-
-    def mask(g11, g21, f=None):
-        joint = _pp(np.maximum(1.0 - g11, beta - g21) - _pp(beta - g21 - b))
-        return i * joint + (L - i) * _pp(1.0 - g11) < rate - STRICT_EPS
-
-    return OutageRegion(f"O12_STOP(i={i})", "rx1", mask, beta, (p.r1,))
+    return OutageRegion(f"O12_STOP(i={i})", "rx1", _o12_event(p, i, stop=True),
+                        p.beta, (p.r1,))
 
 
 def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     l = p.L if rounds is None else rounds
     if l < 1:
         raise ValueError("rounds must be >= 1")
-    r1, r2, beta = p.r1, p.r2, p.beta
-
-    def mask(g11, g21, f=None):
-        own = l * _pp(1.0 - g11) < r1 - STRICT_EPS
-        joint = l * np.maximum(_pp(1.0 - g11), _pp(beta - g21)) < r1 + r2 - STRICT_EPS
-        return own | joint
-
-    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", mask, beta, (r1,))
+    r1, beta = p.r1, p.beta
+    g11, g21, _ = symbols()
+    own = l * pos_part(1.0 - g11) < r1
+    joint = l * maximum(pos_part(1.0 - g11), pos_part(beta - g21)) < r1 + p.r2
+    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", own | joint, beta, (r1,))
 
 
 def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     l = p.L if rounds is None else rounds
     if l < 1:
         raise ValueError("rounds must be >= 1")
-    r2 = p.r2
-
-    def mask(g22):
-        return l * _pp(1.0 - g22) < r2 - STRICT_EPS
-
-    return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", mask, p.beta, (r2,))
+    g22, _, _ = symbols()
+    return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", l * pos_part(1.0 - g22) < p.r2,
+                        p.beta, (p.r2,))
 
 
 def region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
     """Single-round noise-treating outage at RX1."""
+    g11, g21, _ = symbols()
+    event = pos_part(1.0 - g11 - pos_part(beta - g21)) < r1
+    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", event, beta, (r1,))
 
-    def mask(g11, g21, f=None):
-        return _pp(1.0 - g11 - _pp(beta - g21)) < r1 - STRICT_EPS
 
-    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", mask, beta, (r1,))
+def _coop_terms(beta: float):
+    """(f, direct link, both links, noise-treating round 1) of a relayed round."""
+    g11, g21, f = symbols()
+    direct = pos_part(1.0 - g11)
+    both = maximum(direct, pos_part(beta - g21))
+    round1 = pos_part(1.0 - g11 - pos_part(beta - g21))
+    return f, direct, both, round1
 
 
 def region_o1_coop(r1: float, beta: float) -> OutageRegion:
     """Individual-rate outage after a relayed second round, CMO decoding."""
-
-    def mask(g11, g21, f):
-        direct = _pp(1.0 - g11)
-        both = np.maximum(direct, _pp(beta - g21))
-        return (1.0 + f) * direct + (1.0 - f) * both < r1 - STRICT_EPS
-
-    return OutageRegion("O1_COOP", "coop", mask, beta, (r1,))
+    f, direct, both, _ = _coop_terms(beta)
+    event = (1.0 + f) * direct + (1.0 - f) * both < r1
+    return OutageRegion("O1_COOP", "coop", event, beta, (r1,))
 
 
 def region_o2_coop(r1: float, r2: float, beta: float) -> OutageRegion:
     """Joint-rate outage after a relayed second round, CMO decoding."""
-
-    def mask(g11, g21, f):
-        direct = _pp(1.0 - g11)
-        both = np.maximum(direct, _pp(beta - g21))
-        return (2.0 - f) * both + f * direct < r1 + r2 - STRICT_EPS
-
-    return OutageRegion("O2_COOP", "coop", mask, beta, (r1,))
+    f, direct, both, _ = _coop_terms(beta)
+    event = (2.0 - f) * both + f * direct < r1 + r2
+    return OutageRegion("O2_COOP", "coop", event, beta, (r1,))
 
 
 def region_o3_coop(r1: float, beta: float) -> OutageRegion:
     """Outage after a relayed second round with noise-treating decoding."""
-
-    def mask(g11, g21, f):
-        direct = _pp(1.0 - g11)
-        both = np.maximum(direct, _pp(beta - g21))
-        round1 = _pp(1.0 - g11 - _pp(beta - g21))
-        return round1 + f * direct + (1.0 - f) * both < r1 - STRICT_EPS
-
-    return OutageRegion("O3_COOP", "coop", mask, beta, (r1,))
+    f, direct, both, round1 = _coop_terms(beta)
+    event = round1 + f * direct + (1.0 - f) * both < r1
+    return OutageRegion("O3_COOP", "coop", event, beta, (r1,))
 
 
 def region_o11_dd(r1: float, beta: float) -> OutageRegion:
     """Dynamic decoder, individual event: both decoders fail the own-rate
     test (the CMO event is contained in the noise-treating one)."""
-
-    def mask(g11, g21, f):
-        direct = _pp(1.0 - g11)
-        both = np.maximum(direct, _pp(beta - g21))
-        tail = f * direct + (1.0 - f) * both
-        o1 = direct + tail < r1 - STRICT_EPS
-        o3 = _pp(1.0 - g11 - _pp(beta - g21)) + tail < r1 - STRICT_EPS
-        return o1 & o3
-
-    return OutageRegion("O11_DD", "coop", mask, beta, (r1,))
+    f, direct, both, round1 = _coop_terms(beta)
+    tail = f * direct + (1.0 - f) * both
+    event = (direct + tail < r1) & (round1 + tail < r1)
+    return OutageRegion("O11_DD", "coop", event, beta, (r1,))
 
 
 def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
     """Dynamic decoder, joint event: CMO fails the sum-rate test and the
     noise-treating decoder fails as well."""
-
-    def mask(g11, g21, f):
-        direct = _pp(1.0 - g11)
-        both = np.maximum(direct, _pp(beta - g21))
-        tail = f * direct + (1.0 - f) * both
-        o2 = both + tail < r1 + r2 - STRICT_EPS
-        o3 = _pp(1.0 - g11 - _pp(beta - g21)) + tail < r1 - STRICT_EPS
-        return o2 & o3
-
-    return OutageRegion("O12_DD", "coop", mask, beta, (r1,))
+    f, direct, both, round1 = _coop_terms(beta)
+    tail = f * direct + (1.0 - f) * both
+    event = (both + tail < r1 + r2) & (round1 + tail < r1)
+    return OutageRegion("O12_DD", "coop", event, beta, (r1,))
 
 
 _REGION_BUILDERS = {
@@ -302,152 +425,129 @@ def make_region(region_id: str, params: SystemParams, *, i: int | None = None,
 # oracle internals
 # ---------------------------------------------------------------------------
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    n = int(math.ceil((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, max(n, 2))
+def _candidates(region: OutageRegion, cap: float):
+    """The tree's lines plus the box edges, and the index pairs of lines
+    that are not parallel at every f."""
+    box = np.zeros((4, 2, 3))
+    box[[0, 1], 0, 0] = 1.0
+    box[[2, 3], 0, 1] = 1.0
+    box[[1, 3], 0, 2] = -cap
+    lines = np.concatenate([region.lines(), box])
+    i, j = np.triu_indices(len(lines), 1)
+    # the determinant is quadratic in f: three zeros make it vanish identically
+    at = lines[:, 0] + np.array([0.0, 0.5, 1.0])[:, None, None] * lines[:, 1]
+    det = at[:, i, 0] * at[:, j, 1] - at[:, j, 0] * at[:, i, 1]
+    keep = det.any(axis=0)
+    return lines, (i[keep], j[keep])
 
 
-def _bisect_g11(mask, g21, f, cap):
-    """Smallest gamma11 that enters the region, per (gamma21, f) column.
-
-    Membership is monotone nondecreasing in gamma11, so bisection is
-    exact; columns outside the region even at the cap report +inf.
-    """
-    top = np.full_like(g21, cap)
-    feasible = mask(top, g21, f)
-    lo = np.zeros_like(g21)
-    hi = np.full_like(g21, cap)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        inside = mask(mid, g21, f)
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
-    return np.where(feasible, hi, np.inf)
-
-
-def _refine_axis(values: np.ndarray, objective: np.ndarray, step: float,
-                 lo: float, hi: float, top_k: int) -> np.ndarray:
-    """Candidate points for the next pass around the best incumbents."""
-    order = np.argsort(objective, kind="stable")
-    centers = []
-    for idx in order:
-        if not np.isfinite(objective[idx]):
-            break
-        c = values[idx]
-        if all(abs(c - seen) > 0.5 * step for seen in centers):
-            centers.append(c)
-        if len(centers) >= top_k:
-            break
-    pts = [np.linspace(max(lo, c - 1.5 * step), min(hi, c + 1.5 * step), 31)
-           for c in centers]
-    if not pts:
-        return np.array([])
-    return np.unique(np.concatenate(pts))
+def _min_gamma(region, lines, pairs, f, cap):
+    """Exact min of gamma11 + gamma21 over the region at each listening
+    fraction in ``f`` (shape (n,)), and the index of the minimising pair
+    (+inf where no vertex enters the region)."""
+    at = lines[:, 0] + f[:, None, None] * lines[:, 1]
+    i, j = pairs
+    a_i, b_i, c_i = at[:, i, 0], at[:, i, 1], at[:, i, 2]
+    a_j, b_j, c_j = at[:, j, 0], at[:, j, 1], at[:, j, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = a_i * b_j - a_j * b_i
+        x = (b_i * c_j - b_j * c_i) / det
+        y = (a_j * c_i - a_i * c_j) / det
+    lo, hi = -_SLACK, cap + _SLACK
+    rows, cols = np.nonzero((x >= lo) & (x <= hi) & (y >= lo) & (y <= hi))
+    g11 = np.clip(x[rows, cols], 0.0, cap)
+    g21 = np.clip(y[rows, cols], 0.0, cap)
+    inside = region.member(g11, g21, f[rows], slack=_SLACK)
+    obj = np.full(x.shape, np.inf)
+    obj[rows[inside], cols[inside]] = g11[inside] + g21[inside]
+    k = obj.argmin(axis=1)
+    return obj[np.arange(len(f)), k], k
 
 
-def _min_rx1(region: OutageRegion, cfg: OracleConfig,
-             history: list | None = None) -> float:
-    """min gamma11 + gamma21 over an RX1 region (grid in gamma21,
-    bisection in gamma11, tenfold refinement).
-
-    ``history`` collects the incumbent after each pass; by construction
-    it never increases.
-    """
+def _min_rx1(region: OutageRegion, cfg: OracleConfig) -> float:
+    """min gamma11 + gamma21 over an RX1 region, by vertex enumeration."""
     cap = cfg.cap_for(region.beta)
-    base = cfg.gamma_step * 10.0**cfg.refine_rounds / 2.0
-    g21 = _grid(0.0, cap, base)
-    best = math.inf
-    step = base
-    for level in range(cfg.refine_rounds + 1):
-        g11 = _bisect_g11(region._mask, g21, None, cap)
-        obj = g11 + g21
-        best = min(best, float(np.min(obj)))
-        if history is not None:
-            history.append(best)
-        if level == cfg.refine_rounds:
-            break
-        g21_next = _refine_axis(g21, obj, step, 0.0, cap, cfg.top_k)
-        if g21_next.size == 0:
-            break
-        g21 = g21_next
-        step /= 10.0
-    return best
+    lines, pairs = _candidates(region, cap)
+    return float(_min_gamma(region, lines, pairs, np.ones(1), cap)[0][0])
 
 
-def _top_pairs(v, g, obj, vstep, gstep, top_k):
-    """Best (v, gamma21) incumbents, deduplicated at the current step."""
-    order = np.argsort(obj, kind="stable")
-    pairs = []
-    for idx in order[: 32 * top_k]:
-        if not np.isfinite(obj[idx]):
-            break
-        cand = (float(v[idx]), float(g[idx]))
-        if all(
-            max(abs(cand[0] - pv) / vstep, abs(cand[1] - pg) / gstep) > 0.75
-            for pv, pg in pairs
-        ):
-            pairs.append(cand)
-        if len(pairs) >= top_k:
-            break
-    return pairs
+def _poly_mul(p, q):
+    """Row-wise products of polynomials in f (coefficients lowest order
+    first, along the last axis)."""
+    out = np.zeros(p.shape[:-1] + (p.shape[-1] + q.shape[-1] - 1,))
+    for d in range(p.shape[-1]):
+        out[..., d:d + q.shape[-1]] += p[..., d:d + 1] * q
+    return out
 
 
-def _min_coop(region: OutageRegion, r1: float, cfg: OracleConfig,
-              history: list | None = None) -> float:
-    """min gamma11 + gamma21 + u over a cooperative region, sweeping the
-    listening fraction f in [r1, 1] through v = 1/f and adding the
-    relay-link cost u = 1 - r1*v."""
+def _vertex_sums(lines, pairs):
+    """gamma11 + gamma21 at the vertex of every pair as num(f) / den(f),
+    each a quadratic in f, shape (pairs, 3)."""
+    (a_i, b_i, c_i), (a_j, b_j, c_j) = (np.moveaxis(lines[k], 2, 0) for k in pairs)
+    m = _poly_mul
+    num = m(b_i, c_j) - m(b_j, c_i) + m(a_j, c_i) - m(a_i, c_j)
+    return num, m(a_i, b_j) - m(a_j, b_i)
+
+
+def _kinks(sums, v_lo, v_hi, k_lo, k_hi):
+    """The v in each cell [v_lo, v_hi] where the vertex sums of the pairs
+    optimal at its two ends are equal."""
+    num, den = sums
+    left, right = _poly_mul(num[k_lo], den[k_hi]), _poly_mul(num[k_hi], den[k_lo])
+    gap = left - right
+    scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
+    out = []
+    for c in np.nonzero(np.abs(gap).max(axis=1) > _SLACK * scale)[0]:
+        f = np.roots(gap[c, ::-1])
+        # a double root comes out slightly complex; a kept root is only a
+        # candidate, evaluated exactly like every grid point
+        f = f.real[np.abs(f.imag) <= 1e-6]
+        f = f[(f >= 1.0 / v_hi[c]) & (f <= 1.0 / v_lo[c])]
+        out.append(1.0 / f)
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _min_coop(region: OutageRegion, r1: float, cfg: OracleConfig) -> float:
+    """min gamma11 + gamma21 + u over a cooperative region, where the
+    relay-link cost u = 1 - r1*v ties v = 1/f in [1, 1/r1] to the rate:
+    an exact gamma solve at each v, searched in v only."""
     cap = cfg.cap_for(region.beta)
-    v_hi = 1.0 / max(r1, cfg.rate_floor)
-    gstep = cfg.gamma_step * 10.0**cfg.refine_rounds / 2.0
-    vstep = cfg.f_step * 10.0**cfg.refine_rounds / 2.0
-    V, G = np.meshgrid(_grid(1.0, v_hi, vstep), _grid(0.0, cap, gstep),
-                       indexing="ij")
-    Vf, Gf = V.ravel(), G.ravel()
-    best = math.inf
-    for level in range(cfg.refine_rounds + 1):
-        f = 1.0 / Vf
-        g11 = _bisect_g11(region._mask, Gf, f, cap)
-        obj = g11 + Gf + (1.0 - r1 * Vf)
-        best = min(best, float(np.min(obj)))
-        if history is not None:
-            history.append(best)
-        if level == cfg.refine_rounds:
-            break
-        pairs = _top_pairs(Vf, Gf, obj, vstep, gstep, cfg.top_k)
-        if not pairs:
-            break
-        vs, gs = [], []
-        for vc, gc in pairs:
-            vv = np.linspace(max(1.0, vc - 1.5 * vstep),
-                             min(v_hi, vc + 1.5 * vstep), 31)
-            gg = np.linspace(max(0.0, gc - 1.5 * gstep),
-                             min(cap, gc + 1.5 * gstep), 31)
-            VV, GG = np.meshgrid(vv, gg, indexing="ij")
-            vs.append(VV.ravel())
-            gs.append(GG.ravel())
-        Vf = np.concatenate(vs)
-        Gf = np.concatenate(gs)
-        vstep /= 10.0
-        gstep /= 10.0
-    return best
+    lines, pairs = _candidates(region, cap)
+
+    def cost(v):
+        g, k = _min_gamma(region, lines, pairs, 1.0 / v, cap)
+        return g + (1.0 - r1 * v), k
+
+    v = np.linspace(1.0, 1.0 / max(r1, cfg.rate_floor), _V_GRID)
+    h, k = cost(v)
+    if not np.isfinite(h).any():
+        return math.inf
+    # a finer grid around every grid local minimum, the endpoints included
+    pad = np.concatenate([[np.inf], h, [np.inf]])
+    local = np.nonzero(np.isfinite(h) & (h <= pad[:-2]) & (h <= pad[2:]))[0]
+    fine = np.linspace(v[np.maximum(local - 1, 0)],
+                       v[np.minimum(local + 1, len(v) - 1)], _V_REFINE, axis=1)
+    h_fine, k_fine = (a.reshape(fine.shape) for a in cost(fine.ravel()))
+    # the exact kink in every cell whose two ends have different optimal vertices
+    def cells(vv, hh, kk):
+        keep = np.isfinite(hh[..., :-1] + hh[..., 1:])
+        return [a[keep] for a in (vv[..., :-1], vv[..., 1:], kk[..., :-1], kk[..., 1:])]
+
+    roots = _kinks(_vertex_sums(lines, pairs), *(
+        np.concatenate(c) for c in zip(cells(v, h, k), cells(fine, h_fine, k_fine))))
+    best = min(h.min(), h_fine.min(), cost(roots)[0].min(initial=np.inf))
+    return float(best)
 
 
 def _min_rx2(region: OutageRegion, cfg: OracleConfig) -> float:
-    """min gamma22 over an RX2 region; exact by bisection."""
+    """min gamma22 over an RX2 region: the smallest member among the piece
+    roots and the box ends."""
     cap = cfg.cap_for(region.beta)
-    if not bool(region._mask(np.asarray([cap]))[0]):
-        return math.inf
-    lo, hi = 0.0, cap
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if bool(region._mask(np.asarray([mid]))[0]):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a, _, c = region.lines()[:, 0].T
+    roots = -c[a != 0] / a[a != 0]
+    cand = np.concatenate([[0.0, cap], roots[(roots > 0.0) & (roots < cap)]])
+    inside = region.member(cand, slack=_SLACK)
+    return float(cand[inside].min()) if inside.any() else math.inf
 
 
 def _check_rates(region: OutageRegion, cfg: OracleConfig):
@@ -465,7 +565,7 @@ def _check_rates(region: OutageRegion, cfg: OracleConfig):
 # ---------------------------------------------------------------------------
 
 def oracle_min_exponent(region: OutageRegion, cfg: OracleConfig | None = None) -> float:
-    """Brute-force minimum exponent over a non-cooperative region.
+    """Exact minimum exponent over a non-cooperative region.
 
     Objective is gamma22 for RX2 regions, gamma11 + gamma21 otherwise.
     Returns +inf when no point within the search cap enters the region.
@@ -480,9 +580,9 @@ def oracle_min_exponent(region: OutageRegion, cfg: OracleConfig | None = None) -
 
 
 def oracle_min_exponent_coop(region: OutageRegion, cfg: OracleConfig | None = None) -> float:
-    """Brute-force minimum of gamma11 + gamma21 + u over a cooperative
-    region, where the relay-link cost u = 1 - r1/f ties the listening
-    fraction to the rate."""
+    """Minimum of gamma11 + gamma21 + u over a cooperative region, where
+    the relay-link cost u = 1 - r1/f ties the listening fraction to the
+    rate."""
     cfg = cfg or OracleConfig()
     if region.kind != "coop":
         raise ValueError(f"{region.region_id} has no listening fraction")
@@ -557,8 +657,8 @@ def rate_region_subset_check(p: SystemParams, samples: int, seed: int,
     in_policy_any = np.zeros(samples, dtype=bool)
     policy_masks = []
     for i in range(1, p.L + 1):
-        o11 = region_o11_hk(p, i)._mask(g11, g21, None)
-        o12 = region_o12_hk(p, i)._mask(g11, g21, None)
+        o11 = region_o11_hk(p, i).member(g11, g21)
+        o12 = region_o12_hk(p, i).member(g11, g21)
         policy_masks.append(~(o11 | o12))
         in_policy_any |= policy_masks[-1]
 
@@ -567,8 +667,8 @@ def rate_region_subset_check(p: SystemParams, samples: int, seed: int,
     keep_ok = policy_masks[-1]
     bad |= keep_ok & ~in_policy_any
     for i in range(1, p.L + 1):
-        o11s = region_o11_stop(p, i)._mask(g11, g21, None)
-        o12s = region_o12_stop(p, i)._mask(g11, g21, None)
+        o11s = region_o11_stop(p, i).member(g11, g21)
+        o12s = region_o12_stop(p, i).member(g11, g21)
         stop_ok = ~(o11s | o12s)
         bad |= stop_ok & ~in_policy_any
 

@@ -58,18 +58,18 @@ def sample_params(rng: np.random.Generator, scheme: SchemeId,
 def worst_gap(scheme: SchemeId, samples: int,
               rng: np.random.Generator) -> tuple[float, str]:
     """Largest |analytic - oracle| over ``samples`` random operating points,
-    and where it occurred as ``check@{params}`` ("" when every gap is 0)."""
+    and where it occurred as ``check@{params}`` ("" when samples is 0)."""
     cfg = OracleConfig()
     if samples < 0:
         raise ParameterError("samples must be >= 0")
-    worst, where = 0.0, ""
+    worst, where = -1.0, ""
     for _ in range(samples):
         p = sample_params(rng, scheme, cfg.rate_floor)
         for name, ana, orc in _verify_checks(scheme, p, cfg):
             gap = abs(ana - orc)
             if gap > worst:
                 worst, where = gap, f"{name}@{asdict(p)}"
-    return worst, where
+    return max(worst, 0.0), where
 
 
 def _verify_checks(scheme: SchemeId, p: SystemParams, cfg: OracleConfig):

@@ -83,6 +83,11 @@ class TestVerify:
         assert rc == 0
         out = capsys.readouterr().out
         assert "scheme=cmo" in out and "scheme=hk" in out
+        # every scheme line names its worst check and parameter point
+        lines = [ln for ln in out.splitlines() if ln.startswith("scheme=")]
+        assert len(lines) == 2
+        for line in lines:
+            assert "  worst: d" in line and "@{'r1': " in line, line
 
     def test_zero_samples_vacuous(self, capsys):
         rc = run(["verify", "--samples", "0"])

@@ -1,4 +1,5 @@
-"""Package layering: modules share only public names."""
+"""Package layering: modules share only public names, and the outage-region
+oracle stays independent of the closed forms it checks."""
 
 import ast
 from pathlib import Path
@@ -6,15 +7,35 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zicarq"
 
 
-def _private_imports(path: Path):
+def _imports(path: Path):
+    """(line, imported module, names) for every import in a module."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        internal = node.level > 0 or (node.module or "").split(".")[0] == "zicarq"
-        if internal:
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield node.lineno, module, [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("_"):
-                    yield f"{path.name}:{node.lineno} imports {alias.name}"
+                yield node.lineno, alias.name, []
+
+
+def _internal(module: str) -> bool:
+    return module.startswith(".") or module.split(".")[0] == "zicarq"
+
+
+def _private_imports(path: Path):
+    for lineno, module, names in _imports(path):
+        if _internal(module):
+            for name in names:
+                if name.startswith("_"):
+                    yield f"{path.name}:{lineno} imports {name}"
+
+
+def _analytic_imports(path: Path):
+    for lineno, module, names in _imports(path):
+        target = module.lstrip(".").removeprefix("zicarq").lstrip(".")
+        if _internal(module) and (target.split(".")[0] == "analytic"
+                                  or (target == "" and "analytic" in names)):
+            yield f"{path.name}:{lineno} imports from analytic"
 
 
 def test_no_private_cross_module_imports():
@@ -22,3 +43,15 @@ def test_no_private_cross_module_imports():
     assert modules
     found = [hit for path in modules for hit in _private_imports(path)]
     assert not found, found
+
+
+def test_regions_independent_of_analytic(tmp_path):
+    assert not list(_analytic_imports(PACKAGE / "regions.py"))
+    # the guard catches every spelling of the forbidden import
+    for line in ("from .analytic import d1_hk", "from . import analytic",
+                 "from zicarq.analytic import d1_hk", "import zicarq.analytic",
+                 "from zicarq import core, analytic",
+                 "def f():\n    from .analytic import d1_hk"):
+        probe = tmp_path / "probe.py"
+        probe.write_text(line + "\n", encoding="utf-8")
+        assert list(_analytic_imports(probe)), line

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zicarq import analytic
+from zicarq.analytic import SchemeId
 from zicarq.core import ExponentPoint, SystemParams
 from zicarq.regions import (
     OracleConfig,
@@ -13,6 +14,7 @@ from zicarq.regions import (
     oracle_d1_hk_stop,
     oracle_min_exponent,
     oracle_min_exponent_coop,
+    pos_part,
     rate_region_subset_check,
     region_contains,
     region_o1_coop,
@@ -22,7 +24,9 @@ from zicarq.regions import (
     region_o12_hk,
     region_rx2_cmo,
     region_rx2_hk,
+    symbols,
 )
+from zicarq.verify import VERIFY_SCHEMES, worst_gap
 
 CFG = OracleConfig()
 TOL = 2e-3
@@ -129,15 +133,28 @@ class TestOracleSpotValues:
             oracle_min_exponent(region_o11_hk(p, 1), CFG)
 
     def test_empty_region_returns_inf(self):
-        # unreachable predicate reports +inf, never a junk minimum
+        # unreachable events report +inf, never a junk minimum
+        g11, g21, f = symbols()
         region = OutageRegion(
-            "EMPTY", "rx1", lambda g11, g21, f=None: np.zeros_like(g11, dtype=bool),
+            "EMPTY", "rx1", pos_part(g11) + pos_part(g21) + 1.0 < 0.5,
             beta=1.0, active_rates=(0.5,))
         assert oracle_min_exponent(region, CFG) == math.inf
         region22 = OutageRegion(
-            "EMPTY22", "rx2", lambda g22: np.zeros_like(g22, dtype=bool),
+            "EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5,
             beta=1.0, active_rates=(0.5,))
         assert oracle_min_exponent(region22, CFG) == math.inf
+        coop = OutageRegion(
+            "EMPTY_COOP", "coop", f * pos_part(1.0 - g11) + 1.0 < 0.5,
+            beta=1.0, active_rates=(0.5,))
+        assert oracle_min_exponent_coop(coop, CFG) == math.inf
+
+    def test_coop_interior_kink(self):
+        # the minimum sits at an interior listening fraction (f ~ 0.663);
+        # the f = 1 endpoint, 2 - 1.5*r1, lies about 4.5e-3 higher
+        r1, beta = 0.5481476168670432, 1.6267914545847555
+        got = oracle_min_exponent_coop(region_o1_coop(r1, beta), CFG)
+        assert got == pytest.approx(analytic.d11c_cmo2(r1, beta), abs=1e-9)
+        assert (2.0 - 1.5 * r1) - got > 4e-3
 
 
 class TestOracleD1Hk:
@@ -199,20 +216,33 @@ class TestStopPolicyOracle:
 
 
 class TestOracleRobustness:
-    def test_refinement_monotone(self):
-        from zicarq.regions import _min_coop, _min_rx1
-
+    def test_minimum_is_a_lower_bound(self):
+        # no sampled member point beats the oracle's minimum
+        rng = np.random.default_rng(5)
+        n = 100_000
         p = P(r1=0.37, r2=0.41, t2=0.13, b=0.21, beta=1.17, L=3)
-        hist = []
-        _min_rx1(region_o12_hk(p, 2), OracleConfig(refine_rounds=3), history=hist)
-        assert len(hist) == 4
-        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        cap = CFG.cap_for(p.beta)
+        g11, g21 = rng.uniform(0, cap, n), rng.uniform(0, cap, n)
 
-        hist = []
-        _min_coop(region_o3_coop(0.45, 1.3), 0.45, OracleConfig(refine_rounds=3),
-                  history=hist)
-        assert len(hist) == 4
-        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        rx1 = region_o12_hk(p, 2)
+        inside = rx1.member(g11, g21)
+        assert inside.any()
+        assert (g11 + g21)[inside].min() >= oracle_min_exponent(rx1, CFG) - 1e-12
+
+        rx2 = region_rx2_hk(p, 2)
+        inside = rx2.member(g11)
+        assert inside.any()
+        assert g11[inside].min() >= oracle_min_exponent(rx2, CFG) - 1e-12
+
+        r1, beta = 0.45, 1.3
+        coop = region_o3_coop(r1, beta)
+        cap = CFG.cap_for(beta)
+        g11, g21 = rng.uniform(0, cap, n), rng.uniform(0, cap, n)
+        f = rng.uniform(r1, 1.0, n)
+        inside = coop.member(g11, g21, f)
+        assert inside.any()
+        objective = (g11 + g21 + 1.0 - r1 / f)[inside]
+        assert objective.min() >= oracle_min_exponent_coop(coop, CFG) - 1e-12
 
     def test_cap_saturation(self):
         p = P(r1=0.3, r2=0.55, t2=0.25, b=0.15, beta=1.3, L=2)
@@ -232,6 +262,13 @@ class TestOracleRobustness:
         p = P(r1=0.5, r2=0.5, beta=1.8, L=1)
         with pytest.raises(ValueError, match="gamma_cap"):
             oracle_min_exponent(region_o11_hk(p, 1), OracleConfig(gamma_cap=1.0))
+
+
+class TestExactness:
+    @pytest.mark.parametrize("scheme", VERIFY_SCHEMES)
+    def test_closed_forms_match_oracle(self, scheme):
+        gap, where = worst_gap(SchemeId(scheme), 50, np.random.default_rng(13))
+        assert gap <= 1e-9, where
 
 
 class TestSubsetCheck:
