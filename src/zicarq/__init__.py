@@ -16,7 +16,6 @@ from .analytic import (
     d1_cmo,
     d1_hk,
     d1_hk_keep,
-    d1_hk_stop,
     d1_tian,
     d1_tian_general,
     d1c_cmo2,
@@ -45,15 +44,12 @@ from .core import (
     validate,
 )
 from .regions import (
-    OracleConfig,
     OutageRegion,
-    make_region,
     oracle_d1_hk,
     oracle_d1_hk_stop,
     oracle_min_exponent,
     oracle_min_exponent_coop,
     rate_region_subset_check,
-    region_contains,
 )
 from .simulator import (
     ChannelRealization,

@@ -10,7 +10,8 @@ Non-cooperative schemes (any number of rounds L):
   RX1); TX2 goes silent after its ACK.
 * ``hk-keep`` / ``hk-stop`` alternative policies where TX2 keeps or stops
   both streams after its own ACK (used for policy comparisons; the stop
-  variant has no closed form and is evaluated through the region oracle).
+  variant has no closed form: :func:`zicarq.regions.oracle_d1_hk_stop`
+  evaluates it, and :func:`scheme_dmt` rejects it).
 
 Cooperative schemes (fixed at L = 2): after a round-1 NACK from RX1, TX2
 decodes TX1's message and relays it for the rest of round 2.  ``coop-cmo``
@@ -199,17 +200,6 @@ def d1_hk_keep(p: SystemParams) -> float:
     return min(d11_hk(p, p.L), d12_hk(p, p.L))
 
 
-def d1_hk_stop(p: SystemParams, cfg=None) -> float:
-    """RX1 diversity when TX2 silences both streams after its own ACK.
-
-    No closed form exists for this policy; the value is computed by the
-    exact region oracle (thin wrapper).
-    """
-    from . import regions
-
-    return regions.oracle_d1_hk_stop(p, cfg)
-
-
 # ---------------------------------------------------------------------------
 # cooperative closed forms (two rounds)
 # ---------------------------------------------------------------------------
@@ -336,7 +326,7 @@ def d2c_dd2(r1: float, r2: float, beta: float) -> float:
 # scheme dispatcher
 # ---------------------------------------------------------------------------
 
-def scheme_dmt(scheme: SchemeId | str, p: SystemParams, cfg=None) -> DmtResult:
+def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> DmtResult:
     """Evaluate (d1, d2) with a branch trace for one scheme at one point."""
     scheme = SchemeId(scheme)
     validate(p)
@@ -355,8 +345,7 @@ def scheme_dmt(scheme: SchemeId | str, p: SystemParams, cfg=None) -> DmtResult:
         d1 = d1_hk_keep(p)
         return DmtResult(d1, d2_hk(p), (("d1_hk_keep", f"i={p.L}", d1),))
     if scheme is SchemeId.HK_STOP:
-        d1 = d1_hk_stop(p, cfg)
-        return DmtResult(d1, d2_hk(p), (("d1_hk_stop", "oracle", d1),))
+        raise ParameterError("scheme hk-stop has no closed form")
 
     r1, r2, beta = p.r1, p.r2, p.beta
     if scheme is SchemeId.COOP_CMO:

@@ -3,7 +3,8 @@ Monte Carlo outage runs, and throughput runs, all emitting CSV.
 
 Subcommands
 -----------
-curve       closed-form (d1, d2) along a parameter sweep, per scheme
+curve       closed-form (d1, d2) along a parameter sweep, per scheme;
+            hk-stop has no closed form, so its d1 comes from the oracle
 verify      randomized analytic-vs-oracle agreement report
 simulate    Monte Carlo outage curves plus a diversity-slope summary
 throughput  Monte Carlo renewal-time and throughput-ratio table
@@ -26,6 +27,7 @@ import numpy as np
 from . import analytic
 from .analytic import SchemeId
 from .core import ParameterError, SystemParams, validate
+from .regions import oracle_d1_hk_stop
 from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
 from .verify import VERIFY_SCHEMES, worst_gap
 
@@ -151,10 +153,16 @@ def cmd_curve(args) -> int:
     for s in schemes:
         for v in values:
             p = validate(replace(base, **{var: v}))
-            res = analytic.scheme_dmt(s, p)
-            branch = "|".join(f"{fid}:{br}" for fid, br, _ in res.branch_trace)
+            if s is SchemeId.HK_STOP:
+                # no closed form: the region oracle evaluates this policy
+                d1, d2 = oracle_d1_hk_stop(p), analytic.d2_hk(p)
+                source, branch = "oracle", "d1_hk_stop:oracle"
+            else:
+                res = analytic.scheme_dmt(s, p)
+                d1, d2, source = res.d1, res.d2, "analytic"
+                branch = "|".join(f"{fid}:{br}" for fid, br, _ in res.branch_trace)
             rows.append([s.value, p.L, p.r1, p.r2, p.t2, p.b, p.beta,
-                         res.d1, res.d2, "analytic", branch])
+                         d1, d2, source, branch])
 
     _write_csv(args.out,
                ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
@@ -318,7 +326,7 @@ def build_parser() -> _Parser:
     v.add_argument("--scheme", default=None, action=_TrackExplicit)
     v.add_argument("--samples", type=int, default=500, action=_TrackExplicit)
     v.add_argument("--seed", type=int, default=7, action=_TrackExplicit)
-    v.add_argument("--tol", type=float, default=2e-3, action=_TrackExplicit)
+    v.add_argument("--tol", type=float, default=1e-9, action=_TrackExplicit)
     v.add_argument("--config", default=None, action=_TrackExplicit)
     v.add_argument("--out", default=None, action=_TrackExplicit)
     v.set_defaults(func=cmd_verify)

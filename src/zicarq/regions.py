@@ -13,12 +13,13 @@ Minimisation.  At fixed f an event is a finite union / intersection of
 piecewise-linear sublevel sets, so the linear objective gamma11 + gamma21
 attains its minimum over the box-limited region at a vertex (the standard
 DMT reduction: Zheng & Tse, IEEE Trans. IT 2003; El Gamal, Caire & Damen,
-IEEE Trans. IT 2006).  Every vertex is the intersection of two lines
-from a finite set: the kink lines of every ``pos_part``/``maximum`` node,
-the level lines ``piece = r - STRICT_EPS`` of every affine piece, and the
-four box edges.  The oracle intersects them pairwise, keeps the points the
-tree itself accepts, and takes the smallest objective.  RX2 events are
-1-D: the candidates are the piece roots and the box ends.
+IEEE Trans. IT 2006).  The boundary of ``F < r`` turns only where two
+pieces both equal ``r - STRICT_EPS``, so every vertex is the intersection
+of two lines from a finite set: the level lines ``piece = r - STRICT_EPS``
+of every affine piece, and the four box edges.  The oracle intersects them
+pairwise, keeps the points the tree itself accepts, and takes the smallest
+objective.  RX2 events are 1-D: the candidates are the piece roots and the
+box ends.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
 The gamma solve above is exact at each v, so only v is searched: a
@@ -53,24 +54,15 @@ _V_GRID = 17
 _V_REFINE = 9
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Search box and rate floor of the exponent oracle.
+# Smallest admissible active rate: zero-rate limits live in the closed
+# forms, not in the oracle.
+RATE_FLOOR = 1e-3
 
-    gamma_cap     search cap; None derives max(1, beta) + 0.5 per region
-    rate_floor    smallest admissible active rate (limits live in the
-                  closed forms, not in the oracle)
-    """
 
-    gamma_cap: float | None = None
-    rate_floor: float = 1e-3
-
-    def cap_for(self, beta: float) -> float:
-        if self.gamma_cap is not None:
-            if self.gamma_cap <= max(1.0, beta):
-                raise ValueError("gamma_cap must exceed max(1, beta)")
-            return self.gamma_cap
-        return max(1.0, beta) + 0.5
+def _cap(beta: float) -> float:
+    """Side of the search box [0, cap]^2; past max(1, beta) every bracket
+    has clamped, so the box loses no minimum."""
+    return max(1.0, beta) + 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +96,12 @@ def _scale(k0: float, k1: float, pieces: np.ndarray) -> np.ndarray:
 
 
 class _Expr:
-    """A piecewise-linear expression: the affine pieces it can equal, the
-    kink lines (value 0) where it switches between them, and its numpy
-    evaluator.  Arithmetic with numbers and other expressions builds trees."""
+    """A piecewise-linear expression: the affine pieces it can equal and
+    its numpy evaluator.  Arithmetic with numbers and other expressions
+    builds trees."""
 
-    def __init__(self, pieces, kinks, evaluate):
+    def __init__(self, pieces, evaluate):
         self.pieces = pieces
-        self.kinks = kinks
         self._evaluate = evaluate
 
     def value(self, env: dict):
@@ -120,7 +111,7 @@ class _Expr:
         return env[id(self)]
 
     def _is_affine(self) -> bool:
-        return len(self.pieces) == 1 and not self.kinks
+        return len(self.pieces) == 1
 
     def _is_scalar(self) -> bool:
         return self._is_affine() and not self.pieces[0, :, :2].any()
@@ -130,7 +121,6 @@ class _Expr:
         if self._is_affine() and other._is_affine():
             return _affine(self.pieces[0] + other.pieces[0])
         return _Expr(_unique(self.pieces[:, None] + other.pieces[None]),
-                     self.kinks + other.kinks,
                      lambda env: self.value(env) + other.value(env))
 
     __radd__ = __add__
@@ -149,7 +139,7 @@ class _Expr:
         k0, k1 = coef.pieces[0, :, 2]
         if x._is_affine():
             return _affine(_scale(k0, k1, x.pieces)[0])
-        return _Expr(_scale(k0, k1, x.pieces), x.kinks,
+        return _Expr(_scale(k0, k1, x.pieces),
                      lambda env: (k0 + k1 * env["f"]) * x.value(env))
 
     __rmul__ = __mul__
@@ -158,7 +148,7 @@ class _Expr:
         bound = float(rate) - STRICT_EPS
         level = self.pieces.copy()
         level[:, 0, 2] -= bound
-        return _Event([level] + self.kinks,
+        return _Event([level],
                       lambda env, slack: self.value(env) < bound + slack)
 
 
@@ -171,7 +161,7 @@ def _affine(c) -> _Expr:
             out = out + env["f"] * _affine_value(c[1], env["g11"], env["g21"])
         return out
 
-    return _Expr(c[None], [], evaluate)
+    return _Expr(c[None], evaluate)
 
 
 def _as_expr(x) -> _Expr:
@@ -191,8 +181,7 @@ def symbols() -> tuple[_Expr, _Expr, _Expr]:
 def maximum(a, b) -> _Expr:
     """max(a, b) of expressions or numbers."""
     a, b = _as_expr(a), _as_expr(b)
-    diff = (a.pieces[:, None] - b.pieces[None]).reshape(-1, 2, 3)
-    return _Expr(_unique(np.concatenate([a.pieces, b.pieces])), [diff] + a.kinks + b.kinks,
+    return _Expr(_unique(np.concatenate([a.pieces, b.pieces])),
                  lambda env: np.maximum(a.value(env), b.value(env)))
 
 
@@ -203,7 +192,7 @@ def pos_part(x) -> _Expr:
 
 class _Event:
     """Rate constraints ``F < r`` joined by ``|`` (union) and ``&``
-    (intersection): their kink and level lines, and the membership test,
+    (intersection): their level lines, and the membership test,
     where ``slack`` widens every constraint."""
 
     def __init__(self, lines, holds):
@@ -242,7 +231,7 @@ class OutageRegion:
         return np.broadcast_to(held, np.broadcast(g11, g21, f).shape)
 
     def lines(self) -> np.ndarray:
-        """Kink and level lines of the tree, (n, 2, 3), excluding the box."""
+        """Level lines of the tree, (n, 2, 3), excluding the box."""
         lines = _unique(np.concatenate(self.event.lines))
         return lines[lines[:, :, :2].any(axis=(1, 2))]
 
@@ -251,11 +240,6 @@ class OutageRegion:
         if self.kind == "rx2":
             return bool(self.member(pt.gamma22))
         return bool(self.member(pt.gamma11, pt.gamma21, pt.f))
-
-
-def region_contains(region: OutageRegion, pt: ExponentPoint) -> bool:
-    """Exact evaluation of the region's defining inequalities at a point."""
-    return region.contains(pt)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +285,6 @@ def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 joint-rate outage given TX2's ACK at round i (of L)."""
     return OutageRegion(f"O12_HK(i={i})", "rx1", _o12_event(p, i, stop=False),
                         p.beta, (p.r1,))
-
-
-def region_o11_stop(p: SystemParams, i: int) -> OutageRegion:
-    """Stop-both policy variant; identical to O11 (post-ACK rounds are
-    already interference-free in the individual constraint)."""
-    return OutageRegion(f"O11_STOP(i={i})", "rx1", _o11_event(p, i), p.beta, (p.r1,))
 
 
 def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
@@ -391,36 +369,6 @@ def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
     return OutageRegion("O12_DD", "coop", event, beta, (r1,))
 
 
-_REGION_BUILDERS = {
-    "O_RX2_HK": lambda p, i, rounds: region_rx2_hk(p, rounds),
-    "O11_HK": lambda p, i, rounds: region_o11_hk(p, i),
-    "O12_HK": lambda p, i, rounds: region_o12_hk(p, i),
-    "O11_STOP": lambda p, i, rounds: region_o11_stop(p, i),
-    "O12_STOP": lambda p, i, rounds: region_o12_stop(p, i),
-    "O_RX1_CMO": lambda p, i, rounds: region_rx1_cmo(p, rounds),
-    "O_RX2_CMO": lambda p, i, rounds: region_rx2_cmo(p, rounds),
-    "O1_COOP": lambda p, i, rounds: region_o1_coop(p.r1, p.beta),
-    "O2_COOP": lambda p, i, rounds: region_o2_coop(p.r1, p.r2, p.beta),
-    "O3_COOP": lambda p, i, rounds: region_o3_coop(p.r1, p.beta),
-    "O11_DD": lambda p, i, rounds: region_o11_dd(p.r1, p.beta),
-    "O12_DD": lambda p, i, rounds: region_o12_dd(p.r1, p.r2, p.beta),
-}
-
-
-def make_region(region_id: str, params: SystemParams, *, i: int | None = None,
-                rounds: int | None = None) -> OutageRegion:
-    """Build a region by identifier; raises on an unknown region id."""
-    validate(params)
-    try:
-        builder = _REGION_BUILDERS[region_id]
-    except KeyError:
-        known = ", ".join(sorted(_REGION_BUILDERS))
-        raise ValueError(f"unknown region id {region_id!r} (known: {known})")
-    if region_id in ("O11_HK", "O12_HK", "O11_STOP", "O12_STOP") and i is None:
-        raise ValueError(f"{region_id} requires the ACK round index i")
-    return builder(params, i, rounds)
-
-
 # ---------------------------------------------------------------------------
 # oracle internals
 # ---------------------------------------------------------------------------
@@ -464,9 +412,9 @@ def _min_gamma(region, lines, pairs, f, cap):
     return obj[np.arange(len(f)), k], k
 
 
-def _min_rx1(region: OutageRegion, cfg: OracleConfig) -> float:
+def _min_rx1(region: OutageRegion) -> float:
     """min gamma11 + gamma21 over an RX1 region, by vertex enumeration."""
-    cap = cfg.cap_for(region.beta)
+    cap = _cap(region.beta)
     lines, pairs = _candidates(region, cap)
     return float(_min_gamma(region, lines, pairs, np.ones(1), cap)[0][0])
 
@@ -507,18 +455,18 @@ def _kinks(sums, v_lo, v_hi, k_lo, k_hi):
     return np.concatenate(out) if out else np.empty(0)
 
 
-def _min_coop(region: OutageRegion, r1: float, cfg: OracleConfig) -> float:
+def _min_coop(region: OutageRegion, r1: float) -> float:
     """min gamma11 + gamma21 + u over a cooperative region, where the
     relay-link cost u = 1 - r1*v ties v = 1/f in [1, 1/r1] to the rate:
     an exact gamma solve at each v, searched in v only."""
-    cap = cfg.cap_for(region.beta)
+    cap = _cap(region.beta)
     lines, pairs = _candidates(region, cap)
 
     def cost(v):
         g, k = _min_gamma(region, lines, pairs, 1.0 / v, cap)
         return g + (1.0 - r1 * v), k
 
-    v = np.linspace(1.0, 1.0 / max(r1, cfg.rate_floor), _V_GRID)
+    v = np.linspace(1.0, 1.0 / max(r1, RATE_FLOOR), _V_GRID)
     h, k = cost(v)
     if not np.isfinite(h).any():
         return math.inf
@@ -539,10 +487,10 @@ def _min_coop(region: OutageRegion, r1: float, cfg: OracleConfig) -> float:
     return float(best)
 
 
-def _min_rx2(region: OutageRegion, cfg: OracleConfig) -> float:
+def _min_rx2(region: OutageRegion) -> float:
     """min gamma22 over an RX2 region: the smallest member among the piece
     roots and the box ends."""
-    cap = cfg.cap_for(region.beta)
+    cap = _cap(region.beta)
     a, _, c = region.lines()[:, 0].T
     roots = -c[a != 0] / a[a != 0]
     cand = np.concatenate([[0.0, cap], roots[(roots > 0.0) & (roots < cap)]])
@@ -550,12 +498,12 @@ def _min_rx2(region: OutageRegion, cfg: OracleConfig) -> float:
     return float(cand[inside].min()) if inside.any() else math.inf
 
 
-def _check_rates(region: OutageRegion, cfg: OracleConfig):
+def _check_rates(region: OutageRegion):
     for r in region.active_rates:
-        if r < cfg.rate_floor:
+        if r < RATE_FLOOR:
             raise ValueError(
                 f"{region.region_id}: active rate {r} below the oracle's "
-                f"rate floor {cfg.rate_floor} (zero-rate limits live in the "
+                f"rate floor {RATE_FLOOR} (zero-rate limits live in the "
                 "closed forms)"
             )
 
@@ -564,60 +512,55 @@ def _check_rates(region: OutageRegion, cfg: OracleConfig):
 # oracle surface
 # ---------------------------------------------------------------------------
 
-def oracle_min_exponent(region: OutageRegion, cfg: OracleConfig | None = None) -> float:
+def oracle_min_exponent(region: OutageRegion) -> float:
     """Exact minimum exponent over a non-cooperative region.
 
     Objective is gamma22 for RX2 regions, gamma11 + gamma21 otherwise.
     Returns +inf when no point within the search cap enters the region.
     """
-    cfg = cfg or OracleConfig()
-    _check_rates(region, cfg)
+    _check_rates(region)
     if region.kind == "rx2":
-        return _min_rx2(region, cfg)
+        return _min_rx2(region)
     if region.kind == "coop":
         raise ValueError("use oracle_min_exponent_coop for listening-phase regions")
-    return _min_rx1(region, cfg)
+    return _min_rx1(region)
 
 
-def oracle_min_exponent_coop(region: OutageRegion, cfg: OracleConfig | None = None) -> float:
+def oracle_min_exponent_coop(region: OutageRegion) -> float:
     """Minimum of gamma11 + gamma21 + u over a cooperative region, where
     the relay-link cost u = 1 - r1/f ties the listening fraction to the
     rate."""
-    cfg = cfg or OracleConfig()
     if region.kind != "coop":
         raise ValueError(f"{region.region_id} has no listening fraction")
-    _check_rates(region, cfg)
-    r1 = region.active_rates[0]
-    return _min_coop(region, r1, cfg)
+    _check_rates(region)
+    return _min_coop(region, region.active_rates[0])
 
 
-def oracle_d1_hk(p: SystemParams, cfg: OracleConfig | None = None) -> float:
+def oracle_d1_hk(p: SystemParams) -> float:
     """RX1 exponent under rate splitting from the outage regions alone.
 
     Sums over the ACK round of TX2: prefix exponent of reaching that round
     plus the dominant conditional outage exponent.
     """
-    cfg = cfg or OracleConfig()
     validate(p)
-    return _oracle_d1_decomposed(p, cfg, region_o12_hk)
+    return _oracle_d1_decomposed(p, region_o12_hk)
 
 
-def oracle_d1_hk_stop(p: SystemParams, cfg: OracleConfig | None = None) -> float:
+def oracle_d1_hk_stop(p: SystemParams) -> float:
     """Same decomposition for the policy where TX2 stops both streams
     after its own ACK (no closed form exists for this variant)."""
-    cfg = cfg or OracleConfig()
     validate(p)
-    return _oracle_d1_decomposed(p, cfg, region_o12_stop)
+    return _oracle_d1_decomposed(p, region_o12_stop)
 
 
-def _oracle_d1_decomposed(p: SystemParams, cfg: OracleConfig, o12_factory) -> float:
-    if p.r1 < cfg.rate_floor or p.r2 < cfg.rate_floor:
-        raise ValueError("oracle requires r1, r2 >= rate_floor")
+def _oracle_d1_decomposed(p: SystemParams, o12_factory) -> float:
+    if p.r1 < RATE_FLOOR or p.r2 < RATE_FLOOR:
+        raise ValueError(f"oracle requires r1, r2 >= the rate floor {RATE_FLOOR}")
     best = math.inf
     for i in range(1, p.L + 1):
-        prefix = 0.0 if i == 1 else _min_rx2(region_rx2_hk(p, i - 1), cfg)
-        o11 = _min_rx1(region_o11_hk(p, i), cfg)
-        o12 = _min_rx1(o12_factory(p, i), cfg)
+        prefix = 0.0 if i == 1 else _min_rx2(region_rx2_hk(p, i - 1))
+        o11 = _min_rx1(region_o11_hk(p, i))
+        o12 = _min_rx1(o12_factory(p, i))
         best = min(best, prefix + min(o11, o12))
     return best
 
@@ -636,8 +579,8 @@ class SubsetCheckReport:
         return not self.counterexamples
 
 
-def rate_region_subset_check(p: SystemParams, samples: int, seed: int,
-                             cfg: OracleConfig | None = None) -> SubsetCheckReport:
+def rate_region_subset_check(p: SystemParams, samples: int,
+                             seed: int) -> SubsetCheckReport:
     """Sample exponent points and verify the policy-comparison containments.
 
     Every point decodable under the keep-both policy (the ACK-at-round-L
@@ -645,31 +588,31 @@ def rate_region_subset_check(p: SystemParams, samples: int, seed: int,
     decodable under the mixed policy at some ACK round.  Returns the list
     of violating samples, which must be empty.
     """
-    cfg = cfg or OracleConfig()
     validate(p)
     if samples == 0:
         return SubsetCheckReport(0, ())
-    cap = cfg.cap_for(p.beta)
+    cap = _cap(p.beta)
     rng = np.random.default_rng(seed)
     g11 = rng.uniform(0.0, cap, samples)
     g21 = rng.uniform(0.0, cap, samples)
 
     in_policy_any = np.zeros(samples, dtype=bool)
-    policy_masks = []
+    o11_masks, policy_masks = [], []
     for i in range(1, p.L + 1):
-        o11 = region_o11_hk(p, i).member(g11, g21)
+        o11_masks.append(region_o11_hk(p, i).member(g11, g21))
         o12 = region_o12_hk(p, i).member(g11, g21)
-        policy_masks.append(~(o11 | o12))
+        policy_masks.append(~(o11_masks[-1] | o12))
         in_policy_any |= policy_masks[-1]
 
     bad = np.zeros(samples, dtype=bool)
     # keep-both rate region is the i=L instantiation of the policy region
     keep_ok = policy_masks[-1]
     bad |= keep_ok & ~in_policy_any
-    for i in range(1, p.L + 1):
-        o11s = region_o11_stop(p, i).member(g11, g21)
+    # the stop-both policy shares O11: post-ACK rounds are already
+    # interference-free in the individual constraint
+    for i, o11 in enumerate(o11_masks, 1):
         o12s = region_o12_stop(p, i).member(g11, g21)
-        stop_ok = ~(o11s | o12s)
+        stop_ok = ~(o11 | o12s)
         bad |= stop_ok & ~in_policy_any
 
     idx = np.nonzero(bad)[0]

@@ -12,7 +12,7 @@ from . import analytic
 from .analytic import COOP_SCHEMES, SchemeId
 from .core import ParameterError, SystemParams
 from .regions import (
-    OracleConfig,
+    RATE_FLOOR,
     oracle_d1_hk,
     oracle_min_exponent,
     oracle_min_exponent_coop,
@@ -32,8 +32,7 @@ from .regions import (
 VERIFY_SCHEMES = ("hk", "cmo", "tian", "hk-keep", "coop-cmo", "coop-tian", "coop-dd")
 
 
-def sample_params(rng: np.random.Generator, scheme: SchemeId,
-                  rate_floor: float = 1e-3) -> SystemParams:
+def sample_params(rng: np.random.Generator, scheme: SchemeId) -> SystemParams:
     """Random operating point for verification sweeps.
 
     Rates in [0.05, 0.95], beta in [0.2, 2], b in [0, 0.5], t2 <= r2 with
@@ -49,7 +48,7 @@ def sample_params(rng: np.random.Generator, scheme: SchemeId,
     if scheme in (SchemeId.TIAN, SchemeId.CMO):
         return SystemParams(r1=r1, r2=r2, t2=0.0, b=0.0, beta=beta, L=L)
     t2 = float(rng.uniform(0.0, r2))
-    t2 = min(t2, r2 - rate_floor)  # keep the private stream's rate active
+    t2 = min(t2, r2 - RATE_FLOOR)  # keep the private stream's rate active
     t2 = max(t2, 0.0)
     b = float(rng.uniform(0.0, 0.5))
     return SystemParams(r1=r1, r2=r2, t2=t2, b=b, beta=beta, L=L)
@@ -59,76 +58,74 @@ def worst_gap(scheme: SchemeId, samples: int,
               rng: np.random.Generator) -> tuple[float, str]:
     """Largest |analytic - oracle| over ``samples`` random operating points,
     and where it occurred as ``check@{params}`` ("" when samples is 0)."""
-    cfg = OracleConfig()
     if samples < 0:
         raise ParameterError("samples must be >= 0")
     worst, where = -1.0, ""
     for _ in range(samples):
-        p = sample_params(rng, scheme, cfg.rate_floor)
-        for name, ana, orc in _verify_checks(scheme, p, cfg):
+        p = sample_params(rng, scheme)
+        for name, ana, orc in _verify_checks(scheme, p):
             gap = abs(ana - orc)
             if gap > worst:
                 worst, where = gap, f"{name}@{asdict(p)}"
     return max(worst, 0.0), where
 
 
-def _verify_checks(scheme: SchemeId, p: SystemParams, cfg: OracleConfig):
+def _verify_checks(scheme: SchemeId, p: SystemParams):
     """Yield (check name, analytic value, oracle value) triples."""
     r1, r2, beta = p.r1, p.r2, p.beta
     if scheme is SchemeId.HK:
-        yield "d1_hk", analytic.d1_hk(p), oracle_d1_hk(p, cfg)
-        yield "d2_hk", analytic.d2_hk(p), oracle_min_exponent(region_rx2_hk(p), cfg)
+        yield "d1_hk", analytic.d1_hk(p), oracle_d1_hk(p)
+        yield "d2_hk", analytic.d2_hk(p), oracle_min_exponent(region_rx2_hk(p))
     elif scheme is SchemeId.CMO:
-        yield "d1_cmo", analytic.d1_cmo(p), oracle_min_exponent(region_rx1_cmo(p), cfg)
-        yield "d2_cmo", analytic.d2_cmo(p), oracle_min_exponent(region_rx2_cmo(p), cfg)
+        yield "d1_cmo", analytic.d1_cmo(p), oracle_min_exponent(region_rx1_cmo(p))
+        yield "d2_cmo", analytic.d2_cmo(p), oracle_min_exponent(region_rx2_cmo(p))
     elif scheme is SchemeId.TIAN:
-        yield "d1_tian_general", analytic.d1_tian_general(p), oracle_d1_hk(p, cfg)
+        yield "d1_tian_general", analytic.d1_tian_general(p), oracle_d1_hk(p)
         # the single-term closed form equals its ACK-at-round-1 region pair
-        first_term = min(oracle_min_exponent(region_o11_hk(p, 1), cfg),
-                         oracle_min_exponent(region_o12_hk(p, 1), cfg))
+        first_term = min(oracle_min_exponent(region_o11_hk(p, 1)),
+                         oracle_min_exponent(region_o12_hk(p, 1)))
         yield "d1_tian", analytic.d1_tian(p), first_term
-        yield "d2_tian", analytic.d2_tian(p), oracle_min_exponent(region_rx2_cmo(p), cfg)
+        yield "d2_tian", analytic.d2_tian(p), oracle_min_exponent(region_rx2_cmo(p))
     elif scheme is SchemeId.HK_KEEP:
-        keep = min(oracle_min_exponent(region_o11_hk(p, p.L), cfg),
-                   oracle_min_exponent(region_o12_hk(p, p.L), cfg))
+        keep = min(oracle_min_exponent(region_o11_hk(p, p.L)),
+                   oracle_min_exponent(region_o12_hk(p, p.L)))
         yield "d1_hk_keep", analytic.d1_hk_keep(p), keep
     elif scheme is SchemeId.COOP_CMO:
         yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_o1_coop(r1, beta), cfg)
+            oracle_min_exponent_coop(region_o1_coop(r1, beta))
         yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_o2_coop(r1, r2, beta), cfg)
+            oracle_min_exponent_coop(region_o2_coop(r1, r2, beta))
         yield "d2c_cmo2", analytic.d2c_cmo2(r1, r2, beta), \
-            _coop_rx2_oracle(p, cfg, dynamic=False, tian=False)
+            _coop_rx2_oracle(p, dynamic=False, tian=False)
     elif scheme is SchemeId.COOP_TIAN:
         yield "d1c_tian2", analytic.d1c_tian2(r1, beta), \
-            oracle_min_exponent_coop(region_o3_coop(r1, beta), cfg)
+            oracle_min_exponent_coop(region_o3_coop(r1, beta))
         yield "d2c_tian2", analytic.d2c_tian2(r1, r2, beta), \
-            _coop_rx2_oracle(p, cfg, dynamic=False, tian=True)
+            _coop_rx2_oracle(p, dynamic=False, tian=True)
     elif scheme is SchemeId.COOP_DD:
         yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_o11_dd(r1, beta), cfg)
+            oracle_min_exponent_coop(region_o11_dd(r1, beta))
         yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_o12_dd(r1, r2, beta), cfg)
+            oracle_min_exponent_coop(region_o12_dd(r1, r2, beta))
         yield "d2c_dd2", analytic.d2c_dd2(r1, r2, beta), \
-            _coop_rx2_oracle(p, cfg, dynamic=True, tian=False)
+            _coop_rx2_oracle(p, dynamic=True, tian=False)
     else:
         raise ParameterError(f"scheme {scheme.value} has no verify checks")
 
 
-def _coop_rx2_oracle(p: SystemParams, cfg: OracleConfig, dynamic: bool,
-                     tian: bool) -> float:
+def _coop_rx2_oracle(p: SystemParams, dynamic: bool, tian: bool) -> float:
     """RX2 exponent under cooperation, assembled from region minima only.
 
     Mirrors the dominant error-event split: either RX1 ACKed round 1 and
     TX2's own retransmission still failed, or RX1 NACKed (TX2 relayed) and
     RX2's single round was already in outage.
     """
-    rx1_cmo1 = oracle_min_exponent(region_rx1_cmo(p, rounds=1), cfg)
-    rx1_tian1 = oracle_min_exponent(region_rx1_tian1(p.r1, p.beta), cfg)
+    rx1_cmo1 = oracle_min_exponent(region_rx1_cmo(p, rounds=1))
+    rx1_tian1 = oracle_min_exponent(region_rx1_tian1(p.r1, p.beta))
     if dynamic:
         rx1_round1 = max(rx1_cmo1, rx1_tian1)
     else:
         rx1_round1 = rx1_tian1 if tian else rx1_cmo1
-    rx2_one = oracle_min_exponent(region_rx2_cmo(p, rounds=1), cfg)
-    rx2_two = oracle_min_exponent(region_rx2_cmo(p, rounds=2), cfg)
+    rx2_one = oracle_min_exponent(region_rx2_cmo(p, rounds=1))
+    rx2_two = oracle_min_exponent(region_rx2_cmo(p, rounds=2))
     return min(rx1_round1 + rx2_one, rx2_two)

@@ -36,11 +36,9 @@ from zicarq.analytic import (
 )
 from zicarq.cli import main
 from zicarq.core import SystemParams
-from zicarq.regions import OracleConfig, oracle_d1_hk_stop, rate_region_subset_check
+from zicarq.regions import oracle_d1_hk_stop, rate_region_subset_check
 from zicarq.simulator import SimConfig, estimate_diversity, estimate_throughput
 from zicarq.verify import sample_params
-
-CFG = OracleConfig()
 
 
 def P(**kw):
@@ -78,13 +76,13 @@ def test_criterion_3_policy_dominance():
     and stopping everything, and the corresponding rate regions nest."""
     rng = np.random.default_rng(37)
     for _ in range(200):
-        p = sample_params(rng, SchemeId.HK, CFG.rate_floor)
+        p = sample_params(rng, SchemeId.HK)
         lhs = d1_hk(p)
-        rhs = max(d1_hk_keep(p), oracle_d1_hk_stop(p, CFG))
+        rhs = max(d1_hk_keep(p), oracle_d1_hk_stop(p))
         assert lhs >= rhs - 2e-3, f"policy dominance violated at {p}"
 
     for k in range(20):
-        p = sample_params(rng, SchemeId.HK, CFG.rate_floor)
+        p = sample_params(rng, SchemeId.HK)
         report = rate_region_subset_check(p, 10_000, seed=1000 + k)
         assert report.ok, f"containment counterexamples at {p}: " \
                           f"{report.counterexamples[:3]}"

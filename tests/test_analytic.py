@@ -389,6 +389,8 @@ class TestSchemeDmt:
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
         for s in SchemeId:
             if s is SchemeId.HK_STOP:
-                continue  # oracle-backed, exercised in test_regions
+                with pytest.raises(ParameterError, match="no closed form"):
+                    scheme_dmt(s, p)
+                continue
             res = scheme_dmt(s, p)
             assert res.d1 >= 0.0 and res.d2 >= 0.0

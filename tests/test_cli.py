@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zicarq.cli import SWEEP_VARS, _parse_triplet, main
-from zicarq.core import ParameterError
+from zicarq.core import ParameterError, SystemParams
+from zicarq.regions import oracle_d1_hk_stop
 
 
 def run(argv):
@@ -59,6 +60,19 @@ class TestCurve:
         assert rc == 0
         assert len(read_csv(out)) == 1
 
+    def test_hk_stop_from_oracle(self, tmp_path):
+        # hk-stop has no closed form: its rows come from the region oracle
+        out = tmp_path / "stop.csv"
+        rc = run(["curve", "--scheme", "hk-stop", "--L", "2", "--r2", "0.4",
+                  "--t2", "0.2", "--b", "0.2", "--beta", "1.2",
+                  "--sweep", "r1:0.25:0.25:0.1", "--out", str(out)])
+        assert rc == 0
+        [row] = read_csv(out)
+        assert row["source"] == "oracle"
+        assert row["branch"] == "d1_hk_stop:oracle"
+        p = SystemParams(r1=0.25, r2=0.4, t2=0.2, b=0.2, beta=1.2, L=2)
+        assert float(row["d1"]) == pytest.approx(oracle_d1_hk_stop(p), abs=1e-11)
+
     def test_coop_requires_two_rounds(self, tmp_path, capsys):
         rc = run(["curve", "--scheme", "coop-dd", "--L", "3",
                   "--sweep", "r1:0:1:0.5", "--out", str(tmp_path / "x.csv")])
@@ -108,6 +122,7 @@ class TestVerify:
         rows = read_csv(out)
         assert rows[0]["scheme"] == "tian"
         assert rows[0]["status"] == "ok"
+        assert float(rows[0]["tol"]) == 1e-09
 
 
 class TestSimulate:

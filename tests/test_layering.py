@@ -1,5 +1,5 @@
 """Package layering: modules share only public names, and the outage-region
-oracle stays independent of the closed forms it checks."""
+oracle and the closed forms it checks import nothing from each other."""
 
 import ast
 from pathlib import Path
@@ -30,12 +30,13 @@ def _private_imports(path: Path):
                     yield f"{path.name}:{lineno} imports {name}"
 
 
-def _analytic_imports(path: Path):
+def _imports_of(path: Path, name: str):
+    """Every import in a module that reaches the package module ``name``."""
     for lineno, module, names in _imports(path):
         target = module.lstrip(".").removeprefix("zicarq").lstrip(".")
-        if _internal(module) and (target.split(".")[0] == "analytic"
-                                  or (target == "" and "analytic" in names)):
-            yield f"{path.name}:{lineno} imports from analytic"
+        if _internal(module) and (target.split(".")[0] == name
+                                  or (target == "" and name in names)):
+            yield f"{path.name}:{lineno} imports from {name}"
 
 
 def test_no_private_cross_module_imports():
@@ -46,7 +47,7 @@ def test_no_private_cross_module_imports():
 
 
 def test_regions_independent_of_analytic(tmp_path):
-    assert not list(_analytic_imports(PACKAGE / "regions.py"))
+    assert not list(_imports_of(PACKAGE / "regions.py", "analytic"))
     # the guard catches every spelling of the forbidden import
     for line in ("from .analytic import d1_hk", "from . import analytic",
                  "from zicarq.analytic import d1_hk", "import zicarq.analytic",
@@ -54,4 +55,9 @@ def test_regions_independent_of_analytic(tmp_path):
                  "def f():\n    from .analytic import d1_hk"):
         probe = tmp_path / "probe.py"
         probe.write_text(line + "\n", encoding="utf-8")
-        assert list(_analytic_imports(probe)), line
+        assert list(_imports_of(probe, "analytic")), line
+
+
+def test_analytic_independent_of_regions():
+    found = list(_imports_of(PACKAGE / "analytic.py", "regions"))
+    assert not found, found
