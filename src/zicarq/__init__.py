@@ -52,9 +52,7 @@ from .regions import (
     rate_region_subset_check,
 )
 from .simulator import (
-    ChannelRealization,
     DiversityEstimate,
-    EpisodeOutcome,
     OutageEstimate,
     SimConfig,
     ThroughputEstimate,

@@ -111,7 +111,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ParameterError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            cfg[key.replace("-", "_")] = val
+            cfg[key.replace("-", "_")] = (lineno, val)
     return cfg
 
 
@@ -120,20 +120,19 @@ def _merge_config(args: argparse.Namespace):
     if not getattr(args, "config", None):
         return
     file_cfg = _load_config(args.config)
-    for key, raw in file_cfg.items():
+    for key, (lineno, raw) in file_cfg.items():
         if not hasattr(args, key):
             raise ParameterError(f"unknown config key {key!r}")
         if key in args._explicit:
             continue
         current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
+        convert = type(current) if isinstance(current, (int, float)) else str
+        try:
+            setattr(args, key, convert(raw))
+        except ValueError:
+            kind = "an int" if convert is int else "a float"
+            raise ParameterError(f"{args.config}:{lineno}: {key} expects "
+                                 f"{kind}, got {raw!r}") from None
 
 
 def _system_params(args) -> SystemParams:
@@ -154,7 +153,10 @@ def cmd_curve(args) -> int:
         for v in values:
             p = validate(replace(base, **{var: v}))
             if s is SchemeId.HK_STOP:
-                # no closed form: the region oracle evaluates this policy
+                # no closed form: the region oracle evaluates this policy,
+                # and it needs both rates at the floor rate sweeps clamp to
+                p = replace(p, r1=max(p.r1, RATE_SWEEP_FLOOR),
+                            r2=max(p.r2, RATE_SWEEP_FLOOR))
                 d1, d2 = oracle_d1_hk_stop(p), analytic.d2_hk(p)
                 source, branch = "oracle", "d1_hk_stop:oracle"
             else:

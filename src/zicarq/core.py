@@ -61,10 +61,6 @@ class SystemParams:
         """Private-stream multiplexing gain r2 - t2 (>= 0 by construction)."""
         return self.r2 - self.t2
 
-    def alpha(self, rho: float) -> float:
-        """Private share of user 2's transmit power at finite SNR rho."""
-        return 1.0 / (1.0 + rho**self.b)
-
 
 def validate(params: SystemParams) -> SystemParams:
     """Return params unchanged if every invariant holds, else raise.
@@ -97,20 +93,17 @@ def validate(params: SystemParams) -> SystemParams:
 class ExponentPoint:
     """Channel-gain exponents and listening fraction for one realization.
 
-    gamma_ij is the decay order of |h_ij|^2 (gain = rho**-gamma); u is the
-    decay order of the inter-transmitter relay link; f = T'/T is the
-    fraction of a round the relay spends listening.  When f is tied to a
-    positive rate r1, u = 1 - r1/f and f ranges over [r1, 1].
+    gamma_ij is the decay order of |h_ij|^2 (gain = rho**-gamma); f = T'/T
+    is the fraction of a round the relay spends listening.
     """
 
     gamma11: float
     gamma21: float
     gamma22: float = 0.0
-    u: float = 0.0
     f: float = 1.0
 
     def check(self) -> "ExponentPoint":
-        if min(self.gamma11, self.gamma21, self.gamma22, self.u) < 0.0:
+        if min(self.gamma11, self.gamma21, self.gamma22) < 0.0:
             raise ParameterError("channel exponents must be >= 0")
         if not 0.0 <= self.f <= 1.0:
             raise ParameterError("f must lie in [0, 1]")

@@ -10,7 +10,8 @@ Randomness contract: the gains of trial ``t`` are a fixed function of
 are bit-identical however trials are partitioned into blocks or workers.
 Each trial consumes exactly four uniforms (one squared-magnitude per
 link, drawn as Exp(1), matching |CN(0,1)|^2); phases never enter the
-outage tests.
+outage tests, so the episode kernels and ``run_episode`` take the squared
+magnitudes (g11, g21, g22, g_relay) themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import ParameterError, SystemParams, validate
 
 _MASK64 = (1 << 64) - 1
 _DRAWS_PER_TRIAL = 4  # uniforms per episode: g11, g21, g22, g_relay
+_Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
 @dataclass(frozen=True)
@@ -58,40 +60,6 @@ class SimConfig:
             except OverflowError:
                 raise ParameterError(f"rho_db={db:g} overflows a float") from None
             yield k, db, rho
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-message channel gains, constant over all L rounds."""
-
-    h11: complex
-    h21: complex
-    h22: complex
-    h_relay: complex
-
-    @classmethod
-    def sample(cls, rng: np.random.Generator) -> "ChannelRealization":
-        z = (rng.standard_normal(8) * math.sqrt(0.5)).view(np.complex128)
-        return cls(*z)
-
-    @classmethod
-    def from_trial(cls, seed: int, trial: int, stream: int = 0) -> "ChannelRealization":
-        """The exact gains estimate_outage uses for this trial index.
-
-        Only squared magnitudes matter for outage, so the reconstructed
-        gains carry zero phase.
-        """
-        g = _trial_gains(seed, trial, 1, stream)[0]
-        return cls(*(complex(math.sqrt(x)) for x in g))
-
-
-@dataclass(frozen=True)
-class EpisodeOutcome:
-    """Result of one simulated message."""
-
-    err1: bool
-    err2: bool
-    zeta: int
 
 
 @dataclass(frozen=True)
@@ -165,14 +133,8 @@ def _trial_gains(seed: int, trial0: int, n: int, stream: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
-                   g11, g21, g22, grelay, T: int,
-                   private_divisor: float | None = None):
-    """Run one episode per array entry; returns (err1, err2, zeta) arrays.
-
-    private_divisor overrides the finite-SNR private-power denominator
-    1 + rho**b (tests use 1.0 to collapse rate splitting onto the
-    private-only scheme exactly).
-    """
+                   g11, g21, g22, grelay, T: int):
+    """Run one episode per array entry; returns (err1, err2, zeta) arrays."""
     if not rho > 1.0:
         raise ParameterError("rho must exceed 1 (linear scale)")
     validate(p)
@@ -185,7 +147,7 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
         return _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T)
     if scheme in (SchemeId.HK_KEEP, SchemeId.HK_STOP):
         raise ParameterError(f"scheme {scheme.value} is analysis-only")
-    return _episode_batch_noncoop(scheme, p, rho, g11, g21, g22, private_divisor)
+    return _episode_batch_noncoop(scheme, p, rho, g11, g21, g22)
 
 
 def _power(rho: float, exponent: float, name: str) -> float:
@@ -196,7 +158,7 @@ def _power(rho: float, exponent: float, name: str) -> float:
                              f"{name}={exponent:g}") from None
 
 
-def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22, private_divisor):
+def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
     L = p.L
     lg = math.log2(rho)
     R1, R2, T2 = p.r1 * lg, p.r2 * lg, p.t2 * lg
@@ -207,7 +169,7 @@ def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22, private_divisor):
     n = A.shape[0]
 
     if scheme is SchemeId.HK:
-        div = (1.0 + _power(rho, p.b, "b")) if private_divisor is None else private_divisor
+        div = 1.0 + _power(rho, p.b, "b")
         m2_full = np.log2(1.0 + C)
         m2_priv = np.log2(1.0 + C / div)
         Bn = B / div
@@ -321,29 +283,30 @@ def _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T):
 
 
 def run_episode(scheme: SchemeId | str, params: SystemParams, rho: float,
-                realization: ChannelRealization, T: int = 1000) -> EpisodeOutcome:
-    """Run the protocol state machine for one message."""
-    scheme = SchemeId(scheme)
-    g = [abs(realization.h11) ** 2, abs(realization.h21) ** 2,
-         abs(realization.h22) ** 2, abs(realization.h_relay) ** 2]
-    arrs = [np.asarray([x], dtype=np.float64) for x in g]
-    err1, err2, zeta = _episode_batch(scheme, params, rho, *arrs, T=T)
-    return EpisodeOutcome(bool(err1[0]), bool(err2[0]), int(zeta[0]))
+                gains, T: int = 1000) -> tuple[bool, bool, int]:
+    """Run the protocol state machine for one message.
+
+    ``gains`` holds the squared magnitudes (g11, g21, g22, g_relay); the
+    result is (err1, err2, zeta).
+    """
+    arrs = [np.asarray([x], dtype=np.float64) for x in gains]
+    err1, err2, zeta = _episode_batch(SchemeId(scheme), params, rho, *arrs, T=T)
+    return bool(err1[0]), bool(err2[0]), int(zeta[0])
 
 
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval; always contains the point estimate."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     ph = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     den = 1.0 + z2 / trials
     center = (ph + z2 / (2.0 * trials)) / den
-    half = z * math.sqrt(ph * (1.0 - ph) / trials + z2 / (4.0 * trials * trials)) / den
+    half = _Z95 * math.sqrt(ph * (1.0 - ph) / trials + z2 / (4.0 * trials * trials)) / den
     # rounding at the p=0/1 edges must not push the estimate outside
     return max(0.0, min(center - half, ph)), min(1.0, max(center + half, ph))
 

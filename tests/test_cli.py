@@ -73,6 +73,23 @@ class TestCurve:
         p = SystemParams(r1=0.25, r2=0.4, t2=0.2, b=0.2, beta=1.2, L=2)
         assert float(row["d1"]) == pytest.approx(oracle_d1_hk_stop(p), abs=1e-11)
 
+    @pytest.mark.parametrize("argv,rate", [
+        (["--r2", "0", "--sweep", "r1:0:1:0.5"], "r2"),
+        (["--r1", "0", "--sweep", "beta:0:2:1"], "r1"),
+    ], ids=["r2=0", "r1=0"])
+    def test_hk_stop_clamps_unswept_rate(self, argv, rate, tmp_path):
+        # the oracle needs both rates active, so hk-stop rows clamp the
+        # unswept zero rate as sweeps clamp theirs, and record the clamp
+        out = tmp_path / "stop.csv"
+        rc = run(["curve", "--scheme", "hk,hk-stop", "--L", "2", *argv,
+                  "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert len(rows) == 6
+        for row in rows:
+            expect = 1e-3 if row["scheme"] == "hk-stop" else 0.0
+            assert float(row[rate]) == expect
+
     def test_coop_requires_two_rounds(self, tmp_path, capsys):
         rc = run(["curve", "--scheme", "coop-dd", "--L", "3",
                   "--sweep", "r1:0:1:0.5", "--out", str(tmp_path / "x.csv")])
@@ -241,6 +258,19 @@ class TestBadInput:
         assert rc == 1
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,command,message", [
+        ("trials = abc\n", "simulate", "bad.cfg:1: trials expects an int, got 'abc'"),
+        ("# rates\nr1 = half\n", "curve", "bad.cfg:2: r1 expects a float, got 'half'"),
+    ])
+    def test_config_value_names_file_line_and_key(self, text, command, message,
+                                                   tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        rc = run([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message in err
 
     def test_grid_point_cap(self):
         # refused from the counts alone, before any point is built

@@ -105,10 +105,6 @@ class TestValidate:
         p = SystemParams(r1=0.1, r2=0.7, t2=0.2, L=2)
         assert p.s2 == pytest.approx(0.5)
 
-    def test_alpha(self):
-        p = SystemParams(r1=0.1, r2=0.2, b=0.5, L=1)
-        assert p.alpha(100.0) == pytest.approx(1.0 / 11.0)
-
 
 class TestExponentPoint:
     def test_check_accepts(self):
@@ -122,9 +118,3 @@ class TestExponentPoint:
     def test_f_out_of_range(self):
         with pytest.raises(ParameterError):
             ExponentPoint(gamma11=0.1, gamma21=0.0, f=1.5).check()
-
-    def test_listening_tie(self):
-        # u = 1 - r1/f stays nonnegative over f in [r1, 1]
-        r1 = 0.4
-        for f in (r1, 0.7, 1.0):
-            assert 1.0 - r1 / f >= 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from zicarq import analytic, regions
 from zicarq.analytic import SchemeId
-from zicarq.core import ExponentPoint, SystemParams
+from zicarq.core import ExponentPoint, ParameterError, SystemParams
 from zicarq.regions import (
     RATE_FLOOR,
     OutageRegion,
@@ -253,8 +253,11 @@ class TestSubsetCheck:
         assert report.samples == 10_000
 
     def test_zero_samples(self):
+        # a check over no samples checks nothing, so it may not report ok
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        assert rate_region_subset_check(p, 0, seed=3).ok
+        for samples in (0, -1):
+            with pytest.raises(ParameterError, match="samples must be >= 1"):
+                rate_region_subset_check(p, samples, seed=3)
 
     def test_degenerate_pure_common(self):
         p = P(r1=0.5, r2=0.6, t2=0.6, b=0.0, beta=1.5, L=3)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from zicarq import simulator
 from zicarq.analytic import SchemeId, d1_cmo, d2_cmo
 from zicarq.core import ParameterError, SystemParams
 from zicarq.simulator import (
-    ChannelRealization,
     SimConfig,
     _episode_batch,
     _trial_gains,
@@ -30,55 +30,50 @@ class TestRunEpisode:
         # direct and relay links boosted; the interferer stays at unit
         # gain, since joint-decoding constraints are ratio-limited when
         # every gain grows together
-        r = ChannelRealization(1e6, 1.0, 1e6, 1e6)
+        g = (1e12, 1.0, 1e12, 1e12)
         for s in (SchemeId.HK, SchemeId.CMO, SchemeId.TIAN):
-            out = run_episode(s, HK_P, 1000.0, r)
-            assert not out.err1 and not out.err2 and out.zeta == 1
+            assert run_episode(s, HK_P, 1000.0, g) == (False, False, 1)
         for s in (SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_DD):
-            out = run_episode(s, P(r1=0.3, r2=0.4, beta=0.8, L=2), 1000.0, r)
-            assert not out.err1 and not out.err2 and out.zeta == 1
+            out = run_episode(s, P(r1=0.3, r2=0.4, beta=0.8, L=2), 1000.0, g)
+            assert out == (False, False, 1)
 
     def test_strong_interference_can_pin_the_joint_constraint(self):
         # boosting the interferer alongside the direct link keeps the
         # round-1 sum rate finite, so the episode spills into round 2
         # without producing an error
-        r = ChannelRealization(1e9, 1e9, 1e9, 1e9)
-        out = run_episode(SchemeId.HK, HK_P, 1000.0, r)
-        assert not out.err1 and not out.err2
-        assert out.zeta == 2
+        g = (1e18, 1e18, 1e18, 1e18)
+        assert run_episode(SchemeId.HK, HK_P, 1000.0, g) == (False, False, 2)
 
     def test_dead_direct_link(self):
-        r = ChannelRealization(0.0, 1.0, 1.0, 1.0)
+        g = (0.0, 1.0, 1.0, 1.0)
         for s in (SchemeId.HK, SchemeId.CMO, SchemeId.TIAN):
-            assert run_episode(s, HK_P, 1000.0, r).err1
+            assert run_episode(s, HK_P, 1000.0, g)[0]
 
     def test_rho_must_exceed_one(self):
-        r = ChannelRealization(1.0, 1.0, 1.0, 1.0)
+        g = (1.0, 1.0, 1.0, 1.0)
         for rho in (0.5, math.nan):
             with pytest.raises(ParameterError, match="rho"):
-                run_episode(SchemeId.CMO, HK_P, rho, r)
+                run_episode(SchemeId.CMO, HK_P, rho, g)
 
     def test_coop_requires_two_rounds(self):
-        r = ChannelRealization(1.0, 1.0, 1.0, 1.0)
+        g = (1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError, match="L=2"):
-            run_episode(SchemeId.COOP_CMO, P(r1=0.3, r2=0.3, L=3), 100.0, r)
+            run_episode(SchemeId.COOP_CMO, P(r1=0.3, r2=0.3, L=3), 100.0, g)
 
     def test_analysis_only_schemes_rejected(self):
-        r = ChannelRealization(1.0, 1.0, 1.0, 1.0)
+        g = (1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            run_episode(SchemeId.HK_STOP, HK_P, 100.0, r)
+            run_episode(SchemeId.HK_STOP, HK_P, 100.0, g)
         with pytest.raises(ParameterError):
-            run_episode(SchemeId.COOP_STATIC, P(r1=0.3, r2=0.3, L=2), 100.0, r)
+            run_episode(SchemeId.COOP_STATIC, P(r1=0.3, r2=0.3, L=2), 100.0, g)
 
     def test_zeta_bounds(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            r = ChannelRealization.sample(rng)
-            out = run_episode(SchemeId.HK, HK_P, 50.0, r)
-            assert 1 <= out.zeta <= HK_P.L
+        for g in _trial_gains(1, 0, 100, 0):
+            err1, err2, zeta = run_episode(SchemeId.HK, HK_P, 50.0, g)
+            assert 1 <= zeta <= HK_P.L
             # both ACKed strictly before the deadline implies no error
-            if out.zeta < HK_P.L:
-                assert not out.err1 and not out.err2
+            if zeta < HK_P.L:
+                assert not err1 and not err2
 
 
 class TestProtocolSemantics:
@@ -91,10 +86,9 @@ class TestProtocolSemantics:
         # g11 tiny so own-rate needs 2 rounds; g21 carries the joint rate
         g11 = (2 ** (p.r1 * lg / 2) - 1) / rho * 1.01  # enough for 2 rounds only
         g22 = 10.0
-        r = ChannelRealization(math.sqrt(g11), 1.0, math.sqrt(g22), 0.0)
-        out = run_episode(SchemeId.CMO, p, rho, r)
-        assert not out.err1
-        assert out.zeta == 2
+        err1, _, zeta = run_episode(SchemeId.CMO, p, rho, (g11, 1.0, g22, 0.0))
+        assert not err1
+        assert zeta == 2
 
     def test_tian_interference_stops_after_rx2_ack(self):
         # huge interference, RX2 done in round 1; round 2 is clean and
@@ -102,17 +96,18 @@ class TestProtocolSemantics:
         p = P(r1=0.3, r2=0.1, beta=1.0, L=2)
         rho = 1000.0
         g21 = 1e6
-        r = ChannelRealization(1.0, math.sqrt(g21), 10.0, 0.0)
-        out = run_episode(SchemeId.TIAN, p, rho, r)
-        assert not out.err1
+        assert not run_episode(SchemeId.TIAN, p, rho, (1.0, g21, 100.0, 0.0))[0]
 
-    def test_hk_reduces_to_tian_without_split_constant(self):
-        # with t2 = b = 0 and the finite-SNR power-split constant forced
-        # to 1, the rate-splitting kernel is the noise-treating kernel
+    def test_hk_reduces_to_tian_without_split_constant(self, monkeypatch):
+        # with t2 = b = 0 and the finite-SNR power-split constant 1 + rho**b
+        # forced to 1, the rate-splitting kernel is the noise-treating kernel
         p = P(r1=0.35, r2=0.45, t2=0.0, b=0.0, beta=0.9, L=3)
         g = _trial_gains(99, 0, 4000, 0)
+        power = simulator._power
+        monkeypatch.setattr(simulator, "_power", lambda rho, exponent, name:
+                            0.0 if name == "b" else power(rho, exponent, name))
         hk = _episode_batch(SchemeId.HK, p, 200.0, g[:, 0], g[:, 1], g[:, 2],
-                            g[:, 3], 1000, private_divisor=1.0)
+                            g[:, 3], 1000)
         ti = _episode_batch(SchemeId.TIAN, p, 200.0, g[:, 0], g[:, 1],
                             g[:, 2], g[:, 3], 1000)
         for a, b in zip(hk, ti):
@@ -125,12 +120,10 @@ class TestProtocolSemantics:
         rho = 1000.0
         lg = math.log2(rho)
         g22 = (2 ** (p.r2 * lg) - 1) / rho * 0.9     # fails 1 round, passes 2
-        r = ChannelRealization(0.01, 1.0, math.sqrt(g22), 10.0)
-        out_c = run_episode(SchemeId.COOP_CMO, p, rho, r)
-        assert out_c.err2
+        g = (1e-4, 1.0, g22, 100.0)
+        assert run_episode(SchemeId.COOP_CMO, p, rho, g)[1]
         # same draw under the non-cooperative protocol recovers in round 2
-        out_nc = run_episode(SchemeId.CMO, p, rho, r)
-        assert not out_nc.err2
+        assert not run_episode(SchemeId.CMO, p, rho, g)[1]
 
     def test_dd_errs_only_when_both_static_decoders_err(self):
         p = P(r1=0.4, r2=0.5, beta=0.9, L=2)
@@ -148,11 +141,8 @@ class TestProtocolSemantics:
             be1, be2, bz = _episode_batch(scheme, p, 100.0, g[:, 0], g[:, 1],
                                           g[:, 2], g[:, 3], 1000)
             for t in range(150):
-                r = ChannelRealization.from_trial(42, t, 0)
-                out = run_episode(scheme, p, 100.0, r)
-                assert out.err1 == bool(be1[t])
-                assert out.err2 == bool(be2[t])
-                assert out.zeta == int(bz[t])
+                out = run_episode(scheme, p, 100.0, _trial_gains(42, t, 1, 0)[0])
+                assert out == (bool(be1[t]), bool(be2[t]), int(bz[t]))
 
 
 class TestEstimateOutage:
@@ -248,13 +238,7 @@ class TestEstimateThroughput:
         assert est.ratio1 < 1.0
 
 
-class TestChannelRealization:
-    def test_sample_statistics(self):
-        rng = np.random.default_rng(0)
-        power = np.mean([abs(ChannelRealization.sample(rng).h11) ** 2
-                         for _ in range(4000)])
-        assert power == pytest.approx(1.0, rel=0.1)
-
+class TestTrialGains:
     def test_trial_gains_are_unit_exponentials(self):
         g = _trial_gains(3, 0, 200_000, 0)
         assert g.shape == (200_000, 4)
