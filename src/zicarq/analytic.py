@@ -27,25 +27,15 @@ feeding the ``branch_trace`` of :class:`DmtResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .core import ParameterError, SystemParams, ext_div, pos_part, validate
-
-
-class SchemeId(str, Enum):
-    HK = "hk"
-    CMO = "cmo"
-    TIAN = "tian"
-    COOP_CMO = "coop-cmo"
-    COOP_TIAN = "coop-tian"
-    COOP_STATIC = "coop-static"
-    COOP_DD = "coop-dd"
-    HK_KEEP = "hk-keep"
-    HK_STOP = "hk-stop"
-
-
-COOP_SCHEMES = frozenset(
-    {SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_STATIC, SchemeId.COOP_DD}
+from .core import (
+    COOP_SCHEMES,
+    ParameterError,
+    SchemeId,
+    SystemParams,
+    ext_div,
+    pos_part,
+    validate,
 )
 
 
@@ -55,7 +45,7 @@ class DmtResult:
 
     d1: float
     d2: float
-    branch_trace: tuple[tuple[str, str, float], ...] = ()
+    branch_trace: tuple[tuple[str, str], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +107,7 @@ def d1_hk_with_trace(p: SystemParams) -> tuple[float, tuple]:
         v11 = d11_hk(p, i)
         v12, br = d12_hk_with_branch(p, i)
         term = _hk_prefix(p, i) + min(v11, v12)
-        trace.append(("d1_hk", f"i={i},d12:{br}", term))
+        trace.append(("d1_hk", f"i={i},d12:{br}"))
         if best is None or term < best:
             best = term
     return best, tuple(trace)
@@ -128,35 +118,26 @@ def d1_hk(p: SystemParams) -> float:
     return d1_hk_with_trace(p)[0]
 
 
-def d1_cmo(p: SystemParams, rounds: int | None = None) -> float:
+def d1_cmo(p: SystemParams) -> float:
     """RX1 diversity when TX2 sends a single common message."""
-    l = p.L if rounds is None else rounds
-    if l < 1:
-        raise IndexError("rounds must be >= 1")
-    joint = pos_part(1.0 - (p.r1 + p.r2) / l) + pos_part(p.beta - (p.r1 + p.r2) / l)
-    return min(pos_part(1.0 - p.r1 / l), joint)
+    s = (p.r1 + p.r2) / p.L
+    return min(pos_part(1.0 - p.r1 / p.L), pos_part(1.0 - s) + pos_part(p.beta - s))
 
 
-def d2_cmo(p: SystemParams, rounds: int | None = None) -> float:
-    l = p.L if rounds is None else rounds
-    if l < 1:
-        raise IndexError("rounds must be >= 1")
-    return pos_part(1.0 - p.r2 / l)
+def d2_cmo(p: SystemParams) -> float:
+    return pos_part(1.0 - p.r2 / p.L)
 
 
-def d1_tian(p: SystemParams, rounds: int | None = None) -> float:
+def d1_tian(p: SystemParams) -> float:
     """Single-term RX1 diversity for the private-only scheme.
 
     This is the ACK-at-round-1 term of :func:`d1_tian_general`.  The two
     coincide when the other user's rate is small (see d1_tian_general);
-    at rounds=1 the first bracket resolves through ext_div.
+    at L=1 the first bracket resolves through ext_div.
     """
-    l = p.L if rounds is None else rounds
-    if l < 1:
-        raise IndexError("rounds must be >= 1")
     return max(
-        pos_part(1.0 - ext_div(p.r1, l - 1)),
-        pos_part(1.0 - p.r1 / l - p.beta / l),
+        pos_part(1.0 - ext_div(p.r1, p.L - 1)),
+        pos_part(1.0 - p.r1 / p.L - p.beta / p.L),
     )
 
 
@@ -180,11 +161,8 @@ def d1_tian_general(p: SystemParams) -> float:
     return best
 
 
-def d2_tian(p: SystemParams, rounds: int | None = None) -> float:
-    l = p.L if rounds is None else rounds
-    if l < 1:
-        raise IndexError("rounds must be >= 1")
-    return pos_part(1.0 - p.r2 / l)
+def d2_tian(p: SystemParams) -> float:
+    return pos_part(1.0 - p.r2 / p.L)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +288,7 @@ def d1c_dd2(r1: float, r2: float, beta: float) -> float:
 def _d1_tian1(r1: float, beta: float) -> float:
     # single-round exponent of the noise-treating decoder, in the limit
     # form the cooperative RX2 expressions print; it matches
-    # d1_tian(rounds=1) for every r1 > 0 and keeps d2c_dd2 equal to
+    # d1_tian at L=1 for every r1 > 0 and keeps d2c_dd2 equal to
     # max(d2c_cmo2, d2c_tian2) at r1 = 0 as well
     return pos_part(1.0 - r1 - beta)
 
@@ -337,13 +315,12 @@ def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> DmtResult:
         d1, trace = d1_hk_with_trace(p)
         return DmtResult(d1, d2_hk(p), trace)
     if scheme is SchemeId.CMO:
-        return DmtResult(d1_cmo(p), d2_cmo(p), (("d1_cmo", f"L={p.L}", d1_cmo(p)),))
+        return DmtResult(d1_cmo(p), d2_cmo(p), (("d1_cmo", f"L={p.L}"),))
     if scheme is SchemeId.TIAN:
-        d1 = d1_tian_general(p)
-        return DmtResult(d1, d2_tian(p), (("d1_tian_general", f"L={p.L}", d1),))
+        return DmtResult(d1_tian_general(p), d2_tian(p),
+                         (("d1_tian_general", f"L={p.L}"),))
     if scheme is SchemeId.HK_KEEP:
-        d1 = d1_hk_keep(p)
-        return DmtResult(d1, d2_hk(p), (("d1_hk_keep", f"i={p.L}", d1),))
+        return DmtResult(d1_hk_keep(p), d2_hk(p), (("d1_hk_keep", f"i={p.L}"),))
     if scheme is SchemeId.HK_STOP:
         raise ParameterError("scheme hk-stop has no closed form")
 
@@ -353,18 +330,18 @@ def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> DmtResult:
         v12 = d12c_cmo2(r1, r2, beta)
         return DmtResult(
             min(v11, v12), d2c_cmo2(r1, r2, beta),
-            (("d11c_cmo2", br, v11), ("d12c_cmo2", "-", v12)),
+            (("d11c_cmo2", br), ("d12c_cmo2", "-")),
         )
     if scheme is SchemeId.COOP_TIAN:
         v1, br = d1c_tian2_with_branch(r1, beta)
-        return DmtResult(v1, d2c_tian2(r1, r2, beta), (("d1c_tian2", br, v1),))
+        return DmtResult(v1, d2c_tian2(r1, r2, beta), (("d1c_tian2", br),))
     if scheme is SchemeId.COOP_STATIC:
         d1, d2 = d_static_overall(r1, r2, beta)
-        return DmtResult(d1, d2, (("d_static_overall", "max", d1),))
+        return DmtResult(d1, d2, (("d_static_overall", "max"),))
     # dynamic decoding
     v11, br11 = d11c_cmo2_with_branch(r1, beta)
     v12, br12 = d12c_dd2_with_branch(r1, r2, beta)
     return DmtResult(
         min(v11, v12), d2c_dd2(r1, r2, beta),
-        (("d11c_cmo2", br11, v11), ("d12c_dd2", br12, v12)),
+        (("d11c_cmo2", br11), ("d12c_dd2", br12)),
     )

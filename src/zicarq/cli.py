@@ -9,9 +9,9 @@ verify      randomized analytic-vs-oracle agreement report
 simulate    Monte Carlo outage curves plus a diversity-slope summary
 throughput  Monte Carlo renewal-time and throughput-ratio table
 
-A flat key=value config file (# comments allowed) can preload any flag;
-explicit flags win.  Exit codes: 0 success, 1 validation error,
-2 verification failure.
+A flat key=value config file (# comments allowed) can preload any flag
+of the subcommand, keyed by the flag's name; explicit flags win.  Exit
+codes: 0 success, 1 validation error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic
-from .analytic import SchemeId
-from .core import ParameterError, SystemParams, validate
+from .core import ParameterError, SchemeId, SystemParams, validate
 from .regions import oracle_d1_hk_stop
 from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
 from .verify import VERIFY_SCHEMES, worst_gap
@@ -97,7 +96,11 @@ def _parse_single_scheme(text: str) -> SchemeId:
         raise ParameterError(f"unknown scheme {text!r}; valid schemes: {valid}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
+    """Defaults for ``command``'s flags from a flat key=value file, each
+    value converted to the type of the flag's own default."""
+    flags = vars(command.parse_args([]))  # every flag's dest and default
+    del flags["config"]  # files do not nest
     cfg = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -111,28 +114,18 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ParameterError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            cfg[key.replace("-", "_")] = (lineno, val)
+            key = key.replace("-", "_")
+            if key not in flags:
+                raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+            default = flags[key]
+            convert = type(default) if isinstance(default, (int, float)) else str
+            try:
+                cfg[key] = convert(val)
+            except ValueError:
+                kind = "an int" if convert is int else "a float"
+                raise ParameterError(f"{path}:{lineno}: {key} expects "
+                                     f"{kind}, got {val!r}") from None
     return cfg
-
-
-def _merge_config(args: argparse.Namespace):
-    """Fill flags the user left at their default from the config file."""
-    if not getattr(args, "config", None):
-        return
-    file_cfg = _load_config(args.config)
-    for key, (lineno, raw) in file_cfg.items():
-        if not hasattr(args, key):
-            raise ParameterError(f"unknown config key {key!r}")
-        if key in args._explicit:
-            continue
-        current = getattr(args, key)
-        convert = type(current) if isinstance(current, (int, float)) else str
-        try:
-            setattr(args, key, convert(raw))
-        except ValueError:
-            kind = "an int" if convert is int else "a float"
-            raise ParameterError(f"{args.config}:{lineno}: {key} expects "
-                                 f"{kind}, got {raw!r}") from None
 
 
 def _system_params(args) -> SystemParams:
@@ -162,7 +155,7 @@ def cmd_curve(args) -> int:
             else:
                 res = analytic.scheme_dmt(s, p)
                 d1, d2, source = res.d1, res.d2, "analytic"
-                branch = "|".join(f"{fid}:{br}" for fid, br, _ in res.branch_trace)
+                branch = "|".join(f"{fid}:{br}" for fid, br in res.branch_trace)
             rows.append([s.value, p.L, p.r1, p.r2, p.t2, p.b, p.beta,
                          d1, d2, source, branch])
 
@@ -185,10 +178,6 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     schemes = _parse_schemes(args.scheme) if args.scheme else \
         [SchemeId(s) for s in VERIFY_SCHEMES]
-
-    if args.samples == 0:
-        print("warning: samples=0, vacuous pass")
-        return 0
 
     rows = []
     failed = False
@@ -216,7 +205,7 @@ def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
     p = _system_params(args)
     grid = _parse_triplet(args.rho_db, "--rho-db")
     return scheme, p, SimConfig(rho_db_grid=tuple(grid), trials=args.trials,
-                                T=args.T, seed=args.seed).check()
+                                T=args.T, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -285,31 +274,24 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
             writer.writerow([_fmt(c) for c in row])
 
 
-class _TrackExplicit(argparse.Action):
-    # remembers which flags the user actually passed, so the config file
-    # only fills the rest (subparsers build fresh namespaces, hence setdefault)
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        if not hasattr(namespace, "_explicit"):
-            namespace._explicit = set()
-        namespace._explicit.add(self.dest)
-
-
 def _add_common(sp, *, sim: bool):
-    sp.add_argument("--L", type=int, default=1, action=_TrackExplicit)
-    sp.add_argument("--r1", type=float, default=0.5, action=_TrackExplicit)
-    sp.add_argument("--r2", type=float, default=0.5, action=_TrackExplicit)
-    sp.add_argument("--t2", type=float, default=0.0, action=_TrackExplicit)
-    sp.add_argument("--b", type=float, default=0.0, action=_TrackExplicit)
-    sp.add_argument("--beta", type=float, default=1.0, action=_TrackExplicit)
-    sp.add_argument("--config", default=None, action=_TrackExplicit)
-    sp.add_argument("--out", default=None, action=_TrackExplicit)
+    sp.add_argument("--L", type=int, default=1)
+    sp.add_argument("--r1", type=float, default=0.5)
+    sp.add_argument("--r2", type=float, default=0.5)
+    sp.add_argument("--t2", type=float, default=0.0)
+    sp.add_argument("--b", type=float, default=0.0)
+    sp.add_argument("--beta", type=float, default=1.0)
+    sp.add_argument("--config", default=None)
+    sp.add_argument("--out", default=None)
     if sim:
-        sp.add_argument("--rho-db", dest="rho_db", default="10:40:5",
-                        action=_TrackExplicit)
-        sp.add_argument("--trials", type=int, default=10000, action=_TrackExplicit)
-        sp.add_argument("--seed", type=int, default=0, action=_TrackExplicit)
-        sp.add_argument("--T", type=int, default=1000, action=_TrackExplicit)
+        sp.add_argument("--rho-db", dest="rho_db", default="10:40:5")
+        sp.add_argument("--trials", type=int, default=10000)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--T", type=int, default=1000)
+
+
+COMMANDS = {"curve": cmd_curve, "verify": cmd_verify,
+            "simulate": cmd_simulate, "throughput": cmd_throughput}
 
 
 def build_parser() -> _Parser:
@@ -319,40 +301,41 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("curve", help="closed-form DMT curves to CSV")
-    c.add_argument("--scheme", default="hk,cmo,tian", action=_TrackExplicit)
-    c.add_argument("--sweep", default="r1:0:1:0.01", action=_TrackExplicit)
+    c.add_argument("--scheme", default="hk,cmo,tian")
+    c.add_argument("--sweep", default="r1:0:1:0.01")
     _add_common(c, sim=False)
-    c.set_defaults(func=cmd_curve)
 
     v = sub.add_parser("verify", help="analytic vs oracle agreement sweep")
-    v.add_argument("--scheme", default=None, action=_TrackExplicit)
-    v.add_argument("--samples", type=int, default=500, action=_TrackExplicit)
-    v.add_argument("--seed", type=int, default=7, action=_TrackExplicit)
-    v.add_argument("--tol", type=float, default=1e-9, action=_TrackExplicit)
-    v.add_argument("--config", default=None, action=_TrackExplicit)
-    v.add_argument("--out", default=None, action=_TrackExplicit)
-    v.set_defaults(func=cmd_verify)
+    v.add_argument("--scheme", default=None)
+    v.add_argument("--samples", type=int, default=500)
+    v.add_argument("--seed", type=int, default=7)
+    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--config", default=None)
+    v.add_argument("--out", default=None)
 
     s = sub.add_parser("simulate", help="Monte Carlo outage curves")
-    s.add_argument("--scheme", default="cmo", action=_TrackExplicit)
+    s.add_argument("--scheme", default="cmo")
     _add_common(s, sim=True)
-    s.set_defaults(func=cmd_simulate)
 
     t = sub.add_parser("throughput", help="Monte Carlo throughput table")
-    t.add_argument("--scheme", default="cmo", action=_TrackExplicit)
+    t.add_argument("--scheme", default="cmo")
     _add_common(t, sim=True)
-    t.set_defaults(func=cmd_throughput)
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        namespace = argparse.Namespace(_explicit=set())
-        args = parser.parse_args(argv, namespace=namespace)
-        _merge_config(args)
-        return args.func(args)
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's values become the subcommand's defaults, so argparse
+            # itself lets the flags given on the command line win
+            command = parser.commands[args.command]
+            command.set_defaults(**_load_config(args.config, command))
+            args = parser.parse_args(argv)
+        return COMMANDS[args.command](args)
     except ValueError as exc:  # ParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,10 +8,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 
 class ParameterError(ValueError):
     """A parameter violates its domain bound."""
+
+
+class SchemeId(str, Enum):
+    HK = "hk"
+    CMO = "cmo"
+    TIAN = "tian"
+    COOP_CMO = "coop-cmo"
+    COOP_TIAN = "coop-tian"
+    COOP_STATIC = "coop-static"
+    COOP_DD = "coop-dd"
+    HK_KEEP = "hk-keep"
+    HK_STOP = "hk-stop"
+
+
+COOP_SCHEMES = frozenset(
+    {SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_STATIC, SchemeId.COOP_DD}
+)
 
 
 def pos_part(x: float) -> float:
@@ -102,9 +120,8 @@ class ExponentPoint:
     gamma22: float = 0.0
     f: float = 1.0
 
-    def check(self) -> "ExponentPoint":
+    def __post_init__(self):
         if min(self.gamma11, self.gamma21, self.gamma22) < 0.0:
             raise ParameterError("channel exponents must be >= 0")
         if not 0.0 <= self.f <= 1.0:
             raise ParameterError("f must lie in [0, 1]")
-        return self

@@ -212,15 +212,17 @@ class OutageRegion:
     """One high-SNR outage event, held as rate constraints on expression trees.
 
     kind is 'rx2' (event over gamma22), 'rx1' (over gamma11/gamma21),
-    or 'coop' (over gamma11/gamma21 and the listening fraction f).
+    or 'coop' (over gamma11/gamma21 and the listening fraction f); rate
+    is the event's active rate, which the oracle keeps above its floor
+    (and, for 'coop', the r1 of the relay-link cost).
     """
 
-    def __init__(self, region_id, kind, event, beta, active_rates):
+    def __init__(self, region_id, kind, event, beta, rate):
         self.region_id = region_id
         self.kind = kind
         self.event = event
         self.beta = beta
-        self.active_rates = tuple(active_rates)
+        self.rate = rate
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
@@ -236,7 +238,6 @@ class OutageRegion:
         return lines[lines[:, :, :2].any(axis=(1, 2))]
 
     def contains(self, pt: ExponentPoint) -> bool:
-        pt.check()
         if self.kind == "rx2":
             return bool(self.member(pt.gamma22))
         return bool(self.member(pt.gamma11, pt.gamma21, pt.f))
@@ -254,7 +255,7 @@ def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     r2, s2, b = p.r2, p.s2, p.b
     g22, _, _ = symbols()
     event = (l * pos_part(1.0 - g22) < r2) | (l * pos_part(1.0 - g22 - b) < s2)
-    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", event, p.beta, (r2,))
+    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", event, p.beta, r2)
 
 
 def _o11_event(p: SystemParams, i: int):
@@ -278,20 +279,20 @@ def _o12_event(p: SystemParams, i: int, stop: bool):
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 individual-rate outage given TX2's ACK at round i (of L)."""
-    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p, i), p.beta, (p.r1,))
+    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p, i), p.beta, p.r1)
 
 
 def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 joint-rate outage given TX2's ACK at round i (of L)."""
     return OutageRegion(f"O12_HK(i={i})", "rx1", _o12_event(p, i, stop=False),
-                        p.beta, (p.r1,))
+                        p.beta, p.r1)
 
 
 def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
     """Stop-both policy variant of O12: after TX2's ACK the common stream
     is gone, so the tail rounds contribute the direct link only."""
     return OutageRegion(f"O12_STOP(i={i})", "rx1", _o12_event(p, i, stop=True),
-                        p.beta, (p.r1,))
+                        p.beta, p.r1)
 
 
 def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
@@ -302,7 +303,7 @@ def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     g11, g21, _ = symbols()
     own = l * pos_part(1.0 - g11) < r1
     joint = l * maximum(pos_part(1.0 - g11), pos_part(beta - g21)) < r1 + p.r2
-    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", own | joint, beta, (r1,))
+    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", own | joint, beta, r1)
 
 
 def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
@@ -311,14 +312,14 @@ def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
         raise ValueError("rounds must be >= 1")
     g22, _, _ = symbols()
     return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", l * pos_part(1.0 - g22) < p.r2,
-                        p.beta, (p.r2,))
+                        p.beta, p.r2)
 
 
 def region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
     """Single-round noise-treating outage at RX1."""
     g11, g21, _ = symbols()
     event = pos_part(1.0 - g11 - pos_part(beta - g21)) < r1
-    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", event, beta, (r1,))
+    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", event, beta, r1)
 
 
 def _coop_terms(beta: float):
@@ -334,21 +335,21 @@ def region_o1_coop(r1: float, beta: float) -> OutageRegion:
     """Individual-rate outage after a relayed second round, CMO decoding."""
     f, direct, both, _ = _coop_terms(beta)
     event = (1.0 + f) * direct + (1.0 - f) * both < r1
-    return OutageRegion("O1_COOP", "coop", event, beta, (r1,))
+    return OutageRegion("O1_COOP", "coop", event, beta, r1)
 
 
 def region_o2_coop(r1: float, r2: float, beta: float) -> OutageRegion:
     """Joint-rate outage after a relayed second round, CMO decoding."""
     f, direct, both, _ = _coop_terms(beta)
     event = (2.0 - f) * both + f * direct < r1 + r2
-    return OutageRegion("O2_COOP", "coop", event, beta, (r1,))
+    return OutageRegion("O2_COOP", "coop", event, beta, r1)
 
 
 def region_o3_coop(r1: float, beta: float) -> OutageRegion:
     """Outage after a relayed second round with noise-treating decoding."""
     f, direct, both, round1 = _coop_terms(beta)
     event = round1 + f * direct + (1.0 - f) * both < r1
-    return OutageRegion("O3_COOP", "coop", event, beta, (r1,))
+    return OutageRegion("O3_COOP", "coop", event, beta, r1)
 
 
 def region_o11_dd(r1: float, beta: float) -> OutageRegion:
@@ -357,7 +358,7 @@ def region_o11_dd(r1: float, beta: float) -> OutageRegion:
     f, direct, both, round1 = _coop_terms(beta)
     tail = f * direct + (1.0 - f) * both
     event = (direct + tail < r1) & (round1 + tail < r1)
-    return OutageRegion("O11_DD", "coop", event, beta, (r1,))
+    return OutageRegion("O11_DD", "coop", event, beta, r1)
 
 
 def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
@@ -366,7 +367,7 @@ def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
     f, direct, both, round1 = _coop_terms(beta)
     tail = f * direct + (1.0 - f) * both
     event = (both + tail < r1 + r2) & (round1 + tail < r1)
-    return OutageRegion("O12_DD", "coop", event, beta, (r1,))
+    return OutageRegion("O12_DD", "coop", event, beta, r1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +499,13 @@ def _min_rx2(region: OutageRegion) -> float:
     return float(cand[inside].min()) if inside.any() else math.inf
 
 
-def _check_rates(region: OutageRegion):
-    for r in region.active_rates:
-        if r < RATE_FLOOR:
-            raise ValueError(
-                f"{region.region_id}: active rate {r} below the oracle's "
-                f"rate floor {RATE_FLOOR} (zero-rate limits live in the "
-                "closed forms)"
-            )
+def _check_rate(region: OutageRegion):
+    if region.rate < RATE_FLOOR:
+        raise ValueError(
+            f"{region.region_id}: active rate {region.rate} below the oracle's "
+            f"rate floor {RATE_FLOOR} (zero-rate limits live in the "
+            "closed forms)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +518,7 @@ def oracle_min_exponent(region: OutageRegion) -> float:
     Objective is gamma22 for RX2 regions, gamma11 + gamma21 otherwise.
     Returns +inf when no point within the search cap enters the region.
     """
-    _check_rates(region)
+    _check_rate(region)
     if region.kind == "rx2":
         return _min_rx2(region)
     if region.kind == "coop":
@@ -532,8 +532,8 @@ def oracle_min_exponent_coop(region: OutageRegion) -> float:
     rate."""
     if region.kind != "coop":
         raise ValueError(f"{region.region_id} has no listening fraction")
-    _check_rates(region)
-    return _min_coop(region, region.active_rates[0])
+    _check_rate(region)
+    return _min_coop(region, region.rate)
 
 
 def oracle_d1_hk(p: SystemParams) -> float:

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import COOP_SCHEMES, SchemeId
-from .core import ParameterError, SystemParams, validate
+from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams, validate
 
 _MASK64 = (1 << 64) - 1
 _DRAWS_PER_TRIAL = 4  # uniforms per episode: g11, g21, g22, g_relay
 _Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
+# trials per vectorised block; estimates do not depend on it
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,14 @@ class SimConfig:
     T: int = 1000
     seed: int = 0
 
-    def check(self) -> "SimConfig":
+    def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if self.T < 1:
             raise ParameterError("T must be >= 1")
-        grid = tuple(self.rho_db_grid)
+        grid = self.rho_db_grid
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("rho_db_grid must be strictly increasing")
-        return self
 
     def points(self):
         """(stream, rho_db, linear rho) for each point of the SNR grid.
@@ -86,7 +86,6 @@ class OutageEstimate:
     p_out2: float
     ci1: tuple[float, float]
     ci2: tuple[float, float]
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
             # joint constraints keep accumulating over every round
             return (l * m1 >= R1) & (l * m1s >= R1 + R2)
 
-    elif scheme is SchemeId.TIAN:
+    else:  # tian
         m2 = np.log2(1.0 + C)
         m1_int = np.log2(1.0 + A / (1.0 + B))
         m1_clean = np.log2(1.0 + A)
@@ -210,9 +209,6 @@ def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
         def rx1_ok(l, i_eff):
             # TX2 goes silent after its ACK: clean rounds afterwards
             return i_eff * m1_int + (l - i_eff) * m1_clean >= R1
-
-    else:
-        raise ParameterError(f"unknown scheme {scheme}")
 
     ack2 = np.full(n, L + 1, dtype=np.int64)
     for l in range(1, L + 1):
@@ -312,19 +308,18 @@ def wilson_interval(successes: int, trials: int):
 
 
 def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
-               trials: int, seed: int, *, stream: int = 0, T: int = 1000,
-               block_size: int = 1 << 16) -> Counts:
+               trials: int, seed: int, *, stream: int = 0, T: int = 1000) -> Counts:
     """Run ``trials`` episodes at one SNR point and count their events.
 
     Aggregation uses integer event counts, so the result is independent
-    of ``block_size`` (the partition of trials into vectorized blocks).
+    of the partition of trials into vectorized blocks of ``_BLOCK``.
     """
     scheme = SchemeId(scheme)
-    if trials < 1 or block_size < 1:
-        raise ParameterError("trials and block_size must be >= 1")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     k1 = k2 = zeta_sum = 0
-    for done in range(0, trials, block_size):
-        n = min(block_size, trials - done)
+    for done in range(0, trials, _BLOCK):
+        n = min(_BLOCK, trials - done)
         g = _trial_gains(seed, done, n, stream)
         err1, err2, zeta = _episode_batch(scheme, params, rho,
                                           g[:, 0], g[:, 1], g[:, 2], g[:, 3], T)
@@ -335,13 +330,12 @@ def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
 
 
 def estimate_outage(scheme: SchemeId | str, params: SystemParams, rho: float,
-                    trials: int, seed: int, *, stream: int = 0, T: int = 1000,
-                    block_size: int = 1 << 16) -> OutageEstimate:
+                    trials: int, seed: int, *, stream: int = 0,
+                    T: int = 1000) -> OutageEstimate:
     """Empirical outage probabilities at one SNR point."""
-    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T,
-                   block_size=block_size)
+    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T)
     return OutageEstimate(c.k1 / c.n, c.k2 / c.n, wilson_interval(c.k1, c.n),
-                          wilson_interval(c.k2, c.n), c.n)
+                          wilson_interval(c.k2, c.n))
 
 
 def fit_loglog_slope(points: list[PointEstimate]):
@@ -370,7 +364,6 @@ def fit_loglog_slope(points: list[PointEstimate]):
 def outage_points(scheme: SchemeId | str, params: SystemParams, cfg: SimConfig
                   ) -> tuple[tuple[PointEstimate, ...], tuple[PointEstimate, ...]]:
     """RX1 and RX2 outage estimates at every point of the SNR grid."""
-    cfg = cfg.check()
     pts1, pts2 = [], []
     for k, db, rho in cfg.points():
         est = estimate_outage(scheme, params, rho, cfg.trials, cfg.seed,
@@ -394,11 +387,10 @@ def estimate_diversity(scheme: SchemeId | str, params: SystemParams,
 
 
 def estimate_throughput(scheme: SchemeId | str, params: SystemParams, rho: float,
-                        trials: int, seed: int, *, stream: int = 0, T: int = 1000,
-                        block_size: int = 1 << 16) -> ThroughputEstimate:
+                        trials: int, seed: int, *, stream: int = 0,
+                        T: int = 1000) -> ThroughputEstimate:
     """Empirical per-user throughput: first-block rate over mean renewal time."""
-    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T,
-                   block_size=block_size)
+    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T)
     mean_zeta = c.zeta_sum / c.n
     lg = math.log2(rho)
     R1, R2 = params.r1 * lg, params.r2 * lg

@@ -9,8 +9,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytic
-from .analytic import COOP_SCHEMES, SchemeId
-from .core import ParameterError, SystemParams
+from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams
 from .regions import (
     RATE_FLOOR,
     oracle_d1_hk,
@@ -57,9 +56,9 @@ def sample_params(rng: np.random.Generator, scheme: SchemeId) -> SystemParams:
 def worst_gap(scheme: SchemeId, samples: int,
               rng: np.random.Generator) -> tuple[float, str]:
     """Largest |analytic - oracle| over ``samples`` random operating points,
-    and where it occurred as ``check@{params}`` ("" when samples is 0)."""
-    if samples < 0:
-        raise ParameterError("samples must be >= 0")
+    and where it occurred as ``check@{params}``."""
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
     worst, where = -1.0, ""
     for _ in range(samples):
         p = sample_params(rng, scheme)
@@ -96,36 +95,37 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
         yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), \
             oracle_min_exponent_coop(region_o2_coop(r1, r2, beta))
         yield "d2c_cmo2", analytic.d2c_cmo2(r1, r2, beta), \
-            _coop_rx2_oracle(p, dynamic=False, tian=False)
+            _coop_rx2_oracle(p, scheme)
     elif scheme is SchemeId.COOP_TIAN:
         yield "d1c_tian2", analytic.d1c_tian2(r1, beta), \
             oracle_min_exponent_coop(region_o3_coop(r1, beta))
         yield "d2c_tian2", analytic.d2c_tian2(r1, r2, beta), \
-            _coop_rx2_oracle(p, dynamic=False, tian=True)
+            _coop_rx2_oracle(p, scheme)
     elif scheme is SchemeId.COOP_DD:
         yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), \
             oracle_min_exponent_coop(region_o11_dd(r1, beta))
         yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), \
             oracle_min_exponent_coop(region_o12_dd(r1, r2, beta))
         yield "d2c_dd2", analytic.d2c_dd2(r1, r2, beta), \
-            _coop_rx2_oracle(p, dynamic=True, tian=False)
+            _coop_rx2_oracle(p, scheme)
     else:
         raise ParameterError(f"scheme {scheme.value} has no verify checks")
 
 
-def _coop_rx2_oracle(p: SystemParams, dynamic: bool, tian: bool) -> float:
+def _coop_rx2_oracle(p: SystemParams, scheme: SchemeId) -> float:
     """RX2 exponent under cooperation, assembled from region minima only.
 
     Mirrors the dominant error-event split: either RX1 ACKed round 1 and
     TX2's own retransmission still failed, or RX1 NACKed (TX2 relayed) and
-    RX2's single round was already in outage.
+    RX2's single round was already in outage.  RX1's round-1 outage is that
+    of the scheme's decoder; the dynamic decoder fails only when both do.
     """
-    rx1_cmo1 = oracle_min_exponent(region_rx1_cmo(p, rounds=1))
-    rx1_tian1 = oracle_min_exponent(region_rx1_tian1(p.r1, p.beta))
-    if dynamic:
-        rx1_round1 = max(rx1_cmo1, rx1_tian1)
-    else:
-        rx1_round1 = rx1_tian1 if tian else rx1_cmo1
+    round1 = []
+    if scheme is not SchemeId.COOP_TIAN:
+        round1.append(region_rx1_cmo(p, rounds=1))
+    if scheme is not SchemeId.COOP_CMO:
+        round1.append(region_rx1_tian1(p.r1, p.beta))
+    rx1_round1 = max(oracle_min_exponent(region) for region in round1)
     rx2_one = oracle_min_exponent(region_rx2_cmo(p, rounds=1))
     rx2_two = oracle_min_exponent(region_rx2_cmo(p, rounds=2))
     return min(rx1_round1 + rx2_one, rx2_two)

@@ -383,7 +383,9 @@ class TestSchemeDmt:
         res = scheme_dmt(SchemeId.HK, p)
         assert res.d1 == pytest.approx(0.65)
         assert len(res.branch_trace) == p.L
-        assert all(len(entry) == 3 for entry in res.branch_trace)
+        # (function, branch) pairs, one per ACK round
+        assert all(len(entry) == 2 for entry in res.branch_trace)
+        assert [fid for fid, _ in res.branch_trace] == ["d1_hk"] * p.L
 
     def test_all_schemes_dispatch(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)

@@ -121,9 +121,12 @@ class TestVerify:
             assert "  worst: d" in line and "@{'r1': " in line, line
 
     def test_zero_samples_vacuous(self, capsys):
+        # a sweep over no samples checks nothing, so it may not report ok
         rc = run(["verify", "--samples", "0"])
-        assert rc == 0
-        assert "vacuous" in capsys.readouterr().out
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "samples must be >= 1" in err
+        assert out == ""
 
     def test_impossible_tolerance_fails(self, capsys):
         rc = run(["verify", "--samples", "2", "--seed", "7",
@@ -229,6 +232,30 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         rc = run(["curve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", ["func = 1", "command = verify",
+                                      "config = other.cfg"])
+    def test_only_flag_names_are_keys(self, line, tmp_path, capsys):
+        # namespace entries that are not the subcommand's flags are refused,
+        # and so is --config, which a file cannot set for itself
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = run(["curve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "unknown config key" in err
+        assert "Traceback" not in err
+
+    def test_keys_are_the_subcommands_flags(self, tmp_path):
+        # simulate's flags load (dashes may stand for underscores); curve
+        # has no --trials, so the same file is refused there
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 20\nrho-db = 20:30:10\nseed = 3\n")
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        points = [r for r in read_csv(out) if r["row"] == "point"]
+        assert [(r["rho_db"], r["trials"]) for r in points] == [("20", "20"), ("30", "20")]
+        assert run(["curve", "--config", str(cfg), "--out", str(out)]) == 1
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -108,13 +108,14 @@ class TestValidate:
 
 class TestExponentPoint:
     def test_check_accepts(self):
+        # the point checks itself when it is built
         pt = ExponentPoint(gamma11=0.3, gamma21=0.0, f=0.5)
-        assert pt.check() is pt
+        assert (pt.gamma11, pt.gamma21, pt.gamma22, pt.f) == (0.3, 0.0, 0.0, 0.5)
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ParameterError):
-            ExponentPoint(gamma11=-0.1, gamma21=0.0).check()
+        with pytest.raises(ParameterError, match="exponents"):
+            ExponentPoint(gamma11=-0.1, gamma21=0.0)
 
     def test_f_out_of_range(self):
-        with pytest.raises(ParameterError):
-            ExponentPoint(gamma11=0.1, gamma21=0.0, f=1.5).check()
+        with pytest.raises(ParameterError, match="f must"):
+            ExponentPoint(gamma11=0.1, gamma21=0.0, f=1.5)

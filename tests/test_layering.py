@@ -1,5 +1,5 @@
-"""Package layering: modules share only public names, and the outage-region
-oracle and the closed forms it checks import nothing from each other."""
+"""Package layering: modules share only public names, and the three engines
+(closed forms, outage-region oracle, Monte Carlo) share only ``core``."""
 
 import ast
 from pathlib import Path
@@ -60,4 +60,13 @@ def test_regions_independent_of_analytic(tmp_path):
 
 def test_analytic_independent_of_regions():
     found = list(_imports_of(PACKAGE / "analytic.py", "regions"))
+    assert not found, found
+
+
+ENGINES = ("analytic", "regions", "simulator")
+
+
+def test_engines_import_no_other_engine():
+    found = [hit for engine in ENGINES for other in ENGINES if other != engine
+             for hit in _imports_of(PACKAGE / f"{engine}.py", other)]
     assert not found, found

@@ -124,15 +124,15 @@ class TestOracleSpotValues:
         g11, g21, f = symbols()
         region = OutageRegion(
             "EMPTY", "rx1", pos_part(g11) + pos_part(g21) + 1.0 < 0.5,
-            beta=1.0, active_rates=(0.5,))
+            beta=1.0, rate=0.5)
         assert oracle_min_exponent(region) == math.inf
         region22 = OutageRegion(
             "EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5,
-            beta=1.0, active_rates=(0.5,))
+            beta=1.0, rate=0.5)
         assert oracle_min_exponent(region22) == math.inf
         coop = OutageRegion(
             "EMPTY_COOP", "coop", f * pos_part(1.0 - g11) + 1.0 < 0.5,
-            beta=1.0, active_rates=(0.5,))
+            beta=1.0, rate=0.5)
         assert oracle_min_exponent_coop(coop) == math.inf
 
     def test_coop_interior_kink(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zicarq import simulator
-from zicarq.analytic import SchemeId, d1_cmo, d2_cmo
-from zicarq.core import ParameterError, SystemParams
+from zicarq.analytic import d1_cmo, d2_cmo
+from zicarq.core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams
 from zicarq.simulator import (
     SimConfig,
     _episode_batch,
@@ -23,6 +23,8 @@ def P(**kw):
 
 
 HK_P = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
+SIM_SCHEMES = (SchemeId.HK, SchemeId.CMO, SchemeId.TIAN,
+               SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_DD)
 
 
 class TestRunEpisode:
@@ -158,8 +160,6 @@ class TestEstimateOutage:
     def test_zero_trials_rejected(self):
         with pytest.raises(ParameterError, match="trials"):
             estimate_outage(SchemeId.CMO, HK_P, 100.0, 0, 0)
-        with pytest.raises(ParameterError, match="block_size"):
-            estimate_outage(SchemeId.CMO, HK_P, 100.0, 10, 0, block_size=-1)
 
     def test_probability_bounds_and_ci(self):
         est = estimate_outage(SchemeId.HK, HK_P, 50.0, 5000, 1)
@@ -167,10 +167,14 @@ class TestEstimateOutage:
             assert 0.0 <= p <= 1.0
             assert ci[0] <= p <= ci[1]
 
-    def test_partition_independent(self):
-        kw = dict(scheme=SchemeId.HK, params=HK_P, rho=100.0, trials=30_000, seed=42)
-        a = estimate_outage(**kw, block_size=977)
-        b = estimate_outage(**kw, block_size=30_000)
+    @pytest.mark.parametrize("scheme", SIM_SCHEMES, ids=lambda s: s.value)
+    def test_partition_independent(self, scheme, monkeypatch):
+        p = HK_P if scheme not in COOP_SCHEMES else P(r1=0.3, r2=0.4, beta=0.8, L=2)
+        kw = dict(scheme=scheme, params=p, rho=100.0, trials=30_000, seed=42)
+        monkeypatch.setattr(simulator, "_BLOCK", 977)
+        a = estimate_outage(**kw)
+        monkeypatch.setattr(simulator, "_BLOCK", 30_000)
+        b = estimate_outage(**kw)
         assert a == b
 
     def test_reproducible(self):
@@ -216,7 +220,7 @@ class TestEstimateDiversity:
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError, match="strictly increasing"):
-            SimConfig(rho_db_grid=(10, 10), trials=10, seed=0).check()
+            SimConfig(rho_db_grid=(10, 10), trials=10, seed=0)
 
 
 class TestEstimateThroughput:
