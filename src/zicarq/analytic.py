@@ -35,7 +35,6 @@ from .core import (
     SystemParams,
     ext_div,
     pos_part,
-    validate,
 )
 
 
@@ -307,7 +306,6 @@ def d2c_dd2(r1: float, r2: float, beta: float) -> float:
 def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> DmtResult:
     """Evaluate (d1, d2) with a branch trace for one scheme at one point."""
     scheme = SchemeId(scheme)
-    validate(p)
     if scheme in COOP_SCHEMES and p.L != 2:
         raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
 

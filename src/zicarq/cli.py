@@ -25,8 +25,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic
-from .core import ParameterError, SchemeId, SystemParams, validate
-from .regions import oracle_d1_hk_stop
+from .core import ParameterError, SchemeId, SystemParams
+from .regions import RATE_FLOOR, oracle_d1_hk_stop
 from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
 from .verify import VERIFY_SCHEMES, worst_gap
 
@@ -129,8 +129,8 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
 
 
 def _system_params(args) -> SystemParams:
-    return validate(SystemParams(r1=args.r1, r2=args.r2, t2=args.t2,
-                                 b=args.b, beta=args.beta, L=args.L))
+    return SystemParams(r1=args.r1, r2=args.r2, t2=args.t2,
+                        b=args.b, beta=args.beta, L=args.L)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +144,11 @@ def cmd_curve(args) -> int:
     rows = []
     for s in schemes:
         for v in values:
-            p = validate(replace(base, **{var: v}))
+            p = replace(base, **{var: v})
             if s is SchemeId.HK_STOP:
                 # no closed form: the region oracle evaluates this policy,
-                # and it needs both rates at the floor rate sweeps clamp to
-                p = replace(p, r1=max(p.r1, RATE_SWEEP_FLOOR),
-                            r2=max(p.r2, RATE_SWEEP_FLOOR))
+                # and it needs both rates at or above its floor
+                p = replace(p, r1=max(p.r1, RATE_FLOOR), r2=max(p.r2, RATE_FLOOR))
                 d1, d2 = oracle_d1_hk_stop(p), analytic.d2_hk(p)
                 source, branch = "oracle", "d1_hk_stop:oracle"
             else:

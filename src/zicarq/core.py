@@ -65,6 +65,8 @@ class SystemParams:
     b       power-split exponent of user 2's private stream, >= 0
     beta    interference level (cross-link power scales as rho**(beta-1))
     L       maximum ARQ rounds, integer >= 1
+
+    Construction raises ParameterError on the first violated bound.
     """
 
     r1: float
@@ -73,6 +75,9 @@ class SystemParams:
     b: float = 0.0
     beta: float = 1.0
     L: int = 1
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def s2(self) -> float:

@@ -9,27 +9,26 @@ coordinate.  Numpy membership and the oracle's candidate lines both come
 from that one tree, giving an independent ground truth for every closed
 form in :mod:`zicarq.analytic`.
 
-Minimisation.  At fixed f an event is a finite union / intersection of
-piecewise-linear sublevel sets, so the linear objective gamma11 + gamma21
-attains its minimum over the box-limited region at a vertex (the standard
-DMT reduction: Zheng & Tse, IEEE Trans. IT 2003; El Gamal, Caire & Damen,
-IEEE Trans. IT 2006).  The boundary of ``F < r`` turns only where two
-pieces both equal ``r - STRICT_EPS``, so every vertex is the intersection
-of two lines from a finite set: the level lines ``piece = r - STRICT_EPS``
-of every affine piece, and the four box edges.  The oracle intersects them
-pairwise, keeps the points the tree itself accepts, and takes the smallest
-objective.  RX2 events are 1-D: the candidates are the piece roots and the
-box ends.
+Minimisation.  A diversity exponent is the infimum of the objective over
+the open outage region, which is its minimum over the region's closure
+(Zheng & Tse, IEEE Trans. IT 2003).  At fixed f an event is a finite
+union / intersection of piecewise-linear sublevel sets, so the linear
+objective gamma11 + gamma21 attains that minimum over the box-limited
+closure at a vertex (El Gamal, Caire & Damen, IEEE Trans. IT 2006).  The
+boundary of ``F < r`` turns only where two pieces both equal ``r``, so
+every vertex is the intersection of two lines from a finite set: the
+level lines ``piece = r`` of every affine piece, and the four box edges.
+The oracle intersects them pairwise, keeps the points in the closure
+(``F <= r`` up to a 1e-12 rounding slack), and takes the smallest
+objective.  RX2 events are 1-D: the candidates are the piece roots and
+the box ends.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
 The gamma solve above is exact at each v, so only v is searched: a
-uniform grid, a finer grid around every grid local minimum (the endpoints
-included), and in every cell of either grid whose two ends have different
-optimal vertices, the exact v where those two vertices' objectives (ratios
-of quadratics in f) cross.  The objective is piecewise concave in v, so
-its minimum sits at such a kink or at an endpoint.  Every value the
-oracle returns is the objective at a point the tree accepts (within a
-1e-12 slack on each rate).
+uniform grid, plus, in every grid cell whose two ends have different
+optimal vertices, the exact v where those two vertices' objectives
+(ratios of quadratics in f) cross.  The objective is piecewise concave
+in v, so its minimum sits at such a kink or at an endpoint.
 """
 
 from __future__ import annotations
@@ -39,19 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExponentPoint, ParameterError, SystemParams, validate
+from .core import ExponentPoint, ParameterError, SystemParams
 
-# Regions are open sets written with strict inequalities; membership backs
-# off the rate by a hair to dodge boundary ties.
-STRICT_EPS = 1e-12
-
-# Candidate vertices lie on the boundary ``F = r - STRICT_EPS`` up to
-# rounding; the oracle's membership test and box test allow this slack.
+# Candidate vertices lie on the boundary ``F = r`` up to rounding; the
+# oracle's closure test and box test allow this slack.
 _SLACK = 1e-12
 
-# Search in v = 1/f: grid size, and points per refinement grid.
+# Search in v = 1/f: grid size.
 _V_GRID = 17
-_V_REFINE = 9
 
 
 # Smallest admissible active rate: zero-rate limits live in the closed
@@ -145,11 +139,11 @@ class _Expr:
     __rmul__ = __mul__
 
     def __lt__(self, rate):
-        bound = float(rate) - STRICT_EPS
+        rate = float(rate)
         level = self.pieces.copy()
-        level[:, 0, 2] -= bound
+        level[:, 0, 2] -= rate
         return _Event([level],
-                      lambda env, slack: self.value(env) < bound + slack)
+                      lambda env, slack: self.value(env) < rate + slack)
 
 
 def _affine(c) -> _Expr:
@@ -355,18 +349,14 @@ def region_o3_coop(r1: float, beta: float) -> OutageRegion:
 def region_o11_dd(r1: float, beta: float) -> OutageRegion:
     """Dynamic decoder, individual event: both decoders fail the own-rate
     test (the CMO event is contained in the noise-treating one)."""
-    f, direct, both, round1 = _coop_terms(beta)
-    tail = f * direct + (1.0 - f) * both
-    event = (direct + tail < r1) & (round1 + tail < r1)
+    event = region_o1_coop(r1, beta).event & region_o3_coop(r1, beta).event
     return OutageRegion("O11_DD", "coop", event, beta, r1)
 
 
 def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
     """Dynamic decoder, joint event: CMO fails the sum-rate test and the
     noise-treating decoder fails as well."""
-    f, direct, both, round1 = _coop_terms(beta)
-    tail = f * direct + (1.0 - f) * both
-    event = (both + tail < r1 + r2) & (round1 + tail < r1)
+    event = region_o2_coop(r1, r2, beta).event & region_o3_coop(r1, beta).event
     return OutageRegion("O12_DD", "coop", event, beta, r1)
 
 
@@ -471,21 +461,11 @@ def _min_coop(region: OutageRegion, r1: float) -> float:
     h, k = cost(v)
     if not np.isfinite(h).any():
         return math.inf
-    # a finer grid around every grid local minimum, the endpoints included
-    pad = np.concatenate([[np.inf], h, [np.inf]])
-    local = np.nonzero(np.isfinite(h) & (h <= pad[:-2]) & (h <= pad[2:]))[0]
-    fine = np.linspace(v[np.maximum(local - 1, 0)],
-                       v[np.minimum(local + 1, len(v) - 1)], _V_REFINE, axis=1)
-    h_fine, k_fine = (a.reshape(fine.shape) for a in cost(fine.ravel()))
     # the exact kink in every cell whose two ends have different optimal vertices
-    def cells(vv, hh, kk):
-        keep = np.isfinite(hh[..., :-1] + hh[..., 1:])
-        return [a[keep] for a in (vv[..., :-1], vv[..., 1:], kk[..., :-1], kk[..., 1:])]
-
-    roots = _kinks(_vertex_sums(lines, pairs), *(
-        np.concatenate(c) for c in zip(cells(v, h, k), cells(fine, h_fine, k_fine))))
-    best = min(h.min(), h_fine.min(), cost(roots)[0].min(initial=np.inf))
-    return float(best)
+    keep = np.isfinite(h[:-1] + h[1:])
+    roots = _kinks(_vertex_sums(lines, pairs), v[:-1][keep], v[1:][keep],
+                   k[:-1][keep], k[1:][keep])
+    return float(min(h.min(), cost(roots)[0].min(initial=np.inf)))
 
 
 def _min_rx2(region: OutageRegion) -> float:
@@ -542,14 +522,12 @@ def oracle_d1_hk(p: SystemParams) -> float:
     Sums over the ACK round of TX2: prefix exponent of reaching that round
     plus the dominant conditional outage exponent.
     """
-    validate(p)
     return _oracle_d1_decomposed(p, region_o12_hk)
 
 
 def oracle_d1_hk_stop(p: SystemParams) -> float:
     """Same decomposition for the policy where TX2 stops both streams
     after its own ACK (no closed form exists for this variant)."""
-    validate(p)
     return _oracle_d1_decomposed(p, region_o12_stop)
 
 
@@ -590,7 +568,6 @@ def rate_region_subset_check(p: SystemParams, samples: int,
     the stop-both containments are sampled.  Returns the list of violating
     samples, which must be empty.
     """
-    validate(p)
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     cap = _cap(p.beta)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zicarq import analytic
 from zicarq.cli import SWEEP_VARS, _parse_triplet, main
 from zicarq.core import ParameterError, SystemParams
 from zicarq.regions import oracle_d1_hk_stop
@@ -90,6 +91,15 @@ class TestCurve:
             expect = 1e-3 if row["scheme"] == "hk-stop" else 0.0
             assert float(row[rate]) == expect
 
+    def test_hk_stop_cells_exact(self, tmp_path):
+        # the oracle minimises over the closed region, so these exponents,
+        # reached on a level line, come out exact
+        out = tmp_path / "stop.csv"
+        rc = run(["curve", "--scheme", "hk-stop", "--L", "2", "--t2", "0.5",
+                  "--r2", "0.5", "--sweep", "r1:0:1:0.5", "--out", str(out)])
+        assert rc == 0
+        assert [row["d1"] for row in read_csv(out)] == ["0.499", "0", "0"]
+
     def test_coop_requires_two_rounds(self, tmp_path, capsys):
         rc = run(["curve", "--scheme", "coop-dd", "--L", "3",
                   "--sweep", "r1:0:1:0.5", "--out", str(tmp_path / "x.csv")])
@@ -128,9 +138,12 @@ class TestVerify:
         assert "samples must be >= 1" in err
         assert out == ""
 
-    def test_impossible_tolerance_fails(self, capsys):
+    def test_impossible_tolerance_fails(self, capsys, monkeypatch):
+        # a closed form off by more than --tol fails the sweep
+        d1_cmo = analytic.d1_cmo
+        monkeypatch.setattr(analytic, "d1_cmo", lambda p: d1_cmo(p) + 1e-3)
         rc = run(["verify", "--samples", "2", "--seed", "7",
-                  "--scheme", "cmo", "--tol", "0"])
+                  "--scheme", "cmo", "--tol", "1e-9"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
 

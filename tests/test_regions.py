@@ -242,7 +242,7 @@ class TestExactness:
     @pytest.mark.parametrize("scheme", VERIFY_SCHEMES)
     def test_closed_forms_match_oracle(self, scheme):
         gap, where = worst_gap(SchemeId(scheme), 50, np.random.default_rng(13))
-        assert gap <= 1e-9, where
+        assert gap <= 1e-12, where
 
 
 class TestSubsetCheck:
