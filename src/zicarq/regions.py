@@ -9,6 +9,15 @@ coordinate.  Numpy membership and the oracle's candidate lines both come
 from that one tree, giving an independent ground truth for every closed
 form in :mod:`zicarq.analytic`.
 
+Compilation.  The operating point (beta, b, the rates r1, r2, t2, and the
+box side) enters a tree only through the constant column of its affine
+pieces, and linearly, while the gamma coefficients come from the structure
+alone (L, the round index, the f multipliers).  So each family's tree is
+built once per structure and kept for the process, together with its level
+lines, the pairs of lines that are not parallel, and the denominators of
+the vertex sums; binding an operating point is a product of the constant
+columns with theta = (beta, b, r1, r2, t2, cap, 1).
+
 Minimisation.  A diversity exponent is the infimum of the objective over
 the open outage region, which is its minimum over the region's closure
 (Zheng & Tse, IEEE Trans. IT 2003).  At fixed f an event is a finite
@@ -19,9 +28,9 @@ boundary of ``F < r`` turns only where two pieces both equal ``r``, so
 every vertex is the intersection of two lines from a finite set: the
 level lines ``piece = r`` of every affine piece, and the four box edges.
 The oracle intersects them pairwise, keeps the points in the closure
-(``F <= r`` up to a 1e-12 rounding slack), and takes the smallest
-objective.  RX2 events are 1-D: the candidates are the piece roots and
-the box ends.
+(``F <= r`` up to a rounding slack scaled to the constraint's
+coefficients), and takes the smallest objective.  RX2 events are 1-D:
+the candidates are the piece roots and the box ends.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
 The gamma solve above is exact at each v, so only v is searched: a
@@ -35,17 +44,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core import ExponentPoint, ParameterError, SystemParams
 
 # Candidate vertices lie on the boundary ``F = r`` up to rounding; the
-# oracle's closure test and box test allow this slack.
-_SLACK = 1e-12
+# closure test allows a few roundings, relative to the size of the
+# constraint's coefficients at the candidate's f, and the box test relative
+# to its side.
+_SLACK = 8 * np.finfo(float).eps
 
 # Search in v = 1/f: grid size.
 _V_GRID = 17
+
+# Compiled families kept per process, keyed by structure only.
+_FAMILIES = 256
 
 
 # Smallest admissible active rate: zero-rate limits live in the closed
@@ -63,20 +78,31 @@ def _cap(beta: float) -> float:
 # expression trees
 # ---------------------------------------------------------------------------
 #
-# An affine piece is a (2, 3) array c: row d holds the coefficients of f**d
-# on (gamma11, gamma21, 1).  Pieces and lines are stacked as (n, 2, 3).
+# An affine piece is a (2, 9) array c: row d holds the coefficients of f**d
+# on (gamma11, gamma21) and theta = (beta, b, r1, r2, t2, cap, 1).  Pieces
+# and lines are stacked as (n, 2, 9); bound to one theta they are (n, 2, 3),
+# on (gamma11, gamma21, 1).
+
+_CAP = 5  # index of the box side in theta
+
 
 def _unique(pieces: np.ndarray) -> np.ndarray:
-    rows = sorted(set(map(tuple, pieces.reshape(-1, 6).tolist())))
-    return np.array(rows, dtype=float).reshape(-1, 2, 3)
+    rows = sorted(set(map(tuple, pieces.reshape(len(pieces), -1).tolist())))
+    return np.array(rows, dtype=float).reshape(-1, 2, 9)
 
 
-def _affine_value(row, g11, g21):
-    out = row[2]
-    if row[0]:
-        out = out + row[0] * g11
-    if row[1]:
-        out = out + row[1] * g21
+def _bind(pieces: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Pieces at one operating point, over (gamma11, gamma21, 1)."""
+    return np.concatenate([pieces[..., :2], pieces[..., 2:] @ theta[:, None]],
+                          axis=-1)
+
+
+def _affine_value(a, b, c, g11, g21):
+    out = c
+    if a:
+        out = out + a * g11
+    if b:
+        out = out + b * g21
     return out
 
 
@@ -99,7 +125,8 @@ class _Expr:
         self._evaluate = evaluate
 
     def value(self, env: dict):
-        """Value at env's g11/g21/f arrays; shared subtrees are evaluated once."""
+        """Value at env's g11/g21/f arrays and theta; shared subtrees are
+        evaluated once."""
         if id(self) not in env:
             env[id(self)] = self._evaluate(env)
         return env[id(self)]
@@ -108,7 +135,8 @@ class _Expr:
         return len(self.pieces) == 1
 
     def _is_scalar(self) -> bool:
-        return self._is_affine() and not self.pieces[0, :, :2].any()
+        """A number or a multiple of f: free of gamma and of theta."""
+        return self._is_affine() and not self.pieces[0, :, :-1].any()
 
     def __add__(self, other):
         other = _as_expr(other)
@@ -130,7 +158,7 @@ class _Expr:
         coef, x = (self, other) if self._is_scalar() else (other, self)
         if not coef._is_scalar():
             raise TypeError("a product needs one factor free of gamma")
-        k0, k1 = coef.pieces[0, :, 2]
+        k0, k1 = coef.pieces[0, :, -1]
         if x._is_affine():
             return _affine(_scale(k0, k1, x.pieces)[0])
         return _Expr(_scale(k0, k1, x.pieces),
@@ -139,20 +167,32 @@ class _Expr:
     __rmul__ = __mul__
 
     def __lt__(self, rate):
-        rate = float(rate)
-        level = self.pieces.copy()
-        level[:, 0, 2] -= rate
-        return _Event([level],
-                      lambda env, slack: self.value(env) < rate + slack)
+        rate = _as_expr(rate)
+        if not rate._is_affine():
+            raise TypeError("a rate must be affine")
+        level = self.pieces - rate.pieces
+
+        def holds(env, slack):
+            excess = self.value(env) - rate.value(env)
+            if slack:
+                # the largest level coefficient at f, bounded row by row
+                size = np.abs(_bind(level, env["theta"])).max(axis=(0, 2))
+                excess = excess - slack * (size[0] + size[1] * env["f"])
+            return excess < 0.0
+
+        return _Event([level], holds)
 
 
 def _affine(c) -> _Expr:
     c = np.asarray(c, dtype=float)
+    a0, b0, a1, b1 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
+    has_f = c[1].any()
 
     def evaluate(env):
-        out = _affine_value(c[0], env["g11"], env["g21"])
-        if c[1].any():
-            out = out + env["f"] * _affine_value(c[1], env["g11"], env["g21"])
+        c0, c1 = c[:, 2:] @ env["theta"]
+        out = _affine_value(a0, b0, c0, env["g11"], env["g21"])
+        if has_f:
+            out = out + env["f"] * _affine_value(a1, b1, c1, env["g11"], env["g21"])
         return out
 
     return _Expr(c[None], evaluate)
@@ -161,15 +201,18 @@ def _affine(c) -> _Expr:
 def _as_expr(x) -> _Expr:
     if isinstance(x, _Expr):
         return x
-    c = np.zeros((2, 3))
-    c[0, 2] = x
+    return _leaf(0, -1, x)
+
+
+def _leaf(row: int, col: int, value: float = 1.0) -> _Expr:
+    c = np.zeros((2, 9))
+    c[row, col] = value
     return _affine(c)
 
 
 def symbols() -> tuple[_Expr, _Expr, _Expr]:
     """The leaves (gamma11, gamma21, f); RX2 events use the first for gamma22."""
-    eye = np.eye(6).reshape(6, 2, 3)
-    return _affine(eye[0]), _affine(eye[1]), _affine(eye[5])
+    return _leaf(0, 0), _leaf(0, 1), _leaf(1, -1)
 
 
 def maximum(a, b) -> _Expr:
@@ -184,10 +227,17 @@ def pos_part(x) -> _Expr:
     return maximum(x, 0.0)
 
 
+_BOX = np.zeros((4, 2, 9))
+_BOX[[0, 1], 0, 0] = 1.0
+_BOX[[2, 3], 0, 1] = 1.0
+_BOX[[1, 3], 0, 2 + _CAP] = -1.0
+
+
 class _Event:
     """Rate constraints ``F < r`` joined by ``|`` (union) and ``&``
     (intersection): their level lines, and the membership test,
-    where ``slack`` widens every constraint."""
+    where ``slack`` widens every constraint.  What the oracle needs of
+    the structure is compiled on first use and kept with the event."""
 
     def __init__(self, lines, holds):
         self.lines = lines
@@ -201,6 +251,42 @@ class _Event:
         return _Event(self.lines + other.lines,
                       lambda env, slack: self.holds(env, slack) & other.holds(env, slack))
 
+    @cached_property
+    def candidates(self) -> np.ndarray:
+        """The level lines that involve gamma, then the four box edges."""
+        lines = _unique(np.concatenate(self.lines))
+        return np.concatenate([lines[lines[:, :, :2].any(axis=(1, 2))], _BOX])
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs of candidate lines that are not parallel at every f."""
+        gamma = self.candidates[:, :, :2]
+        i, j = np.triu_indices(len(gamma), 1)
+        # the determinant is quadratic in f: three zeros make it vanish identically
+        at = gamma[:, 0] + np.array([0.0, 0.5, 1.0])[:, None, None] * gamma[:, 1]
+        det = at[:, i, 0] * at[:, j, 1] - at[:, j, 0] * at[:, i, 1]
+        keep = det.any(axis=0)
+        return i[keep], j[keep]
+
+    @cached_property
+    def vertex_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """gamma11 + gamma21 at the vertex of every pair as num(f) / den(f),
+        each a quadratic in f: num as (theta, pairs, 3), linear in theta,
+        and den as (pairs, 3)."""
+        lines = self.candidates
+        (a_i, b_i, c_i), (a_j, b_j, c_j) = (
+            (lines[k, :, 0], lines[k, :, 1], np.moveaxis(lines[k, :, 2:], 2, 0))
+            for k in self.pairs)
+        m = _poly_mul
+        num = m(b_i, c_j) - m(b_j, c_i) + m(a_j, c_i) - m(a_i, c_j)
+        return num, m(a_i, b_j) - m(a_j, b_i)
+
+
+@lru_cache(maxsize=_FAMILIES)
+def _compiled(build, *structure) -> _Event:
+    """``build(*structure)``, built once per process and structure."""
+    return build(*structure)
+
 
 class OutageRegion:
     """One high-SNR outage event, held as rate constraints on expression trees.
@@ -208,28 +294,27 @@ class OutageRegion:
     kind is 'rx2' (event over gamma22), 'rx1' (over gamma11/gamma21),
     or 'coop' (over gamma11/gamma21 and the listening fraction f); rate
     is the event's active rate, which the oracle keeps above its floor
-    (and, for 'coop', the r1 of the relay-link cost).
+    (and, for 'coop', the r1 of the relay-link cost).  theta binds the
+    operating point of trees written with its parameters.
     """
 
-    def __init__(self, region_id, kind, event, beta, rate):
+    def __init__(self, region_id, kind, event, beta, rate, theta=None):
         self.region_id = region_id
         self.kind = kind
         self.event = event
         self.beta = beta
         self.rate = rate
+        self.theta = _theta(beta) if theta is None else theta
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
 
     def member(self, g11, g21=0.0, f=1.0, slack=0.0) -> np.ndarray:
-        """Elementwise membership; ``slack`` widens every rate constraint."""
-        held = self.event.holds({"g11": g11, "g21": g21, "f": f}, slack)
+        """Elementwise membership; ``slack`` widens every rate constraint,
+        relative to the size of its coefficients."""
+        env = {"g11": g11, "g21": g21, "f": f, "theta": self.theta}
+        held = self.event.holds(env, slack)
         return np.broadcast_to(held, np.broadcast(g11, g21, f).shape)
-
-    def lines(self) -> np.ndarray:
-        """Level lines of the tree, (n, 2, 3), excluding the box."""
-        lines = _unique(np.concatenate(self.event.lines))
-        return lines[lines[:, :, :2].any(axis=(1, 2))]
 
     def contains(self, pt: ExponentPoint) -> bool:
         if self.kind == "rx2":
@@ -237,162 +322,182 @@ class OutageRegion:
         return bool(self.member(pt.gamma11, pt.gamma21, pt.f))
 
 
+def _theta(beta, b=0.0, r1=0.0, r2=0.0, t2=0.0) -> np.ndarray:
+    """theta at an operating point; the oracle sets the box side."""
+    return np.array([beta, b, r1, r2, t2, 0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # region factories (trees transcribe the defining inequalities verbatim)
 # ---------------------------------------------------------------------------
 
-def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
-    """RX2 outage under rate splitting after ``rounds`` rounds."""
+def _hk_region(region_id, kind, build, structure, p: SystemParams, rate):
+    return OutageRegion(region_id, kind, _compiled(build, *structure), p.beta,
+                        rate, _theta(p.beta, p.b, p.r1, p.r2, p.t2))
+
+
+def _rounds(p: SystemParams, rounds: int | None) -> int:
     l = p.L if rounds is None else rounds
     if l < 1:
         raise ValueError("rounds must be >= 1")
-    r2, s2, b = p.r2, p.s2, p.b
-    g22, _, _ = symbols()
-    event = (l * pos_part(1.0 - g22) < r2) | (l * pos_part(1.0 - g22 - b) < s2)
-    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", event, p.beta, r2)
+    return l
 
 
-def _o11_event(p: SystemParams, i: int):
+def _round_index(p: SystemParams, i: int) -> tuple[int, int]:
     if not 1 <= i <= p.L:
         raise ValueError(f"round index i={i} outside 1..{p.L}")
-    g11, g21, _ = symbols()
-    interfered = pos_part(1.0 - g11 - pos_part(p.beta - g21 - p.b))
-    return i * interfered + (p.L - i) * pos_part(1.0 - g11) < p.r1
+    return p.L, i
 
 
-def _o12_event(p: SystemParams, i: int, stop: bool):
-    if not 1 <= i <= p.L:
-        raise ValueError(f"round index i={i} outside 1..{p.L}")
-    g11, g21, _ = symbols()
-    beta = p.beta
-    joint = pos_part(maximum(1.0 - g11, beta - g21) - pos_part(beta - g21 - p.b))
-    tail = pos_part(1.0 - g11) if stop else \
-        maximum(pos_part(1.0 - g11), pos_part(beta - g21))
-    return i * joint + (p.L - i) * tail < p.r1 + p.t2
+# the leaves every family is written in; RX2 events read gamma22 in the
+# first coordinate
+_G11, _G21, _F = symbols()
+_G22 = _G11
+_BETA, _B, _R1, _R2, _T2 = (_leaf(0, col) for col in range(2, 7))
+
+
+def _rx2_hk_event(l: int):
+    return (l * pos_part(1.0 - _G22) < _R2) | (l * pos_part(1.0 - _G22 - _B) < _R2 - _T2)
+
+
+def _o11_event(L: int, i: int):
+    interfered = pos_part(1.0 - _G11 - pos_part(_BETA - _G21 - _B))
+    return i * interfered + (L - i) * pos_part(1.0 - _G11) < _R1
+
+
+def _o12_event(L: int, i: int, stop: bool):
+    joint = pos_part(maximum(1.0 - _G11, _BETA - _G21) - pos_part(_BETA - _G21 - _B))
+    tail = pos_part(1.0 - _G11) if stop else \
+        maximum(pos_part(1.0 - _G11), pos_part(_BETA - _G21))
+    return i * joint + (L - i) * tail < _R1 + _T2
+
+
+def _rx1_cmo_event(l: int):
+    own = l * pos_part(1.0 - _G11) < _R1
+    joint = l * maximum(pos_part(1.0 - _G11), pos_part(_BETA - _G21)) < _R1 + _R2
+    return own | joint
+
+
+def _rx2_cmo_event(l: int):
+    return l * pos_part(1.0 - _G22) < _R2
+
+
+def _tian1_event():
+    return pos_part(1.0 - _G11 - pos_part(_BETA - _G21)) < _R1
+
+
+def _coop_event(name: str):
+    """A relayed second round: O1/O2 under CMO decoding, O3 under
+    noise-treating decoding, and the dynamic decoder's O11/O12."""
+    f = _F
+    direct = pos_part(1.0 - _G11)
+    both = maximum(direct, pos_part(_BETA - _G21))
+    round1 = pos_part(1.0 - _G11 - pos_part(_BETA - _G21))
+    o1 = (1.0 + f) * direct + (1.0 - f) * both < _R1
+    o2 = (2.0 - f) * both + f * direct < _R1 + _R2
+    o3 = round1 + f * direct + (1.0 - f) * both < _R1
+    return {"O1_COOP": o1, "O2_COOP": o2, "O3_COOP": o3,
+            "O11_DD": o1 & o3, "O12_DD": o2 & o3}[name]
+
+
+def _coop_region(name: str, r1: float, r2: float, beta: float) -> OutageRegion:
+    return OutageRegion(name, "coop", _compiled(_coop_event, name), beta, r1,
+                        _theta(beta, r1=r1, r2=r2))
+
+
+def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
+    """RX2 outage under rate splitting after ``rounds`` rounds."""
+    l = _rounds(p, rounds)
+    return _hk_region(f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event, (l,), p, p.r2)
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 individual-rate outage given TX2's ACK at round i (of L)."""
-    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p, i), p.beta, p.r1)
+    return _hk_region(f"O11_HK(i={i})", "rx1", _o11_event, _round_index(p, i),
+                      p, p.r1)
 
 
 def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 joint-rate outage given TX2's ACK at round i (of L)."""
-    return OutageRegion(f"O12_HK(i={i})", "rx1", _o12_event(p, i, stop=False),
-                        p.beta, p.r1)
+    return _hk_region(f"O12_HK(i={i})", "rx1", _o12_event,
+                      (*_round_index(p, i), False), p, p.r1)
 
 
 def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
     """Stop-both policy variant of O12: after TX2's ACK the common stream
     is gone, so the tail rounds contribute the direct link only."""
-    return OutageRegion(f"O12_STOP(i={i})", "rx1", _o12_event(p, i, stop=True),
-                        p.beta, p.r1)
+    return _hk_region(f"O12_STOP(i={i})", "rx1", _o12_event,
+                      (*_round_index(p, i), True), p, p.r1)
 
 
 def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
-    l = p.L if rounds is None else rounds
-    if l < 1:
-        raise ValueError("rounds must be >= 1")
-    r1, beta = p.r1, p.beta
-    g11, g21, _ = symbols()
-    own = l * pos_part(1.0 - g11) < r1
-    joint = l * maximum(pos_part(1.0 - g11), pos_part(beta - g21)) < r1 + p.r2
-    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", own | joint, beta, r1)
+    l = _rounds(p, rounds)
+    return _hk_region(f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event, (l,), p, p.r1)
 
 
 def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
-    l = p.L if rounds is None else rounds
-    if l < 1:
-        raise ValueError("rounds must be >= 1")
-    g22, _, _ = symbols()
-    return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", l * pos_part(1.0 - g22) < p.r2,
-                        p.beta, p.r2)
+    l = _rounds(p, rounds)
+    return _hk_region(f"O_RX2_CMO(l={l})", "rx2", _rx2_cmo_event, (l,), p, p.r2)
 
 
 def region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
     """Single-round noise-treating outage at RX1."""
-    g11, g21, _ = symbols()
-    event = pos_part(1.0 - g11 - pos_part(beta - g21)) < r1
-    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", event, beta, r1)
-
-
-def _coop_terms(beta: float):
-    """(f, direct link, both links, noise-treating round 1) of a relayed round."""
-    g11, g21, f = symbols()
-    direct = pos_part(1.0 - g11)
-    both = maximum(direct, pos_part(beta - g21))
-    round1 = pos_part(1.0 - g11 - pos_part(beta - g21))
-    return f, direct, both, round1
+    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", _compiled(_tian1_event), beta,
+                        r1, _theta(beta, r1=r1))
 
 
 def region_o1_coop(r1: float, beta: float) -> OutageRegion:
     """Individual-rate outage after a relayed second round, CMO decoding."""
-    f, direct, both, _ = _coop_terms(beta)
-    event = (1.0 + f) * direct + (1.0 - f) * both < r1
-    return OutageRegion("O1_COOP", "coop", event, beta, r1)
+    return _coop_region("O1_COOP", r1, 0.0, beta)
 
 
 def region_o2_coop(r1: float, r2: float, beta: float) -> OutageRegion:
     """Joint-rate outage after a relayed second round, CMO decoding."""
-    f, direct, both, _ = _coop_terms(beta)
-    event = (2.0 - f) * both + f * direct < r1 + r2
-    return OutageRegion("O2_COOP", "coop", event, beta, r1)
+    return _coop_region("O2_COOP", r1, r2, beta)
 
 
 def region_o3_coop(r1: float, beta: float) -> OutageRegion:
     """Outage after a relayed second round with noise-treating decoding."""
-    f, direct, both, round1 = _coop_terms(beta)
-    event = round1 + f * direct + (1.0 - f) * both < r1
-    return OutageRegion("O3_COOP", "coop", event, beta, r1)
+    return _coop_region("O3_COOP", r1, 0.0, beta)
 
 
 def region_o11_dd(r1: float, beta: float) -> OutageRegion:
     """Dynamic decoder, individual event: both decoders fail the own-rate
     test (the CMO event is contained in the noise-treating one)."""
-    event = region_o1_coop(r1, beta).event & region_o3_coop(r1, beta).event
-    return OutageRegion("O11_DD", "coop", event, beta, r1)
+    return _coop_region("O11_DD", r1, 0.0, beta)
 
 
 def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
     """Dynamic decoder, joint event: CMO fails the sum-rate test and the
     noise-treating decoder fails as well."""
-    event = region_o2_coop(r1, r2, beta).event & region_o3_coop(r1, beta).event
-    return OutageRegion("O12_DD", "coop", event, beta, r1)
+    return _coop_region("O12_DD", r1, r2, beta)
 
 
 # ---------------------------------------------------------------------------
 # oracle internals
 # ---------------------------------------------------------------------------
 
-def _candidates(region: OutageRegion, cap: float):
-    """The tree's lines plus the box edges, and the index pairs of lines
-    that are not parallel at every f."""
-    box = np.zeros((4, 2, 3))
-    box[[0, 1], 0, 0] = 1.0
-    box[[2, 3], 0, 1] = 1.0
-    box[[1, 3], 0, 2] = -cap
-    lines = np.concatenate([region.lines(), box])
-    i, j = np.triu_indices(len(lines), 1)
-    # the determinant is quadratic in f: three zeros make it vanish identically
-    at = lines[:, 0] + np.array([0.0, 0.5, 1.0])[:, None, None] * lines[:, 1]
-    det = at[:, i, 0] * at[:, j, 1] - at[:, j, 0] * at[:, i, 1]
-    keep = det.any(axis=0)
-    return lines, (i[keep], j[keep])
+def _bound(region: OutageRegion) -> tuple[float, np.ndarray, np.ndarray]:
+    """The box side, theta with it, and the candidate lines bound there."""
+    cap = _cap(region.beta)
+    theta = region.theta.copy()
+    theta[_CAP] = cap
+    return cap, theta, _bind(region.event.candidates, theta)
 
 
-def _min_gamma(region, lines, pairs, f, cap):
+def _min_gamma(region, lines, f, cap):
     """Exact min of gamma11 + gamma21 over the region at each listening
     fraction in ``f`` (shape (n,)), and the index of the minimising pair
     (+inf where no vertex enters the region)."""
     at = lines[:, 0] + f[:, None, None] * lines[:, 1]
-    i, j = pairs
+    i, j = region.event.pairs
     a_i, b_i, c_i = at[:, i, 0], at[:, i, 1], at[:, i, 2]
     a_j, b_j, c_j = at[:, j, 0], at[:, j, 1], at[:, j, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         det = a_i * b_j - a_j * b_i
         x = (b_i * c_j - b_j * c_i) / det
         y = (a_j * c_i - a_i * c_j) / det
-    lo, hi = -_SLACK, cap + _SLACK
+    lo, hi = -_SLACK * cap, cap * (1.0 + _SLACK)
     rows, cols = np.nonzero((x >= lo) & (x <= hi) & (y >= lo) & (y <= hi))
     g11 = np.clip(x[rows, cols], 0.0, cap)
     g21 = np.clip(y[rows, cols], 0.0, cap)
@@ -405,38 +510,31 @@ def _min_gamma(region, lines, pairs, f, cap):
 
 def _min_rx1(region: OutageRegion) -> float:
     """min gamma11 + gamma21 over an RX1 region, by vertex enumeration."""
-    cap = _cap(region.beta)
-    lines, pairs = _candidates(region, cap)
-    return float(_min_gamma(region, lines, pairs, np.ones(1), cap)[0][0])
+    cap, _, lines = _bound(region)
+    return float(_min_gamma(region, lines, np.ones(1), cap)[0][0])
 
 
 def _poly_mul(p, q):
-    """Row-wise products of polynomials in f (coefficients lowest order
-    first, along the last axis)."""
-    out = np.zeros(p.shape[:-1] + (p.shape[-1] + q.shape[-1] - 1,))
+    """Products of polynomials in f (coefficients lowest order first, along
+    the last axis), broadcast over the other axes."""
+    shape = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    out = np.zeros(shape + (p.shape[-1] + q.shape[-1] - 1,))
     for d in range(p.shape[-1]):
         out[..., d:d + q.shape[-1]] += p[..., d:d + 1] * q
     return out
 
 
-def _vertex_sums(lines, pairs):
-    """gamma11 + gamma21 at the vertex of every pair as num(f) / den(f),
-    each a quadratic in f, shape (pairs, 3)."""
-    (a_i, b_i, c_i), (a_j, b_j, c_j) = (np.moveaxis(lines[k], 2, 0) for k in pairs)
-    m = _poly_mul
-    num = m(b_i, c_j) - m(b_j, c_i) + m(a_j, c_i) - m(a_i, c_j)
-    return num, m(a_i, b_j) - m(a_j, b_i)
-
-
-def _kinks(sums, v_lo, v_hi, k_lo, k_hi):
+def _kinks(region, theta, v_lo, v_hi, k_lo, k_hi):
     """The v in each cell [v_lo, v_hi] where the vertex sums of the pairs
     optimal at its two ends are equal."""
-    num, den = sums
-    left, right = _poly_mul(num[k_lo], den[k_hi]), _poly_mul(num[k_hi], den[k_lo])
+    num, den = region.event.vertex_sums
+    num_lo, num_hi = (np.tensordot(theta, num[:, k], 1) for k in (k_lo, k_hi))
+    left, right = _poly_mul(num_lo, den[k_hi]), _poly_mul(num_hi, den[k_lo])
     gap = left - right
     scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
     out = []
-    for c in np.nonzero(np.abs(gap).max(axis=1) > _SLACK * scale)[0]:
+    # a gap within 1e-12 of its terms is rounding: the two sums agree at every f
+    for c in np.nonzero(np.abs(gap).max(axis=1) > 1e-12 * scale)[0]:
         f = np.roots(gap[c, ::-1])
         # a double root comes out slightly complex; a kept root is only a
         # candidate, evaluated exactly like every grid point
@@ -450,11 +548,10 @@ def _min_coop(region: OutageRegion, r1: float) -> float:
     """min gamma11 + gamma21 + u over a cooperative region, where the
     relay-link cost u = 1 - r1*v ties v = 1/f in [1, 1/r1] to the rate:
     an exact gamma solve at each v, searched in v only."""
-    cap = _cap(region.beta)
-    lines, pairs = _candidates(region, cap)
+    cap, theta, lines = _bound(region)
 
     def cost(v):
-        g, k = _min_gamma(region, lines, pairs, 1.0 / v, cap)
+        g, k = _min_gamma(region, lines, 1.0 / v, cap)
         return g + (1.0 - r1 * v), k
 
     v = np.linspace(1.0, 1.0 / max(r1, RATE_FLOOR), _V_GRID)
@@ -463,7 +560,7 @@ def _min_coop(region: OutageRegion, r1: float) -> float:
         return math.inf
     # the exact kink in every cell whose two ends have different optimal vertices
     keep = np.isfinite(h[:-1] + h[1:])
-    roots = _kinks(_vertex_sums(lines, pairs), v[:-1][keep], v[1:][keep],
+    roots = _kinks(region, theta, v[:-1][keep], v[1:][keep],
                    k[:-1][keep], k[1:][keep])
     return float(min(h.min(), cost(roots)[0].min(initial=np.inf)))
 
@@ -471,8 +568,8 @@ def _min_coop(region: OutageRegion, r1: float) -> float:
 def _min_rx2(region: OutageRegion) -> float:
     """min gamma22 over an RX2 region: the smallest member among the piece
     roots and the box ends."""
-    cap = _cap(region.beta)
-    a, _, c = region.lines()[:, 0].T
+    cap, _, lines = _bound(region)
+    a, _, c = lines[:, 0].T
     roots = -c[a != 0] / a[a != 0]
     cand = np.concatenate([[0.0, cap], roots[(roots > 0.0) & (roots < cap)]])
     inside = region.member(cand, slack=_SLACK)

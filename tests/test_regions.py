@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from zicarq.regions import (
     region_rx2_hk,
     symbols,
 )
-from zicarq.verify import VERIFY_SCHEMES, worst_gap
+from zicarq.verify import VERIFY_SCHEMES, _verify_checks, sample_params, worst_gap
 
 TOL = 2e-3
 
@@ -243,6 +244,58 @@ class TestExactness:
     def test_closed_forms_match_oracle(self, scheme):
         gap, where = worst_gap(SchemeId(scheme), 50, np.random.default_rng(13))
         assert gap <= 1e-12, where
+
+
+class TestNearRateFloor:
+    @pytest.mark.parametrize("beta", [0.2, 0.6255, 1.0, 1.7])
+    def test_dynamic_decoder_does_not_undershoot(self, beta):
+        # a vertex just outside the closure must not pass the closure test:
+        # near the rate floor that read up to 2e-13 below the closed forms
+        for r1 in np.geomspace(RATE_FLOOR, 0.02, 25):
+            r1 = float(r1)
+            got = oracle_min_exponent_coop(region_o11_dd(r1, beta))
+            assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14, r1
+            for r2 in (0.1, 0.5, 0.9):
+                got = oracle_min_exponent_coop(region_o12_dd(r1, r2, beta))
+                assert abs(got - analytic.d12c_dd2(r1, r2, beta)) <= 1e-14, (r1, r2)
+
+    def test_point_from_the_report(self):
+        r1, beta = 0.0011379, 0.6255
+        gap = analytic.d11c_cmo2(r1, beta) - \
+            oracle_min_exponent_coop(region_o11_dd(r1, beta))
+        assert abs(gap) <= 1e-14
+
+
+class TestCompiledFamilies:
+    def test_keyed_by_structure(self):
+        # points that differ only in rates and beta share one compiled tree
+        p = P(r1=0.3, r2=0.4, t2=0.1, b=0.1, beta=0.8, L=3)
+        q = replace(p, r1=0.7, r2=0.9, t2=0.2, beta=1.6)
+        regions._compiled.cache_clear()
+        first, second = region_o12_hk(p, 2), region_o12_hk(q, 2)
+        info = regions._compiled.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first.event is second.event
+        region_o12_hk(replace(p, L=4), 2)  # a new structure compiles anew
+        assert regions._compiled.cache_info().misses == 2
+        for build in (region_o1_coop, region_o3_coop, region_o11_dd):
+            assert build(0.2, 0.5).event is build(0.6, 1.9).event
+
+    def test_results_independent_of_call_order(self):
+        rng = np.random.default_rng(21)
+        points = [(s, sample_params(rng, SchemeId(s)))
+                  for s in VERIFY_SCHEMES for _ in range(8)][:50]
+
+        def minima(order):
+            return {k: [orc for _, _, orc in _verify_checks(SchemeId(points[k][0]),
+                                                            points[k][1])]
+                    for k in order}
+
+        regions._compiled.cache_clear()
+        forwards = minima(range(len(points)))
+        regions._compiled.cache_clear()
+        backwards = minima(reversed(range(len(points))))
+        assert forwards == backwards
 
 
 class TestSubsetCheck:
