@@ -21,7 +21,6 @@ import csv
 import math
 import sys
 from dataclasses import replace
-from functools import cache
 
 import numpy as np
 
@@ -325,21 +324,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-@cache
-def _shared_parser() -> _Parser:
-    """The parser every ``main`` call reuses, built on first use."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _shared_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             # the file's values become the subcommand's defaults, so argparse
-            # itself lets the flags given on the command line win; they go on
-            # a parser of this call's own, so no later call sees them
-            parser = build_parser()
+            # itself lets the flags given on the command line win
             command = parser.commands[args.command]
             command.set_defaults(**_load_config(args.config, command))
             args = parser.parse_args(argv)

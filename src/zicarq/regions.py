@@ -28,8 +28,8 @@ boundary of ``F < r`` turns only where two pieces both equal ``r``, so
 every vertex is the intersection of two lines from a finite set: the
 level lines ``piece = r`` of every affine piece, and the four box edges.
 The oracle intersects them pairwise, keeps the points in the closure
-(``F <= r`` up to a rounding slack scaled to the constraint's
-coefficients), and takes the smallest objective.  RX2 events are 1-D:
+(``F <= r`` up to a rounding slack scaled to the size of the level pieces
+at the point), and takes the smallest objective.  RX2 events are 1-D:
 the candidates are the piece roots and the box ends.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
@@ -51,10 +51,9 @@ import numpy as np
 from .core import ExponentPoint, ParameterError, SystemParams
 
 # Candidate vertices lie on the boundary ``F = r`` up to rounding; the
-# closure test allows a few roundings, relative to the size of the
-# constraint's coefficients at the candidate's f, and the box test relative
-# to its side.
-_SLACK = 8 * np.finfo(float).eps
+# closure test allows a few roundings of the largest level piece at the
+# candidate, and the box test a few roundings of its side.
+_SLACK = 4 * np.finfo(float).eps
 
 # Search in v = 1/f: grid size.
 _V_GRID = 17
@@ -170,17 +169,8 @@ class _Expr:
         rate = _as_expr(rate)
         if not rate._is_affine():
             raise TypeError("a rate must be affine")
-        level = self.pieces - rate.pieces
-
-        def holds(env, slack):
-            excess = self.value(env) - rate.value(env)
-            if slack:
-                # the largest level coefficient at f, bounded row by row
-                size = np.abs(_bind(level, env["theta"])).max(axis=(0, 2))
-                excess = excess - slack * (size[0] + size[1] * env["f"])
-            return excess < 0.0
-
-        return _Event([level], holds)
+        return _Event([self.pieces - rate.pieces],
+                      lambda env, slack: self.value(env) < rate.value(env) + slack)
 
 
 def _affine(c) -> _Expr:
@@ -282,12 +272,6 @@ class _Event:
         return num, m(a_i, b_j) - m(a_j, b_i)
 
 
-@lru_cache(maxsize=_FAMILIES)
-def _compiled(build, *structure) -> _Event:
-    """``build(*structure)``, built once per process and structure."""
-    return build(*structure)
-
-
 class OutageRegion:
     """One high-SNR outage event, held as rate constraints on expression trees.
 
@@ -310,8 +294,7 @@ class OutageRegion:
         return f"OutageRegion({self.region_id})"
 
     def member(self, g11, g21=0.0, f=1.0, slack=0.0) -> np.ndarray:
-        """Elementwise membership; ``slack`` widens every rate constraint,
-        relative to the size of its coefficients."""
+        """Elementwise membership; ``slack`` widens every rate constraint."""
         env = {"g11": g11, "g21": g21, "f": f, "theta": self.theta}
         held = self.event.holds(env, slack)
         return np.broadcast_to(held, np.broadcast(g11, g21, f).shape)
@@ -331,9 +314,9 @@ def _theta(beta, b=0.0, r1=0.0, r2=0.0, t2=0.0) -> np.ndarray:
 # region factories (trees transcribe the defining inequalities verbatim)
 # ---------------------------------------------------------------------------
 
-def _hk_region(region_id, kind, build, structure, p: SystemParams, rate):
-    return OutageRegion(region_id, kind, _compiled(build, *structure), p.beta,
-                        rate, _theta(p.beta, p.b, p.r1, p.r2, p.t2))
+def _hk_region(region_id, kind, event, p: SystemParams, rate):
+    return OutageRegion(region_id, kind, event, p.beta, rate,
+                        _theta(p.beta, p.b, p.r1, p.r2, p.t2))
 
 
 def _rounds(p: SystemParams, rounds: int | None) -> int:
@@ -343,49 +326,58 @@ def _rounds(p: SystemParams, rounds: int | None) -> int:
     return l
 
 
-def _round_index(p: SystemParams, i: int) -> tuple[int, int]:
-    if not 1 <= i <= p.L:
-        raise ValueError(f"round index i={i} outside 1..{p.L}")
-    return p.L, i
+def _check_round(L: int, i: int):
+    if not 1 <= i <= L:
+        raise ValueError(f"round index i={i} outside 1..{L}")
 
 
 # the leaves every family is written in; RX2 events read gamma22 in the
-# first coordinate
+# first coordinate.  Each builder below takes structure only and is cached
+# per process.
 _G11, _G21, _F = symbols()
 _G22 = _G11
 _BETA, _B, _R1, _R2, _T2 = (_leaf(0, col) for col in range(2, 7))
 
 
+@lru_cache(maxsize=_FAMILIES)
 def _rx2_hk_event(l: int):
     return (l * pos_part(1.0 - _G22) < _R2) | (l * pos_part(1.0 - _G22 - _B) < _R2 - _T2)
 
 
+@lru_cache(maxsize=_FAMILIES)
 def _o11_event(L: int, i: int):
+    _check_round(L, i)
     interfered = pos_part(1.0 - _G11 - pos_part(_BETA - _G21 - _B))
     return i * interfered + (L - i) * pos_part(1.0 - _G11) < _R1
 
 
+@lru_cache(maxsize=_FAMILIES)
 def _o12_event(L: int, i: int, stop: bool):
+    _check_round(L, i)
     joint = pos_part(maximum(1.0 - _G11, _BETA - _G21) - pos_part(_BETA - _G21 - _B))
     tail = pos_part(1.0 - _G11) if stop else \
         maximum(pos_part(1.0 - _G11), pos_part(_BETA - _G21))
     return i * joint + (L - i) * tail < _R1 + _T2
 
 
+@lru_cache(maxsize=_FAMILIES)
 def _rx1_cmo_event(l: int):
     own = l * pos_part(1.0 - _G11) < _R1
     joint = l * maximum(pos_part(1.0 - _G11), pos_part(_BETA - _G21)) < _R1 + _R2
     return own | joint
 
 
+@lru_cache(maxsize=_FAMILIES)
 def _rx2_cmo_event(l: int):
     return l * pos_part(1.0 - _G22) < _R2
 
 
+@lru_cache(maxsize=_FAMILIES)
 def _tian1_event():
     return pos_part(1.0 - _G11 - pos_part(_BETA - _G21)) < _R1
 
 
+@lru_cache(maxsize=_FAMILIES)
 def _coop_event(name: str):
     """A relayed second round: O1/O2 under CMO decoding, O3 under
     noise-treating decoding, and the dynamic decoder's O11/O12."""
@@ -401,49 +393,46 @@ def _coop_event(name: str):
 
 
 def _coop_region(name: str, r1: float, r2: float, beta: float) -> OutageRegion:
-    return OutageRegion(name, "coop", _compiled(_coop_event, name), beta, r1,
+    return OutageRegion(name, "coop", _coop_event(name), beta, r1,
                         _theta(beta, r1=r1, r2=r2))
 
 
 def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     """RX2 outage under rate splitting after ``rounds`` rounds."""
     l = _rounds(p, rounds)
-    return _hk_region(f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event, (l,), p, p.r2)
+    return _hk_region(f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event(l), p, p.r2)
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 individual-rate outage given TX2's ACK at round i (of L)."""
-    return _hk_region(f"O11_HK(i={i})", "rx1", _o11_event, _round_index(p, i),
-                      p, p.r1)
+    return _hk_region(f"O11_HK(i={i})", "rx1", _o11_event(p.L, i), p, p.r1)
 
 
 def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 joint-rate outage given TX2's ACK at round i (of L)."""
-    return _hk_region(f"O12_HK(i={i})", "rx1", _o12_event,
-                      (*_round_index(p, i), False), p, p.r1)
+    return _hk_region(f"O12_HK(i={i})", "rx1", _o12_event(p.L, i, False), p, p.r1)
 
 
 def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
     """Stop-both policy variant of O12: after TX2's ACK the common stream
     is gone, so the tail rounds contribute the direct link only."""
-    return _hk_region(f"O12_STOP(i={i})", "rx1", _o12_event,
-                      (*_round_index(p, i), True), p, p.r1)
+    return _hk_region(f"O12_STOP(i={i})", "rx1", _o12_event(p.L, i, True), p, p.r1)
 
 
 def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     l = _rounds(p, rounds)
-    return _hk_region(f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event, (l,), p, p.r1)
+    return _hk_region(f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event(l), p, p.r1)
 
 
 def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     l = _rounds(p, rounds)
-    return _hk_region(f"O_RX2_CMO(l={l})", "rx2", _rx2_cmo_event, (l,), p, p.r2)
+    return _hk_region(f"O_RX2_CMO(l={l})", "rx2", _rx2_cmo_event(l), p, p.r2)
 
 
 def region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
     """Single-round noise-treating outage at RX1."""
-    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", _compiled(_tian1_event), beta,
-                        r1, _theta(beta, r1=r1))
+    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", _tian1_event(), beta, r1,
+                        _theta(beta, r1=r1))
 
 
 def region_o1_coop(r1: float, beta: float) -> OutageRegion:
@@ -477,15 +466,18 @@ def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
 # oracle internals
 # ---------------------------------------------------------------------------
 
-def _bound(region: OutageRegion) -> tuple[float, np.ndarray, np.ndarray]:
-    """The box side, theta with it, and the candidate lines bound there."""
+def _bound(region: OutageRegion):
+    """The box side, theta with it, the candidate lines bound there, and the
+    size of every level line's terms (|a|, |b|, and the sum of |c_k*theta_k|;
+    the box edges excluded), which bounds the rounding of a level value."""
     cap = _cap(region.beta)
     theta = region.theta.copy()
     theta[_CAP] = cap
-    return cap, theta, _bind(region.event.candidates, theta)
+    lines = region.event.candidates
+    return cap, theta, _bind(lines, theta), _bind(np.abs(lines[:-4]), np.abs(theta))
 
 
-def _min_gamma(region, lines, f, cap):
+def _min_gamma(region, lines, sizes, f, cap):
     """Exact min of gamma11 + gamma21 over the region at each listening
     fraction in ``f`` (shape (n,)), and the index of the minimising pair
     (+inf where no vertex enters the region)."""
@@ -501,7 +493,10 @@ def _min_gamma(region, lines, f, cap):
     rows, cols = np.nonzero((x >= lo) & (x <= hi) & (y >= lo) & (y <= hi))
     g11 = np.clip(x[rows, cols], 0.0, cap)
     g21 = np.clip(y[rows, cols], 0.0, cap)
-    inside = region.member(g11, g21, f[rows], slack=_SLACK)
+    # the largest level line's terms at each vertex, bounded column by column
+    size = (sizes[:, 0] + f[:, None, None] * sizes[:, 1]).max(axis=1, initial=0.0)[rows]
+    slack = _SLACK * (size[:, 0] * g11 + size[:, 1] * g21 + size[:, 2])
+    inside = region.member(g11, g21, f[rows], slack=slack)
     obj = np.full(x.shape, np.inf)
     obj[rows[inside], cols[inside]] = g11[inside] + g21[inside]
     k = obj.argmin(axis=1)
@@ -510,8 +505,8 @@ def _min_gamma(region, lines, f, cap):
 
 def _min_rx1(region: OutageRegion) -> float:
     """min gamma11 + gamma21 over an RX1 region, by vertex enumeration."""
-    cap, _, lines = _bound(region)
-    return float(_min_gamma(region, lines, np.ones(1), cap)[0][0])
+    cap, _, lines, sizes = _bound(region)
+    return float(_min_gamma(region, lines, sizes, np.ones(1), cap)[0][0])
 
 
 def _poly_mul(p, q):
@@ -548,10 +543,10 @@ def _min_coop(region: OutageRegion, r1: float) -> float:
     """min gamma11 + gamma21 + u over a cooperative region, where the
     relay-link cost u = 1 - r1*v ties v = 1/f in [1, 1/r1] to the rate:
     an exact gamma solve at each v, searched in v only."""
-    cap, theta, lines = _bound(region)
+    cap, theta, lines, sizes = _bound(region)
 
     def cost(v):
-        g, k = _min_gamma(region, lines, 1.0 / v, cap)
+        g, k = _min_gamma(region, lines, sizes, 1.0 / v, cap)
         return g + (1.0 - r1 * v), k
 
     v = np.linspace(1.0, 1.0 / max(r1, RATE_FLOOR), _V_GRID)
@@ -568,11 +563,12 @@ def _min_coop(region: OutageRegion, r1: float) -> float:
 def _min_rx2(region: OutageRegion) -> float:
     """min gamma22 over an RX2 region: the smallest member among the piece
     roots and the box ends."""
-    cap, _, lines = _bound(region)
+    cap, _, lines, sizes = _bound(region)
     a, _, c = lines[:, 0].T
     roots = -c[a != 0] / a[a != 0]
     cand = np.concatenate([[0.0, cap], roots[(roots > 0.0) & (roots < cap)]])
-    inside = region.member(cand, slack=_SLACK)
+    size = sizes[:, 0].max(axis=0, initial=0.0)
+    inside = region.member(cand, slack=_SLACK * (size[0] * cand + size[2]))
     return float(cand[inside].min()) if inside.any() else math.inf
 
 

@@ -270,18 +270,6 @@ class TestConfigFile:
         assert [(r["rho_db"], r["trials"]) for r in points] == [("20", "20"), ("30", "20")]
         assert run(["curve", "--config", str(cfg), "--out", str(out)]) == 1
 
-    def test_config_leaves_no_defaults_behind(self, tmp_path):
-        # main reuses one parser; a file's values must not become the
-        # defaults of a later call that has no --config
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("beta = 0.3\n")
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["curve", "--scheme", "cmo", "--sweep", "r1:0.5:0.5:0.1"]
-        assert run(argv + ["--config", str(cfg), "--out", str(first)]) == 0
-        assert run(argv + ["--out", str(second)]) == 0
-        assert float(read_csv(first)[0]["beta"]) == 0.3
-        assert float(read_csv(second)[0]["beta"]) == 1.0
-
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n")

@@ -6,7 +6,7 @@ import pytest
 
 from zicarq import analytic, regions
 from zicarq.analytic import SchemeId
-from zicarq.core import ExponentPoint, ParameterError, SystemParams
+from zicarq.core import COOP_SCHEMES, ExponentPoint, ParameterError, SystemParams
 from zicarq.regions import (
     RATE_FLOOR,
     OutageRegion,
@@ -245,6 +245,18 @@ class TestExactness:
         gap, where = worst_gap(SchemeId(scheme), 50, np.random.default_rng(13))
         assert gap <= 1e-12, where
 
+    @pytest.mark.parametrize("beta", [5.0, 10.0, 20.0])
+    def test_large_beta(self, beta):
+        # the closure slack grows with the terms at each vertex, so no vertex
+        # is lost however far the box reaches
+        rng = np.random.default_rng(17)
+        for scheme in map(SchemeId, VERIFY_SCHEMES):
+            for L in (2,) if scheme in COOP_SCHEMES else range(1, 6):
+                for _ in range(3):
+                    p = replace(sample_params(rng, scheme), beta=beta, L=L)
+                    for check, closed, oracle in _verify_checks(scheme, p):
+                        assert abs(closed - oracle) <= 1e-12, (check, p)
+
 
 class TestNearRateFloor:
     @pytest.mark.parametrize("beta", [0.2, 0.6255, 1.0, 1.7])
@@ -260,18 +272,24 @@ class TestNearRateFloor:
                 assert abs(got - analytic.d12c_dd2(r1, r2, beta)) <= 1e-14, (r1, r2)
 
 
+def _clear_compiled():
+    for builder in vars(regions).values():
+        if hasattr(builder, "cache_clear"):
+            builder.cache_clear()
+
+
 class TestCompiledFamilies:
     def test_keyed_by_structure(self):
         # points that differ only in rates and beta share one compiled tree
         p = P(r1=0.3, r2=0.4, t2=0.1, b=0.1, beta=0.8, L=3)
         q = replace(p, r1=0.7, r2=0.9, t2=0.2, beta=1.6)
-        regions._compiled.cache_clear()
+        _clear_compiled()
         first, second = region_o12_hk(p, 2), region_o12_hk(q, 2)
-        info = regions._compiled.cache_info()
+        info = regions._o12_event.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert first.event is second.event
         region_o12_hk(replace(p, L=4), 2)  # a new structure compiles anew
-        assert regions._compiled.cache_info().misses == 2
+        assert regions._o12_event.cache_info().misses == 2
         for build in (region_o1_coop, region_o3_coop, region_o11_dd):
             assert build(0.2, 0.5).event is build(0.6, 1.9).event
 
@@ -285,9 +303,9 @@ class TestCompiledFamilies:
                                                             points[k][1])]
                     for k in order}
 
-        regions._compiled.cache_clear()
+        _clear_compiled()
         forwards = minima(range(len(points)))
-        regions._compiled.cache_clear()
+        _clear_compiled()
         backwards = minima(reversed(range(len(points))))
         assert forwards == backwards
 
