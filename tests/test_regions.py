@@ -257,6 +257,15 @@ class TestExactness:
                     for check, closed, oracle in _verify_checks(scheme, p):
                         assert abs(closed - oracle) <= 1e-12, (check, p)
 
+    def test_level_constant_cancels(self):
+        # 1 - b - (r2 - t2) leaves RX2 a level constant of 0.005 where the
+        # compared values are 0.72, so the slack must follow the terms
+        p = P(r1=0.8145143700705831, r2=0.9187082787536379, t2=0.1963162175546898,
+              b=0.27249134072900205, beta=5.0, L=3)
+        got = oracle_min_exponent(region_rx2_hk(p, 1))
+        assert abs(got - analytic.d2_hk(p, 1)) <= 1e-12
+        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
+
 
 class TestNearRateFloor:
     @pytest.mark.parametrize("beta", [0.2, 0.6255, 1.0, 1.7])
