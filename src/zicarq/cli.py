@@ -141,13 +141,13 @@ def cmd_curve(args) -> int:
     schemes = _parse_schemes(args.scheme)
     var, values = _parse_sweep(args.sweep)
     base = _system_params(args)
+    points = [replace(base, **{var: v}) for v in values]
     rows = []
     for s in schemes:
-        for v in values:
-            p = replace(base, **{var: v})
+        for p in points:
             if s is SchemeId.HK_STOP:
                 # no closed form: the region oracle evaluates this policy,
-                # and it needs both rates at or above its floor
+                # and it needs r1, and r2 past one round, at or above its floor
                 p = replace(p, r1=max(p.r1, RATE_FLOOR), r2=max(p.r2, RATE_FLOOR))
                 d1, d2 = oracle_d1_hk_stop(p), analytic.d2_hk(p)
                 source, branch = "oracle", "d1_hk_stop:oracle"

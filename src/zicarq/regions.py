@@ -15,8 +15,10 @@ pieces, and linearly, while the gamma coefficients come from the structure
 alone (L, the round index, the f multipliers).  So each family's tree is
 built once per structure and kept for the process, together with its level
 lines, the pairs of lines that are not parallel, and the denominators of
-the vertex sums; binding an operating point is a product of the constant
-columns with theta = (beta, b, r1, r2, t2, cap, 1).
+the vertex sums.  A region binds its operating point when it is built,
+box side included, as theta = (beta, b, r1, r2, t2, cap, 1); the oracle's
+lines at that point are one product of the constant columns with theta,
+taken on first use.
 
 Minimisation.  A diversity exponent is the infimum of the objective over
 the open outage region, which is its minimum over the region's closure
@@ -279,16 +281,30 @@ class OutageRegion:
     or 'coop' (over gamma11/gamma21 and the listening fraction f); rate
     is the event's active rate, which the oracle keeps above its floor
     (and, for 'coop', the r1 of the relay-link cost).  theta binds the
-    operating point of trees written with its parameters.
+    operating point, box side ``cap`` included, of trees written with
+    its parameters.
     """
 
-    def __init__(self, region_id, kind, event, beta, rate, theta=None):
+    def __init__(self, region_id, kind, event, beta, rate,
+                 b=0.0, r1=0.0, r2=0.0, t2=0.0):
         self.region_id = region_id
         self.kind = kind
         self.event = event
-        self.beta = beta
         self.rate = rate
-        self.theta = _theta(beta) if theta is None else theta
+        self.cap = _cap(beta)
+        self.theta = np.array([beta, b, r1, r2, t2, self.cap, 1.0])
+
+    @cached_property
+    def lines(self) -> np.ndarray:
+        """The oracle's candidate lines at this point."""
+        return _bind(self.event.candidates, self.theta)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The size of every level line's terms (|a|, |b|, and the sum of
+        |c_k*theta_k|; the box edges excluded), which bounds the rounding
+        of a level value."""
+        return _bind(np.abs(self.event.candidates[:-4]), np.abs(self.theta))
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
@@ -305,18 +321,13 @@ class OutageRegion:
         return bool(self.member(pt.gamma11, pt.gamma21, pt.f))
 
 
-def _theta(beta, b=0.0, r1=0.0, r2=0.0, t2=0.0) -> np.ndarray:
-    """theta at an operating point; the oracle sets the box side."""
-    return np.array([beta, b, r1, r2, t2, 0.0, 1.0])
-
-
 # ---------------------------------------------------------------------------
 # region factories (trees transcribe the defining inequalities verbatim)
 # ---------------------------------------------------------------------------
 
 def _hk_region(region_id, kind, event, p: SystemParams, rate):
     return OutageRegion(region_id, kind, event, p.beta, rate,
-                        _theta(p.beta, p.b, p.r1, p.r2, p.t2))
+                        p.b, p.r1, p.r2, p.t2)
 
 
 def _rounds(p: SystemParams, rounds: int | None) -> int:
@@ -394,7 +405,7 @@ def _coop_event(name: str):
 
 def _coop_region(name: str, r1: float, r2: float, beta: float) -> OutageRegion:
     return OutageRegion(name, "coop", _coop_event(name), beta, r1,
-                        _theta(beta, r1=r1, r2=r2))
+                        r1=r1, r2=r2)
 
 
 def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
@@ -432,7 +443,7 @@ def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
 def region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
     """Single-round noise-treating outage at RX1."""
     return OutageRegion("O_RX1_TIAN(l=1)", "rx1", _tian1_event(), beta, r1,
-                        _theta(beta, r1=r1))
+                        r1=r1)
 
 
 def region_o1_coop(r1: float, beta: float) -> OutageRegion:
@@ -466,21 +477,11 @@ def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
 # oracle internals
 # ---------------------------------------------------------------------------
 
-def _bound(region: OutageRegion):
-    """The box side, theta with it, the candidate lines bound there, and the
-    size of every level line's terms (|a|, |b|, and the sum of |c_k*theta_k|;
-    the box edges excluded), which bounds the rounding of a level value."""
-    cap = _cap(region.beta)
-    theta = region.theta.copy()
-    theta[_CAP] = cap
-    lines = region.event.candidates
-    return cap, theta, _bind(lines, theta), _bind(np.abs(lines[:-4]), np.abs(theta))
-
-
-def _min_gamma(region, lines, sizes, f, cap):
+def _min_gamma(region, f):
     """Exact min of gamma11 + gamma21 over the region at each listening
     fraction in ``f`` (shape (n,)), and the index of the minimising pair
     (+inf where no vertex enters the region)."""
+    lines, sizes, cap = region.lines, region.sizes, region.cap
     at = lines[:, 0] + f[:, None, None] * lines[:, 1]
     i, j = region.event.pairs
     a_i, b_i, c_i = at[:, i, 0], at[:, i, 1], at[:, i, 2]
@@ -505,8 +506,7 @@ def _min_gamma(region, lines, sizes, f, cap):
 
 def _min_rx1(region: OutageRegion) -> float:
     """min gamma11 + gamma21 over an RX1 region, by vertex enumeration."""
-    cap, _, lines, sizes = _bound(region)
-    return float(_min_gamma(region, lines, sizes, np.ones(1), cap)[0][0])
+    return float(_min_gamma(region, np.ones(1))[0][0])
 
 
 def _poly_mul(p, q):
@@ -519,11 +519,11 @@ def _poly_mul(p, q):
     return out
 
 
-def _kinks(region, theta, v_lo, v_hi, k_lo, k_hi):
+def _kinks(region, v_lo, v_hi, k_lo, k_hi):
     """The v in each cell [v_lo, v_hi] where the vertex sums of the pairs
     optimal at its two ends are equal."""
     num, den = region.event.vertex_sums
-    num_lo, num_hi = (np.tensordot(theta, num[:, k], 1) for k in (k_lo, k_hi))
+    num_lo, num_hi = (np.tensordot(region.theta, num[:, k], 1) for k in (k_lo, k_hi))
     left, right = _poly_mul(num_lo, den[k_hi]), _poly_mul(num_hi, den[k_lo])
     gap = left - right
     scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
@@ -539,35 +539,34 @@ def _kinks(region, theta, v_lo, v_hi, k_lo, k_hi):
     return np.concatenate(out) if out else np.empty(0)
 
 
-def _min_coop(region: OutageRegion, r1: float) -> float:
+def _min_coop(region: OutageRegion) -> float:
     """min gamma11 + gamma21 + u over a cooperative region, where the
     relay-link cost u = 1 - r1*v ties v = 1/f in [1, 1/r1] to the rate:
     an exact gamma solve at each v, searched in v only."""
-    cap, theta, lines, sizes = _bound(region)
+    r1 = region.rate
 
     def cost(v):
-        g, k = _min_gamma(region, lines, sizes, 1.0 / v, cap)
+        g, k = _min_gamma(region, 1.0 / v)
         return g + (1.0 - r1 * v), k
 
-    v = np.linspace(1.0, 1.0 / max(r1, RATE_FLOOR), _V_GRID)
+    v = np.linspace(1.0, 1.0 / r1, _V_GRID)
     h, k = cost(v)
     if not np.isfinite(h).any():
         return math.inf
     # the exact kink in every cell whose two ends have different optimal vertices
     keep = np.isfinite(h[:-1] + h[1:])
-    roots = _kinks(region, theta, v[:-1][keep], v[1:][keep],
-                   k[:-1][keep], k[1:][keep])
+    roots = _kinks(region, v[:-1][keep], v[1:][keep], k[:-1][keep], k[1:][keep])
     return float(min(h.min(), cost(roots)[0].min(initial=np.inf)))
 
 
 def _min_rx2(region: OutageRegion) -> float:
     """min gamma22 over an RX2 region: the smallest member among the piece
     roots and the box ends."""
-    cap, _, lines, sizes = _bound(region)
-    a, _, c = lines[:, 0].T
+    a, _, c = region.lines[:, 0].T
     roots = -c[a != 0] / a[a != 0]
-    cand = np.concatenate([[0.0, cap], roots[(roots > 0.0) & (roots < cap)]])
-    size = sizes[:, 0].max(axis=0, initial=0.0)
+    cand = np.concatenate([[0.0, region.cap],
+                           roots[(roots > 0.0) & (roots < region.cap)]])
+    size = region.sizes[:, 0].max(axis=0, initial=0.0)
     inside = region.member(cand, slack=_SLACK * (size[0] * cand + size[2]))
     return float(cand[inside].min()) if inside.any() else math.inf
 
@@ -606,7 +605,7 @@ def oracle_min_exponent_coop(region: OutageRegion) -> float:
     if region.kind != "coop":
         raise ValueError(f"{region.region_id} has no listening fraction")
     _check_rate(region)
-    return _min_coop(region, region.rate)
+    return _min_coop(region)
 
 
 def oracle_d1_hk(p: SystemParams) -> float:
@@ -625,13 +624,11 @@ def oracle_d1_hk_stop(p: SystemParams) -> float:
 
 
 def _oracle_d1_decomposed(p: SystemParams, o12_factory) -> float:
-    if p.r1 < RATE_FLOOR or p.r2 < RATE_FLOOR:
-        raise ValueError(f"oracle requires r1, r2 >= the rate floor {RATE_FLOOR}")
     best = math.inf
     for i in range(1, p.L + 1):
-        prefix = 0.0 if i == 1 else _min_rx2(region_rx2_hk(p, i - 1))
-        o11 = _min_rx1(region_o11_hk(p, i))
-        o12 = _min_rx1(o12_factory(p, i))
+        prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(p, i - 1))
+        o11 = oracle_min_exponent(region_o11_hk(p, i))
+        o12 = oracle_min_exponent(o12_factory(p, i))
         best = min(best, prefix + min(o11, o12))
     return best
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zicarq import analytic
+from zicarq import analytic, core
 from zicarq.cli import SWEEP_VARS, _parse_triplet, main
 from zicarq.core import ParameterError, SystemParams
 from zicarq.regions import oracle_d1_hk_stop
@@ -99,6 +99,15 @@ class TestCurve:
                   "--r2", "0.5", "--sweep", "r1:0:1:0.5", "--out", str(out)])
         assert rc == 0
         assert [row["d1"] for row in read_csv(out)] == ["0.499", "0", "0"]
+
+    def test_each_sweep_point_built_once(self, tmp_path, monkeypatch):
+        built = []
+        validate = core.validate
+        monkeypatch.setattr(core, "validate", lambda p: built.append(p) or validate(p))
+        rc = run(["curve", "--scheme", "cmo,tian,hk", "--sweep", "r1:0:1:0.25",
+                  "--out", str(tmp_path / "c.csv")])
+        assert rc == 0
+        assert len(built) == 6  # the base point and the five sweep points
 
     def test_coop_requires_two_rounds(self, tmp_path, capsys):
         rc = run(["curve", "--scheme", "coop-dd", "--L", "3",

@@ -169,6 +169,14 @@ class TestOracleD1Hk:
         with pytest.raises(ValueError, match="rate floor"):
             oracle_d1_hk(P(r1=0.0, r2=0.5, L=2))
 
+    @pytest.mark.parametrize("oracle", [oracle_d1_hk, oracle_d1_hk_stop])
+    def test_rate_floor_only_on_regions_built(self, oracle):
+        # a single round builds no RX2 prefix region, so r2 may sit below the floor
+        p = P(r1=0.3, r2=0.0, b=0.1, beta=0.5, L=1)
+        assert oracle(p) == pytest.approx(analytic.d1_hk(p), abs=1e-12)
+        with pytest.raises(ValueError, match=r"O_RX2_HK\(l=1\).*rate floor"):
+            oracle(replace(p, L=2))
+
 
 class TestStopPolicyOracle:
     def test_stop_never_beats_policy(self):
@@ -230,14 +238,19 @@ class TestOracleRobustness:
     def test_cap_saturation(self, monkeypatch):
         # a box twice as wide finds no smaller minimum
         p = P(r1=0.3, r2=0.55, t2=0.25, b=0.15, beta=1.3, L=2)
-        found = [(oracle_min_exponent, region_o12_hk(p, 1)),
-                 (oracle_min_exponent, region_o11_hk(p, 2)),
-                 (oracle_min_exponent_coop, region_o3_coop(0.45, 1.3))]
-        base = [oracle(region) for oracle, region in found]
+        oracles = [oracle_min_exponent, oracle_min_exponent, oracle_min_exponent_coop]
+
+        def build():
+            return [region_o12_hk(p, 1), region_o11_hk(p, 2), region_o3_coop(0.45, 1.3)]
+
+        narrow = build()
         cap = regions._cap
         monkeypatch.setattr(regions, "_cap", lambda beta: 2 * cap(beta))
-        wide = [oracle(region) for oracle, region in found]
-        assert wide == pytest.approx(base, abs=TOL)
+        # a region binds its box when it is built
+        wide = build()
+        assert [r.cap for r in wide] == [2 * r.cap for r in narrow]
+        assert [f(r) for f, r in zip(oracles, wide)] == pytest.approx(
+            [f(r) for f, r in zip(oracles, narrow)], abs=TOL)
 
 class TestExactness:
     @pytest.mark.parametrize("scheme", VERIFY_SCHEMES)
