@@ -15,10 +15,9 @@ pieces, and linearly, while the gamma coefficients come from the structure
 alone (L, the round index, the f multipliers).  So each family's tree is
 built once per structure and kept for the process, together with its level
 lines, the pairs of lines that are not parallel, and the denominators of
-the vertex sums.  A region binds its operating point when it is built,
-box side included, as theta = (beta, b, r1, r2, t2, cap, 1); the oracle's
-lines at that point are one product of the constant columns with theta,
-taken on first use.
+the vertex sums.  A region binds its point, box side included, when it
+is built; its lines there are one product of the constant columns with
+theta = (beta, b, r1, r2, t2, cap, 1), taken on first use.
 
 Minimisation.  A diversity exponent is the infimum of the objective over
 the open outage region, which is its minimum over the region's closure
