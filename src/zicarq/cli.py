@@ -21,6 +21,7 @@ import csv
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -128,6 +129,12 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
     return cfg
 
 
+def _require_out(args):
+    # checked before any work, so a forgotten --out costs nothing
+    if not args.out:
+        raise ParameterError("--out PATH is required")
+
+
 def _system_params(args) -> SystemParams:
     return SystemParams(r1=args.r1, r2=args.r2, t2=args.t2,
                         b=args.b, beta=args.beta, L=args.L)
@@ -138,6 +145,7 @@ def _system_params(args) -> SystemParams:
 # ---------------------------------------------------------------------------
 
 def cmd_curve(args) -> int:
+    _require_out(args)
     schemes = _parse_schemes(args.scheme)
     var, values = _parse_sweep(args.sweep)
     base = _system_params(args)
@@ -208,6 +216,7 @@ def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
 
 
 def cmd_simulate(args) -> int:
+    _require_out(args)
     scheme, p, sim = _sim_setup(args)
     pts1, pts2 = outage_points(scheme, p, sim)
     rows = [["point", scheme.value, a.rho_db,
@@ -239,6 +248,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_throughput(args) -> int:
+    _require_out(args)
     scheme, p, sim = _sim_setup(args)
     rows = []
     for k, db, rho in sim.points():
@@ -260,8 +270,6 @@ def cmd_throughput(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: str, header: list[str], rows: list[list]):
-    if not path:
-        raise ParameterError("--out PATH is required")
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -324,13 +332,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _shared_parser() -> _Parser:
+    # parsing leaves a parser unchanged, so one serves every call in a process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
             # the file's values become the subcommand's defaults, so argparse
-            # itself lets the flags given on the command line win
+            # itself lets the flags given on the command line win; they go on
+            # a fresh parser, so they hold for this call only
+            parser = build_parser()
             command = parser.commands[args.command]
             command.set_defaults(**_load_config(args.config, command))
             args = parser.parse_args(argv)

@@ -93,8 +93,10 @@ def _unique(pieces: np.ndarray) -> np.ndarray:
 
 def _bind(pieces: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Pieces at one operating point, over (gamma11, gamma21, 1)."""
-    return np.concatenate([pieces[..., :2], pieces[..., 2:] @ theta[:, None]],
-                          axis=-1)
+    out = np.empty(pieces.shape[:-1] + (3,))
+    out[..., :2] = pieces[..., :2]
+    out[..., 2:] = pieces[..., 2:] @ theta[:, None]
+    return out
 
 
 def _affine_value(a, b, c, g11, g21):
@@ -249,6 +251,11 @@ class _Event:
         return np.concatenate([lines[lines[:, :, :2].any(axis=(1, 2))], _BOX])
 
     @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """|candidates| of the level lines, the box edges excluded."""
+        return np.abs(self.candidates[:-4])
+
+    @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs of candidate lines that are not parallel at every f."""
         gamma = self.candidates[:, :, :2]
@@ -303,7 +310,7 @@ class OutageRegion:
         """The size of every level line's terms (|a|, |b|, and the sum of
         |c_k*theta_k|; the box edges excluded), which bounds the rounding
         of a level value."""
-        return _bind(np.abs(self.event.candidates[:-4]), np.abs(self.theta))
+        return _bind(self.event.magnitudes, np.abs(self.theta))
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"

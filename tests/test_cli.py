@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zicarq import analytic, core
+from zicarq import analytic, cli, core
 from zicarq.cli import SWEEP_VARS, _parse_triplet, main
 from zicarq.core import ParameterError, SystemParams
 from zicarq.regions import oracle_d1_hk_stop
@@ -284,6 +284,65 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         rc = run(["curve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+
+class TestSharedParser:
+    # main() parses every call with one parser per process; a --config
+    # call gets a fresh one, so the file's values never reach a later call
+
+    def test_curve_config_does_not_leak(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = cmo\nr2 = 0.6\n")
+        argv = ["curve", "--sweep", "r1:0.5:0.5:0.1", "--out"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(argv + [str(a), "--config", str(cfg)]) == 0
+        assert [(r["scheme"], r["r2"]) for r in read_csv(a)] == [("cmo", "0.6")]
+        assert run(argv + [str(b)]) == 0
+        assert [(r["scheme"], r["r2"]) for r in read_csv(b)] == [
+            ("hk", "0.5"), ("cmo", "0.5"), ("tian", "0.5")]
+
+    def test_simulate_config_does_not_leak(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 20\n")
+        argv = ["simulate", "--rho-db", "20", "--out", str(tmp_path / "s.csv")]
+        assert run(argv + ["--config", str(cfg)]) == 0
+        assert read_csv(tmp_path / "s.csv")[0]["trials"] == "20"
+        assert run(argv) == 0
+        assert read_csv(tmp_path / "s.csv")[0]["trials"] == "10000"
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._shared_parser.cache_clear()
+        try:
+            out = str(tmp_path / "c.csv")
+            for argv in (["curve", "--sweep", "r1:0.5:0.5:0.1", "--out", out],
+                         ["curve", "--scheme", "bogus", "--out", out],
+                         ["verify", "--samples", "1", "--scheme", "cmo"],
+                         ["curve", "--scheme", "cmo", "--out", out]):
+                assert run(argv) in (0, 1)
+            assert len(built) == 1
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("scheme = cmo\n")
+            assert run(["curve", "--config", str(cfg), "--out", out]) == 0
+            assert len(built) == 2  # the config call's own parser
+        finally:
+            cli._shared_parser.cache_clear()
+        assert build() is not build()  # the public builder stays fresh
+
+    @pytest.mark.parametrize("command,owner,work", [
+        ("simulate", cli, "outage_points"),
+        ("throughput", cli, "estimate_throughput"),
+        ("curve", analytic, "scheme_dmt"),
+    ], ids=["simulate", "throughput", "curve"])
+    def test_missing_out_fails_before_work(self, command, owner, work,
+                                           monkeypatch, capsys):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{work} ran without --out")
+        monkeypatch.setattr(owner, work, reached)
+        assert run([command, "--scheme", "cmo"]) == 1
+        assert "--out PATH is required" in capsys.readouterr().err
 
 
 class TestBadInput:
