@@ -36,7 +36,6 @@ from .analytic import (
     scheme_dmt,
 )
 from .core import (
-    ExponentPoint,
     ParameterError,
     SystemParams,
     ext_div,

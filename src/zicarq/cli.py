@@ -43,12 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def _parse_triplet(text: str, what: str) -> list[float]:
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -97,12 +91,12 @@ def _parse_single_scheme(text: str) -> SchemeId:
         raise ParameterError(f"unknown scheme {text!r}; valid schemes: {valid}")
 
 
-def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
-    """Defaults for ``command``'s flags from a flat key=value file, each
-    value converted to the type of the flag's own default."""
+def _load_config(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """``command``'s flags from a flat key=value file, as ``--flag=value``
+    arguments, each value checked against the type of the flag's default."""
     flags = vars(command.parse_args([]))  # every flag's dest and default
     del flags["config"]  # files do not nest
-    cfg = {}
+    cfg = []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -121,11 +115,12 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
             default = flags[key]
             convert = type(default) if isinstance(default, (int, float)) else str
             try:
-                cfg[key] = convert(val)
+                convert(val)
             except ValueError:
                 kind = "an int" if convert is int else "a float"
                 raise ParameterError(f"{path}:{lineno}: {key} expects "
                                      f"{kind}, got {val!r}") from None
+            cfg.append(f"--{key.replace('_', '-')}={val}")
     return cfg
 
 
@@ -278,7 +273,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(c) for c in row])
+            writer.writerow([f"{c:.12g}" if isinstance(c, float) else c for c in row])
 
 
 def _add_common(sp, *, sim: bool):
@@ -339,16 +334,15 @@ def _shared_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _shared_parser()
     try:
-        args = _shared_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         if args.config:
-            # the file's values become the subcommand's defaults, so argparse
-            # itself lets the flags given on the command line win; they go on
-            # a fresh parser, so they hold for this call only
-            parser = build_parser()
-            command = parser.commands[args.command]
-            command.set_defaults(**_load_config(args.config, command))
-            args = parser.parse_args(argv)
+            # the file's flags go right after the subcommand, so every flag
+            # given on the command line comes later and wins
+            config = _load_config(args.config, parser.commands[args.command])
+            args = parser.parse_args(argv[:1] + config + argv[1:])
         return COMMANDS[args.command](args)
     except ValueError as exc:  # ParameterError included
         print(f"error: {exc}", file=sys.stderr)

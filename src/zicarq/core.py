@@ -111,22 +111,3 @@ def validate(params: SystemParams) -> SystemParams:
         raise ParameterError("L must be >= 1")
     return p
 
-
-@dataclass(frozen=True)
-class ExponentPoint:
-    """Channel-gain exponents and listening fraction for one realization.
-
-    gamma_ij is the decay order of |h_ij|^2 (gain = rho**-gamma); f = T'/T
-    is the fraction of a round the relay spends listening.
-    """
-
-    gamma11: float
-    gamma21: float
-    gamma22: float = 0.0
-    f: float = 1.0
-
-    def __post_init__(self):
-        if min(self.gamma11, self.gamma21, self.gamma22) < 0.0:
-            raise ParameterError("channel exponents must be >= 0")
-        if not 0.0 <= self.f <= 1.0:
-            raise ParameterError("f must lie in [0, 1]")

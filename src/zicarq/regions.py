@@ -16,8 +16,8 @@ alone (L, the round index, the f multipliers).  So each family's tree is
 built once per structure and kept for the process, together with its level
 lines, the pairs of lines that are not parallel, and the denominators of
 the vertex sums.  A region binds its point, box side included, when it
-is built; its lines there are one product of the constant columns with
-theta = (beta, b, r1, r2, t2, cap, 1), taken on first use.
+is built: its lines there are one product of the constant columns with
+theta = (beta, b, r1, r2, t2, cap, 1).
 
 Minimisation.  A diversity exponent is the infimum of the objective over
 the open outage region, which is its minimum over the region's closure
@@ -49,7 +49,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ExponentPoint, ParameterError, SystemParams
+from .core import ParameterError, SystemParams
 
 # Candidate vertices lie on the boundary ``F = r`` up to rounding; the
 # closure test allows a few roundings of the largest level piece at the
@@ -299,32 +299,20 @@ class OutageRegion:
         self.rate = rate
         self.cap = _cap(beta)
         self.theta = np.array([beta, b, r1, r2, t2, self.cap, 1.0])
-
-    @cached_property
-    def lines(self) -> np.ndarray:
-        """The oracle's candidate lines at this point."""
-        return _bind(self.event.candidates, self.theta)
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """The size of every level line's terms (|a|, |b|, and the sum of
-        |c_k*theta_k|; the box edges excluded), which bounds the rounding
-        of a level value."""
-        return _bind(self.event.magnitudes, np.abs(self.theta))
+        # the oracle's candidate lines at this point, and the size of every
+        # level line's terms (|a|, |b|, and the sum of |c_k*theta_k|; the
+        # box edges excluded), which bounds the rounding of a level value
+        self.lines = _bind(event.candidates, self.theta)
+        self.sizes = _bind(event.magnitudes, np.abs(self.theta))
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
 
-    def member(self, g11, g21=0.0, f=1.0, slack=0.0) -> np.ndarray:
-        """Elementwise membership; ``slack`` widens every rate constraint."""
-        env = {"g11": g11, "g21": g21, "f": f, "theta": self.theta}
-        held = self.event.holds(env, slack)
-        return np.broadcast_to(held, np.broadcast(g11, g21, f).shape)
-
-    def contains(self, pt: ExponentPoint) -> bool:
-        if self.kind == "rx2":
-            return bool(self.member(pt.gamma22))
-        return bool(self.member(pt.gamma11, pt.gamma21, pt.f))
+    def member(self, g11, g21=0.0, f=1.0, slack=0.0):
+        """Elementwise membership; ``slack`` widens every rate constraint.
+        RX2 regions read gamma22 in ``g11``."""
+        return self.event.holds({"g11": g11, "g21": g21, "f": f,
+                                 "theta": self.theta}, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -672,19 +660,14 @@ def rate_region_subset_check(p: SystemParams, samples: int,
     g21 = rng.uniform(0.0, cap, samples)
 
     in_policy_any = np.zeros(samples, dtype=bool)
-    o11_masks = []
+    stop_any = np.zeros(samples, dtype=bool)
     for i in range(1, p.L + 1):
-        o11_masks.append(region_o11_hk(p, i).member(g11, g21))
-        o12 = region_o12_hk(p, i).member(g11, g21)
-        in_policy_any |= ~(o11_masks[-1] | o12)
-
-    bad = np.zeros(samples, dtype=bool)
-    # the stop-both policy shares O11: post-ACK rounds are already
-    # interference-free in the individual constraint
-    for i, o11 in enumerate(o11_masks, 1):
-        o12s = region_o12_stop(p, i).member(g11, g21)
-        stop_ok = ~(o11 | o12s)
-        bad |= stop_ok & ~in_policy_any
+        # the stop-both policy shares O11: post-ACK rounds are already
+        # interference-free in the individual constraint
+        o11 = region_o11_hk(p, i).member(g11, g21)
+        in_policy_any |= ~(o11 | region_o12_hk(p, i).member(g11, g21))
+        stop_any |= ~(o11 | region_o12_stop(p, i).member(g11, g21))
+    bad = stop_any & ~in_policy_any
 
     idx = np.nonzero(bad)[0]
     ces = tuple(

@@ -177,7 +177,8 @@ def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
         m1s_clean = np.log2(1.0 + A + B)
 
         def rx2_ok(l):
-            return (l * m2_full >= R2) & (l * m2_full >= T2) & (l * m2_priv >= S2)
+            # t2 <= r2, so the full-rate test covers the common stream's T2
+            return (l * m2_full >= R2) & (l * m2_priv >= S2)
 
         def rx1_ok(l, i_eff):
             c1 = i_eff * m1_int + (l - i_eff) * m1_clean

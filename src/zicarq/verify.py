@@ -59,14 +59,15 @@ def worst_gap(scheme: SchemeId, samples: int,
     and where it occurred as ``check@{params}``."""
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    worst, where = -1.0, ""
+    worst, where = -1.0, None
     for _ in range(samples):
         p = sample_params(rng, scheme)
         for name, ana, orc in _verify_checks(scheme, p):
             gap = abs(ana - orc)
             if gap > worst:
-                worst, where = gap, f"{name}@{asdict(p)}"
-    return max(worst, 0.0), where
+                worst, where = gap, (name, p)
+    name, p = where
+    return max(worst, 0.0), f"{name}@{asdict(p)}"
 
 
 def _verify_checks(scheme: SchemeId, p: SystemParams):

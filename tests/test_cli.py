@@ -249,6 +249,14 @@ class TestConfigFile:
         assert float(rows[0]["L"]) == 2
         assert float(rows[0]["r2"]) == 0.9  # flag beats file
 
+    def test_flag_before_config_wins(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = cmo\nr2 = 0.6\nsweep = r1:0.5:0.5:0.1\n")
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--r2", "0.9", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        assert [(r["scheme"], r["r2"]) for r in read_csv(out)] == [("cmo", "0.9")]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
@@ -288,7 +296,8 @@ class TestConfigFile:
 
 class TestSharedParser:
     # main() parses every call with one parser per process; a --config
-    # call gets a fresh one, so the file's values never reach a later call
+    # call passes the file's flags as arguments, so they never reach a
+    # later call
 
     def test_curve_config_does_not_leak(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -326,7 +335,7 @@ class TestSharedParser:
             cfg = tmp_path / "run.cfg"
             cfg.write_text("scheme = cmo\n")
             assert run(["curve", "--config", str(cfg), "--out", out]) == 0
-            assert len(built) == 2  # the config call's own parser
+            assert len(built) == 1  # the config call reuses it too
         finally:
             cli._shared_parser.cache_clear()
         assert build() is not build()  # the public builder stays fresh

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zicarq.core import (
-    ExponentPoint,
     ParameterError,
     SystemParams,
     ext_div,
@@ -105,17 +104,3 @@ class TestValidate:
         p = SystemParams(r1=0.1, r2=0.7, t2=0.2, L=2)
         assert p.s2 == pytest.approx(0.5)
 
-
-class TestExponentPoint:
-    def test_check_accepts(self):
-        # the point checks itself when it is built
-        pt = ExponentPoint(gamma11=0.3, gamma21=0.0, f=0.5)
-        assert (pt.gamma11, pt.gamma21, pt.gamma22, pt.f) == (0.3, 0.0, 0.0, 0.5)
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ParameterError, match="exponents"):
-            ExponentPoint(gamma11=-0.1, gamma21=0.0)
-
-    def test_f_out_of_range(self):
-        with pytest.raises(ParameterError, match="f must"):
-            ExponentPoint(gamma11=0.1, gamma21=0.0, f=1.5)

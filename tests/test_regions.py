@@ -6,7 +6,7 @@ import pytest
 
 from zicarq import analytic, regions
 from zicarq.analytic import SchemeId
-from zicarq.core import COOP_SCHEMES, ExponentPoint, ParameterError, SystemParams
+from zicarq.core import COOP_SCHEMES, ParameterError, SystemParams
 from zicarq.regions import (
     RATE_FLOOR,
     OutageRegion,
@@ -41,15 +41,16 @@ def P(**kw):
 class TestRegionContains:
     def test_rx2_hk_strong_channel_outside(self):
         region = region_rx2_hk(P(r1=0, r2=0.5, t2=0.5, b=0.2, L=2))
-        assert not region.contains(ExponentPoint(0, 0, gamma22=0.0))
+        assert not region.member(0.0)
 
     def test_rx2_hk_faded_channel_inside(self):
         region = region_rx2_hk(P(r1=0, r2=0.5, t2=0.5, b=0.2, L=2))
-        assert region.contains(ExponentPoint(0, 0, gamma22=0.9))
+        assert region.member(0.9)
 
     def test_zero_rates_unreachable(self):
+        # the origin, with every gain exponent 0 (gamma22 for RX2 regions)
+        # and f = 1
         p = P(r1=0.0, r2=0.0, beta=1.0, L=2)
-        origin = ExponentPoint(0.0, 0.0, gamma22=0.0, f=1.0)
         for region in (
             region_rx2_hk(p),
             region_rx2_cmo(p),
@@ -63,7 +64,7 @@ class TestRegionContains:
             region_o11_dd(p.r1, p.beta),
             region_o12_dd(p.r1, p.r2, p.beta),
         ):
-            assert not region.contains(origin), region
+            assert not region.member(0.0, 0.0, 1.0), region
 
     def test_membership_saturates_beyond_cap(self):
         # past the cap every bracket has clamped, so membership freezes
@@ -73,11 +74,11 @@ class TestRegionContains:
         for region in (region_o11_hk(p, 2), region_o12_hk(p, 2), region_rx1_cmo(p)):
             for _ in range(50):
                 g_other = float(rng.uniform(0, cap))
-                a = region.contains(ExponentPoint(cap, g_other))
-                b = region.contains(ExponentPoint(cap * 3, g_other))
+                a = region.member(cap, g_other)
+                b = region.member(cap * 3, g_other)
                 assert a == b
-                a = region.contains(ExponentPoint(g_other, cap))
-                b = region.contains(ExponentPoint(g_other, cap * 3))
+                a = region.member(g_other, cap)
+                b = region.member(g_other, cap * 3)
                 assert a == b
 
 
@@ -349,3 +350,26 @@ class TestSubsetCheck:
     def test_degenerate_pure_common(self):
         p = P(r1=0.5, r2=0.6, t2=0.6, b=0.0, beta=1.5, L=3)
         assert rate_region_subset_check(p, 10_000, seed=11).ok
+
+    def test_reports_stop_points_the_mixed_policy_misses(self, monkeypatch):
+        # with an O12 that holds on the whole box the mixed policy decodes
+        # nowhere, so every point some stop-policy round decodes is reported
+        p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
+        cap = regions._cap(p.beta)
+        gamma11, _, _ = symbols()
+        everywhere = OutageRegion("O12_ALL", "rx1", gamma11 < 2 * cap, p.beta, p.r1)
+        monkeypatch.setattr(regions, "region_o12_hk", lambda p, i: everywhere)
+        n, seed = 2_000, 3
+        report = rate_region_subset_check(p, n, seed)
+
+        rng = np.random.default_rng(seed)
+        g11, g21 = rng.uniform(0.0, cap, n), rng.uniform(0.0, cap, n)
+        stop = np.zeros(n, dtype=bool)
+        for i in range(1, p.L + 1):
+            stop |= ~(region_o11_hk(p, i).member(g11, g21)
+                      | region_o12_stop(p, i).member(g11, g21))
+        first = np.nonzero(stop)[0][:50]
+        assert len(first) == 50
+        assert report.counterexamples == tuple(
+            {"gamma11": float(g11[k]), "gamma21": float(g21[k])} for k in first)
+        assert not report.ok
