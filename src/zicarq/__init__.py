@@ -1,13 +1,14 @@
 """Diversity-multiplexing-delay tradeoff toolkit for ARQ protocols over
 the single-antenna Z-interference channel.
 
-Three engines behind one CLI:
+Three engines behind one CLI, and the cross-check between them:
 
 * :mod:`zicarq.analytic`  closed-form diversity exponents per scheme,
 * :mod:`zicarq.regions`   high-SNR outage regions and an exact
   exponent oracle that independently verifies every closed form,
 * :mod:`zicarq.simulator` finite-SNR Monte Carlo of the actual protocols,
-* :mod:`zicarq.verify`    closed forms against the oracle at random points.
+* :mod:`zicarq.verify`    the cross-check, not a fourth engine: closed
+  forms against the oracle at random points.
 """
 
 from .analytic import (

@@ -31,7 +31,6 @@ from .regions import RATE_FLOOR, oracle_d1_hk_stop
 from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
 from .verify import VERIFY_SCHEMES, worst_gap
 
-RATE_SWEEP_FLOOR = 1e-3  # curve sweeps never touch exact-zero rates
 SWEEP_VARS = ("r1", "r2", "beta", "b", "t2")
 MAX_GRID_POINTS = 100_000
 
@@ -75,7 +74,7 @@ def _parse_sweep(text: str):
         raise ParameterError(f"sweep variable must be one of {SWEEP_VARS}")
     values = _parse_triplet(":".join(parts[1:]), "--sweep")
     if var in ("r1", "r2"):
-        values = [max(v, RATE_SWEEP_FLOOR) for v in values]
+        values = [max(v, RATE_FLOOR) for v in values]  # never exact-zero rates
     return var, values
 
 

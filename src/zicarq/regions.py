@@ -287,18 +287,17 @@ class OutageRegion:
     or 'coop' (over gamma11/gamma21 and the listening fraction f); rate
     is the event's active rate, which the oracle keeps above its floor
     (and, for 'coop', the r1 of the relay-link cost).  theta binds the
-    operating point, box side ``cap`` included, of trees written with
-    its parameters.
+    trees written with its parameters at the operating point ``p``, box
+    side ``cap`` included.
     """
 
-    def __init__(self, region_id, kind, event, beta, rate,
-                 b=0.0, r1=0.0, r2=0.0, t2=0.0):
+    def __init__(self, region_id, kind, event, p: SystemParams, rate):
         self.region_id = region_id
         self.kind = kind
         self.event = event
         self.rate = rate
-        self.cap = _cap(beta)
-        self.theta = np.array([beta, b, r1, r2, t2, self.cap, 1.0])
+        self.cap = _cap(p.beta)
+        self.theta = np.array([p.beta, p.b, p.r1, p.r2, p.t2, self.cap, 1.0])
         # the oracle's candidate lines at this point, and the size of every
         # level line's terms (|a|, |b|, and the sum of |c_k*theta_k|; the
         # box edges excluded), which bounds the rounding of a level value
@@ -319,11 +318,6 @@ class OutageRegion:
 # region factories (trees transcribe the defining inequalities verbatim)
 # ---------------------------------------------------------------------------
 
-def _hk_region(region_id, kind, event, p: SystemParams, rate):
-    return OutageRegion(region_id, kind, event, p.beta, rate,
-                        p.b, p.r1, p.r2, p.t2)
-
-
 def _rounds(p: SystemParams, rounds: int | None) -> int:
     l = p.L if rounds is None else rounds
     if l < 1:
@@ -337,8 +331,8 @@ def _check_round(L: int, i: int):
 
 
 # the leaves every family is written in; RX2 events read gamma22 in the
-# first coordinate.  Each builder below takes structure only and is cached
-# per process.
+# first coordinate.  Each family below takes structure only and is cached
+# per process; each ``region_*`` builder binds one at a point p.
 _G11, _G21, _F = symbols()
 _G22 = _G11
 _BETA, _B, _R1, _R2, _T2 = (_leaf(0, col) for col in range(2, 7))
@@ -384,8 +378,11 @@ def _tian1_event():
 
 @lru_cache(maxsize=_FAMILIES)
 def _coop_event(name: str):
-    """A relayed second round: O1/O2 under CMO decoding, O3 under
-    noise-treating decoding, and the dynamic decoder's O11/O12."""
+    """Outage after a relayed second round: O1_COOP (individual rate) and
+    O2_COOP (joint rate) under CMO decoding, O3_COOP under noise-treating
+    decoding, and the dynamic decoder's O11_DD (both decoders fail the
+    own-rate test; the CMO event lies within the noise-treating one) and
+    O12_DD (CMO fails the sum-rate test and noise treating fails too)."""
     f = _F
     direct = pos_part(1.0 - _G11)
     both = maximum(direct, pos_part(_BETA - _G21))
@@ -393,78 +390,51 @@ def _coop_event(name: str):
     o1 = (1.0 + f) * direct + (1.0 - f) * both < _R1
     o2 = (2.0 - f) * both + f * direct < _R1 + _R2
     o3 = round1 + f * direct + (1.0 - f) * both < _R1
-    return {"O1_COOP": o1, "O2_COOP": o2, "O3_COOP": o3,
-            "O11_DD": o1 & o3, "O12_DD": o2 & o3}[name]
-
-
-def _coop_region(name: str, r1: float, r2: float, beta: float) -> OutageRegion:
-    return OutageRegion(name, "coop", _coop_event(name), beta, r1,
-                        r1=r1, r2=r2)
+    events = {"O1_COOP": o1, "O2_COOP": o2, "O3_COOP": o3,
+              "O11_DD": o1 & o3, "O12_DD": o2 & o3}
+    if name not in events:
+        raise ValueError(f"unknown cooperative event {name!r}; "
+                         f"valid events: {', '.join(events)}")
+    return events[name]
 
 
 def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     """RX2 outage under rate splitting after ``rounds`` rounds."""
     l = _rounds(p, rounds)
-    return _hk_region(f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event(l), p, p.r2)
+    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event(l), p, p.r2)
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 individual-rate outage given TX2's ACK at round i (of L)."""
-    return _hk_region(f"O11_HK(i={i})", "rx1", _o11_event(p.L, i), p, p.r1)
+    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p.L, i), p, p.r1)
 
 
-def region_o12_hk(p: SystemParams, i: int) -> OutageRegion:
-    """RX1 joint-rate outage given TX2's ACK at round i (of L)."""
-    return _hk_region(f"O12_HK(i={i})", "rx1", _o12_event(p.L, i, False), p, p.r1)
-
-
-def region_o12_stop(p: SystemParams, i: int) -> OutageRegion:
-    """Stop-both policy variant of O12: after TX2's ACK the common stream
-    is gone, so the tail rounds contribute the direct link only."""
-    return _hk_region(f"O12_STOP(i={i})", "rx1", _o12_event(p.L, i, True), p, p.r1)
+def region_o12_hk(p: SystemParams, i: int, stop: bool = False) -> OutageRegion:
+    """RX1 joint-rate outage given TX2's ACK at round i (of L).  With
+    ``stop``, TX2 stops both streams after its ACK: the common stream is
+    gone, so the tail rounds contribute the direct link only."""
+    name = "O12_STOP" if stop else "O12_HK"
+    return OutageRegion(f"{name}(i={i})", "rx1", _o12_event(p.L, i, stop), p, p.r1)
 
 
 def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     l = _rounds(p, rounds)
-    return _hk_region(f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event(l), p, p.r1)
+    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event(l), p, p.r1)
 
 
 def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     l = _rounds(p, rounds)
-    return _hk_region(f"O_RX2_CMO(l={l})", "rx2", _rx2_cmo_event(l), p, p.r2)
+    return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", _rx2_cmo_event(l), p, p.r2)
 
 
-def region_rx1_tian1(r1: float, beta: float) -> OutageRegion:
+def region_rx1_tian1(p: SystemParams) -> OutageRegion:
     """Single-round noise-treating outage at RX1."""
-    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", _tian1_event(), beta, r1,
-                        r1=r1)
+    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", _tian1_event(), p, p.r1)
 
 
-def region_o1_coop(r1: float, beta: float) -> OutageRegion:
-    """Individual-rate outage after a relayed second round, CMO decoding."""
-    return _coop_region("O1_COOP", r1, 0.0, beta)
-
-
-def region_o2_coop(r1: float, r2: float, beta: float) -> OutageRegion:
-    """Joint-rate outage after a relayed second round, CMO decoding."""
-    return _coop_region("O2_COOP", r1, r2, beta)
-
-
-def region_o3_coop(r1: float, beta: float) -> OutageRegion:
-    """Outage after a relayed second round with noise-treating decoding."""
-    return _coop_region("O3_COOP", r1, 0.0, beta)
-
-
-def region_o11_dd(r1: float, beta: float) -> OutageRegion:
-    """Dynamic decoder, individual event: both decoders fail the own-rate
-    test (the CMO event is contained in the noise-treating one)."""
-    return _coop_region("O11_DD", r1, 0.0, beta)
-
-
-def region_o12_dd(r1: float, r2: float, beta: float) -> OutageRegion:
-    """Dynamic decoder, joint event: CMO fails the sum-rate test and the
-    noise-treating decoder fails as well."""
-    return _coop_region("O12_DD", r1, r2, beta)
+def region_coop(name: str, p: SystemParams) -> OutageRegion:
+    """The cooperative event ``name`` at ``p``; ``_coop_event`` lists the five."""
+    return OutageRegion(name, "coop", _coop_event(name), p, p.r1)
 
 
 # ---------------------------------------------------------------------------
@@ -608,21 +578,21 @@ def oracle_d1_hk(p: SystemParams) -> float:
     Sums over the ACK round of TX2: prefix exponent of reaching that round
     plus the dominant conditional outage exponent.
     """
-    return _oracle_d1_decomposed(p, region_o12_hk)
+    return _oracle_d1_decomposed(p, stop=False)
 
 
 def oracle_d1_hk_stop(p: SystemParams) -> float:
     """Same decomposition for the policy where TX2 stops both streams
     after its own ACK (no closed form exists for this variant)."""
-    return _oracle_d1_decomposed(p, region_o12_stop)
+    return _oracle_d1_decomposed(p, stop=True)
 
 
-def _oracle_d1_decomposed(p: SystemParams, o12_factory) -> float:
+def _oracle_d1_decomposed(p: SystemParams, stop: bool) -> float:
     best = math.inf
     for i in range(1, p.L + 1):
         prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(p, i - 1))
         o11 = oracle_min_exponent(region_o11_hk(p, i))
-        o12 = oracle_min_exponent(o12_factory(p, i))
+        o12 = oracle_min_exponent(region_o12_hk(p, i, stop))
         best = min(best, prefix + min(o11, o12))
     return best
 
@@ -666,7 +636,7 @@ def rate_region_subset_check(p: SystemParams, samples: int,
         # interference-free in the individual constraint
         o11 = region_o11_hk(p, i).member(g11, g21)
         in_policy_any |= ~(o11 | region_o12_hk(p, i).member(g11, g21))
-        stop_any |= ~(o11 | region_o12_stop(p, i).member(g11, g21))
+        stop_any |= ~(o11 | region_o12_hk(p, i, stop=True).member(g11, g21))
     bad = stop_any & ~in_policy_any
 
     idx = np.nonzero(bad)[0]

@@ -136,6 +136,8 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
     """Run one episode per array entry; returns (err1, err2, zeta) arrays."""
     if not rho > 1.0:
         raise ParameterError("rho must exceed 1 (linear scale)")
+    if T < 1:
+        raise ParameterError("T must be >= 1")
     if scheme in COOP_SCHEMES:
         if scheme is SchemeId.COOP_STATIC:
             raise ParameterError(

@@ -15,13 +15,9 @@ from .regions import (
     oracle_d1_hk,
     oracle_min_exponent,
     oracle_min_exponent_coop,
-    region_o11_dd,
+    region_coop,
     region_o11_hk,
-    region_o12_dd,
     region_o12_hk,
-    region_o1_coop,
-    region_o2_coop,
-    region_o3_coop,
     region_rx1_cmo,
     region_rx1_tian1,
     region_rx2_cmo,
@@ -92,21 +88,21 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
         yield "d1_hk_keep", analytic.d1_hk_keep(p), keep
     elif scheme is SchemeId.COOP_CMO:
         yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_o1_coop(r1, beta))
+            oracle_min_exponent_coop(region_coop("O1_COOP", p))
         yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_o2_coop(r1, r2, beta))
+            oracle_min_exponent_coop(region_coop("O2_COOP", p))
         yield "d2c_cmo2", analytic.d2c_cmo2(r1, r2, beta), \
             _coop_rx2_oracle(p, scheme)
     elif scheme is SchemeId.COOP_TIAN:
         yield "d1c_tian2", analytic.d1c_tian2(r1, beta), \
-            oracle_min_exponent_coop(region_o3_coop(r1, beta))
+            oracle_min_exponent_coop(region_coop("O3_COOP", p))
         yield "d2c_tian2", analytic.d2c_tian2(r1, r2, beta), \
             _coop_rx2_oracle(p, scheme)
     elif scheme is SchemeId.COOP_DD:
         yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_o11_dd(r1, beta))
+            oracle_min_exponent_coop(region_coop("O11_DD", p))
         yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_o12_dd(r1, r2, beta))
+            oracle_min_exponent_coop(region_coop("O12_DD", p))
         yield "d2c_dd2", analytic.d2c_dd2(r1, r2, beta), \
             _coop_rx2_oracle(p, scheme)
     else:
@@ -125,7 +121,7 @@ def _coop_rx2_oracle(p: SystemParams, scheme: SchemeId) -> float:
     if scheme is not SchemeId.COOP_TIAN:
         round1.append(region_rx1_cmo(p, rounds=1))
     if scheme is not SchemeId.COOP_CMO:
-        round1.append(region_rx1_tian1(p.r1, p.beta))
+        round1.append(region_rx1_tian1(p))
     rx1_round1 = max(oracle_min_exponent(region) for region in round1)
     rx2_one = oracle_min_exponent(region_rx2_cmo(p, rounds=1))
     rx2_two = oracle_min_exponent(region_rx2_cmo(p, rounds=2))

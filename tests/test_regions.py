@@ -16,14 +16,9 @@ from zicarq.regions import (
     oracle_min_exponent_coop,
     pos_part,
     rate_region_subset_check,
-    region_o1_coop,
-    region_o2_coop,
-    region_o3_coop,
-    region_o11_dd,
+    region_coop,
     region_o11_hk,
-    region_o12_dd,
     region_o12_hk,
-    region_o12_stop,
     region_rx1_cmo,
     region_rx2_cmo,
     region_rx2_hk,
@@ -57,12 +52,9 @@ class TestRegionContains:
             region_rx1_cmo(p),
             region_o11_hk(p, 1),
             region_o12_hk(p, 2),
-            region_o12_stop(p, 1),
-            region_o1_coop(p.r1, p.beta),
-            region_o2_coop(p.r1, p.r2, p.beta),
-            region_o3_coop(p.r1, p.beta),
-            region_o11_dd(p.r1, p.beta),
-            region_o12_dd(p.r1, p.r2, p.beta),
+            region_o12_hk(p, 1, stop=True),
+            *(region_coop(name, p)
+              for name in ("O1_COOP", "O2_COOP", "O3_COOP", "O11_DD", "O12_DD")),
         ):
             assert not region.member(0.0, 0.0, 1.0), region
 
@@ -97,21 +89,21 @@ class TestOracleSpotValues:
         assert got == pytest.approx(analytic.d11_hk(p, 1), abs=TOL)
 
     def test_coop_o1(self):
-        region = region_o1_coop(0.8, 0.3)
+        region = region_coop("O1_COOP", P(r1=0.8, r2=0.0, beta=0.3))
         assert oracle_min_exponent_coop(region) == pytest.approx(0.6, abs=TOL)
 
     def test_coop_o3(self):
-        region = region_o3_coop(0.6, 1.0)
+        region = region_coop("O3_COOP", P(r1=0.6, r2=0.0, beta=1.0))
         assert oracle_min_exponent_coop(region) == pytest.approx(2.0 / 3.0, abs=TOL)
 
     def test_coop_dd_joint(self):
-        region = region_o12_dd(0.6, 0.8, 0.9)
+        region = region_coop("O12_DD", P(r1=0.6, r2=0.8, beta=0.9))
         expect = 0.9 - 0.2 * 0.8 / 0.6
         assert oracle_min_exponent_coop(region) == pytest.approx(expect, abs=TOL)
 
     def test_wrong_dispatch_rejected(self):
         with pytest.raises(ValueError, match="oracle_min_exponent_coop"):
-            oracle_min_exponent(region_o1_coop(0.5, 1.0))
+            oracle_min_exponent(region_coop("O1_COOP", P(r1=0.5, r2=0.0, beta=1.0)))
         p = P(r1=0.5, r2=0.5, L=1)
         with pytest.raises(ValueError, match="listening fraction"):
             oracle_min_exponent_coop(region_rx1_cmo(p))
@@ -124,24 +116,26 @@ class TestOracleSpotValues:
     def test_empty_region_returns_inf(self):
         # unreachable events report +inf, never a junk minimum
         g11, g21, f = symbols()
+        p = P(r1=0.0, r2=0.0, beta=1.0)
         region = OutageRegion(
             "EMPTY", "rx1", pos_part(g11) + pos_part(g21) + 1.0 < 0.5,
-            beta=1.0, rate=0.5)
+            p, rate=0.5)
         assert oracle_min_exponent(region) == math.inf
         region22 = OutageRegion(
             "EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5,
-            beta=1.0, rate=0.5)
+            p, rate=0.5)
         assert oracle_min_exponent(region22) == math.inf
         coop = OutageRegion(
             "EMPTY_COOP", "coop", f * pos_part(1.0 - g11) + 1.0 < 0.5,
-            beta=1.0, rate=0.5)
+            p, rate=0.5)
         assert oracle_min_exponent_coop(coop) == math.inf
 
     def test_coop_interior_kink(self):
         # the minimum sits at an interior listening fraction (f ~ 0.663);
         # the f = 1 endpoint, 2 - 1.5*r1, lies about 4.5e-3 higher
         r1, beta = 0.5481476168670432, 1.6267914545847555
-        got = oracle_min_exponent_coop(region_o1_coop(r1, beta))
+        p = P(r1=r1, r2=0.0, beta=beta)
+        got = oracle_min_exponent_coop(region_coop("O1_COOP", p))
         assert got == pytest.approx(analytic.d11c_cmo2(r1, beta), abs=1e-9)
         assert (2.0 - 1.5 * r1) - got > 4e-3
 
@@ -227,7 +221,7 @@ class TestOracleRobustness:
         assert g11[inside].min() >= oracle_min_exponent(rx2) - 1e-12
 
         r1, beta = 0.45, 1.3
-        coop = region_o3_coop(r1, beta)
+        coop = region_coop("O3_COOP", P(r1=r1, r2=0.0, beta=beta))
         cap = regions._cap(beta)
         g11, g21 = rng.uniform(0, cap, n), rng.uniform(0, cap, n)
         f = rng.uniform(r1, 1.0, n)
@@ -242,7 +236,8 @@ class TestOracleRobustness:
         oracles = [oracle_min_exponent, oracle_min_exponent, oracle_min_exponent_coop]
 
         def build():
-            return [region_o12_hk(p, 1), region_o11_hk(p, 2), region_o3_coop(0.45, 1.3)]
+            return [region_o12_hk(p, 1), region_o11_hk(p, 2),
+                    region_coop("O3_COOP", P(r1=0.45, r2=0.0, beta=1.3))]
 
         narrow = build()
         cap = regions._cap
@@ -288,10 +283,11 @@ class TestNearRateFloor:
         # the region, and near the rate floor those read below the closed forms
         for r1 in [0.0011379, *np.geomspace(RATE_FLOOR, 0.02, 25)]:
             r1 = float(r1)
-            got = oracle_min_exponent_coop(region_o11_dd(r1, beta))
+            p = P(r1=r1, r2=0.0, beta=beta)
+            got = oracle_min_exponent_coop(region_coop("O11_DD", p))
             assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14, r1
             for r2 in (0.1, 0.5, 0.9):
-                got = oracle_min_exponent_coop(region_o12_dd(r1, r2, beta))
+                got = oracle_min_exponent_coop(region_coop("O12_DD", replace(p, r2=r2)))
                 assert abs(got - analytic.d12c_dd2(r1, r2, beta)) <= 1e-14, (r1, r2)
 
 
@@ -313,8 +309,15 @@ class TestCompiledFamilies:
         assert first.event is second.event
         region_o12_hk(replace(p, L=4), 2)  # a new structure compiles anew
         assert regions._o12_event.cache_info().misses == 2
-        for build in (region_o1_coop, region_o3_coop, region_o11_dd):
-            assert build(0.2, 0.5).event is build(0.6, 1.9).event
+        for name in ("O1_COOP", "O3_COOP", "O11_DD"):
+            assert region_coop(name, P(r1=0.2, r2=0.0, beta=0.5)).event \
+                is region_coop(name, P(r1=0.6, r2=0.0, beta=1.9)).event
+
+    def test_unknown_coop_event_rejected(self):
+        p = P(r1=0.3, r2=0.4, beta=0.8, L=2)
+        names = "O1_COOP, O2_COOP, O3_COOP, O11_DD, O12_DD"
+        with pytest.raises(ValueError, match=f"'O4_COOP'.*{names}"):
+            region_coop("O4_COOP", p)
 
     def test_results_independent_of_call_order(self):
         rng = np.random.default_rng(21)
@@ -357,8 +360,9 @@ class TestSubsetCheck:
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
         cap = regions._cap(p.beta)
         gamma11, _, _ = symbols()
-        everywhere = OutageRegion("O12_ALL", "rx1", gamma11 < 2 * cap, p.beta, p.r1)
-        monkeypatch.setattr(regions, "region_o12_hk", lambda p, i: everywhere)
+        everywhere = OutageRegion("O12_ALL", "rx1", gamma11 < 2 * cap, p, p.r1)
+        monkeypatch.setattr(regions, "region_o12_hk", lambda p, i, stop=False:
+                            region_o12_hk(p, i, stop) if stop else everywhere)
         n, seed = 2_000, 3
         report = rate_region_subset_check(p, n, seed)
 
@@ -367,7 +371,7 @@ class TestSubsetCheck:
         stop = np.zeros(n, dtype=bool)
         for i in range(1, p.L + 1):
             stop |= ~(region_o11_hk(p, i).member(g11, g21)
-                      | region_o12_stop(p, i).member(g11, g21))
+                      | region_o12_hk(p, i, stop=True).member(g11, g21))
         first = np.nonzero(stop)[0][:50]
         assert len(first) == 50
         assert report.counterexamples == tuple(

@@ -57,6 +57,15 @@ class TestRunEpisode:
             with pytest.raises(ParameterError, match="rho"):
                 run_episode(SchemeId.CMO, HK_P, rho, g)
 
+    @pytest.mark.parametrize("T", [0, -5])
+    def test_slot_count_must_be_positive(self, T):
+        # at T < 1 the relay's listening fraction is 0/0 or flips sign
+        p = P(r1=0.3, r2=0.4, beta=0.8, L=2)
+        with pytest.raises(ParameterError, match="T must be >= 1"):
+            estimate_outage(SchemeId.COOP_DD, p, 100.0, 20_000, 1, T=T)
+        with pytest.raises(ParameterError, match="T must be >= 1"):
+            run_episode(SchemeId.COOP_DD, p, 100.0, (1.0, 1.0, 1.0, 1.0), T=T)
+
     def test_coop_requires_two_rounds(self):
         g = (1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError, match="L=2"):
