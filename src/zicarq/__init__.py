@@ -46,7 +46,6 @@ from .core import (
 from .regions import (
     OutageRegion,
     oracle_d1_hk,
-    oracle_d1_hk_stop,
     oracle_min_exponent,
     oracle_min_exponent_coop,
     rate_region_subset_check,

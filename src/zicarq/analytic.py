@@ -10,7 +10,7 @@ Non-cooperative schemes (any number of rounds L):
   RX1); TX2 goes silent after its ACK.
 * ``hk-keep`` / ``hk-stop`` alternative policies where TX2 keeps or stops
   both streams after its own ACK (used for policy comparisons; the stop
-  variant has no closed form: :func:`zicarq.regions.oracle_d1_hk_stop`
+  variant has no closed form: ``zicarq.regions.oracle_d1_hk(p, stop=True)``
   evaluates it, and :func:`scheme_dmt` rejects it).
 
 Cooperative schemes (fixed at L = 2): after a round-1 NACK from RX1, TX2
@@ -160,8 +160,8 @@ def d1_tian_general(p: SystemParams) -> float:
     return best
 
 
-def d2_tian(p: SystemParams) -> float:
-    return pos_part(1.0 - p.r2 / p.L)
+# RX2 hears no interference, so its exponent does not depend on RX1's decoder
+d2_tian = d2_cmo
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic
 from .core import ParameterError, SchemeId, SystemParams
-from .regions import RATE_FLOOR, oracle_d1_hk_stop
+from .regions import RATE_FLOOR, oracle_d1_hk
 from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
 from .verify import VERIFY_SCHEMES, worst_gap
 
@@ -151,7 +151,7 @@ def cmd_curve(args) -> int:
                 # no closed form: the region oracle evaluates this policy,
                 # and it needs r1, and r2 past one round, at or above its floor
                 p = replace(p, r1=max(p.r1, RATE_FLOOR), r2=max(p.r2, RATE_FLOOR))
-                d1, d2 = oracle_d1_hk_stop(p), analytic.d2_hk(p)
+                d1, d2 = oracle_d1_hk(p, stop=True), analytic.d2_hk(p)
                 source, branch = "oracle", "d1_hk_stop:oracle"
             else:
                 res = analytic.scheme_dmt(s, p)

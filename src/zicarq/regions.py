@@ -67,6 +67,10 @@ _FAMILIES = 256
 # forms, not in the oracle.
 RATE_FLOOR = 1e-3
 
+# Largest admissible beta: the rounding error of the cooperative minima
+# grows in proportion to beta, and past this it exceeds 1e-12.
+BETA_CEILING = 1e3
+
 
 def _cap(beta: float) -> float:
     """Side of the search box [0, cap]^2; past max(1, beta) every bracket
@@ -297,7 +301,10 @@ class OutageRegion:
         self.event = event
         self.rate = rate
         self.cap = _cap(p.beta)
-        self.theta = np.array([p.beta, p.b, p.r1, p.r2, p.t2, self.cap, 1.0])
+        # past max(1, beta) every b term is 0 at gamma >= 0, so b binds at
+        # most cap: a larger b would only swamp the closure slack
+        self.theta = np.array([p.beta, min(p.b, self.cap), p.r1, p.r2, p.t2,
+                               self.cap, 1.0])
         # the oracle's candidate lines at this point, and the size of every
         # level line's terms (|a|, |b|, and the sum of |c_k*theta_k|; the
         # box edges excluded), which bounds the rounding of a level value
@@ -367,16 +374,6 @@ def _rx1_cmo_event(l: int):
 
 
 @lru_cache(maxsize=_FAMILIES)
-def _rx2_cmo_event(l: int):
-    return l * pos_part(1.0 - _G22) < _R2
-
-
-@lru_cache(maxsize=_FAMILIES)
-def _tian1_event():
-    return pos_part(1.0 - _G11 - pos_part(_BETA - _G21)) < _R1
-
-
-@lru_cache(maxsize=_FAMILIES)
 def _coop_event(name: str):
     """Outage after a relayed second round: O1_COOP (individual rate) and
     O2_COOP (joint rate) under CMO decoding, O3_COOP under noise-treating
@@ -399,13 +396,17 @@ def _coop_event(name: str):
 
 
 def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
-    """RX2 outage under rate splitting after ``rounds`` rounds."""
+    """RX2 outage under rate splitting after ``rounds`` rounds.  RX2 hears
+    no interference, so at t2 = b = 0 this is also the CMO and Tian RX2
+    outage."""
     l = _rounds(p, rounds)
     return OutageRegion(f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event(l), p, p.r2)
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
-    """RX1 individual-rate outage given TX2's ACK at round i (of L)."""
+    """RX1 individual-rate outage given TX2's ACK at round i (of L).  At
+    L = 1 and b = 0 this is the single-round noise-treating (Tian)
+    outage."""
     return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p.L, i), p, p.r1)
 
 
@@ -420,16 +421,6 @@ def region_o12_hk(p: SystemParams, i: int, stop: bool = False) -> OutageRegion:
 def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
     l = _rounds(p, rounds)
     return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event(l), p, p.r1)
-
-
-def region_rx2_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
-    l = _rounds(p, rounds)
-    return OutageRegion(f"O_RX2_CMO(l={l})", "rx2", _rx2_cmo_event(l), p, p.r2)
-
-
-def region_rx1_tian1(p: SystemParams) -> OutageRegion:
-    """Single-round noise-treating outage at RX1."""
-    return OutageRegion("O_RX1_TIAN(l=1)", "rx1", _tian1_event(), p, p.r1)
 
 
 def region_coop(name: str, p: SystemParams) -> OutageRegion:
@@ -535,12 +526,18 @@ def _min_rx2(region: OutageRegion) -> float:
     return float(cand[inside].min()) if inside.any() else math.inf
 
 
-def _check_rate(region: OutageRegion):
+def _check_domain(region: OutageRegion):
     if region.rate < RATE_FLOOR:
         raise ValueError(
             f"{region.region_id}: active rate {region.rate} below the oracle's "
             f"rate floor {RATE_FLOOR} (zero-rate limits live in the "
             "closed forms)"
+        )
+    beta = region.theta[0]
+    if beta > BETA_CEILING:
+        raise ParameterError(
+            f"{region.region_id}: beta {beta:g} above the oracle's ceiling "
+            f"{BETA_CEILING:g} (its minima lose exactness past it)"
         )
 
 
@@ -554,7 +551,7 @@ def oracle_min_exponent(region: OutageRegion) -> float:
     Objective is gamma22 for RX2 regions, gamma11 + gamma21 otherwise.
     Returns +inf when no point within the search cap enters the region.
     """
-    _check_rate(region)
+    _check_domain(region)
     if region.kind == "rx2":
         return _min_rx2(region)
     if region.kind == "coop":
@@ -568,26 +565,18 @@ def oracle_min_exponent_coop(region: OutageRegion) -> float:
     rate."""
     if region.kind != "coop":
         raise ValueError(f"{region.region_id} has no listening fraction")
-    _check_rate(region)
+    _check_domain(region)
     return _min_coop(region)
 
 
-def oracle_d1_hk(p: SystemParams) -> float:
+def oracle_d1_hk(p: SystemParams, stop: bool = False) -> float:
     """RX1 exponent under rate splitting from the outage regions alone.
 
     Sums over the ACK round of TX2: prefix exponent of reaching that round
-    plus the dominant conditional outage exponent.
+    plus the dominant conditional outage exponent.  With ``stop``, TX2
+    stops both streams after its own ACK (no closed form exists for this
+    variant).
     """
-    return _oracle_d1_decomposed(p, stop=False)
-
-
-def oracle_d1_hk_stop(p: SystemParams) -> float:
-    """Same decomposition for the policy where TX2 stops both streams
-    after its own ACK (no closed form exists for this variant)."""
-    return _oracle_d1_decomposed(p, stop=True)
-
-
-def _oracle_d1_decomposed(p: SystemParams, stop: bool) -> float:
     best = math.inf
     for i in range(1, p.L + 1):
         prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(p, i - 1))

@@ -4,7 +4,7 @@ matching outage regions (:mod:`zicarq.regions`)."""
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .regions import (
     region_o11_hk,
     region_o12_hk,
     region_rx1_cmo,
-    region_rx1_tian1,
-    region_rx2_cmo,
     region_rx2_hk,
 )
 
@@ -32,7 +30,9 @@ def sample_params(rng: np.random.Generator, scheme: SchemeId) -> SystemParams:
 
     Rates in [0.05, 0.95], beta in [0.2, 2], b in [0, 0.5], t2 <= r2 with
     the private rate kept above the oracle's floor; L in 1..4 for
-    non-cooperative schemes, 2 under cooperation.
+    non-cooperative schemes, 2 under cooperation.  CMO, Tian and
+    cooperative points have t2 = b = 0, where the rate-splitting regions
+    are theirs.
     """
     r1 = float(rng.uniform(0.05, 0.95))
     r2 = float(rng.uniform(0.05, 0.95))
@@ -74,14 +74,14 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
         yield "d2_hk", analytic.d2_hk(p), oracle_min_exponent(region_rx2_hk(p))
     elif scheme is SchemeId.CMO:
         yield "d1_cmo", analytic.d1_cmo(p), oracle_min_exponent(region_rx1_cmo(p))
-        yield "d2_cmo", analytic.d2_cmo(p), oracle_min_exponent(region_rx2_cmo(p))
+        yield "d2_cmo", analytic.d2_cmo(p), oracle_min_exponent(region_rx2_hk(p))
     elif scheme is SchemeId.TIAN:
         yield "d1_tian_general", analytic.d1_tian_general(p), oracle_d1_hk(p)
         # the single-term closed form equals its ACK-at-round-1 region pair
         first_term = min(oracle_min_exponent(region_o11_hk(p, 1)),
                          oracle_min_exponent(region_o12_hk(p, 1)))
         yield "d1_tian", analytic.d1_tian(p), first_term
-        yield "d2_tian", analytic.d2_tian(p), oracle_min_exponent(region_rx2_cmo(p))
+        yield "d2_tian", analytic.d2_tian(p), oracle_min_exponent(region_rx2_hk(p))
     elif scheme is SchemeId.HK_KEEP:
         keep = min(oracle_min_exponent(region_o11_hk(p, p.L)),
                    oracle_min_exponent(region_o12_hk(p, p.L)))
@@ -121,8 +121,8 @@ def _coop_rx2_oracle(p: SystemParams, scheme: SchemeId) -> float:
     if scheme is not SchemeId.COOP_TIAN:
         round1.append(region_rx1_cmo(p, rounds=1))
     if scheme is not SchemeId.COOP_CMO:
-        round1.append(region_rx1_tian1(p))
+        round1.append(region_o11_hk(replace(p, L=1), 1))
     rx1_round1 = max(oracle_min_exponent(region) for region in round1)
-    rx2_one = oracle_min_exponent(region_rx2_cmo(p, rounds=1))
-    rx2_two = oracle_min_exponent(region_rx2_cmo(p, rounds=2))
+    rx2_one = oracle_min_exponent(region_rx2_hk(p, rounds=1))
+    rx2_two = oracle_min_exponent(region_rx2_hk(p, rounds=2))
     return min(rx1_round1 + rx2_one, rx2_two)

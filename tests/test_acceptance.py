@@ -36,7 +36,7 @@ from zicarq.analytic import (
 )
 from zicarq.cli import main
 from zicarq.core import SystemParams
-from zicarq.regions import oracle_d1_hk_stop, rate_region_subset_check
+from zicarq.regions import oracle_d1_hk, rate_region_subset_check
 from zicarq.simulator import SimConfig, estimate_diversity, estimate_throughput
 from zicarq.verify import sample_params
 
@@ -78,7 +78,7 @@ def test_criterion_3_policy_dominance():
     for _ in range(200):
         p = sample_params(rng, SchemeId.HK)
         lhs = d1_hk(p)
-        rhs = max(d1_hk_keep(p), oracle_d1_hk_stop(p))
+        rhs = max(d1_hk_keep(p), oracle_d1_hk(p, stop=True))
         assert lhs >= rhs - 2e-3, f"policy dominance violated at {p}"
 
     for k in range(20):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from zicarq import analytic, cli, core
 from zicarq.cli import SWEEP_VARS, _parse_triplet, main
 from zicarq.core import ParameterError, SystemParams
-from zicarq.regions import oracle_d1_hk_stop
+from zicarq.regions import oracle_d1_hk
 
 
 def run(argv):
@@ -72,7 +73,7 @@ class TestCurve:
         assert row["source"] == "oracle"
         assert row["branch"] == "d1_hk_stop:oracle"
         p = SystemParams(r1=0.25, r2=0.4, t2=0.2, b=0.2, beta=1.2, L=2)
-        assert float(row["d1"]) == pytest.approx(oracle_d1_hk_stop(p), abs=1e-11)
+        assert float(row["d1"]) == pytest.approx(oracle_d1_hk(p, stop=True), abs=1e-11)
 
     @pytest.mark.parametrize("argv,rate", [
         (["--r2", "0", "--sweep", "r1:0:1:0.5"], "r2"),
@@ -114,6 +115,34 @@ class TestCurve:
                   "--sweep", "r1:0:1:0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "require L=2" in capsys.readouterr().err
+
+    def test_hk_stop_large_b(self, tmp_path):
+        # past max(1, beta) = 1 every b term is 0, so b = 1e20 gives the
+        # exponents of b = 1 instead of swamping the oracle's closure slack
+        d1 = {}
+        for b in ("1", "1e20"):
+            out = tmp_path / f"b{b}.csv"
+            rc = run(["curve", "--scheme", "hk-stop,hk", "--L", "2", "--r2", "0.5",
+                      "--t2", "0.2", "--b", b, "--sweep", "r1:0:1:0.5",
+                      "--out", str(out)])
+            assert rc == 0
+            d1[b] = [(row["scheme"], row["d1"]) for row in read_csv(out)]
+        assert d1["1e20"] == d1["1"]
+        assert [v for s, v in d1["1e20"] if s == "hk-stop"] == ["0.9995", "0.75", "0.5"]
+
+    @pytest.mark.parametrize("beta", ["1e100", "1e308"])
+    def test_hk_stop_beta_above_ceiling(self, beta, tmp_path, capsys):
+        # the oracle refuses a beta where it is no longer exact, before any
+        # arithmetic that could overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["curve", "--scheme", "hk-stop", "--L", "2", "--beta", beta,
+                      "--sweep", "r1:0.5:0.5:0.1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "beta" in err and "ceiling" in err
+        assert not caught and "Warning" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_sweep_variable(self, tmp_path):
         rc = run(["curve", "--scheme", "cmo", "--sweep", "L:1:4:1",

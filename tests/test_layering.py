@@ -1,10 +1,14 @@
-"""Package layering: modules share only public names, and the three engines
-(closed forms, outage-region oracle, Monte Carlo) share only ``core``."""
+"""Package layering: modules share only public names, the three engines
+(closed forms, outage-region oracle, Monte Carlo) share only ``core``, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zicarq"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zicarq"
 
 
 def _imports(path: Path):
@@ -70,3 +74,18 @@ def test_engines_import_no_other_engine():
     found = [hit for engine in ENGINES for other in ENGINES if other != engine
              for hit in _imports_of(PACKAGE / f"{engine}.py", other)]
     assert not found, found
+
+
+def test_bench_tracer_targets_exist():
+    # the benchmark's tracer wraps these names; a rename would make it
+    # report them missing, which only its slow subprocess smoke test sees
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, attr) for module, attr, *_ in tracing.TARGETS]
+    names += [(module, attr) for module, attr, _ in tracing.MODULE_BINDINGS]
+    assert names
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, missing

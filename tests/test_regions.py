@@ -8,10 +8,10 @@ from zicarq import analytic, regions
 from zicarq.analytic import SchemeId
 from zicarq.core import COOP_SCHEMES, ParameterError, SystemParams
 from zicarq.regions import (
+    BETA_CEILING,
     RATE_FLOOR,
     OutageRegion,
     oracle_d1_hk,
-    oracle_d1_hk_stop,
     oracle_min_exponent,
     oracle_min_exponent_coop,
     pos_part,
@@ -20,7 +20,6 @@ from zicarq.regions import (
     region_o11_hk,
     region_o12_hk,
     region_rx1_cmo,
-    region_rx2_cmo,
     region_rx2_hk,
     symbols,
 )
@@ -48,7 +47,6 @@ class TestRegionContains:
         p = P(r1=0.0, r2=0.0, beta=1.0, L=2)
         for region in (
             region_rx2_hk(p),
-            region_rx2_cmo(p),
             region_rx1_cmo(p),
             region_o11_hk(p, 1),
             region_o12_hk(p, 2),
@@ -76,7 +74,8 @@ class TestRegionContains:
 
 class TestOracleSpotValues:
     def test_rx2_cmo_full_rate(self):
-        region = region_rx2_cmo(P(r1=0, r2=1.0, L=2))
+        # the CMO RX2 outage is the rate-splitting one at t2 = b = 0
+        region = region_rx2_hk(P(r1=0, r2=1.0, L=2))
         assert oracle_min_exponent(region) == pytest.approx(0.5, abs=TOL)
 
     def test_o11_first_round(self):
@@ -164,13 +163,13 @@ class TestOracleD1Hk:
         with pytest.raises(ValueError, match="rate floor"):
             oracle_d1_hk(P(r1=0.0, r2=0.5, L=2))
 
-    @pytest.mark.parametrize("oracle", [oracle_d1_hk, oracle_d1_hk_stop])
-    def test_rate_floor_only_on_regions_built(self, oracle):
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_rate_floor_only_on_regions_built(self, stop):
         # a single round builds no RX2 prefix region, so r2 may sit below the floor
         p = P(r1=0.3, r2=0.0, b=0.1, beta=0.5, L=1)
-        assert oracle(p) == pytest.approx(analytic.d1_hk(p), abs=1e-12)
+        assert oracle_d1_hk(p, stop) == pytest.approx(analytic.d1_hk(p), abs=1e-12)
         with pytest.raises(ValueError, match=r"O_RX2_HK\(l=1\).*rate floor"):
-            oracle(replace(p, L=2))
+            oracle_d1_hk(replace(p, L=2), stop)
 
 
 class TestStopPolicyOracle:
@@ -182,7 +181,7 @@ class TestStopPolicyOracle:
                   t2=float(rng.uniform(0, r2 - 1e-3)) if r2 > 1e-3 else 0.0,
                   b=float(rng.uniform(0, 0.5)), beta=float(rng.uniform(0.2, 2)),
                   L=int(rng.integers(1, 4)))
-            stop = oracle_d1_hk_stop(p)
+            stop = oracle_d1_hk(p, stop=True)
             full = oracle_d1_hk(p)
             assert stop <= full + TOL
             assert full <= analytic.d1_hk(p) + TOL
@@ -198,7 +197,7 @@ class TestStopPolicyOracle:
     def test_stop_equals_policy_when_common_absent(self):
         # with no common stream the stop and mixed policies coincide
         p = P(r1=0.4, r2=0.5, t2=0.0, b=0.0, beta=0.9, L=2)
-        assert oracle_d1_hk_stop(p) == pytest.approx(
+        assert oracle_d1_hk(p, stop=True) == pytest.approx(
             oracle_d1_hk(p), abs=TOL)
 
 class TestOracleRobustness:
@@ -265,6 +264,35 @@ class TestExactness:
                     p = replace(sample_params(rng, scheme), beta=beta, L=L)
                     for check, closed, oracle in _verify_checks(scheme, p):
                         assert abs(closed - oracle) <= 1e-12, (check, p)
+
+    @pytest.mark.parametrize("b", [1e15, 1e16, 1e20])
+    def test_large_b(self, b):
+        # once b >= max(1, beta) every b term is 0 over the box, so a huge b
+        # gives the minima of b = cap, and the closed forms still agree
+        p = P(r1=0.5, r2=0.5, t2=0.2, b=b, beta=0.8, L=2)
+        at_cap = replace(p, b=regions._cap(p.beta))
+        for stop in (False, True):
+            assert oracle_d1_hk(p, stop) == oracle_d1_hk(at_cap, stop)
+        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
+        for i in (1, 2):
+            got = oracle_min_exponent(region_o11_hk(p, i))
+            assert abs(got - analytic.d11_hk(p, i)) <= 1e-12
+        got = oracle_min_exponent(region_rx2_hk(p))
+        assert abs(got - analytic.d2_hk(p)) <= 1e-12
+
+    def test_beta_ceiling(self):
+        # at the ceiling the oracle is exact; above it, it refuses
+        p = P(r1=0.5, r2=0.5, t2=0.2, b=0.1, beta=BETA_CEILING, L=2)
+        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
+        coop = P(r1=0.5, r2=0.5, beta=BETA_CEILING)
+        got = oracle_min_exponent_coop(region_coop("O1_COOP", coop))
+        assert abs(got - analytic.d11c_cmo2(0.5, BETA_CEILING)) <= 1e-12
+        for beta in (math.nextafter(BETA_CEILING, math.inf), 1e100):
+            for stop in (False, True):
+                with pytest.raises(ParameterError, match="beta.*ceiling"):
+                    oracle_d1_hk(replace(p, beta=beta), stop)
+            with pytest.raises(ParameterError, match="beta.*ceiling"):
+                oracle_min_exponent_coop(region_coop("O1_COOP", replace(coop, beta=beta)))
 
     def test_level_constant_cancels(self):
         # 1 - b - (r2 - t2) leaves RX2 a level constant of 0.005 where the
