@@ -12,6 +12,10 @@ Each trial consumes exactly four uniforms (one squared-magnitude per
 link, drawn as Exp(1), matching |CN(0,1)|^2); phases never enter the
 outage tests, so the episode kernels and ``run_episode`` take the squared
 magnitudes (g11, g21, g22, g_relay) themselves.
+
+The kernels test round 1 on the whole block and each later round only on
+the trials still open, with the same elementwise tests as a per-round
+pass over every trial, so the counts are those of that pass.
 """
 
 from __future__ import annotations
@@ -121,10 +125,15 @@ def _philox_at(seed: int, trial0: int, stream: int) -> np.random.Generator:
 
 
 def _trial_gains(seed: int, trial0: int, n: int, stream: int) -> np.ndarray:
-    """|h|^2 draws for trials [trial0, trial0+n): shape (n, 4) Exp(1)."""
+    """|h|^2 draws for trials [trial0, trial0+n): shape (n, 4) Exp(1).
+
+    Each uniform u maps to -log1p(-u), computed in place on the uniforms.
+    """
     gen = _philox_at(seed, trial0, stream)
     u = gen.random((n, _DRAWS_PER_TRIAL))
-    return -np.log1p(-u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -158,75 +167,91 @@ def _power(rho: float, exponent: float, name: str) -> float:
                              f"{name}={exponent:g}") from None
 
 
+def _ack_rounds(L, ok1, ok, cols):
+    """Round of each trial's first ACK, or L + 1 if none by round L.
+
+    ``ok1`` is round 1's outcome over the whole block.  Rounds >= 2 test
+    ``ok(l, *c)`` only on the trials still open, where ``c = cols(idx)``
+    at their indices ``idx``, compressed as trials ACK.
+    """
+    ack = np.where(ok1, 1, L + 1)
+    if L > 1:
+        idx = np.flatnonzero(~ok1)
+        c = cols(idx)
+        for l in range(2, L + 1):
+            hit = ok(l, *c)
+            ack[idx[hit]] = l
+            keep = ~hit
+            idx, c = idx[keep], [x[keep] for x in c]
+    return ack
+
+
 def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
     L = p.L
     lg = math.log2(rho)
     R1, R2, T2 = p.r1 * lg, p.r2 * lg, p.t2 * lg
-    S2 = R2 - T2
     A = g11 * rho
     B = g21 * _power(rho, p.beta, "beta")
     C = g22 * rho
-    n = A.shape[0]
-
+    m2 = [np.log2(1.0 + C)]
     if scheme is SchemeId.HK:
         div = 1.0 + _power(rho, p.b, "b")
-        m2_full = np.log2(1.0 + C)
-        m2_priv = np.log2(1.0 + C / div)
+        m2.append(np.log2(1.0 + C / div))
+
+    def rx2_ok(l, m2_full, m2_priv=None):
+        # hk: t2 <= r2, so the full-rate test covers the common stream's T2
+        ok = l * m2_full >= R2
+        return ok if m2_priv is None else ok & (l * m2_priv >= R2 - T2)
+
+    ack2 = _ack_rounds(L, rx2_ok(1, *m2), rx2_ok, lambda i: [m[i] for m in m2])
+
+    # RX1's round 1 always sees TX2's interference (i_eff = 1), so the
+    # clean-round terms are computed only for the trials it leaves open
+    if scheme is SchemeId.HK:
         Bn = B / div
         m1_int = np.log2(1.0 + A / (1.0 + Bn))
-        m1_clean = np.log2(1.0 + A)
         m1s_int = np.log2(1.0 + (A + B) / (1.0 + Bn))
-        m1s_clean = np.log2(1.0 + A + B)
+        ok1 = (m1_int >= R1) & (m1s_int >= R1 + T2)
 
-        def rx2_ok(l):
-            # t2 <= r2, so the full-rate test covers the common stream's T2
-            return (l * m2_full >= R2) & (l * m2_priv >= S2)
-
-        def rx1_ok(l, i_eff):
-            c1 = i_eff * m1_int + (l - i_eff) * m1_clean
-            c2 = i_eff * m1s_int + (l - i_eff) * m1s_clean
+        def rx1_ok(l, a2, m_int, ms_int, m_clean, ms_clean):
+            i_eff = np.minimum(a2, l)
+            c1 = i_eff * m_int + (l - i_eff) * m_clean
+            c2 = i_eff * ms_int + (l - i_eff) * ms_clean
             return (c1 >= R1) & (c2 >= R1 + T2)
 
+        def rx1_cols(i):
+            Ai = A[i]
+            return (ack2[i], m1_int[i], m1s_int[i], np.log2(1.0 + Ai),
+                    np.log2(1.0 + Ai + B[i]))
+
     elif scheme is SchemeId.CMO:
-        m2 = np.log2(1.0 + C)
         m1 = np.log2(1.0 + A)
         m1s = np.log2(1.0 + A + B)
 
-        def rx2_ok(l):
-            return l * m2 >= R2
-
-        def rx1_ok(l, i_eff):
+        def rx1_ok(l, m, ms):
             # TX2 keeps sending the same message after its ACK, so both
             # joint constraints keep accumulating over every round
-            return (l * m1 >= R1) & (l * m1s >= R1 + R2)
+            return (l * m >= R1) & (l * ms >= R1 + R2)
+
+        ok1 = rx1_ok(1, m1, m1s)
+
+        def rx1_cols(i):
+            return m1[i], m1s[i]
 
     else:  # tian
-        m2 = np.log2(1.0 + C)
         m1_int = np.log2(1.0 + A / (1.0 + B))
-        m1_clean = np.log2(1.0 + A)
+        ok1 = m1_int >= R1
 
-        def rx2_ok(l):
-            return l * m2 >= R2
-
-        def rx1_ok(l, i_eff):
+        def rx1_ok(l, a2, m_int, m_clean):
             # TX2 goes silent after its ACK: clean rounds afterwards
-            return i_eff * m1_int + (l - i_eff) * m1_clean >= R1
+            i_eff = np.minimum(a2, l)
+            return i_eff * m_int + (l - i_eff) * m_clean >= R1
 
-    ack2 = np.full(n, L + 1, dtype=np.int64)
-    for l in range(1, L + 1):
-        newly = rx2_ok(l) & (ack2 > L)
-        ack2[newly] = l
+        def rx1_cols(i):
+            return ack2[i], m1_int[i], np.log2(1.0 + A[i])
 
-    ack1 = np.full(n, L + 1, dtype=np.int64)
-    for l in range(1, L + 1):
-        i_eff = np.minimum(ack2, l)
-        newly = rx1_ok(l, i_eff) & (ack1 > L)
-        ack1[newly] = l
-
-    err1 = ack1 > L
-    err2 = ack2 > L
-    zeta = np.maximum(np.minimum(ack1, L), np.minimum(ack2, L))
-    return err1, err2, zeta
+    ack1 = _ack_rounds(L, ok1, rx1_ok, rx1_cols)
+    return ack1 > L, ack2 > L, np.maximum(np.minimum(ack1, L), np.minimum(ack2, L))
 
 
 def _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T):
@@ -250,20 +275,19 @@ def _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T):
     else:  # dynamic decoding: RX1 picks the better decoder per realization
         rx1_ack1 = cmo_ok1 | tian_ok1
 
+    # the relayed round 2 runs only on the trials RX1 NACKed in round 1
+    nack = np.flatnonzero(~rx1_ack1)
+    m1, m1s, m1n = m1[nack], m1s[nack], m1n[nack]
     # listening threshold: symbols TX2 needs to decode TX1's message
-    clog = np.log2(1.0 + grelay * rho)
+    clog = np.log2(1.0 + grelay[nack] * rho)
     with np.errstate(divide="ignore", over="ignore"):
         need = np.where(clog > 0.0, np.ceil(T * R1 / clog), np.inf)
-    Tp = np.minimum(float(T), need)
-    f = Tp / float(T)
+    f = np.minimum(float(T), need) / float(T)
 
     # accumulated information at RX1 by the end of the relayed round 2
-    acc_own = (1.0 + f) * m1 + (1.0 - f) * m1s
-    acc_joint = m1s + f * m1 + (1.0 - f) * m1s
-    acc_noise = m1n + f * m1 + (1.0 - f) * m1s
-    o1_bad = acc_own < R1
-    o2_bad = acc_joint < R1 + R2
-    o3_bad = acc_noise < R1
+    o1_bad = (1.0 + f) * m1 + (1.0 - f) * m1s < R1
+    o2_bad = m1s + f * m1 + (1.0 - f) * m1s < R1 + R2
+    o3_bad = m1n + f * m1 + (1.0 - f) * m1s < R1
     if scheme is SchemeId.COOP_CMO:
         err1_r2 = o1_bad | o2_bad
     elif scheme is SchemeId.COOP_TIAN:
@@ -271,7 +295,8 @@ def _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T):
     else:
         err1_r2 = o3_bad & (o1_bad | o2_bad)
 
-    err1 = np.where(rx1_ack1, False, err1_r2)
+    err1 = np.zeros_like(rx1_ack1)
+    err1[nack] = err1_r2
     # TX2 retransmits its own message in round 2 only when RX1 ACKed;
     # after an RX1 NACK it relays instead, whatever its own feedback was
     rx2_ack1 = m2 >= R2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,9 +177,14 @@ class TestEstimateOutage:
             assert 0.0 <= p <= 1.0
             assert ci[0] <= p <= ci[1]
 
-    @pytest.mark.parametrize("scheme", SIM_SCHEMES, ids=lambda s: s.value)
-    def test_partition_independent(self, scheme, monkeypatch):
+    # at L = 4 the open-trial rounds run three times, not once
+    @pytest.mark.parametrize("scheme,L", [
+        *(pytest.param(s, 2, id=s.value) for s in SIM_SCHEMES),
+        pytest.param(SchemeId.HK, 4, id="hk-L4"),
+        pytest.param(SchemeId.TIAN, 4, id="tian-L4")])
+    def test_partition_independent(self, scheme, L, monkeypatch):
         p = HK_P if scheme not in COOP_SCHEMES else P(r1=0.3, r2=0.4, beta=0.8, L=2)
+        p = dataclasses.replace(p, L=L)
         kw = dict(scheme=scheme, params=p, rho=100.0, trials=30_000, seed=42)
         monkeypatch.setattr(simulator, "_BLOCK", 977)
         a = estimate_outage(**kw)
@@ -257,3 +263,178 @@ class TestTrialGains:
         assert g.shape == (200_000, 4)
         assert float(g.mean()) == pytest.approx(1.0, rel=0.02)
         assert float((g < 0).sum()) == 0
+    def test_draw_is_philox_exp1_at_the_trial_offset(self):
+        # the randomness contract: trial t's four uniforms are Philox
+        # counter block t of key (seed, stream), mapped by -log1p(-u)
+        seed, stream, trial0, n = 12345, 3, 70_001, 5000
+        bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        bg.advance(trial0)
+        u = np.random.Generator(bg).random((n, 4))
+        g = _trial_gains(seed, trial0, n, stream)
+        assert g.tobytes() == (-np.log1p(-u)).tobytes()
+
+
+def _reference_episodes(scheme, p, rho, g11, g21, g22, grelay, T):
+    """Every round over every trial, written from the protocol definition.
+
+    RX2's ACK round comes first, since RX1 sees TX2's interference only
+    up to it; each later round retests every trial still without an ACK.
+    """
+    lg = math.log2(rho)
+    R1, R2, T2 = p.r1 * lg, p.r2 * lg, p.t2 * lg
+    A, B, C = g11 * rho, g21 * rho**p.beta, g22 * rho
+    m1 = np.log2(1.0 + A)
+    m1s = np.log2(1.0 + A + B)
+    m1n = np.log2(1.0 + A / (1.0 + B))
+    m2 = np.log2(1.0 + C)
+    if scheme in COOP_SCHEMES:
+        cmo_ok1 = (m1 >= R1) & (m1s >= R1 + R2)
+        tian_ok1 = m1n >= R1
+        ack1 = {SchemeId.COOP_CMO: cmo_ok1, SchemeId.COOP_TIAN: tian_ok1,
+                SchemeId.COOP_DD: cmo_ok1 | tian_ok1}[scheme]
+        clog = np.log2(1.0 + grelay * rho)
+        with np.errstate(divide="ignore", over="ignore"):
+            need = np.where(clog > 0.0, np.ceil(T * R1 / clog), np.inf)
+        f = np.minimum(float(T), need) / float(T)
+        o1 = (1.0 + f) * m1 + (1.0 - f) * m1s < R1
+        o2 = m1s + f * m1 + (1.0 - f) * m1s < R1 + R2
+        o3 = m1n + f * m1 + (1.0 - f) * m1s < R1
+        err = {SchemeId.COOP_CMO: o1 | o2, SchemeId.COOP_TIAN: o3,
+               SchemeId.COOP_DD: o3 & (o1 | o2)}[scheme]
+        ok2 = m2 >= R2
+        return (np.where(ack1, False, err), np.where(ack1, 2.0 * m2 < R2, ~ok2),
+                np.where(ack1 & ok2, 1, 2))
+    L = p.L
+    if scheme is SchemeId.HK:
+        div = 1.0 + rho**p.b
+        m2p = np.log2(1.0 + C / div)
+        Bn = B / div
+        m1_int = np.log2(1.0 + A / (1.0 + Bn))
+        m1s_int = np.log2(1.0 + (A + B) / (1.0 + Bn))
+
+        def rx2_ok(l):
+            return (l * m2 >= R2) & (l * m2p >= R2 - T2)
+
+        def rx1_ok(l, i):
+            return ((i * m1_int + (l - i) * m1 >= R1)
+                    & (i * m1s_int + (l - i) * m1s >= R1 + T2))
+    elif scheme is SchemeId.CMO:
+        def rx2_ok(l):
+            return l * m2 >= R2
+
+        def rx1_ok(l, i):
+            return (l * m1 >= R1) & (l * m1s >= R1 + R2)
+    else:
+        def rx2_ok(l):
+            return l * m2 >= R2
+
+        def rx1_ok(l, i):
+            return i * m1n + (l - i) * m1 >= R1
+    ack2 = np.full(A.shape, L + 1)
+    for l in range(1, L + 1):
+        ack2[rx2_ok(l) & (ack2 > L)] = l
+    ack1 = np.full(A.shape, L + 1)
+    for l in range(1, L + 1):
+        ack1[rx1_ok(l, np.minimum(ack2, l)) & (ack1 > L)] = l
+    return ack1 > L, ack2 > L, np.maximum(np.minimum(ack1, L), np.minimum(ack2, L))
+
+
+def _reference_cases():
+    # 60 random points, ten per scheme, with every sixth r1/r2 pushed to
+    # an edge where nearly every trial, or none, stays open after round 1
+    rng = np.random.default_rng(2015)
+    edges = (0.0, 1e-3, 0.999, 1.0)
+    cases = []
+    for k in range(60):
+        scheme = SIM_SCHEMES[k % 6]
+        r1, r2 = rng.uniform(0.0, 1.0, 2)
+        if k % 6 == k // 6 % 6:
+            r1, r2 = rng.choice(edges, 2)
+        t2 = rng.uniform(0.0, r2) if scheme is SchemeId.HK else 0.0
+        b = rng.uniform(0.0, 1.5) if scheme is SchemeId.HK else 0.0
+        L = 2 if scheme in COOP_SCHEMES else int(rng.integers(1, 7))
+        p = P(r1=float(r1), r2=float(r2), t2=float(t2), b=float(b),
+              beta=float(rng.uniform(0.0, 2.0)), L=L)
+        cases.append((scheme, p, float(10.0 ** rng.uniform(0.3, 4.0)),
+                      int(rng.choice((1, 7, 1000))), k))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("scheme,p,rho,T,stream", [
+        pytest.param(*c, id=f"{c[0].value}-{c[4]}") for c in REFERENCE_CASES])
+    def test_elementwise(self, scheme, p, rho, T, stream):
+        g = _trial_gains(8, 0, 3000, stream)
+        cols = (g[:, 0], g[:, 1], g[:, 2], g[:, 3])
+        got = _episode_batch(scheme, p, rho, *cols, T)
+        want = _reference_episodes(scheme, p, rho, *cols, T)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_reference_covers_all_and_none_open(self):
+        # the edge points reach both ends: a block where every trial ACKs
+        # in round 1 and one where none does
+        first = set()
+        for scheme, p, rho, T, stream in REFERENCE_CASES:
+            g = _trial_gains(8, 0, 3000, stream)
+            _, _, zeta = _reference_episodes(scheme, p, rho, g[:, 0], g[:, 1],
+                                             g[:, 2], g[:, 3], T)
+            first.add(float(np.mean(zeta == 1)))
+        assert 0.0 in first and 1.0 in first
+
+
+SPLIT = dict(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8)
+PLAIN = dict(r1=0.3, r2=0.4, beta=0.8)
+# run_trials(scheme, P(**point, L=L), 10**(db/10), 70_000, seed=11) as
+# (k1, k2, zeta_sum); 70,000 trials cross one _BLOCK boundary
+GOLDEN = [
+    ("hk", SPLIT, 1, 15, (28484, 6284, 70000)),
+    ("hk", SPLIT, 1, 35, (53662, 484, 70000)),
+    ("hk", PLAIN, 1, 15, (24607, 12002, 70000)),
+    ("hk", PLAIN, 1, 35, (35387, 1032, 70000)),
+    ("cmo", PLAIN, 1, 15, (7392, 6284, 70000)),
+    ("cmo", PLAIN, 1, 35, (1352, 484, 70000)),
+    ("tian", PLAIN, 1, 15, (35354, 6284, 70000)),
+    ("tian", PLAIN, 1, 35, (47055, 484, 70000)),
+    ("hk", SPLIT, 2, 15, (3369, 2165, 102212)),
+    ("hk", SPLIT, 2, 35, (293, 102, 123765)),
+    ("hk", PLAIN, 2, 15, (4278, 4242, 102365)),
+    ("hk", PLAIN, 2, 35, (412, 182, 105883)),
+    ("cmo", PLAIN, 2, 15, (1689, 2165, 83018)),
+    ("cmo", PLAIN, 2, 35, (52, 102, 71828)),
+    ("tian", PLAIN, 2, 15, (4452, 2165, 108443)),
+    ("tian", PLAIN, 2, 35, (387, 102, 117197)),
+    ("hk", SPLIT, 3, 15, (1501, 1357, 107418)),
+    ("hk", SPLIT, 3, 35, (53, 58, 124147)),
+    ("hk", PLAIN, 3, 15, (1790, 2527, 110141)),
+    ("hk", PLAIN, 3, 35, (66, 96, 106445)),
+    ("cmo", PLAIN, 3, 15, (943, 1265, 86825)),
+    ("cmo", PLAIN, 3, 35, (26, 50, 71982)),
+    ("tian", PLAIN, 3, 15, (1806, 1265, 114465)),
+    ("tian", PLAIN, 3, 35, (67, 50, 117652)),
+    ("hk", SPLIT, 4, 15, (915, 960, 110161)),
+    ("hk", SPLIT, 4, 35, (28, 41, 124255)),
+    ("hk", PLAIN, 4, 15, (1059, 1797, 114177)),
+    ("hk", PLAIN, 4, 35, (31, 64, 106599)),
+    ("cmo", PLAIN, 4, 15, (682, 844, 89016)),
+    ("cmo", PLAIN, 4, 35, (16, 27, 72058)),
+    ("tian", PLAIN, 4, 15, (1047, 844, 117292)),
+    ("tian", PLAIN, 4, 35, (32, 27, 117759)),
+    ("coop-cmo", PLAIN, 2, 15, (612, 2603, 83018)),
+    ("coop-cmo", PLAIN, 2, 35, (8, 110, 71828)),
+    ("coop-tian", PLAIN, 2, 15, (446, 4248, 108443)),
+    ("coop-tian", PLAIN, 2, 35, (2, 375, 117197)),
+    ("coop-dd", PLAIN, 2, 15, (313, 2515, 81838)),
+    ("coop-dd", PLAIN, 2, 35, (1, 110, 71733)),
+]
+
+
+@pytest.mark.parametrize("scheme,point,L,db,want", GOLDEN,
+                         ids=lambda v: v if isinstance(v, (str, int)) else "")
+def test_golden_counts(scheme, point, L, db, want):
+    c = simulator.run_trials(scheme, P(**point, L=L), 10.0 ** (db / 10.0),
+                             70_000, 11)
+    assert (c.n, c.k1, c.k2, c.zeta_sum) == (70_000, *want)
