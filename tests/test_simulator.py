@@ -386,55 +386,56 @@ class TestKernelsMatchReference:
         assert 0.0 in first and 1.0 in first
 
 
-SPLIT = dict(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8)
-PLAIN = dict(r1=0.3, r2=0.4, beta=0.8)
-# run_trials(scheme, P(**point, L=L), 10**(db/10), 70_000, seed=11) as
-# (k1, k2, zeta_sum); 70,000 trials cross one _BLOCK boundary
+POINTS = {"split": dict(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8),
+          "plain": dict(r1=0.3, r2=0.4, beta=0.8)}
+# run_trials(scheme, P(**POINTS[point], L=L), 10**(db/10), 70_000, seed=11)
+# as (k1, k2, zeta_sum), recorded before the kernels skipped closed
+# trials; 70,000 trials cross one _BLOCK boundary
 GOLDEN = [
-    ("hk", SPLIT, 1, 15, (28484, 6284, 70000)),
-    ("hk", SPLIT, 1, 35, (53662, 484, 70000)),
-    ("hk", PLAIN, 1, 15, (24607, 12002, 70000)),
-    ("hk", PLAIN, 1, 35, (35387, 1032, 70000)),
-    ("cmo", PLAIN, 1, 15, (7392, 6284, 70000)),
-    ("cmo", PLAIN, 1, 35, (1352, 484, 70000)),
-    ("tian", PLAIN, 1, 15, (35354, 6284, 70000)),
-    ("tian", PLAIN, 1, 35, (47055, 484, 70000)),
-    ("hk", SPLIT, 2, 15, (3369, 2165, 102212)),
-    ("hk", SPLIT, 2, 35, (293, 102, 123765)),
-    ("hk", PLAIN, 2, 15, (4278, 4242, 102365)),
-    ("hk", PLAIN, 2, 35, (412, 182, 105883)),
-    ("cmo", PLAIN, 2, 15, (1689, 2165, 83018)),
-    ("cmo", PLAIN, 2, 35, (52, 102, 71828)),
-    ("tian", PLAIN, 2, 15, (4452, 2165, 108443)),
-    ("tian", PLAIN, 2, 35, (387, 102, 117197)),
-    ("hk", SPLIT, 3, 15, (1501, 1357, 107418)),
-    ("hk", SPLIT, 3, 35, (53, 58, 124147)),
-    ("hk", PLAIN, 3, 15, (1790, 2527, 110141)),
-    ("hk", PLAIN, 3, 35, (66, 96, 106445)),
-    ("cmo", PLAIN, 3, 15, (943, 1265, 86825)),
-    ("cmo", PLAIN, 3, 35, (26, 50, 71982)),
-    ("tian", PLAIN, 3, 15, (1806, 1265, 114465)),
-    ("tian", PLAIN, 3, 35, (67, 50, 117652)),
-    ("hk", SPLIT, 4, 15, (915, 960, 110161)),
-    ("hk", SPLIT, 4, 35, (28, 41, 124255)),
-    ("hk", PLAIN, 4, 15, (1059, 1797, 114177)),
-    ("hk", PLAIN, 4, 35, (31, 64, 106599)),
-    ("cmo", PLAIN, 4, 15, (682, 844, 89016)),
-    ("cmo", PLAIN, 4, 35, (16, 27, 72058)),
-    ("tian", PLAIN, 4, 15, (1047, 844, 117292)),
-    ("tian", PLAIN, 4, 35, (32, 27, 117759)),
-    ("coop-cmo", PLAIN, 2, 15, (612, 2603, 83018)),
-    ("coop-cmo", PLAIN, 2, 35, (8, 110, 71828)),
-    ("coop-tian", PLAIN, 2, 15, (446, 4248, 108443)),
-    ("coop-tian", PLAIN, 2, 35, (2, 375, 117197)),
-    ("coop-dd", PLAIN, 2, 15, (313, 2515, 81838)),
-    ("coop-dd", PLAIN, 2, 35, (1, 110, 71733)),
+    ("hk", "split", 1, 15, (28484, 6284, 70000)),
+    ("hk", "split", 1, 35, (53662, 484, 70000)),
+    ("hk", "plain", 1, 15, (24607, 12002, 70000)),
+    ("hk", "plain", 1, 35, (35387, 1032, 70000)),
+    ("cmo", "plain", 1, 15, (7392, 6284, 70000)),
+    ("cmo", "plain", 1, 35, (1352, 484, 70000)),
+    ("tian", "plain", 1, 15, (35354, 6284, 70000)),
+    ("tian", "plain", 1, 35, (47055, 484, 70000)),
+    ("hk", "split", 2, 15, (3369, 2165, 102212)),
+    ("hk", "split", 2, 35, (293, 102, 123765)),
+    ("hk", "plain", 2, 15, (4278, 4242, 102365)),
+    ("hk", "plain", 2, 35, (412, 182, 105883)),
+    ("cmo", "plain", 2, 15, (1689, 2165, 83018)),
+    ("cmo", "plain", 2, 35, (52, 102, 71828)),
+    ("tian", "plain", 2, 15, (4452, 2165, 108443)),
+    ("tian", "plain", 2, 35, (387, 102, 117197)),
+    ("hk", "split", 3, 15, (1501, 1357, 107418)),
+    ("hk", "split", 3, 35, (53, 58, 124147)),
+    ("hk", "plain", 3, 15, (1790, 2527, 110141)),
+    ("hk", "plain", 3, 35, (66, 96, 106445)),
+    ("cmo", "plain", 3, 15, (943, 1265, 86825)),
+    ("cmo", "plain", 3, 35, (26, 50, 71982)),
+    ("tian", "plain", 3, 15, (1806, 1265, 114465)),
+    ("tian", "plain", 3, 35, (67, 50, 117652)),
+    ("hk", "split", 4, 15, (915, 960, 110161)),
+    ("hk", "split", 4, 35, (28, 41, 124255)),
+    ("hk", "plain", 4, 15, (1059, 1797, 114177)),
+    ("hk", "plain", 4, 35, (31, 64, 106599)),
+    ("cmo", "plain", 4, 15, (682, 844, 89016)),
+    ("cmo", "plain", 4, 35, (16, 27, 72058)),
+    ("tian", "plain", 4, 15, (1047, 844, 117292)),
+    ("tian", "plain", 4, 35, (32, 27, 117759)),
+    ("coop-cmo", "plain", 2, 15, (612, 2603, 83018)),
+    ("coop-cmo", "plain", 2, 35, (8, 110, 71828)),
+    ("coop-tian", "plain", 2, 15, (446, 4248, 108443)),
+    ("coop-tian", "plain", 2, 35, (2, 375, 117197)),
+    ("coop-dd", "plain", 2, 15, (313, 2515, 81838)),
+    ("coop-dd", "plain", 2, 35, (1, 110, 71733)),
 ]
 
 
-@pytest.mark.parametrize("scheme,point,L,db,want", GOLDEN,
-                         ids=lambda v: v if isinstance(v, (str, int)) else "")
+@pytest.mark.parametrize("scheme,point,L,db,want", [
+    pytest.param(*g, id=f"{g[0]}-{g[1]}-L{g[2]}-{g[3]}dB") for g in GOLDEN])
 def test_golden_counts(scheme, point, L, db, want):
-    c = simulator.run_trials(scheme, P(**point, L=L), 10.0 ** (db / 10.0),
-                             70_000, 11)
+    c = simulator.run_trials(scheme, P(**POINTS[point], L=L),
+                             10.0 ** (db / 10.0), 70_000, 11)
     assert (c.n, c.k1, c.k2, c.zeta_sum) == (70_000, *want)
