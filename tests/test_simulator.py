@@ -389,8 +389,8 @@ class TestKernelsMatchReference:
 POINTS = {"split": dict(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8),
           "plain": dict(r1=0.3, r2=0.4, beta=0.8)}
 # run_trials(scheme, P(**POINTS[point], L=L), 10**(db/10), 70_000, seed=11)
-# as (k1, k2, zeta_sum), recorded before the kernels skipped closed
-# trials; 70,000 trials cross one _BLOCK boundary
+# as (k1, k2, zeta_sum), counted by kernels that test every round on every
+# trial; 70,000 trials cross one _BLOCK boundary
 GOLDEN = [
     ("hk", "split", 1, 15, (28484, 6284, 70000)),
     ("hk", "split", 1, 35, (53662, 484, 70000)),
