@@ -6,8 +6,11 @@ selected scheme.  Error means information outage when the protocol
 terminates; no codewords are transmitted and feedback is error-free.
 
 Randomness contract: the gains of trial ``t`` are a fixed function of
-(master seed, stream, t) through a counter-based generator, so estimates
-are bit-identical however trials are partitioned into blocks or workers.
+(master seed, stream, t) through a counter-based generator, so every
+block of trials can be drawn on its own.  ``run_trials`` runs its blocks
+concurrently on worker threads, one per usable CPU, and sums their
+integer event counts, so estimates are bit-identical however trials are
+partitioned into blocks and however the blocks are scheduled.
 Each trial consumes exactly four uniforms (one squared-magnitude per
 link, drawn as Exp(1), matching |CN(0,1)|^2); phases never enter the
 outage tests, so the episode kernels and ``run_episode`` take the squared
@@ -21,6 +24,7 @@ pass over every trial, so the counts are those of that pass.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,12 @@ _MASK64 = (1 << 64) - 1
 _DRAWS_PER_TRIAL = 4  # uniforms per episode: g11, g21, g22, g_relay
 _Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 # trials per vectorised block; estimates do not depend on it
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
+# worker threads for multi-block runs: numpy releases the GIL in the draw,
+# the ufuncs and the gathers, and the blocks share no state
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None  # built on first multi-block run
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,9 @@ def _ack_rounds(L, ok1, ok, cols):
     ``ok(l, *c)`` only on the trials still open, where ``c = cols(idx)``
     at their indices ``idx``, compressed as trials ACK.
     """
-    ack = np.where(ok1, 1, L + 1)
+    # the smallest integer type that holds L + 1: int64 minimum/maximum
+    # over a block cost several times as much
+    ack = (L + 1) - L * ok1.astype(np.min_scalar_type(L + 1))
     if L > 1:
         idx = np.flatnonzero(~ok1)
         c = cols(idx)
@@ -221,8 +232,8 @@ def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
 
         def rx1_cols(i):
             Ai = A[i]
-            return (ack2[i], m1_int[i], m1s_int[i], np.log2(1.0 + Ai),
-                    np.log2(1.0 + Ai + B[i]))
+            return (ack2[i].astype(np.float64), m1_int[i], m1s_int[i],
+                    np.log2(1.0 + Ai), np.log2(1.0 + Ai + B[i]))
 
     elif scheme is SchemeId.CMO:
         m1 = np.log2(1.0 + A)
@@ -248,7 +259,7 @@ def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
             return i_eff * m_int + (l - i_eff) * m_clean >= R1
 
         def rx1_cols(i):
-            return ack2[i], m1_int[i], np.log2(1.0 + A[i])
+            return ack2[i].astype(np.float64), m1_int[i], np.log2(1.0 + A[i])
 
     ack1 = _ack_rounds(L, ok1, rx1_ok, rx1_cols)
     return ack1 > L, ack2 > L, np.maximum(np.minimum(ack1, L), np.minimum(ack2, L))
@@ -300,8 +311,8 @@ def _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T):
     # TX2 retransmits its own message in round 2 only when RX1 ACKed;
     # after an RX1 NACK it relays instead, whatever its own feedback was
     rx2_ack1 = m2 >= R2
-    err2 = np.where(rx1_ack1, 2.0 * m2 < R2, ~rx2_ack1)
-    zeta = np.where(rx1_ack1 & rx2_ack1, 1, 2).astype(np.int64)
+    err2 = (rx1_ack1 & (2.0 * m2 < R2)) | ~(rx1_ack1 | rx2_ack1)
+    zeta = 2 - (rx1_ack1 & rx2_ack1).view(np.uint8)
     return err1, err2, zeta
 
 
@@ -334,25 +345,49 @@ def wilson_interval(successes: int, trials: int):
     return max(0.0, min(center - half, ph)), min(1.0, max(center + half, ph))
 
 
+def _block_pool():
+    """The shared worker-thread pool, built on first use."""
+    global _pool
+    if _pool is None:
+        # imported here: simulate/throughput runs of one block never pay for it
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="zicarq-mc")
+    return _pool
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+# a forked child inherits the pool object but none of its threads
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
                trials: int, seed: int, *, stream: int = 0, T: int = 1000) -> Counts:
     """Run ``trials`` episodes at one SNR point and count their events.
 
-    Aggregation uses integer event counts, so the result is independent
-    of the partition of trials into vectorized blocks of ``_BLOCK``.
+    Blocks of ``_BLOCK`` trials may run concurrently on worker threads.
+    Aggregation sums integer event counts, so the result is independent
+    of the partition into blocks and of the order the blocks finish in.
     """
     scheme = SchemeId(scheme)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    k1 = k2 = zeta_sum = 0
-    for done in range(0, trials, _BLOCK):
+
+    def block(done):
         n = min(_BLOCK, trials - done)
         g = _trial_gains(seed, done, n, stream)
         err1, err2, zeta = _episode_batch(scheme, params, rho,
                                           g[:, 0], g[:, 1], g[:, 2], g[:, 3], T)
-        k1 += int(np.count_nonzero(err1))
-        k2 += int(np.count_nonzero(err2))
-        zeta_sum += int(np.sum(zeta))
+        return (int(np.count_nonzero(err1)), int(np.count_nonzero(err2)),
+                int(zeta.sum()))
+
+    starts = range(0, trials, _BLOCK)
+    run = map if len(starts) == 1 or _WORKERS == 1 else _block_pool().map
+    k1, k2, zeta_sum = map(sum, zip(*run(block, starts)))
     return Counts(trials, k1, k2, zeta_sum)
 
 

@@ -166,10 +166,11 @@ def test_criterion_7_throughput_control():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="operating point sits on the zero-exponent boundary "
-    "r1 + beta - b = 1: the round-1 RX1 outage probability converges to "
-    "a constant (~0.5), so E[renewal time] ~ 1.5 and the ratio caps near "
-    "2/3 at every SNR; the stated 0.9 target is unreachable (see notes)",
+    reason="the round-1 joint-rate test at RX1 has exponent 0, since "
+    "r1 + t2 + beta - b = 1.1 > 1: its failure probability does not vanish "
+    "but grows with SNR (0.50 at 30 dB, 0.94 at 120 dB), so E[renewal time] "
+    "tends to 2 and the ratio falls from 0.663 at 30 dB toward 1/2; the "
+    "stated 0.9 target is unreachable at any SNR (see notes)",
 )
 def test_criterion_7_throughput_as_stated():
     p = P(r1=0.3, r2=0.3, t2=0.1, b=0.1, beta=0.8, L=2)

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,11 +191,26 @@ class TestEstimateOutage:
         p = HK_P if scheme not in COOP_SCHEMES else P(r1=0.3, r2=0.4, beta=0.8, L=2)
         p = dataclasses.replace(p, L=L)
         kw = dict(scheme=scheme, params=p, rho=100.0, trials=30_000, seed=42)
+        threads = []
+        draw = simulator._trial_gains
+
+        def traced_draw(*args):
+            threads.append(threading.current_thread().name)
+            return draw(*args)
+
+        monkeypatch.setattr(simulator, "_trial_gains", traced_draw)
         monkeypatch.setattr(simulator, "_BLOCK", 977)
-        a = estimate_outage(**kw)
+        # the pool runs even on a one-CPU machine
+        monkeypatch.setattr(simulator, "_WORKERS", max(2, simulator._WORKERS))
+        pooled = estimate_outage(**kw)
+        assert len(threads) == 31
+        assert all(t.startswith("zicarq-mc") for t in threads)
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
+        serial = estimate_outage(**kw)
+        assert set(threads[31:]) == {threading.current_thread().name}
         monkeypatch.setattr(simulator, "_BLOCK", 30_000)
-        b = estimate_outage(**kw)
-        assert a == b
+        one_block = estimate_outage(**kw)
+        assert pooled == serial == one_block
 
     def test_reproducible(self):
         a = estimate_outage(SchemeId.COOP_DD, P(r1=0.3, r2=0.4, beta=0.8, L=2),
@@ -198,6 +218,67 @@ class TestEstimateOutage:
         b = estimate_outage(SchemeId.COOP_DD, P(r1=0.3, r2=0.4, beta=0.8, L=2),
                             100.0, 20_000, 9)
         assert a == b
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("scheme,p", [
+        pytest.param(SchemeId.HK, dataclasses.replace(HK_P, beta=400.0),
+                     id="beta-overflow"),
+        pytest.param(SchemeId.HK_KEEP, HK_P, id="hk-keep")])
+    def test_worker_error_surfaces_as_in_one_block(self, scheme, p, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK", 977)
+        monkeypatch.setattr(simulator, "_WORKERS", max(2, simulator._WORKERS))
+        with pytest.raises(ParameterError) as one:
+            simulator.run_trials(scheme, p, 1e3, 977, 0)
+        with pytest.raises(ParameterError) as pooled:
+            simulator.run_trials(scheme, p, 1e3, 5 * 977, 0)
+        assert str(pooled.value) == str(one.value)
+        assert simulator._pool is not None
+
+    def test_one_block_run_builds_no_pool(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_pool", None)
+        monkeypatch.setattr(simulator, "_WORKERS", max(2, simulator._WORKERS))
+        simulator.run_trials(SchemeId.CMO, HK_P, 100.0, simulator._BLOCK, 0)
+        assert simulator._pool is None
+
+    def test_counts_are_python_ints(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK", 977)
+        monkeypatch.setattr(simulator, "_WORKERS", max(2, simulator._WORKERS))
+        c = simulator.run_trials(SchemeId.CMO, HK_P, 100.0, 3 * 977, 0)
+        assert all(type(v) is int for v in dataclasses.astuple(c))
+
+    def test_cli_import_leaves_thread_pool_module_unloaded(self):
+        out = _python("import zicarq.cli; print('concurrent.futures' in sys.modules)")
+        assert out == "False"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_blocks(self):
+        # the child inherits a built pool whose threads did not survive the
+        # fork; SIGALRM (status 14) ends it if it waits on them
+        out = _python("""
+import os, signal
+from zicarq import simulator
+from zicarq.core import SystemParams
+simulator._BLOCK, simulator._WORKERS = 977, 2
+run = lambda: simulator.run_trials("cmo", SystemParams(r1=.3, r2=.4, L=2),
+                                   100.0, 5 * 977, 0)
+want = run()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if run() == want else 1)
+print(os.waitpid(pid, 0)[1])
+""")
+        assert out == "0"
+
+
+def _python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this zicarq."""
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout.strip()
 
 
 class TestWilson:
