@@ -310,7 +310,7 @@ def build_parser() -> _Parser:
     v.add_argument("--scheme", default=None)
     v.add_argument("--samples", type=int, default=500)
     v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=float, default=1e-12)
     v.add_argument("--config", default=None)
     v.add_argument("--out", default=None)
 

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from zicarq import analytic
+from zicarq import analytic, oracle_d1_hk
 from zicarq.analytic import (
     SchemeId,
     d1_cmo,
@@ -28,7 +29,7 @@ from zicarq.analytic import (
     d_static_overall,
     scheme_dmt,
 )
-from zicarq.core import ParameterError, SystemParams
+from zicarq.core import COOP_SCHEMES, ParameterError, SystemParams
 
 
 def P(**kw):
@@ -109,6 +110,22 @@ class TestD12Hk:
         above = d12_hk(P(r1=0.22, r2=0, b=b, beta=beta, L=L), L)
         assert below == pytest.approx(2.14)
         assert above == 0.0
+
+    @pytest.mark.parametrize("r1, label, d12, d1, d1_label", [
+        # the float sum 0.2 + 0.1 exceeds L*b = 0.3, so r1 = .2 is above
+        (0.2, "d12:high-sum", 0.3999999999999999, 0.3999999999999999,
+         "i=1,d12:high-sum"),
+        (0.19999999, "d12:low-sum", pytest.approx(1.0, abs=1e-7), 0.50000001,
+         "i=1,d11:capped"),
+    ], ids=["high-sum", "low-sum"])
+    def test_labels_on_each_side_of_the_jump(self, r1, label, d12, d1, d1_label):
+        p = P(r1=r1, r2=0.5, t2=0.1, b=0.3, beta=0.6, L=1)
+        assert d12_hk(p, 1).label == label
+        assert d12_hk(p, 1) == d12
+        res = scheme_dmt(SchemeId.HK, p)
+        assert res.d1 == d1
+        assert dict(res.branch_trace)["d1"] == d1_label
+        assert abs(oracle_d1_hk(p) - res.d1) <= 1e-12
 
 
 class TestD1Hk:
@@ -378,14 +395,54 @@ class TestSchemeDmt:
         with pytest.raises(ParameterError, match="require L=2"):
             scheme_dmt(SchemeId.COOP_CMO, p)
 
-    def test_branch_trace_populated(self):
-        p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        res = scheme_dmt(SchemeId.HK, p)
-        assert res.d1 == pytest.approx(0.65)
-        assert len(res.branch_trace) == p.L
-        # (function, branch) pairs, one per ACK round
-        assert all(len(entry) == 2 for entry in res.branch_trace)
-        assert [fid for fid, _ in res.branch_trace] == ["d1_hk"] * p.L
+    # the public closed forms behind each scheme's (d1, d2)
+    FORMS = {
+        SchemeId.HK: lambda p: (d1_hk(p), d2_hk(p)),
+        SchemeId.CMO: lambda p: (d1_cmo(p), d2_cmo(p)),
+        SchemeId.TIAN: lambda p: (d1_tian_general(p), d2_tian(p)),
+        SchemeId.HK_KEEP: lambda p: (d1_hk_keep(p), d2_hk(p)),
+        SchemeId.COOP_CMO: lambda p: (d1c_cmo2(p.r1, p.r2, p.beta),
+                                      d2c_cmo2(p.r1, p.r2, p.beta)),
+        SchemeId.COOP_TIAN: lambda p: (d1c_tian2(p.r1, p.beta),
+                                       d2c_tian2(p.r1, p.r2, p.beta)),
+        SchemeId.COOP_STATIC: lambda p: d_static_overall(p.r1, p.r2, p.beta),
+        SchemeId.COOP_DD: lambda p: (d1c_dd2(p.r1, p.r2, p.beta),
+                                     d2c_dd2(p.r1, p.r2, p.beta)),
+    }
+
+    def test_public_forms_and_named_winners(self):
+        rng = np.random.default_rng(29)
+        for k in range(250):
+            r1 = 0.0 if k % 10 == 0 else float(rng.uniform(0, 1))
+            r2 = float(rng.uniform(0, 1))
+            t2 = float(rng.uniform(0, r2))
+            b = float(rng.uniform(0.01, 0.6))
+            beta = float(rng.uniform(0, 2))
+            L = int(rng.integers(1, 6))
+            for scheme, forms in self.FORMS.items():
+                p = P(r1=r1, r2=r2, t2=t2, b=b, beta=beta,
+                      L=2 if scheme in COOP_SCHEMES else L)
+                res = scheme_dmt(scheme, p)
+                d1, d2 = forms(p)
+                assert res.d1 == d1 and res.d2 == d2, (scheme, p)
+                labels = dict(res.branch_trace)
+                assert list(labels) == ["d1", "d2"]
+                assert all(labels.values()), (scheme, p)
+                if scheme not in (SchemeId.HK, SchemeId.TIAN):
+                    continue
+                # the label names the ACK round whose term is d1; tian is hk
+                # at t2 = b = 0 with RX1 treating interference as noise
+                m = re.fullmatch(r"i=(\d+),(d1[12]:.+)", labels["d1"])
+                assert m, (scheme, labels["d1"])
+                i = int(m.group(1))
+                assert 1 <= i <= p.L
+                if scheme is SchemeId.HK:
+                    q, event = p, min(d11_hk(p, i), d12_hk(p, i))
+                else:
+                    q = P(r1=r1, r2=r2, beta=beta, L=L)
+                    event = d11_hk(q, i)
+                assert m.group(2) == event.label
+                assert res.d1 == (0.0 if i == 1 else d2_hk(q, i - 1)) + event
 
     def test_all_schemes_dispatch(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)

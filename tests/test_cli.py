@@ -193,7 +193,7 @@ class TestVerify:
         rows = read_csv(out)
         assert rows[0]["scheme"] == "tian"
         assert rows[0]["status"] == "ok"
-        assert float(rows[0]["tol"]) == 1e-09
+        assert float(rows[0]["tol"]) == 1e-12
 
 
 class TestSimulate:
