@@ -12,11 +12,11 @@ Three engines behind one CLI, and the cross-check between them:
 """
 
 from .analytic import (
-    DmtResult,
     SchemeId,
     d1_cmo,
     d1_hk,
     d1_hk_keep,
+    d1_hk_stop,
     d1_tian,
     d1_tian_general,
     d1c_cmo2,
@@ -31,6 +31,7 @@ from .analytic import (
     d11_hk,
     d11c_cmo2,
     d12_hk,
+    d12_hk_stop,
     d12c_cmo2,
     d12c_dd2,
     d_static_overall,

@@ -9,9 +9,7 @@ Non-cooperative schemes (any number of rounds L):
 * ``tian`` private-only special case (interference treated as noise at
   RX1); TX2 goes silent after its ACK.
 * ``hk-keep`` / ``hk-stop`` alternative policies where TX2 keeps or stops
-  both streams after its own ACK (used for policy comparisons; the stop
-  variant has no closed form: ``zicarq.regions.oracle_d1_hk(p, stop=True)``
-  evaluates it, and :func:`scheme_dmt` rejects it).
+  both streams after its own ACK (used for policy comparisons).
 
 Cooperative schemes (fixed at L = 2): after a round-1 NACK from RX1, TX2
 decodes TX1's message and relays it for the rest of round 2.  ``coop-cmo``
@@ -28,8 +26,6 @@ individual- and joint-rate forms prefix theirs with ``d11:``/``d12:``
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     COOP_SCHEMES,
@@ -64,16 +60,6 @@ def _pick(best, a: float, la: str, b: float, lb: str) -> Exponent:
 def _joint(x: float, beta: float) -> float:
     # joint decoding of both messages at RX1 at per-round sum rate x
     return pos_part(1.0 - x) + pos_part(beta - x)
-
-
-@dataclass(frozen=True)
-class DmtResult:
-    """Diversity pair plus the pieces that won, as
-    ``branch_trace = (("d1", d1.label), ("d2", d2.label))``."""
-
-    d1: float
-    d2: float
-    branch_trace: tuple[tuple[str, str], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +135,29 @@ def d1_hk_keep(p: SystemParams) -> Exponent:
     so the exponent never beats d1_hk.
     """
     return _rx1_hk(p, p.L)
+
+
+def d12_hk_stop(p: SystemParams, i: int) -> Exponent:
+    """d12_hk when TX2 stops both streams after its ACK at round i.  With
+    s = r1 + t2 and b' = min(b, beta), the minimum sits at the joint vertex
+    gamma21 = beta - s/L, at gamma11 = 1 if the i interfered rounds carry s
+    alone (s <= i*b'), or else at gamma21 = 0, where each interfered round
+    carries b' and the tail rounds carry the direct link."""
+    if not 1 <= i <= p.L:
+        raise IndexError(f"round index i={i} outside 1..{p.L}")
+    s, cap = p.r1 + p.t2, min(p.b, p.beta)
+    if s <= i * cap:
+        val, label = 1.0 + p.beta - s / i, "d12:low-sum"
+    elif s >= (p.L - i) * p.beta + i * cap:
+        val, label = pos_part(1.0 - (s + i * (p.beta - cap)) / p.L), "d12:high-sum"
+    else:  # unreachable at i == L, so the division is safe
+        val, label = pos_part(1.0 - (s - i * cap) / (p.L - i)), "d12:mid-sum"
+    return _pick(min, _joint(s / p.L, p.beta), "d12:joint", val, label)
+
+
+def d1_hk_stop(p: SystemParams) -> Exponent:
+    """d1_hk when TX2 stops both streams after its ACK: only d12 changes."""
+    return _first_ack(p, d2_hk, lambda p, i: min(d11_hk(p, i), d12_hk_stop(p, i)))
 
 
 def d1_cmo(p: SystemParams) -> Exponent:
@@ -307,6 +316,7 @@ _DMT = {
     SchemeId.CMO: lambda p: (d1_cmo(p), d2_cmo(p)),
     SchemeId.TIAN: lambda p: (d1_tian_general(p), d2_tian(p)),
     SchemeId.HK_KEEP: lambda p: (d1_hk_keep(p), d2_hk(p)),
+    SchemeId.HK_STOP: lambda p: (d1_hk_stop(p), d2_hk(p)),
     SchemeId.COOP_CMO: lambda p: (d1c_cmo2(p.r1, p.r2, p.beta),
                                   d2c_cmo2(p.r1, p.r2, p.beta)),
     SchemeId.COOP_TIAN: lambda p: (d1c_tian2(p.r1, p.beta),
@@ -317,13 +327,9 @@ _DMT = {
 }
 
 
-def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> DmtResult:
-    """Evaluate (d1, d2) with a branch trace for one scheme at one point."""
+def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> tuple[Exponent, Exponent]:
+    """One scheme's (d1, d2) at one point, each labelled by its winning piece."""
     scheme = SchemeId(scheme)
     if scheme in COOP_SCHEMES and p.L != 2:
         raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
-    forms = _DMT.get(scheme)
-    if forms is None:
-        raise ParameterError(f"scheme {scheme.value} has no closed form")
-    d1, d2 = forms(p)
-    return DmtResult(d1, d2, (("d1", d1.label), ("d2", d2.label)))
+    return _DMT[scheme](p)

@@ -3,8 +3,7 @@ Monte Carlo outage runs, and throughput runs, all emitting CSV.
 
 Subcommands
 -----------
-curve       closed-form (d1, d2) along a parameter sweep, per scheme;
-            hk-stop has no closed form, so its d1 comes from the oracle
+curve       closed-form (d1, d2) along a parameter sweep, per scheme
 verify      randomized analytic-vs-oracle agreement report
 simulate    Monte Carlo outage curves plus a diversity-slope summary
 throughput  Monte Carlo renewal-time and throughput-ratio table
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import analytic
 from .core import ParameterError, SchemeId, SystemParams
-from .regions import RATE_FLOOR, oracle_d1_hk
+from .regions import RATE_FLOOR
 from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
 from .verify import VERIFY_SCHEMES, worst_gap
 
@@ -147,18 +146,9 @@ def cmd_curve(args) -> int:
     rows = []
     for s in schemes:
         for p in points:
-            if s is SchemeId.HK_STOP:
-                # no closed form: the region oracle evaluates this policy,
-                # and it needs r1, and r2 past one round, at or above its floor
-                p = replace(p, r1=max(p.r1, RATE_FLOOR), r2=max(p.r2, RATE_FLOOR))
-                d1, d2 = oracle_d1_hk(p, stop=True), analytic.d2_hk(p)
-                source, branch = "oracle", "d1_hk_stop:oracle"
-            else:
-                res = analytic.scheme_dmt(s, p)
-                d1, d2, source = res.d1, res.d2, "analytic"
-                branch = "|".join(f"{fid}:{br}" for fid, br in res.branch_trace)
+            d1, d2 = analytic.scheme_dmt(s, p)
             rows.append([s.value, p.L, p.r1, p.r2, p.t2, p.b, p.beta,
-                         d1, d2, source, branch])
+                         d1, d2, "analytic", f"d1:{d1.label}|d2:{d2.label}"])
 
     _write_csv(args.out,
                ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
@@ -223,14 +213,13 @@ def cmd_simulate(args) -> int:
     for dropped, rx in ((dropped1, "RX1"), (dropped2, "RX2")):
         if dropped:
             print(f"note: {rx} zero-outage points dropped from fit: {dropped}")
-    res = analytic.scheme_dmt(scheme, p)
+    d1, d2 = analytic.scheme_dmt(scheme, p)
 
     def cell(x):
         return "" if x is None or not math.isfinite(x) else x
 
     rows.append(["summary", scheme.value, "", "", "", "", "", "",
-                 cell(slope1), cell(se1), cell(slope2), cell(se2),
-                 res.d1, res.d2])
+                 cell(slope1), cell(se1), cell(slope2), cell(se2), d1, d2])
 
     _write_csv(args.out,
                ["row", "scheme", "rho_db", "p_out1", "ci1", "p_out2", "ci2",

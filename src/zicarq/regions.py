@@ -21,17 +21,19 @@ theta = (beta, b, r1, r2, t2, cap, 1).
 
 Minimisation.  A diversity exponent is the infimum of the objective over
 the open outage region, which is its minimum over the region's closure
-(Zheng & Tse, IEEE Trans. IT 2003).  At fixed f an event is a finite
-union / intersection of piecewise-linear sublevel sets, so the linear
-objective gamma11 + gamma21 attains that minimum over the box-limited
-closure at a vertex (El Gamal, Caire & Damen, IEEE Trans. IT 2006).  The
-boundary of ``F < r`` turns only where two pieces both equal ``r``, so
-every vertex is the intersection of two lines from a finite set: the
-level lines ``piece = r`` of every affine piece, and the four box edges.
-The oracle intersects them pairwise, keeps the points in the closure
-(``F <= r`` up to a rounding slack scaled to the size of the level pieces
-at the point), and takes the smallest objective.  RX2 events are 1-D:
-the candidates are the piece roots and the box ends.
+(Zheng & Tse, IEEE Trans. IT 2003), save on a flat piece of F at level
+r, which the closure test admits but the open region never nears: there
+the oracle reads an exponent jump's lower side.  At fixed f an event is
+a finite union / intersection of piecewise-linear sublevel sets, so the
+linear objective gamma11 + gamma21 attains that minimum over the
+box-limited closure at a vertex (El Gamal, Caire & Damen, IEEE Trans.
+IT 2006).  The boundary of ``F < r`` turns only where two pieces both
+equal ``r``, so every vertex is the intersection of two lines from a
+finite set: the level lines ``piece = r`` of every affine piece, and the
+four box edges.  The oracle intersects them pairwise, keeps the points
+in the closure (``F <= r`` up to a rounding slack scaled to the size of
+the level pieces at the point), and takes the smallest objective.  RX2
+events are 1-D: the candidates are the piece roots and the box ends.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
 The gamma solve above is exact at each v, so only v is searched: a
@@ -574,8 +576,7 @@ def oracle_d1_hk(p: SystemParams, stop: bool = False) -> float:
 
     Sums over the ACK round of TX2: prefix exponent of reaching that round
     plus the dominant conditional outage exponent.  With ``stop``, TX2
-    stops both streams after its own ACK (no closed form exists for this
-    variant).
+    stops both streams after its own ACK.
     """
     best = math.inf
     for i in range(1, p.L + 1):

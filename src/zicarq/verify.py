@@ -22,7 +22,8 @@ from .regions import (
     region_rx2_hk,
 )
 
-VERIFY_SCHEMES = ("hk", "cmo", "tian", "hk-keep", "coop-cmo", "coop-tian", "coop-dd")
+VERIFY_SCHEMES = ("hk", "cmo", "tian", "hk-keep", "coop-cmo", "coop-tian", "coop-dd",
+                  "hk-stop")  # all draw from one rng, so new schemes go last
 
 
 def sample_params(rng: np.random.Generator, scheme: SchemeId) -> SystemParams:
@@ -86,6 +87,8 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
         keep = min(oracle_min_exponent(region_o11_hk(p, p.L)),
                    oracle_min_exponent(region_o12_hk(p, p.L)))
         yield "d1_hk_keep", analytic.d1_hk_keep(p), keep
+    elif scheme is SchemeId.HK_STOP:
+        yield "d1_hk_stop", analytic.d1_hk_stop(p), oracle_d1_hk(p, stop=True)
     elif scheme is SchemeId.COOP_CMO:
         yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), \
             oracle_min_exponent_coop(region_coop("O1_COOP", p))

@@ -6,10 +6,12 @@ import pytest
 
 from zicarq import analytic, oracle_d1_hk
 from zicarq.analytic import (
+    Exponent,
     SchemeId,
     d1_cmo,
     d1_hk,
     d1_hk_keep,
+    d1_hk_stop,
     d1_tian,
     d1_tian_general,
     d1c_cmo2,
@@ -24,12 +26,14 @@ from zicarq.analytic import (
     d11_hk,
     d11c_cmo2,
     d12_hk,
+    d12_hk_stop,
     d12c_cmo2,
     d12c_dd2,
     d_static_overall,
     scheme_dmt,
 )
 from zicarq.core import COOP_SCHEMES, ParameterError, SystemParams
+from zicarq.regions import RATE_FLOOR, oracle_min_exponent, region_o12_hk
 
 
 def P(**kw):
@@ -122,10 +126,10 @@ class TestD12Hk:
         p = P(r1=r1, r2=0.5, t2=0.1, b=0.3, beta=0.6, L=1)
         assert d12_hk(p, 1).label == label
         assert d12_hk(p, 1) == d12
-        res = scheme_dmt(SchemeId.HK, p)
-        assert res.d1 == d1
-        assert dict(res.branch_trace)["d1"] == d1_label
-        assert abs(oracle_d1_hk(p) - res.d1) <= 1e-12
+        got, _ = scheme_dmt(SchemeId.HK, p)
+        assert got == d1
+        assert got.label == d1_label
+        assert abs(oracle_d1_hk(p) - got) <= 1e-12
 
 
 class TestD1Hk:
@@ -340,6 +344,72 @@ class TestPolicies:
         p = P(r1=0.0, r2=0.4, t2=0.1, b=0.2, beta=0.8, L=2)
         assert d1_hk_keep(p) <= d1_hk(p) + 1e-12
 
+    def test_stop_worked_example(self):
+        p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
+        assert d1_hk_stop(p) == pytest.approx(0.6)
+        assert d1_hk_stop(p).label == "i=1,d12:mid-sum"
+
+    def test_mixed_policy_beats_keep_and_stop(self):
+        # the paper's claim in closed form: sending only the common stream
+        # after TX2's ACK is never worse than keeping or stopping both
+        rng = np.random.default_rng(91)
+        for k in range(20_000):
+            r2 = float(rng.uniform(0, 1))
+            t2 = (0.0, r2, float(rng.uniform(0, r2)))[k % 3]
+            b = 0.0 if k % 4 == 0 else float(rng.uniform(0, 1))
+            p = P(r1=float(rng.uniform(0, 1)), r2=r2, t2=t2, b=b,
+                  beta=float(rng.uniform(0, 2)), L=k % 6 + 1)
+            assert d1_hk(p) >= max(d1_hk_keep(p), d1_hk_stop(p)), p
+
+
+class TestD12HkStop:
+    @pytest.mark.parametrize("kw, i, label, value", [
+        (dict(r1=0.1, t2=0.0, b=0.1, beta=0.5, L=2), 2, "d12:joint", 1.4),
+        (dict(r1=0.2, t2=0.1, b=0.6, beta=0.8, L=3), 1, "d12:low-sum", 1.5),
+        (dict(r1=0.1, t2=0.1, b=0.1, beta=0.5, L=2), 1, "d12:mid-sum", 0.9),
+        (dict(r1=0.1, t2=0.2, b=0.1, beta=0.5, L=2), 2, "d12:high-sum", 0.45),
+    ], ids=["joint", "low-sum", "mid-sum", "high-sum"])
+    def test_each_piece_matches_oracle(self, kw, i, label, value):
+        p = P(r2=0.5, **kw)
+        got = d12_hk_stop(p, i)
+        assert got.label == label
+        assert got == pytest.approx(value, abs=1e-15)
+        oracle = oracle_min_exponent(region_o12_hk(p, i, stop=True))
+        assert abs(got - oracle) <= 1e-12
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            d12_hk_stop(P(r1=0.3, r2=0.3, L=2), 3)
+
+    def test_d1_matches_oracle(self):
+        rng = np.random.default_rng(43)
+        for k in range(3000):
+            r2 = float(rng.uniform(RATE_FLOOR, 1))
+            t2 = (0.0, r2, float(rng.uniform(0, r2)))[k % 3]
+            b = (0.0, 1e20, float(rng.uniform(0, 1)), float(rng.uniform(0, 3)))[k % 4]
+            r1 = RATE_FLOOR if k % 5 == 0 else float(rng.uniform(RATE_FLOOR, 1))
+            p = P(r1=r1, r2=r2, t2=t2, b=b, beta=float(rng.uniform(0, 3)),
+                  L=k % 6 + 1)
+            assert abs(d1_hk_stop(p) - oracle_d1_hk(p, stop=True)) <= 1e-12, p
+
+    @pytest.mark.parametrize("b, d12, d1", [
+        (math.nextafter(0.25, 0.0), 0.2, 0.7),
+        (0.25, 1.3, 0.75),
+        (math.nextafter(0.25, 1.0), 1.3, 0.75),
+    ], ids=["below", "at", "above"])
+    def test_oracle_reads_lower_side_at_jump(self, b, d12, d1):
+        # s = r1 + t2 = 0.5 = i*b at round i = 2: both closed forms jump up
+        # at s <= i*b, but within its closure slack the oracle admits the
+        # flat piece at gamma21 = 0 and keeps reading the lower side
+        p = P(r1=0.25, r2=0.5, t2=0.25, b=b, beta=0.8, L=2)
+        for form in (d12_hk, d12_hk_stop):
+            assert form(p, 2) == pytest.approx(d12, abs=1e-15)
+        for stop in (False, True):
+            o12 = oracle_min_exponent(region_o12_hk(p, 2, stop))
+            assert o12 == pytest.approx(0.2, abs=1e-15)
+            assert oracle_d1_hk(p, stop) == pytest.approx(0.7, abs=1e-15)
+        assert d1_hk(p) == d1_hk_stop(p) == pytest.approx(d1, abs=1e-15)
+
 
 class TestGlobalInvariants:
     def _random_params(self, rng):
@@ -401,6 +471,7 @@ class TestSchemeDmt:
         SchemeId.CMO: lambda p: (d1_cmo(p), d2_cmo(p)),
         SchemeId.TIAN: lambda p: (d1_tian_general(p), d2_tian(p)),
         SchemeId.HK_KEEP: lambda p: (d1_hk_keep(p), d2_hk(p)),
+        SchemeId.HK_STOP: lambda p: (d1_hk_stop(p), d2_hk(p)),
         SchemeId.COOP_CMO: lambda p: (d1c_cmo2(p.r1, p.r2, p.beta),
                                       d2c_cmo2(p.r1, p.r2, p.beta)),
         SchemeId.COOP_TIAN: lambda p: (d1c_tian2(p.r1, p.beta),
@@ -422,34 +493,33 @@ class TestSchemeDmt:
             for scheme, forms in self.FORMS.items():
                 p = P(r1=r1, r2=r2, t2=t2, b=b, beta=beta,
                       L=2 if scheme in COOP_SCHEMES else L)
-                res = scheme_dmt(scheme, p)
+                got = scheme_dmt(scheme, p)
                 d1, d2 = forms(p)
-                assert res.d1 == d1 and res.d2 == d2, (scheme, p)
-                labels = dict(res.branch_trace)
-                assert list(labels) == ["d1", "d2"]
-                assert all(labels.values()), (scheme, p)
-                if scheme not in (SchemeId.HK, SchemeId.TIAN):
+                assert got == (d1, d2), (scheme, p)
+                assert [e.label for e in got] == [d1.label, d2.label]
+                assert all(e.label for e in got), (scheme, p)
+                if scheme not in (SchemeId.HK, SchemeId.TIAN, SchemeId.HK_STOP):
                     continue
                 # the label names the ACK round whose term is d1; tian is hk
                 # at t2 = b = 0 with RX1 treating interference as noise
-                m = re.fullmatch(r"i=(\d+),(d1[12]:.+)", labels["d1"])
-                assert m, (scheme, labels["d1"])
+                m = re.fullmatch(r"i=(\d+),(d1[12]:.+)", d1.label)
+                assert m, (scheme, d1.label)
                 i = int(m.group(1))
                 assert 1 <= i <= p.L
                 if scheme is SchemeId.HK:
                     q, event = p, min(d11_hk(p, i), d12_hk(p, i))
+                elif scheme is SchemeId.HK_STOP:
+                    q, event = p, min(d11_hk(p, i), d12_hk_stop(p, i))
                 else:
                     q = P(r1=r1, r2=r2, beta=beta, L=L)
                     event = d11_hk(q, i)
                 assert m.group(2) == event.label
-                assert res.d1 == (0.0 if i == 1 else d2_hk(q, i - 1)) + event
+                assert d1 == (0.0 if i == 1 else d2_hk(q, i - 1)) + event
 
     def test_all_schemes_dispatch(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
         for s in SchemeId:
-            if s is SchemeId.HK_STOP:
-                with pytest.raises(ParameterError, match="no closed form"):
-                    scheme_dmt(s, p)
-                continue
-            res = scheme_dmt(s, p)
-            assert res.d1 >= 0.0 and res.d2 >= 0.0
+            d1, d2 = scheme_dmt(s, p)  # hk-stop included: every scheme has a pair
+            assert d1 >= 0.0 and d2 >= 0.0
+            assert isinstance(d1, Exponent) and isinstance(d2, Exponent)
+            assert d1.label and d2.label

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 import warnings
 
 import pytest
@@ -62,26 +63,30 @@ class TestCurve:
         assert rc == 0
         assert len(read_csv(out)) == 1
 
-    def test_hk_stop_from_oracle(self, tmp_path):
-        # hk-stop has no closed form: its rows come from the region oracle
+    def test_hk_stop_from_closed_form(self, tmp_path):
+        # hk-stop rows come from the closed forms like every other scheme's,
+        # and the branch names the ACK round and piece that won
         out = tmp_path / "stop.csv"
         rc = run(["curve", "--scheme", "hk-stop", "--L", "2", "--r2", "0.4",
                   "--t2", "0.2", "--b", "0.2", "--beta", "1.2",
                   "--sweep", "r1:0.25:0.25:0.1", "--out", str(out)])
         assert rc == 0
         [row] = read_csv(out)
-        assert row["source"] == "oracle"
-        assert row["branch"] == "d1_hk_stop:oracle"
+        assert row["source"] == "analytic"
         p = SystemParams(r1=0.25, r2=0.4, t2=0.2, b=0.2, beta=1.2, L=2)
+        d1 = analytic.d1_hk_stop(p)
+        assert row["branch"] == f"d1:{d1.label}|d2:{analytic.d2_hk(p).label}"
+        assert re.fullmatch(r"i=[12],d1[12]:[a-z-]+", d1.label)
+        assert row["d1"] == f"{d1:.12g}"
         assert float(row["d1"]) == pytest.approx(oracle_d1_hk(p, stop=True), abs=1e-11)
 
     @pytest.mark.parametrize("argv,rate", [
         (["--r2", "0", "--sweep", "r1:0:1:0.5"], "r2"),
         (["--r1", "0", "--sweep", "beta:0:2:1"], "r1"),
     ], ids=["r2=0", "r1=0"])
-    def test_hk_stop_clamps_unswept_rate(self, argv, rate, tmp_path):
-        # the oracle needs both rates active, so hk-stop rows clamp the
-        # unswept zero rate as sweeps clamp theirs, and record the clamp
+    def test_hk_stop_zero_rate_unclamped(self, argv, rate, tmp_path):
+        # the closed form takes zero rates as they are: an unswept zero rate
+        # is written, and evaluated, as 0 for hk-stop as for hk
         out = tmp_path / "stop.csv"
         rc = run(["curve", "--scheme", "hk,hk-stop", "--L", "2", *argv,
                   "--out", str(out)])
@@ -89,8 +94,12 @@ class TestCurve:
         rows = read_csv(out)
         assert len(rows) == 6
         for row in rows:
-            expect = 1e-3 if row["scheme"] == "hk-stop" else 0.0
-            assert float(row[rate]) == expect
+            assert float(row[rate]) == 0.0
+            if row["scheme"] == "hk-stop":
+                p = SystemParams(r1=float(row["r1"]), r2=float(row["r2"]),
+                                 beta=float(row["beta"]), L=2)
+                assert row["d1"] == f"{analytic.d1_hk_stop(p):.12g}"
+                assert row["d2"] == f"{analytic.d2_hk(p):.12g}"
 
     def test_hk_stop_cells_exact(self, tmp_path):
         # the oracle minimises over the closed region, so these exponents,
@@ -132,17 +141,18 @@ class TestCurve:
 
     @pytest.mark.parametrize("beta", ["1e100", "1e308"])
     def test_hk_stop_beta_above_ceiling(self, beta, tmp_path, capsys):
-        # the oracle refuses a beta where it is no longer exact, before any
-        # arithmetic that could overflow
+        # the oracle's beta ceiling does not bind the closed form, which
+        # evaluates a huge beta without overflow warnings
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = run(["curve", "--scheme", "hk-stop", "--L", "2", "--beta", beta,
                       "--sweep", "r1:0.5:0.5:0.1", "--out", str(tmp_path / "x.csv")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "beta" in err and "ceiling" in err
-        assert not caught and "Warning" not in err
-        assert not (tmp_path / "x.csv").exists()
+        assert rc == 0
+        assert not caught and "Warning" not in capsys.readouterr().err
+        [row] = read_csv(tmp_path / "x.csv")
+        p = SystemParams(r1=0.5, r2=0.5, beta=float(beta), L=2)
+        assert row["d1"] == f"{analytic.d1_hk_stop(p):.12g}"
+        assert_numeric_cells_finite(tmp_path / "x.csv")
 
     def test_bad_sweep_variable(self, tmp_path):
         rc = run(["curve", "--scheme", "cmo", "--sweep", "L:1:4:1",

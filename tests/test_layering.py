@@ -67,6 +67,30 @@ def test_analytic_independent_of_regions():
     assert not found, found
 
 
+def _names_from(path: Path, name: str):
+    """What a module takes from the package module ``name``: the imported
+    names, or ``name`` itself where the whole module is imported."""
+    for _, module, names in _imports(path):
+        target = module.lstrip(".").removeprefix("zicarq").lstrip(".")
+        if not _internal(module):
+            continue
+        if target.split(".")[0] == name:
+            yield from names or [name]
+        elif target == "" and name in names:
+            yield name
+
+
+def test_cli_takes_only_rate_floor_from_regions(tmp_path):
+    # every curve row comes from the closed forms; the oracle is verify's
+    assert set(_names_from(PACKAGE / "cli.py", "regions")) <= {"RATE_FLOOR"}
+    for line in ("from .regions import RATE_FLOOR, oracle_d1_hk",
+                 "from . import regions", "import zicarq.regions",
+                 "def f():\n    from zicarq.regions import oracle_d1_hk"):
+        probe = tmp_path / "probe.py"
+        probe.write_text(line + "\n", encoding="utf-8")
+        assert set(_names_from(probe, "regions")) - {"RATE_FLOOR"}, line
+
+
 ENGINES = ("analytic", "regions", "simulator")
 
 

@@ -248,6 +248,12 @@ class TestOracleRobustness:
             [f(r) for f, r in zip(oracles, narrow)], abs=TOL)
 
 class TestExactness:
+    def test_every_scheme_verified(self):
+        # coop-static is the envelope of coop-cmo and coop-tian, each checked
+        # on its own; any other scheme left out would go unverified silently
+        verified = {SchemeId(s) for s in VERIFY_SCHEMES}
+        assert verified == set(SchemeId) - {SchemeId.COOP_STATIC}
+
     @pytest.mark.parametrize("scheme", VERIFY_SCHEMES)
     def test_closed_forms_match_oracle(self, scheme):
         gap, where = worst_gap(SchemeId(scheme), 50, np.random.default_rng(13))
