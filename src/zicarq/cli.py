@@ -61,7 +61,9 @@ def _parse_triplet(text: str, what: str) -> list[float]:
     if not span < MAX_GRID_POINTS:
         raise ParameterError(f"{what}: more than {MAX_GRID_POINTS} grid points")
     n = int(math.floor(span + 1e-9)) + 1
-    return [lo + k * step for k in range(n)]
+    # a span of a whole number of steps ends at HI, not at a rounding past it
+    last = hi if n > 1 and abs(span - (n - 1)) <= 1e-9 else lo + (n - 1) * step
+    return [lo + k * step for k in range(n - 1)] + [last]
 
 
 def _parse_sweep(text: str):

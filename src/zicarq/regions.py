@@ -46,12 +46,12 @@ in v, so its minimum sits at such a kink or at an endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ParameterError, SystemParams
+from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams
 
 # Candidate vertices lie on the boundary ``F = r`` up to rounding; the
 # closure test allows a few roundings of the largest level piece at the
@@ -290,18 +290,18 @@ class OutageRegion:
     """One high-SNR outage event, held as rate constraints on expression trees.
 
     kind is 'rx2' (event over gamma22), 'rx1' (over gamma11/gamma21),
-    or 'coop' (over gamma11/gamma21 and the listening fraction f); rate
-    is the event's active rate, which the oracle keeps above its floor
-    (and, for 'coop', the r1 of the relay-link cost).  theta binds the
-    trees written with its parameters at the operating point ``p``, box
-    side ``cap`` included.
+    or 'coop' (over gamma11/gamma21 and the listening fraction f).  rate
+    is the event's active rate, r2 for 'rx2' and r1 otherwise, which the
+    oracle keeps above its floor (and, for 'coop', the r1 of the
+    relay-link cost).  theta binds the trees written with its parameters
+    at the operating point ``p``, box side ``cap`` included.
     """
 
-    def __init__(self, region_id, kind, event, p: SystemParams, rate):
+    def __init__(self, region_id, kind, event, p: SystemParams):
         self.region_id = region_id
         self.kind = kind
         self.event = event
-        self.rate = rate
+        self.rate = p.r2 if kind == "rx2" else p.r1
         self.cap = _cap(p.beta)
         # past max(1, beta) every b term is 0 at gamma >= 0, so b binds at
         # most cap: a larger b would only swamp the closure slack
@@ -326,13 +326,6 @@ class OutageRegion:
 # ---------------------------------------------------------------------------
 # region factories (trees transcribe the defining inequalities verbatim)
 # ---------------------------------------------------------------------------
-
-def _rounds(p: SystemParams, rounds: int | None) -> int:
-    l = p.L if rounds is None else rounds
-    if l < 1:
-        raise ValueError("rounds must be >= 1")
-    return l
-
 
 def _check_round(L: int, i: int):
     if not 1 <= i <= L:
@@ -397,19 +390,18 @@ def _coop_event(name: str):
     return events[name]
 
 
-def region_rx2_hk(p: SystemParams, rounds: int | None = None) -> OutageRegion:
-    """RX2 outage under rate splitting after ``rounds`` rounds.  RX2 hears
-    no interference, so at t2 = b = 0 this is also the CMO and Tian RX2
+def region_rx2_hk(p: SystemParams) -> OutageRegion:
+    """RX2 outage under rate splitting after L rounds.  RX2 hears no
+    interference, so at t2 = b = 0 this is also the CMO and Tian RX2
     outage."""
-    l = _rounds(p, rounds)
-    return OutageRegion(f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event(l), p, p.r2)
+    return OutageRegion(f"O_RX2_HK(l={p.L})", "rx2", _rx2_hk_event(p.L), p)
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 individual-rate outage given TX2's ACK at round i (of L).  At
     L = 1 and b = 0 this is the single-round noise-treating (Tian)
     outage."""
-    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p.L, i), p, p.r1)
+    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p.L, i), p)
 
 
 def region_o12_hk(p: SystemParams, i: int, stop: bool = False) -> OutageRegion:
@@ -417,17 +409,16 @@ def region_o12_hk(p: SystemParams, i: int, stop: bool = False) -> OutageRegion:
     ``stop``, TX2 stops both streams after its ACK: the common stream is
     gone, so the tail rounds contribute the direct link only."""
     name = "O12_STOP" if stop else "O12_HK"
-    return OutageRegion(f"{name}(i={i})", "rx1", _o12_event(p.L, i, stop), p, p.r1)
+    return OutageRegion(f"{name}(i={i})", "rx1", _o12_event(p.L, i, stop), p)
 
 
-def region_rx1_cmo(p: SystemParams, rounds: int | None = None) -> OutageRegion:
-    l = _rounds(p, rounds)
-    return OutageRegion(f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event(l), p, p.r1)
+def region_rx1_cmo(p: SystemParams) -> OutageRegion:
+    return OutageRegion(f"O_RX1_CMO(l={p.L})", "rx1", _rx1_cmo_event(p.L), p)
 
 
 def region_coop(name: str, p: SystemParams) -> OutageRegion:
     """The cooperative event ``name`` at ``p``; ``_coop_event`` lists the five."""
-    return OutageRegion(name, "coop", _coop_event(name), p, p.r1)
+    return OutageRegion(name, "coop", _coop_event(name), p)
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +562,45 @@ def oracle_min_exponent_coop(region: OutageRegion) -> float:
     return _min_coop(region)
 
 
+def oracle_rx1_hk(p: SystemParams, i: int, stop: bool = False) -> float:
+    """RX1 exponent given TX2's ACK at round i (of L): the smaller of the
+    individual-rate (O11) and joint-rate (O12) outage minima.  With
+    ``stop``, TX2 stops both streams after its ACK."""
+    return min(oracle_min_exponent(region_o11_hk(p, i)),
+               oracle_min_exponent(region_o12_hk(p, i, stop)))
+
+
 def oracle_d1_hk(p: SystemParams, stop: bool = False) -> float:
     """RX1 exponent under rate splitting from the outage regions alone.
 
-    Sums over the ACK round of TX2: prefix exponent of reaching that round
-    plus the dominant conditional outage exponent.  With ``stop``, TX2
-    stops both streams after its own ACK.
+    Minimises over the ACK round i of TX2: the exponent of TX2 needing
+    more than i - 1 rounds plus :func:`oracle_rx1_hk` at i.
     """
     best = math.inf
     for i in range(1, p.L + 1):
-        prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(p, i - 1))
-        o11 = oracle_min_exponent(region_o11_hk(p, i))
-        o12 = oracle_min_exponent(region_o12_hk(p, i, stop))
-        best = min(best, prefix + min(o11, o12))
+        prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(replace(p, L=i - 1)))
+        best = min(best, prefix + oracle_rx1_hk(p, i, stop))
     return best
+
+
+def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
+    """RX2 exponent under two-round cooperation: RX1 ACKed round 1 and TX2's
+    own retransmission still failed, or RX1 NACKed (TX2 relayed) and RX2's
+    single round was already in outage.  RX1's round-1 outage is that of
+    the scheme's decoder; the dynamic decoder fails only when both do."""
+    scheme = SchemeId(scheme)
+    if scheme not in COOP_SCHEMES - {SchemeId.COOP_STATIC}:
+        raise ParameterError(f"oracle_d2_coop covers coop-cmo, coop-tian and "
+                             f"coop-dd, not {scheme.value}")
+    one = replace(p, L=1)
+    round1 = []
+    if scheme is not SchemeId.COOP_TIAN:
+        round1.append(region_rx1_cmo(one))
+    if scheme is not SchemeId.COOP_CMO:
+        round1.append(region_o11_hk(one, 1))
+    rx1_round1 = max(oracle_min_exponent(region) for region in round1)
+    return min(rx1_round1 + oracle_min_exponent(region_rx2_hk(one)),
+               oracle_min_exponent(region_rx2_hk(replace(p, L=2))))
 
 
 # ---------------------------------------------------------------------------

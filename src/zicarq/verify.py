@@ -1,10 +1,13 @@
 """Randomized agreement checks: at random operating points, each scheme's
-closed forms (:mod:`zicarq.analytic`) against the oracle's minima over the
-matching outage regions (:mod:`zicarq.regions`)."""
+closed forms (:mod:`zicarq.analytic`) against their oracle twins from
+:mod:`zicarq.regions`: ``oracle_d1_hk``, ``oracle_rx1_hk`` (round L for
+hk-keep, round 1 for Tian's single term), ``oracle_d2_coop``, and minima
+over single regions, whose builders take their rounds from ``p.L``.  This
+module only samples the points and pairs the values."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -13,11 +16,11 @@ from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams
 from .regions import (
     RATE_FLOOR,
     oracle_d1_hk,
+    oracle_d2_coop,
     oracle_min_exponent,
     oracle_min_exponent_coop,
+    oracle_rx1_hk,
     region_coop,
-    region_o11_hk,
-    region_o12_hk,
     region_rx1_cmo,
     region_rx2_hk,
 )
@@ -70,6 +73,10 @@ def worst_gap(scheme: SchemeId, samples: int,
 def _verify_checks(scheme: SchemeId, p: SystemParams):
     """Yield (check name, analytic value, oracle value) triples."""
     r1, r2, beta = p.r1, p.r2, p.beta
+
+    def coop(name):
+        return oracle_min_exponent_coop(region_coop(name, p))
+
     if scheme is SchemeId.HK:
         yield "d1_hk", analytic.d1_hk(p), oracle_d1_hk(p)
         yield "d2_hk", analytic.d2_hk(p), oracle_min_exponent(region_rx2_hk(p))
@@ -78,54 +85,24 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
         yield "d2_cmo", analytic.d2_cmo(p), oracle_min_exponent(region_rx2_hk(p))
     elif scheme is SchemeId.TIAN:
         yield "d1_tian_general", analytic.d1_tian_general(p), oracle_d1_hk(p)
-        # the single-term closed form equals its ACK-at-round-1 region pair
-        first_term = min(oracle_min_exponent(region_o11_hk(p, 1)),
-                         oracle_min_exponent(region_o12_hk(p, 1)))
-        yield "d1_tian", analytic.d1_tian(p), first_term
+        # the single-term closed form is the ACK-at-round-1 term
+        yield "d1_tian", analytic.d1_tian(p), oracle_rx1_hk(p, 1)
         yield "d2_tian", analytic.d2_tian(p), oracle_min_exponent(region_rx2_hk(p))
     elif scheme is SchemeId.HK_KEEP:
-        keep = min(oracle_min_exponent(region_o11_hk(p, p.L)),
-                   oracle_min_exponent(region_o12_hk(p, p.L)))
-        yield "d1_hk_keep", analytic.d1_hk_keep(p), keep
+        yield "d1_hk_keep", analytic.d1_hk_keep(p), oracle_rx1_hk(p, p.L)
     elif scheme is SchemeId.HK_STOP:
         yield "d1_hk_stop", analytic.d1_hk_stop(p), oracle_d1_hk(p, stop=True)
     elif scheme is SchemeId.COOP_CMO:
-        yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_coop("O1_COOP", p))
-        yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_coop("O2_COOP", p))
-        yield "d2c_cmo2", analytic.d2c_cmo2(r1, r2, beta), \
-            _coop_rx2_oracle(p, scheme)
+        yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), coop("O1_COOP")
+        yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), coop("O2_COOP")
+        yield "d2c_cmo2", analytic.d2c_cmo2(r1, r2, beta), oracle_d2_coop(p, scheme)
     elif scheme is SchemeId.COOP_TIAN:
-        yield "d1c_tian2", analytic.d1c_tian2(r1, beta), \
-            oracle_min_exponent_coop(region_coop("O3_COOP", p))
-        yield "d2c_tian2", analytic.d2c_tian2(r1, r2, beta), \
-            _coop_rx2_oracle(p, scheme)
+        yield "d1c_tian2", analytic.d1c_tian2(r1, beta), coop("O3_COOP")
+        yield "d2c_tian2", analytic.d2c_tian2(r1, r2, beta), oracle_d2_coop(p, scheme)
     elif scheme is SchemeId.COOP_DD:
-        yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), \
-            oracle_min_exponent_coop(region_coop("O11_DD", p))
-        yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), \
-            oracle_min_exponent_coop(region_coop("O12_DD", p))
-        yield "d2c_dd2", analytic.d2c_dd2(r1, r2, beta), \
-            _coop_rx2_oracle(p, scheme)
+        yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), coop("O11_DD")
+        yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), coop("O12_DD")
+        yield "d2c_dd2", analytic.d2c_dd2(r1, r2, beta), oracle_d2_coop(p, scheme)
     else:
         raise ParameterError(f"scheme {scheme.value} has no verify checks")
 
-
-def _coop_rx2_oracle(p: SystemParams, scheme: SchemeId) -> float:
-    """RX2 exponent under cooperation, assembled from region minima only.
-
-    Mirrors the dominant error-event split: either RX1 ACKed round 1 and
-    TX2's own retransmission still failed, or RX1 NACKed (TX2 relayed) and
-    RX2's single round was already in outage.  RX1's round-1 outage is that
-    of the scheme's decoder; the dynamic decoder fails only when both do.
-    """
-    round1 = []
-    if scheme is not SchemeId.COOP_TIAN:
-        round1.append(region_rx1_cmo(p, rounds=1))
-    if scheme is not SchemeId.COOP_CMO:
-        round1.append(region_o11_hk(replace(p, L=1), 1))
-    rx1_round1 = max(oracle_min_exponent(region) for region in round1)
-    rx2_one = oracle_min_exponent(region_rx2_hk(p, rounds=1))
-    rx2_two = oracle_min_exponent(region_rx2_hk(p, rounds=2))
-    return min(rx1_round1 + rx2_one, rx2_two)

@@ -63,6 +63,16 @@ class TestCurve:
         assert rc == 0
         assert len(read_csv(out)) == 1
 
+    def test_sweep_ends_exactly_at_hi(self, tmp_path):
+        # 0 + 3*0.2 is 0.6000000000000001, past r2 = 0.6: a span of a whole
+        # number of steps ends at HI itself, and any other span is untouched
+        out = tmp_path / "t2.csv"
+        rc = run(["curve", "--scheme", "hk", "--L", "2", "--r2", "0.6",
+                  "--sweep", "t2:0:0.6:0.2", "--out", str(out)])
+        assert rc == 0
+        assert [float(row["t2"]) for row in read_csv(out)] == [0.0, 0.2, 0.4, 0.6]
+        assert _parse_triplet("0:0.7:0.2", "--sweep") == [0.0, 0.2, 0.4, 3 * 0.2]
+
     def test_hk_stop_from_closed_form(self, tmp_path):
         # hk-stop rows come from the closed forms like every other scheme's,
         # and the branch names the ACK round and piece that won

@@ -91,6 +91,25 @@ def test_cli_takes_only_rate_floor_from_regions(tmp_path):
         assert set(_names_from(probe, "regions")) - {"RATE_FLOOR"}, line
 
 
+def _oracle_surface(name: str) -> bool:
+    return name == "RATE_FLOOR" or name.startswith("oracle_") \
+        or name in ("region_rx2_hk", "region_rx1_cmo", "region_coop")
+
+
+def test_verify_takes_only_oracle_surface_from_regions(tmp_path):
+    # verify samples and pairs; every oracle value is assembled in regions
+    found = [n for n in _names_from(PACKAGE / "verify.py", "regions")
+             if not _oracle_surface(n)]
+    assert not found, found
+    for line in ("from .regions import oracle_d1_hk, region_o11_hk",
+                 "from .regions import region_o12_hk", "from . import regions",
+                 "import zicarq.regions",
+                 "def f():\n    from zicarq.regions import _min_rx1"):
+        probe = tmp_path / "probe.py"
+        probe.write_text(line + "\n", encoding="utf-8")
+        assert not all(map(_oracle_surface, _names_from(probe, "regions"))), line
+
+
 ENGINES = ("analytic", "regions", "simulator")
 
 

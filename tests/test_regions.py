@@ -12,8 +12,10 @@ from zicarq.regions import (
     RATE_FLOOR,
     OutageRegion,
     oracle_d1_hk,
+    oracle_d2_coop,
     oracle_min_exponent,
     oracle_min_exponent_coop,
+    oracle_rx1_hk,
     pos_part,
     rate_region_subset_check,
     region_coop,
@@ -107,6 +109,31 @@ class TestOracleSpotValues:
         with pytest.raises(ValueError, match="listening fraction"):
             oracle_min_exponent_coop(region_rx1_cmo(p))
 
+    def test_rx1_round_outside_rejected(self):
+        p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
+        for i in (0, 3):
+            for stop in (False, True):
+                with pytest.raises(ValueError, match=r"i=%d outside 1\.\.2" % i):
+                    oracle_rx1_hk(p, i, stop)
+
+    @pytest.mark.parametrize("scheme", sorted(
+        set(SchemeId) - {SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_DD}))
+    def test_coop_rx2_rejects_non_relaying_scheme(self, scheme):
+        # coop-static is the envelope of two decoders, not one relaying scheme
+        p = P(r1=0.5, r2=0.5, L=2)
+        for name in (scheme, scheme.value):
+            with pytest.raises(ParameterError, match=f"not {scheme.value}$"):
+                oracle_d2_coop(p, name)
+
+    def test_coop_rx2_takes_scheme_or_string(self):
+        p = P(r1=0.4, r2=0.7, beta=1.3, L=2)
+        for scheme, closed in ((SchemeId.COOP_CMO, analytic.d2c_cmo2),
+                               (SchemeId.COOP_TIAN, analytic.d2c_tian2),
+                               (SchemeId.COOP_DD, analytic.d2c_dd2)):
+            got = oracle_d2_coop(p, scheme)
+            assert oracle_d2_coop(p, scheme.value) == got
+            assert abs(got - closed(p.r1, p.r2, p.beta)) <= 1e-12
+
     def test_rate_floor_rejected(self):
         p = P(r1=1e-6, r2=0.5, L=2)
         with pytest.raises(ValueError, match="rate floor"):
@@ -115,18 +142,14 @@ class TestOracleSpotValues:
     def test_empty_region_returns_inf(self):
         # unreachable events report +inf, never a junk minimum
         g11, g21, f = symbols()
-        p = P(r1=0.0, r2=0.0, beta=1.0)
+        p = P(r1=0.5, r2=0.5, beta=1.0)
         region = OutageRegion(
-            "EMPTY", "rx1", pos_part(g11) + pos_part(g21) + 1.0 < 0.5,
-            p, rate=0.5)
+            "EMPTY", "rx1", pos_part(g11) + pos_part(g21) + 1.0 < 0.5, p)
         assert oracle_min_exponent(region) == math.inf
-        region22 = OutageRegion(
-            "EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5,
-            p, rate=0.5)
+        region22 = OutageRegion("EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5, p)
         assert oracle_min_exponent(region22) == math.inf
         coop = OutageRegion(
-            "EMPTY_COOP", "coop", f * pos_part(1.0 - g11) + 1.0 < 0.5,
-            p, rate=0.5)
+            "EMPTY_COOP", "coop", f * pos_part(1.0 - g11) + 1.0 < 0.5, p)
         assert oracle_min_exponent_coop(coop) == math.inf
 
     def test_coop_interior_kink(self):
@@ -214,7 +237,7 @@ class TestOracleRobustness:
         assert inside.any()
         assert (g11 + g21)[inside].min() >= oracle_min_exponent(rx1) - 1e-12
 
-        rx2 = region_rx2_hk(p, 2)
+        rx2 = region_rx2_hk(replace(p, L=2))
         inside = rx2.member(g11)
         assert inside.any()
         assert g11[inside].min() >= oracle_min_exponent(rx2) - 1e-12
@@ -305,7 +328,7 @@ class TestExactness:
         # compared values are 0.72, so the slack must follow the terms
         p = P(r1=0.8145143700705831, r2=0.9187082787536379, t2=0.1963162175546898,
               b=0.27249134072900205, beta=5.0, L=3)
-        got = oracle_min_exponent(region_rx2_hk(p, 1))
+        got = oracle_min_exponent(region_rx2_hk(replace(p, L=1)))
         assert abs(got - analytic.d2_hk(p, 1)) <= 1e-12
         assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
 
@@ -394,7 +417,7 @@ class TestSubsetCheck:
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
         cap = regions._cap(p.beta)
         gamma11, _, _ = symbols()
-        everywhere = OutageRegion("O12_ALL", "rx1", gamma11 < 2 * cap, p, p.r1)
+        everywhere = OutageRegion("O12_ALL", "rx1", gamma11 < 2 * cap, p)
         monkeypatch.setattr(regions, "region_o12_hk", lambda p, i, stop=False:
                             region_o12_hk(p, i, stop) if stop else everywhere)
         n, seed = 2_000, 3
