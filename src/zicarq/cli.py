@@ -27,7 +27,7 @@ import numpy as np
 from . import analytic
 from .core import ParameterError, SchemeId, SystemParams
 from .regions import RATE_FLOOR
-from .simulator import SimConfig, estimate_throughput, fit_loglog_slope, outage_points
+from .simulator import SimConfig, estimate_diversity, estimate_throughput
 from .verify import VERIFY_SCHEMES, worst_gap
 
 SWEEP_VARS = ("r1", "r2", "beta", "b", "t2")
@@ -75,20 +75,15 @@ def _parse_sweep(text: str):
         raise ParameterError(f"sweep variable must be one of {SWEEP_VARS}")
     values = _parse_triplet(":".join(parts[1:]), "--sweep")
     if var in ("r1", "r2"):
-        values = [max(v, RATE_FLOOR) for v in values]  # never exact-zero rates
+        # at an exactly zero rate a closed form takes ext_div's vacuous
+        # branch, off the curve: tian at L=2, r2=0.9, beta=1.3 has d1 = 1
+        # at r1 = 0 but 0.1 at r1 = 1e-3
+        values = [max(v, RATE_FLOOR) for v in values]
     return var, values
 
 
 def _parse_schemes(text: str) -> list[SchemeId]:
-    return [_parse_single_scheme(tok.strip()) for tok in text.split(",")]
-
-
-def _parse_single_scheme(text: str) -> SchemeId:
-    try:
-        return SchemeId(text)
-    except ValueError:
-        valid = ", ".join(s.value for s in SchemeId)
-        raise ParameterError(f"unknown scheme {text!r}; valid schemes: {valid}")
+    return [SchemeId(tok.strip()) for tok in text.split(",")]
 
 
 def _load_config(path: str, command: argparse.ArgumentParser) -> list[str]:
@@ -194,7 +189,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
-    scheme = _parse_single_scheme(args.scheme)
+    scheme = SchemeId(args.scheme)
     p = _system_params(args)
     grid = _parse_triplet(args.rho_db, "--rho-db")
     return scheme, p, SimConfig(rho_db_grid=tuple(grid), trials=args.trials,
@@ -204,24 +199,24 @@ def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
 def cmd_simulate(args) -> int:
     _require_out(args)
     scheme, p, sim = _sim_setup(args)
-    pts1, pts2 = outage_points(scheme, p, sim)
+    fit1, fit2 = estimate_diversity(scheme, p, sim)
     rows = [["point", scheme.value, a.rho_db,
              a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
              b.p_out, (b.ci_hi - b.ci_lo) / 2.0,
-             sim.trials, "", "", "", "", "", ""] for a, b in zip(pts1, pts2)]
+             sim.trials, "", "", "", "", "", ""]
+            for a, b in zip(fit1.points, fit2.points)]
 
-    slope1, se1, dropped1 = fit_loglog_slope(pts1)
-    slope2, se2, dropped2 = fit_loglog_slope(pts2)
-    for dropped, rx in ((dropped1, "RX1"), (dropped2, "RX2")):
-        if dropped:
-            print(f"note: {rx} zero-outage points dropped from fit: {dropped}")
+    for fit, rx in ((fit1, "RX1"), (fit2, "RX2")):
+        if fit.dropped_rho_db:
+            print(f"note: {rx} zero-outage points dropped from fit: {fit.dropped_rho_db}")
     d1, d2 = analytic.scheme_dmt(scheme, p)
 
     def cell(x):
         return "" if x is None or not math.isfinite(x) else x
 
     rows.append(["summary", scheme.value, "", "", "", "", "", "",
-                 cell(slope1), cell(se1), cell(slope2), cell(se2), d1, d2])
+                 cell(fit1.slope), cell(fit1.stderr), cell(fit2.slope),
+                 cell(fit2.stderr), d1, d2])
 
     _write_csv(args.out,
                ["row", "scheme", "rho_db", "p_out1", "ci1", "p_out2", "ci2",

@@ -26,6 +26,11 @@ class SchemeId(str, Enum):
     HK_KEEP = "hk-keep"
     HK_STOP = "hk-stop"
 
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(s.value for s in cls)
+        raise ParameterError(f"unknown scheme {value!r}; valid schemes: {valid}")
+
 
 COOP_SCHEMES = frozenset(
     {SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_STATIC, SchemeId.COOP_DD}

@@ -103,12 +103,14 @@ class OutageEstimate:
 
 @dataclass(frozen=True)
 class DiversityEstimate:
-    """Log-log regression of outage probability against SNR."""
+    """One receiver's outage points and their log-log slope fit, which
+    leaves out the zero-outage points listed in ``dropped_rho_db``; slope
+    and stderr are None when fewer than two points remain."""
 
-    slope: float
-    stderr: float
+    slope: float | None
+    stderr: float | None
+    dropped_rho_db: tuple[float, ...]
     points: tuple[PointEstimate, ...]
-    dropped_rho_db: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -156,16 +158,20 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
         raise ParameterError("rho must exceed 1 (linear scale)")
     if T < 1:
         raise ParameterError("T must be >= 1")
-    if scheme in COOP_SCHEMES:
-        if scheme is SchemeId.COOP_STATIC:
-            raise ParameterError(
-                "coop-static is an envelope of coop-cmo/coop-tian, not a protocol")
-        if p.L != 2:
-            raise ParameterError("cooperative schemes require L=2")
-        return _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T)
+    if scheme is SchemeId.COOP_STATIC:
+        raise ParameterError(
+            "coop-static is an envelope of coop-cmo/coop-tian, not a protocol")
+    coop = scheme in COOP_SCHEMES
+    if coop and p.L != 2:
+        raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
     if scheme in (SchemeId.HK_KEEP, SchemeId.HK_STOP):
         raise ParameterError(f"scheme {scheme.value} is analysis-only")
-    return _episode_batch_noncoop(scheme, p, rho, g11, g21, g22)
+    # both kernels' link: log2(rho), and the direct, cross and TX2 link SNRs
+    link = (math.log2(rho), g11 * rho, g21 * _power(rho, p.beta, "beta"),
+            g22 * rho)
+    if coop:
+        return _episode_batch_coop(scheme, p, rho, link, grelay, T)
+    return _episode_batch_noncoop(scheme, p, rho, link)
 
 
 def _power(rho: float, exponent: float, name: str) -> float:
@@ -197,13 +203,10 @@ def _ack_rounds(L, ok1, ok, cols):
     return ack
 
 
-def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
+def _episode_batch_noncoop(scheme, p, rho, link):
     L = p.L
-    lg = math.log2(rho)
+    lg, A, B, C = link
     R1, R2, T2 = p.r1 * lg, p.r2 * lg, p.t2 * lg
-    A = g11 * rho
-    B = g21 * _power(rho, p.beta, "beta")
-    C = g22 * rho
     m2 = [np.log2(1.0 + C)]
     if scheme is SchemeId.HK:
         div = 1.0 + _power(rho, p.b, "b")
@@ -265,12 +268,9 @@ def _episode_batch_noncoop(scheme, p, rho, g11, g21, g22):
     return ack1 > L, ack2 > L, np.maximum(np.minimum(ack1, L), np.minimum(ack2, L))
 
 
-def _episode_batch_coop(scheme, p, rho, g11, g21, g22, grelay, T):
-    lg = math.log2(rho)
+def _episode_batch_coop(scheme, p, rho, link, grelay, T):
+    lg, A, B, C = link
     R1, R2 = p.r1 * lg, p.r2 * lg
-    A = g11 * rho
-    B = g21 * _power(rho, p.beta, "beta")
-    C = g22 * rho
 
     m1 = np.log2(1.0 + A)
     m1s = np.log2(1.0 + A + B)
@@ -423,29 +423,18 @@ def fit_loglog_slope(points: list[PointEstimate]):
     return slope, stderr, dropped
 
 
-def outage_points(scheme: SchemeId | str, params: SystemParams, cfg: SimConfig
-                  ) -> tuple[tuple[PointEstimate, ...], tuple[PointEstimate, ...]]:
-    """RX1 and RX2 outage estimates at every point of the SNR grid."""
+def estimate_diversity(scheme: SchemeId | str, params: SystemParams,
+                       cfg: SimConfig) -> tuple[DiversityEstimate, DiversityEstimate]:
+    """RX1 and RX2 outage estimates at every point of the SNR grid, each
+    with its slope fit; fewer than two usable points give None, not an error."""
     pts1, pts2 = [], []
     for k, db, rho in cfg.points():
         est = estimate_outage(scheme, params, rho, cfg.trials, cfg.seed,
                               stream=k, T=cfg.T)
         pts1.append(PointEstimate(db, est.p_out1, *est.ci1))
         pts2.append(PointEstimate(db, est.p_out2, *est.ci2))
-    return tuple(pts1), tuple(pts2)
-
-
-def estimate_diversity(scheme: SchemeId | str, params: SystemParams,
-                       cfg: SimConfig) -> tuple[DiversityEstimate, DiversityEstimate]:
-    """Slope estimates for RX1 and RX2 over the configured SNR grid."""
-    out = []
-    for pts in outage_points(scheme, params, cfg):
-        slope, stderr, dropped = fit_loglog_slope(pts)
-        if slope is None:
-            raise ValueError("fewer than 2 usable points for the slope fit "
-                             f"(dropped {dropped})")
-        out.append(DiversityEstimate(slope, stderr, pts, dropped))
-    return out[0], out[1]
+    return tuple(DiversityEstimate(*fit_loglog_slope(pts), tuple(pts))
+                 for pts in (pts1, pts2))
 
 
 def estimate_throughput(scheme: SchemeId | str, params: SystemParams, rho: float,

@@ -84,6 +84,11 @@ class TestD12Hk:
         p = P(r1=0.1, r2=0.0, t2=0.0, b=0.3, beta=0.5, L=2)
         assert d12_hk(p, 1) == pytest.approx(1.4)
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(IndexError, match=f"i={i} outside 1..2"):
+            d12_hk(P(r1=0.3, r2=0.3, L=2), i)
+
     def test_branch_continuity(self):
         # value is continuous across both branch boundaries in r1+t2,
         # except across s = L*b at i = L (genuine jump, tested below)

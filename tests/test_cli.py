@@ -112,8 +112,8 @@ class TestCurve:
                 assert row["d2"] == f"{analytic.d2_hk(p):.12g}"
 
     def test_hk_stop_cells_exact(self, tmp_path):
-        # the oracle minimises over the closed region, so these exponents,
-        # reached on a level line, come out exact
+        # hk-stop's closed form writes these cells exactly; the sweep's
+        # r1 = 0 is clamped to 1e-3, hence 0.499
         out = tmp_path / "stop.csv"
         rc = run(["curve", "--scheme", "hk-stop", "--L", "2", "--t2", "0.5",
                   "--r2", "0.5", "--sweep", "r1:0:1:0.5", "--out", str(out)])
@@ -136,8 +136,8 @@ class TestCurve:
         assert "require L=2" in capsys.readouterr().err
 
     def test_hk_stop_large_b(self, tmp_path):
-        # past max(1, beta) = 1 every b term is 0, so b = 1e20 gives the
-        # exponents of b = 1 instead of swamping the oracle's closure slack
+        # past max(1, beta) = 1 every b term of the closed forms is 0, so
+        # b = 1e20 gives the exponents of b = 1
         d1 = {}
         for b in ("1", "1e20"):
             out = tmp_path / f"b{b}.csv"
@@ -242,6 +242,16 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "valid schemes" in err and "coop-dd" in err
+
+    def test_coop_round_error_matches_curve(self, tmp_path, capsys):
+        errs = []
+        for argv in (["simulate", "--rho-db", "10"], ["curve"]):
+            rc = run(argv + ["--scheme", "coop-dd", "--L", "1",
+                             "--out", str(tmp_path / "x.csv")])
+            assert rc == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "require L=2 (scheme coop-dd)" in errs[0]
 
     def test_summary_carries_analytic_reference(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -390,7 +400,7 @@ class TestSharedParser:
         assert build() is not build()  # the public builder stays fresh
 
     @pytest.mark.parametrize("command,owner,work", [
-        ("simulate", cli, "outage_points"),
+        ("simulate", cli, "estimate_diversity"),
         ("throughput", cli, "estimate_throughput"),
         ("curve", analytic, "scheme_dmt"),
     ], ids=["simulate", "throughput", "curve"])
@@ -437,6 +447,21 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(argv, message, id=argv) for argv, message in [
+            ("simulate --rho-db 1:2", "--rho-db expects LO:HI:STEP"),
+            ("curve --sweep r1:1:0:0.1", "--sweep: HI must be >= LO"),
+            ("curve --sweep r1:0:1:0", "--sweep: STEP must be > 0"),
+            ("curve --sweep r1:0:1", "--sweep expects VAR:LO:HI:STEP"),
+            ("curve --t2 -0.1", "t2 must be >= 0"),
+        ]])
+    def test_validation_error_names_bound(self, argv, message, tmp_path, capsys):
+        rc = run(argv.split() + ["--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
 
     def test_grid_point_cap(self):
         # refused from the counts alone, before any point is built

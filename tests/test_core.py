@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zicarq.analytic import scheme_dmt
 from zicarq.core import (
     ParameterError,
     SystemParams,
@@ -11,6 +12,7 @@ from zicarq.core import (
     pos_part,
     validate,
 )
+from zicarq.simulator import run_trials
 
 
 class TestPosPart:
@@ -104,3 +106,13 @@ class TestValidate:
         p = SystemParams(r1=0.1, r2=0.7, t2=0.2, L=2)
         assert p.s2 == pytest.approx(0.5)
 
+
+class TestSchemeId:
+    @pytest.mark.parametrize("call", [
+        lambda p: scheme_dmt("bogus", p),
+        lambda p: run_trials("bogus", p, 100.0, 10, 0),
+    ], ids=["scheme_dmt", "run_trials"])
+    def test_unknown_scheme_names_valid_ones(self, call):
+        with pytest.raises(ParameterError,
+                           match="unknown scheme 'bogus'; valid schemes: .*hk-stop"):
+            call(SystemParams(r1=0.3, r2=0.3))

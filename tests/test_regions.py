@@ -27,7 +27,7 @@ from zicarq.regions import (
 )
 from zicarq.verify import VERIFY_SCHEMES, _verify_checks, sample_params, worst_gap
 
-TOL = 2e-3
+TOL = 1e-12
 
 
 def P(**kw):

@@ -299,9 +299,12 @@ class TestEstimateDiversity:
                 assert b.p_out <= a.ci_hi + 3 * (a.ci_hi - a.ci_lo)
 
     def test_zero_rates_raise(self):
+        # zero rates never go out, so every point is dropped and no slope fits
         cfg = SimConfig(rho_db_grid=(10, 20, 30), trials=1000, seed=4)
-        with pytest.raises(ValueError, match="fewer than 2 usable points"):
-            estimate_diversity(SchemeId.CMO, P(r1=0.0, r2=0.0, L=1), cfg)
+        for est in estimate_diversity(SchemeId.CMO, P(r1=0.0, r2=0.0, L=1), cfg):
+            assert est.slope is None and est.stderr is None
+            assert est.dropped_rho_db == (10, 20, 30)
+            assert [pt.rho_db for pt in est.points] == [10, 20, 30]
 
     def test_slope_approaches_analytic_with_wider_grids(self):
         p = P(r1=0.2, r2=0.2, beta=0.5, L=1)
