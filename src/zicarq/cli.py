@@ -140,12 +140,15 @@ def cmd_curve(args) -> int:
     var, values = _parse_sweep(args.sweep)
     base = _system_params(args)
     points = [replace(base, **{var: v}) for v in values]
+    # a point's parameter cells are the same for every scheme, so each is
+    # formatted once; a row's own work is the closed forms and their cells
+    cells = [(p.L, *map(_fmt, (p.r1, p.r2, p.t2, p.b, p.beta))) for p in points]
     rows = []
     for s in schemes:
-        for p in points:
+        for p, params in zip(points, cells):
             d1, d2 = analytic.scheme_dmt(s, p)
-            rows.append([s.value, p.L, p.r1, p.r2, p.t2, p.b, p.beta,
-                         d1, d2, "analytic", f"d1:{d1.label}|d2:{d2.label}"])
+            rows.append((s.value, *params, _fmt(d1), _fmt(d2), "analytic",
+                         f"d1:{d1.label}|d2:{d2.label}"))
 
     _write_csv(args.out,
                ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
@@ -173,7 +176,7 @@ def cmd_verify(args) -> int:
         worst, worst_desc = worst_gap(scheme, args.samples, rng)
         status = "ok" if worst <= tol else "FAIL"
         failed |= status == "FAIL"
-        rows.append([scheme.value, args.samples, worst, tol, status])
+        rows.append([scheme.value, args.samples, _fmt(worst), _fmt(tol), status])
         print(f"scheme={scheme.value:10s} samples={args.samples} "
               f"max|analytic-oracle|={worst:.3e} tol={tol:g} {status}"
               f"  worst: {worst_desc}")
@@ -200,9 +203,9 @@ def cmd_simulate(args) -> int:
     _require_out(args)
     scheme, p, sim = _sim_setup(args)
     fit1, fit2 = estimate_diversity(scheme, p, sim)
-    rows = [["point", scheme.value, a.rho_db,
-             a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
-             b.p_out, (b.ci_hi - b.ci_lo) / 2.0,
+    rows = [["point", scheme.value,
+             *map(_fmt, (a.rho_db, a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
+                         b.p_out, (b.ci_hi - b.ci_lo) / 2.0)),
              sim.trials, "", "", "", "", "", ""]
             for a, b in zip(fit1.points, fit2.points)]
 
@@ -212,11 +215,11 @@ def cmd_simulate(args) -> int:
     d1, d2 = analytic.scheme_dmt(scheme, p)
 
     def cell(x):
-        return "" if x is None or not math.isfinite(x) else x
+        return "" if x is None or not math.isfinite(x) else _fmt(x)
 
     rows.append(["summary", scheme.value, "", "", "", "", "", "",
                  cell(fit1.slope), cell(fit1.stderr), cell(fit2.slope),
-                 cell(fit2.stderr), d1, d2])
+                 cell(fit2.stderr), _fmt(d1), _fmt(d2)])
 
     _write_csv(args.out,
                ["row", "scheme", "rho_db", "p_out1", "ci1", "p_out2", "ci2",
@@ -234,8 +237,8 @@ def cmd_throughput(args) -> int:
     for k, db, rho in sim.points():
         est = estimate_throughput(scheme, p, rho, sim.trials, sim.seed,
                                   stream=k, T=sim.T)
-        rows.append([scheme.value, db, est.eta1, est.eta2,
-                     est.ratio1, est.ratio2, est.mean_zeta])
+        rows.append([scheme.value, *map(_fmt, (db, est.eta1, est.eta2, est.ratio1,
+                                               est.ratio2, est.mean_zeta))])
 
     _write_csv(args.out,
                ["scheme", "rho_db", "eta1", "eta2", "ratio1", "ratio2",
@@ -249,7 +252,14 @@ def cmd_throughput(args) -> int:
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, header: list[str], rows: list[list]):
+def _fmt(x: float) -> str:
+    """The one format of every float cell the CLI writes."""
+    return f"{x:.12g}"
+
+
+def _write_csv(path: str, header: list[str], rows: list):
+    """Write ``header`` and then ``rows`` to ``path`` as CSV.  Cells are
+    written as given: callers format their floats with :func:`_fmt`."""
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -257,8 +267,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
     with fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{c:.12g}" if isinstance(c, float) else c for c in row])
+        writer.writerows(rows)
 
 
 def _add_common(sp, *, sim: bool):

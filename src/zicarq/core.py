@@ -38,10 +38,16 @@ COOP_SCHEMES = frozenset(
 
 
 def pos_part(x: float) -> float:
-    """max(x, 0), with -inf clamping to 0 and +inf passing through."""
-    if math.isnan(x):
-        raise ParameterError("pos_part: NaN input")
-    return x if x > 0.0 else 0.0
+    """max(x, 0), with -inf clamping to 0 and +inf passing through.
+
+    NaN fails both comparisons and reaches the ParameterError on the last
+    branch, so ordinary input pays for no NaN test.
+    """
+    if x > 0.0:
+        return x
+    if x <= 0.0:
+        return 0.0
+    raise ParameterError("pos_part: NaN input")
 
 
 def ext_div(num: float, den: float) -> float:
@@ -51,14 +57,19 @@ def ext_div(num: float, den: float) -> float:
     num > 0 (the associated constraint is unreachable, so the bracketed
     term it feeds vanishes) and 0 when num == 0 (vacuous constraint, the
     bracketed term saturates at its cap).
+
+    A negative or NaN input fails the ordinary comparisons and falls through
+    to the ParameterErrors on the last branches, so ordinary input pays for
+    no NaN test.
     """
+    if num >= 0.0:
+        if den > 0.0:
+            return num / den
+        if den == 0.0:
+            return math.inf if num > 0.0 else 0.0
     if math.isnan(num) or math.isnan(den):
         raise ParameterError("ext_div: NaN input")
-    if num < 0.0 or den < 0.0:
-        raise ParameterError("ext_div: negative input")
-    if den > 0.0:
-        return num / den
-    return math.inf if num > 0.0 else 0.0
+    raise ParameterError("ext_div: negative input")
 
 
 @dataclass(frozen=True)

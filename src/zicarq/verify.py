@@ -93,15 +93,19 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
     elif scheme is SchemeId.HK_STOP:
         yield "d1_hk_stop", analytic.d1_hk_stop(p), oracle_d1_hk(p, stop=True)
     elif scheme is SchemeId.COOP_CMO:
-        yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), coop("O1_COOP")
-        yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), coop("O2_COOP")
+        o11, o12 = coop("O1_COOP"), coop("O2_COOP")
+        yield "d11c_cmo2", analytic.d11c_cmo2(r1, beta), o11
+        yield "d12c_cmo2", analytic.d12c_cmo2(r1, r2, beta), o12
+        yield "d1c_cmo2", analytic.d1c_cmo2(r1, r2, beta), min(o11, o12)
         yield "d2c_cmo2", analytic.d2c_cmo2(r1, r2, beta), oracle_d2_coop(p, scheme)
     elif scheme is SchemeId.COOP_TIAN:
         yield "d1c_tian2", analytic.d1c_tian2(r1, beta), coop("O3_COOP")
         yield "d2c_tian2", analytic.d2c_tian2(r1, r2, beta), oracle_d2_coop(p, scheme)
     elif scheme is SchemeId.COOP_DD:
-        yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), coop("O11_DD")
-        yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), coop("O12_DD")
+        o11, o12 = coop("O11_DD"), coop("O12_DD")
+        yield "d11c_dd2", analytic.d11c_cmo2(r1, beta), o11
+        yield "d12c_dd2", analytic.d12c_dd2(r1, r2, beta), o12
+        yield "d1c_dd2", analytic.d1c_dd2(r1, r2, beta), min(o11, o12)
         yield "d2c_dd2", analytic.d2c_dd2(r1, r2, beta), oracle_d2_coop(p, scheme)
     else:
         raise ParameterError(f"scheme {scheme.value} has no verify checks")

@@ -164,6 +164,52 @@ class TestCurve:
         assert row["d1"] == f"{analytic.d1_hk_stop(p):.12g}"
         assert_numeric_cells_finite(tmp_path / "x.csv")
 
+    # one sweep per variable from r1 .25, r2 .5, t2 .25, b .1, beta .8; the
+    # b sweep passes the hk-stop jump r1 + t2 = L*b at b = .25, and the
+    # beta sweep at r1 = -0.0 writes that cell as -0
+    @pytest.mark.parametrize("r1,sweep", [
+        ("0.25", "r1:0:1:0.05"),
+        ("0.25", "r2:0.25:1:0.05"),
+        ("0.25", "t2:0:0.5:0.05"),
+        ("0.25", "b:0:0.5:0.125"),
+        ("0.25", "beta:0:2:0.1"),
+        ("-0.0", "beta:0:2:0.25"),
+    ], ids=["r1", "r2", "t2", "b", "beta", "r1=-0"])
+    def test_matches_plain_row_writer(self, r1, sweep, tmp_path, monkeypatch):
+        # every scheme at L 2, against the plain writer: scheme_dmt per row
+        # and .12g on every float cell of it
+        out = tmp_path / "c.csv"
+        written = []
+        write_csv = cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows:
+                            written.append(rows) or write_csv(path, header, rows))
+        schemes = [s.value for s in core.SchemeId]
+        rc = run(["curve", "--scheme", ",".join(schemes), "--L", "2",
+                  "--r1", r1, "--r2", "0.5", "--t2", "0.25", "--b", "0.1",
+                  "--beta", "0.8", "--sweep", sweep, "--out", str(out)])
+        assert rc == 0
+        # the bench tracer counts rows with len()
+        [rows] = written
+        assert type(rows) is list
+
+        var, values = cli._parse_sweep(sweep)
+        base = SystemParams(r1=float(r1), r2=0.5, t2=0.25, b=0.1, beta=0.8, L=2)
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
+                         "source", "branch"])
+        for s in schemes:
+            for v in values:
+                p = SystemParams(**{**vars(base), var: v})
+                d1, d2 = analytic.scheme_dmt(s, p)
+                row = [s, p.L, p.r1, p.r2, p.t2, p.b, p.beta, d1, d2, "analytic",
+                       f"d1:{d1.label}|d2:{d2.label}"]
+                writer.writerow([f"{c:.12g}" if isinstance(c, float) else c
+                                 for c in row])
+        assert out.read_text(encoding="utf-8") == ref.getvalue()
+        if r1 == "-0.0":
+            assert {row["r1"] for row in read_csv(out)} == {"-0"}
+
     def test_bad_sweep_variable(self, tmp_path):
         rc = run(["curve", "--scheme", "cmo", "--sweep", "L:1:4:1",
                   "--out", str(tmp_path / "x.csv")])
@@ -204,6 +250,21 @@ class TestVerify:
                   "--scheme", "cmo", "--tol", "1e-9"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scheme,d1,d12", [
+        ("coop-cmo", "d1c_cmo2", "d12c_cmo2"),
+        ("coop-dd", "d1c_dd2", "d12c_dd2"),
+    ])
+    def test_cooperative_d1_minimum_checked(self, scheme, d1, d12, monkeypatch,
+                                            capsys):
+        # a planted min -> max in the scheme-level d1 leaves both pieces
+        # right, so only the check of the minimum itself can catch it
+        d11c, d12c = analytic.d11c_cmo2, getattr(analytic, d12)
+        monkeypatch.setattr(analytic, d1, lambda r1, r2, beta:
+                            max(d11c(r1, beta), d12c(r1, r2, beta)))
+        rc = run(["verify", "--samples", "20", "--seed", "7", "--scheme", scheme])
+        assert rc == 2
+        assert f"FAIL  worst: {d1}@" in capsys.readouterr().out
 
     def test_report_file(self, tmp_path):
         out = tmp_path / "report.csv"

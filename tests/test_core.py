@@ -14,6 +14,9 @@ from zicarq.core import (
 )
 from zicarq.simulator import run_trials
 
+# every float but NaN, with the signed zeros and infinities always tried
+NON_NAN = st.sampled_from([0.0, -0.0, math.inf, -math.inf]) | st.floats(allow_nan=False)
+
 
 class TestPosPart:
     def test_negative_clamps(self):
@@ -31,6 +34,13 @@ class TestPosPart:
     def test_nan_rejected(self):
         with pytest.raises(ParameterError):
             pos_part(math.nan)
+
+    @given(NON_NAN)
+    @settings(max_examples=300)
+    def test_plain_definition(self, x):
+        want = x if x > 0 else 0.0
+        got = pos_part(x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @given(st.floats(allow_nan=False))
     @settings(max_examples=200)
@@ -64,6 +74,39 @@ class TestExtDiv:
             ext_div(-1.0, 2.0)
         with pytest.raises(ParameterError):
             ext_div(1.0, -2.0)
+
+    @pytest.mark.parametrize("num,den", [(math.nan, 2.0), (0.5, math.nan),
+                                         (math.nan, math.nan)],
+                             ids=["num", "den", "both"])
+    def test_nan_rejected(self, num, den):
+        with pytest.raises(ParameterError, match="NaN"):
+            ext_div(num, den)
+
+    @given(NON_NAN, NON_NAN)
+    @settings(max_examples=500)
+    def test_matches_nan_first_reference(self, num, den):
+        # the same values and errors as a form that tests NaN before anything
+        def reference(num, den):
+            if math.isnan(num) or math.isnan(den):
+                raise ParameterError("ext_div: NaN input")
+            if num < 0.0 or den < 0.0:
+                raise ParameterError("ext_div: negative input")
+            if den > 0.0:
+                return num / den
+            return math.inf if num > 0.0 else 0.0
+
+        try:
+            want = reference(num, den)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError, match=str(exc)):
+                ext_div(num, den)
+            return
+        got = ext_div(num, den)
+        if math.isnan(want):  # inf / inf
+            assert math.isnan(got)
+        else:
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @given(
         st.floats(min_value=1e-9, max_value=10.0),
