@@ -2,8 +2,10 @@
 closed forms (:mod:`zicarq.analytic`) against their oracle twins from
 :mod:`zicarq.regions`: ``oracle_d1_hk``, ``oracle_rx1_hk`` (round L for
 hk-keep, round 1 for Tian's single term), ``oracle_d2_coop``, and minima
-over single regions, whose builders take their rounds from ``p.L``.  This
-module only samples the points and pairs the values."""
+over single regions, whose builders take their rounds from ``p.L``.  The
+cooperative d1 of coop-cmo and coop-dd is checked piece by piece and as
+the min of its two piece minima, which costs no oracle call.  This module
+only samples the points and pairs the values."""
 
 from __future__ import annotations
 
