@@ -49,7 +49,6 @@ from .regions import (
     oracle_d1_hk,
     oracle_min_exponent,
     oracle_min_exponent_coop,
-    rate_region_subset_check,
 )
 from .simulator import (
     DiversityEstimate,

@@ -46,7 +46,7 @@ in v, so its minimum sits at such a kink or at an endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -413,6 +413,9 @@ def region_o12_hk(p: SystemParams, i: int, stop: bool = False) -> OutageRegion:
 
 
 def region_rx1_cmo(p: SystemParams) -> OutageRegion:
+    """RX1 outage under common-message-only decoding after L rounds: the
+    own-rate test or the joint-rate test fails.  TX2 keeps sending after
+    its ACK, so no ACK round enters the event."""
     return OutageRegion(f"O_RX1_CMO(l={p.L})", "rx1", _rx1_cmo_event(p.L), p)
 
 
@@ -601,52 +604,3 @@ def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
     rx1_round1 = max(oracle_min_exponent(region) for region in round1)
     return min(rx1_round1 + oracle_min_exponent(region_rx2_hk(one)),
                oracle_min_exponent(region_rx2_hk(replace(p, L=2))))
-
-
-# ---------------------------------------------------------------------------
-# rate-region containment check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubsetCheckReport:
-    samples: int
-    counterexamples: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def rate_region_subset_check(p: SystemParams, samples: int,
-                             seed: int) -> SubsetCheckReport:
-    """Sample exponent points and verify the policy-comparison containments.
-
-    Every point decodable under the keep-both policy or under the stop-both
-    policy at any ACK round must be decodable under the mixed policy at
-    some ACK round.  Keep-both is the ACK-at-round-L instantiation of the
-    mixed policy, so keep-both within mixed holds by construction and only
-    the stop-both containments are sampled.  Returns the list of violating
-    samples, which must be empty.
-    """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    cap = _cap(p.beta)
-    rng = np.random.default_rng(seed)
-    g11 = rng.uniform(0.0, cap, samples)
-    g21 = rng.uniform(0.0, cap, samples)
-
-    in_policy_any = np.zeros(samples, dtype=bool)
-    stop_any = np.zeros(samples, dtype=bool)
-    for i in range(1, p.L + 1):
-        # the stop-both policy shares O11: post-ACK rounds are already
-        # interference-free in the individual constraint
-        o11 = region_o11_hk(p, i).member(g11, g21)
-        in_policy_any |= ~(o11 | region_o12_hk(p, i).member(g11, g21))
-        stop_any |= ~(o11 | region_o12_hk(p, i, stop=True).member(g11, g21))
-    bad = stop_any & ~in_policy_any
-
-    idx = np.nonzero(bad)[0]
-    ces = tuple(
-        {"gamma11": float(g11[k]), "gamma21": float(g21[k])} for k in idx[:50]
-    )
-    return SubsetCheckReport(samples, ces)

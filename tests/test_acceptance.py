@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from zicarq import analytic
+from zicarq import analytic, regions
 from zicarq.analytic import (
     SchemeId,
     d1_cmo,
@@ -37,7 +37,7 @@ from zicarq.analytic import (
 )
 from zicarq.cli import main
 from zicarq.core import SystemParams
-from zicarq.regions import oracle_d1_hk, rate_region_subset_check
+from zicarq.regions import oracle_d1_hk, region_o12_hk
 from zicarq.simulator import SimConfig, estimate_diversity, estimate_throughput
 from zicarq.verify import sample_params
 
@@ -82,12 +82,19 @@ def test_criterion_3_policy_dominance():
         rhs = max(d1_hk_keep(p), d1_hk_stop(p), oracle_d1_hk(p, stop=True))
         assert lhs >= rhs - 1e-12, f"policy dominance violated at {p}"
 
+    # Per ACK round i, O12_HK(i) lies within O12_STOP(i): the mixed tail
+    # max((1-g11)+, (beta-g21)+) is never below the stop tail (1-g11)+.  O11(i)
+    # is shared, so a point either policy decodes at round i is decoded by
+    # the mixed policy at round i.
     for k in range(20):
         p = sample_params(rng, SchemeId.HK)
-        report = rate_region_subset_check(p, 10_000, seed=1000 + k)
-        assert report.ok, f"containment counterexamples at {p}: " \
-                          f"{report.counterexamples[:3]}"
-    print("ACCEPTANCE 3 policy dominance (200 tuples) and rate-region "
+        g11, g21 = np.random.default_rng(1000 + k).uniform(
+            0.0, regions._cap(p.beta), (2, 10_000))
+        for i in range(1, p.L + 1):
+            escape = region_o12_hk(p, i).member(g11, g21) \
+                & ~region_o12_hk(p, i, stop=True).member(g11, g21)
+            assert not escape.any(), f"O12_HK({i}) not within O12_STOP({i}) at {p}"
+    print("ACCEPTANCE 3 policy dominance (200 tuples) and per-round rate-region "
           "containment (20x10k samples): PASS")
 
 

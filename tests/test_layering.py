@@ -110,6 +110,26 @@ def test_verify_takes_only_oracle_surface_from_regions(tmp_path):
         assert not all(map(_oracle_surface, _names_from(probe, "regions"))), line
 
 
+def _random_uses(path: Path):
+    """Every name, attribute or import in a module that reaches a random
+    number generator."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        words = (getattr(node, key, None) or "" for key in ("id", "attr", "name", "module"))
+        if {"random", "default_rng"} & {w for word in words for w in word.split(".")}:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_regions_draws_no_random_numbers(tmp_path):
+    # the oracle is exact and deterministic: it samples nothing
+    found = list(_random_uses(PACKAGE / "regions.py"))
+    assert not found, found
+    for line in ("rng = np.random.default_rng(3)", "import random",
+                 "from numpy.random import Generator", "def f():\n    return default_rng(3)"):
+        probe = tmp_path / "probe.py"
+        probe.write_text(line + "\n", encoding="utf-8")
+        assert list(_random_uses(probe)), line
+
+
 ENGINES = ("analytic", "regions", "simulator")
 
 

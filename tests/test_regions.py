@@ -17,7 +17,6 @@ from zicarq.regions import (
     oracle_min_exponent_coop,
     oracle_rx1_hk,
     pos_part,
-    rate_region_subset_check,
     region_coop,
     region_o11_hk,
     region_o12_hk,
@@ -72,6 +71,28 @@ class TestRegionContains:
                 a = region.member(g_other, cap)
                 b = region.member(g_other, cap * 3)
                 assert a == b
+
+
+class TestAffineInF:
+    """``f * (1 - g11)``, ``g11 + f`` and ``(1 + f) * g21`` each fold into
+    one affine piece with an f row, which the evaluator must add."""
+
+    def test_leaves_match_definitions(self):
+        g11, g21, f = symbols()
+        a, b, ff = np.random.default_rng(5).uniform(0.0, 2.0, (3, 200))
+        theta = np.array([0.8, 0.1, 0.3, 0.4, 0.2, 1.5, 1.0])
+        for expr, expect in ((f * (1.0 - g11), ff * (1.0 - a)), (g11 + f, a + ff),
+                             ((1.0 + f) * g21, (1.0 + ff) * b)):
+            assert len(expr.pieces) == 1 and expr.pieces[0, 1].any()
+            got = expr.value({"g11": a, "g21": b, "f": ff, "theta": theta})
+            np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
+
+    def test_region_reads_f_terms(self):
+        g11, _, f = symbols()
+        region = OutageRegion("F_SCALED", "coop", f * (1.0 - g11) < 0.2, P(r1=0.3, r2=0.4))
+        assert not region.member(0.25, 0.0, 0.5) and region.member(0.75, 0.0, 0.5)
+        a, ff = np.random.default_rng(6).uniform(0.0, 1.0, (2, 200))
+        np.testing.assert_array_equal(region.member(a, 0.0, ff), ff * (1.0 - a) < 0.2)
 
 
 class TestOracleSpotValues:
@@ -393,44 +414,40 @@ class TestCompiledFamilies:
         assert forwards == backwards
 
 
+def _o12_escapes(p, seed, n=10_000):
+    """Draws uniform over the oracle's box, and per ACK round i the indices
+    of those in O12_HK(i) but outside O12_STOP(i)."""
+    g11, g21 = np.random.default_rng(seed).uniform(0.0, regions._cap(p.beta), (2, n))
+    return g11, g21, {i: np.nonzero(regions.region_o12_hk(p, i).member(g11, g21)
+                                    & ~regions.region_o12_hk(p, i, stop=True).member(g11, g21))[0]
+                      for i in range(1, p.L + 1)}
+
+
 class TestSubsetCheck:
+    """O12_HK(i) lies within O12_STOP(i) at every ACK round i; O11 is shared,
+    so the stop policy decodes nothing the mixed policy misses."""
+
     def test_no_counterexamples(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        report = rate_region_subset_check(p, 10_000, seed=3)
-        assert report.ok
-        assert report.samples == 10_000
-
-    def test_zero_samples(self):
-        # a check over no samples checks nothing, so it may not report ok
-        p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        for samples in (0, -1):
-            with pytest.raises(ParameterError, match="samples must be >= 1"):
-                rate_region_subset_check(p, samples, seed=3)
+        g11, g21, escapes = _o12_escapes(p, 3)
+        assert not any(bad.size for bad in escapes.values())
+        # strict before round L, where the tails differ
+        assert region_o12_hk(p, 1, stop=True).member(g11, g21).sum() \
+            > region_o12_hk(p, 1).member(g11, g21).sum() > 0
 
     def test_degenerate_pure_common(self):
         p = P(r1=0.5, r2=0.6, t2=0.6, b=0.0, beta=1.5, L=3)
-        assert rate_region_subset_check(p, 10_000, seed=11).ok
+        assert not any(bad.size for bad in _o12_escapes(p, 11)[2].values())
 
     def test_reports_stop_points_the_mixed_policy_misses(self, monkeypatch):
-        # with an O12 that holds on the whole box the mixed policy decodes
-        # nowhere, so every point some stop-policy round decodes is reported
+        # with an O12_HK that holds on the whole box, every draw outside
+        # O12_STOP(i) escapes at round i
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        cap = regions._cap(p.beta)
         gamma11, _, _ = symbols()
-        everywhere = OutageRegion("O12_ALL", "rx1", gamma11 < 2 * cap, p)
+        everywhere = OutageRegion("O12_ALL", "rx1", gamma11 < 2 * regions._cap(p.beta), p)
         monkeypatch.setattr(regions, "region_o12_hk", lambda p, i, stop=False:
                             region_o12_hk(p, i, stop) if stop else everywhere)
-        n, seed = 2_000, 3
-        report = rate_region_subset_check(p, n, seed)
-
-        rng = np.random.default_rng(seed)
-        g11, g21 = rng.uniform(0.0, cap, n), rng.uniform(0.0, cap, n)
-        stop = np.zeros(n, dtype=bool)
-        for i in range(1, p.L + 1):
-            stop |= ~(region_o11_hk(p, i).member(g11, g21)
-                      | region_o12_hk(p, i, stop=True).member(g11, g21))
-        first = np.nonzero(stop)[0][:50]
-        assert len(first) == 50
-        assert report.counterexamples == tuple(
-            {"gamma11": float(g11[k]), "gamma21": float(g21[k])} for k in first)
-        assert not report.ok
+        g11, g21, escapes = _o12_escapes(p, 3, 2_000)
+        for i in (1, 2):
+            outside = np.nonzero(~region_o12_hk(p, i, stop=True).member(g11, g21))[0]
+            assert escapes[i].size and np.array_equal(escapes[i], outside), i
