@@ -11,6 +11,10 @@ throughput  Monte Carlo renewal-time and throughput-ratio table
 A flat key=value config file (# comments allowed) can preload any flag
 of the subcommand, keyed by the flag's name; explicit flags win.  Exit
 codes: 0 success, 1 validation error, 2 verification failure.
+
+Engines load on first use: ``verify`` imports numpy and the oracle,
+``simulate`` and ``throughput`` the Monte Carlo engine, each when it runs,
+so ``curve``, ``--help`` and a usage error never import numpy.
 """
 
 from __future__ import annotations
@@ -22,13 +26,8 @@ import sys
 from dataclasses import replace
 from functools import cache
 
-import numpy as np
-
 from . import analytic
-from .core import ParameterError, SchemeId, SystemParams
-from .regions import RATE_FLOOR
-from .simulator import SimConfig, estimate_diversity, estimate_throughput
-from .verify import VERIFY_SCHEMES, worst_gap
+from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams
 
 SWEEP_VARS = ("r1", "r2", "beta", "b", "t2")
 MAX_GRID_POINTS = 100_000
@@ -163,6 +162,10 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from .verify import VERIFY_SCHEMES, worst_gap
+
     tol = args.tol
     if not 0.0 <= tol < math.inf:
         raise ParameterError("--tol must be finite and >= 0")
@@ -192,6 +195,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
+    from .simulator import SimConfig
+
     scheme = SchemeId(args.scheme)
     p = _system_params(args)
     grid = _parse_triplet(args.rho_db, "--rho-db")
@@ -201,6 +206,8 @@ def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
 
 def cmd_simulate(args) -> int:
     _require_out(args)
+    from .simulator import estimate_diversity
+
     scheme, p, sim = _sim_setup(args)
     fit1, fit2 = estimate_diversity(scheme, p, sim)
     rows = [["point", scheme.value,
@@ -232,6 +239,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_throughput(args) -> int:
     _require_out(args)
+    from .simulator import estimate_throughput
+
     scheme, p, sim = _sim_setup(args)
     rows = []
     for k, db, rho in sim.points():

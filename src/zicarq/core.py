@@ -36,6 +36,11 @@ COOP_SCHEMES = frozenset(
     {SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_STATIC, SchemeId.COOP_DD}
 )
 
+# Smallest active rate the outage-region oracle accepts, and the lower end
+# that `curve` clamps swept rates to: zero-rate limits live in the closed
+# forms, not in the oracle.
+RATE_FLOOR = 1e-3
+
 
 def pos_part(x: float) -> float:
     """max(x, 0), with -inf clamping to 0 and +inf passing through.

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams
+from .core import COOP_SCHEMES, RATE_FLOOR, ParameterError, SchemeId, SystemParams
 
 # Candidate vertices lie on the boundary ``F = r`` up to rounding; the
 # closure test allows a few roundings of the largest level piece at the
@@ -63,11 +63,6 @@ _V_GRID = 17
 
 # Compiled families kept per process, keyed by structure only.
 _FAMILIES = 256
-
-
-# Smallest admissible active rate: zero-rate limits live in the closed
-# forms, not in the oracle.
-RATE_FLOOR = 1e-3
 
 # Largest admissible beta: the rounding error of the cooperative minima
 # grows in proportion to beta, and past this it exceeds 1e-12.

@@ -14,9 +14,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytic
-from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams
+from .core import COOP_SCHEMES, RATE_FLOOR, ParameterError, SchemeId, SystemParams
 from .regions import (
-    RATE_FLOOR,
     oracle_d1_hk,
     oracle_d2_coop,
     oracle_min_exponent,

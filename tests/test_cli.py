@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zicarq import analytic, cli, core
+from zicarq import analytic, cli, core, simulator
 from zicarq.cli import SWEEP_VARS, _parse_triplet, main
 from zicarq.core import ParameterError, SystemParams
 from zicarq.regions import oracle_d1_hk
@@ -461,8 +461,8 @@ class TestSharedParser:
         assert build() is not build()  # the public builder stays fresh
 
     @pytest.mark.parametrize("command,owner,work", [
-        ("simulate", cli, "estimate_diversity"),
-        ("throughput", cli, "estimate_throughput"),
+        ("simulate", simulator, "estimate_diversity"),
+        ("throughput", simulator, "estimate_throughput"),
         ("curve", analytic, "scheme_dmt"),
     ], ids=["simulate", "throughput", "curve"])
     def test_missing_out_fails_before_work(self, command, owner, work,

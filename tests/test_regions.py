@@ -114,6 +114,14 @@ class TestOracleSpotValues:
         region = region_coop("O1_COOP", P(r1=0.8, r2=0.0, beta=0.3))
         assert oracle_min_exponent_coop(region) == pytest.approx(0.6, abs=TOL)
 
+    @pytest.mark.parametrize("beta,r1", [(2.5, 0.75), (3.0, 0.8), (4.0, 0.85), (5.0, 0.9)])
+    def test_coop_o1_round_two_term(self, beta, r1):
+        # d11c_cmo2's 2 - 1.5*r1 wins only at beta > 2, outside the box that
+        # verify samples, so this is where its closed form meets the oracle
+        got = oracle_min_exponent_coop(region_coop("O1_COOP", P(r1=r1, r2=0.0, beta=beta)))
+        assert abs(got - (2.0 - 1.5 * r1)) <= TOL
+        assert abs(analytic.d11c_cmo2(r1, beta) - got) <= TOL
+
     def test_coop_o3(self):
         region = region_coop("O3_COOP", P(r1=0.6, r2=0.0, beta=1.0))
         assert oracle_min_exponent_coop(region) == pytest.approx(2.0 / 3.0, abs=TOL)
@@ -297,6 +305,29 @@ class TestExactness:
         # on its own; any other scheme left out would go unverified silently
         verified = {SchemeId(s) for s in VERIFY_SCHEMES}
         assert verified == set(SchemeId) - {SchemeId.COOP_STATIC}
+
+    def test_coop_static_is_oracle_envelope(self):
+        # d1 is the better static decoder's oracle minimum and d2 that
+        # decoder's; at a d1 tie either decoder's d2 is the scheme's
+        rng = np.random.default_rng(3)
+        winners = set()
+        for _ in range(60):
+            p = sample_params(rng, SchemeId.COOP_STATIC)
+            d1, d2 = analytic.d_static_overall(p.r1, p.r2, p.beta)
+
+            def coop(name):
+                return oracle_min_exponent_coop(region_coop(name, p))
+
+            cmo = min(coop("O1_COOP"), coop("O2_COOP"))
+            tian = coop("O3_COOP")
+            assert abs(d1 - max(cmo, tian)) <= TOL, p
+            if abs(cmo - tian) <= TOL:
+                decoders = (SchemeId.COOP_CMO, SchemeId.COOP_TIAN)
+            else:
+                decoders = (SchemeId.COOP_CMO if cmo > tian else SchemeId.COOP_TIAN,)
+            winners.update(decoders)
+            assert min(abs(d2 - oracle_d2_coop(p, s)) for s in decoders) <= TOL, p
+        assert winners == {SchemeId.COOP_CMO, SchemeId.COOP_TIAN}
 
     @pytest.mark.parametrize("scheme", VERIFY_SCHEMES)
     def test_closed_forms_match_oracle(self, scheme):
