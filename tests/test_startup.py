@@ -1,6 +1,7 @@
 """Start-up cost: each engine, and numpy with it, loads only in the
-subcommand that runs it.  Every check runs in a fresh interpreter, since
-this one has loaded them all."""
+subcommand that runs it, and the package's lazy exports are the objects
+their modules define.  The module sets are read in fresh interpreters,
+since the test process may already hold every engine."""
 
 import importlib
 import json
