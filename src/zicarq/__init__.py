@@ -19,12 +19,13 @@ import importlib
 
 _EXPORTS = {
     "analytic": (
-        "SchemeId", "d1_cmo", "d1_hk", "d1_hk_keep", "d1_hk_stop", "d1_tian",
+        "d1_cmo", "d1_hk", "d1_hk_keep", "d1_hk_stop", "d1_tian",
         "d1_tian_general", "d1c_cmo2", "d1c_dd2", "d1c_tian2", "d2_cmo", "d2_hk",
         "d2_tian", "d2c_cmo2", "d2c_dd2", "d2c_tian2", "d11_hk", "d11c_cmo2",
         "d12_hk", "d12_hk_stop", "d12c_cmo2", "d12c_dd2", "d_static_overall",
         "scheme_dmt"),
-    "core": ("ParameterError", "SystemParams", "ext_div", "pos_part", "validate"),
+    "core": ("ParameterError", "SchemeId", "SystemParams", "ext_div", "pos_part",
+             "validate"),
     "regions": ("OutageRegion", "oracle_d1_hk", "oracle_min_exponent",
                 "oracle_min_exponent_coop"),
     "simulator": (

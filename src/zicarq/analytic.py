@@ -27,14 +27,7 @@ individual- and joint-rate forms prefix theirs with ``d11:``/``d12:``
 
 from __future__ import annotations
 
-from .core import (
-    COOP_SCHEMES,
-    ParameterError,
-    SchemeId,
-    SystemParams,
-    ext_div,
-    pos_part,
-)
+from .core import SchemeId, SystemParams, check_rounds, ext_div, pos_part
 
 
 class Exponent(float):
@@ -330,6 +323,5 @@ _DMT = {
 def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> tuple[Exponent, Exponent]:
     """One scheme's (d1, d2) at one point, each labelled by its winning piece."""
     scheme = SchemeId(scheme)
-    if scheme in COOP_SCHEMES and p.L != 2:
-        raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
+    check_rounds(scheme, p)
     return _DMT[scheme](p)

@@ -36,6 +36,14 @@ COOP_SCHEMES = frozenset(
     {SchemeId.COOP_CMO, SchemeId.COOP_TIAN, SchemeId.COOP_STATIC, SchemeId.COOP_DD}
 )
 
+
+def check_rounds(scheme: SchemeId, p: SystemParams) -> None:
+    """Raise unless ``p.L`` is a delay the scheme is defined at: the
+    cooperative schemes relay in round 2 and are defined at L = 2 only."""
+    if scheme in COOP_SCHEMES and p.L != 2:
+        raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
+
+
 # Smallest active rate the outage-region oracle accepts, and the lower end
 # that `curve` clamps swept rates to: zero-rate limits live in the closed
 # forms, not in the oracle.

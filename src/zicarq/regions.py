@@ -324,7 +324,7 @@ class OutageRegion:
 
 def _check_round(L: int, i: int):
     if not 1 <= i <= L:
-        raise ValueError(f"round index i={i} outside 1..{L}")
+        raise ParameterError(f"round index i={i} outside 1..{L}")
 
 
 # the leaves every family is written in; RX2 events read gamma22 in the
@@ -380,8 +380,8 @@ def _coop_event(name: str):
     events = {"O1_COOP": o1, "O2_COOP": o2, "O3_COOP": o3,
               "O11_DD": o1 & o3, "O12_DD": o2 & o3}
     if name not in events:
-        raise ValueError(f"unknown cooperative event {name!r}; "
-                         f"valid events: {', '.join(events)}")
+        raise ParameterError(f"unknown cooperative event {name!r}; "
+                             f"valid events: {', '.join(events)}")
     return events[name]
 
 
@@ -519,7 +519,7 @@ def _min_rx2(region: OutageRegion) -> float:
 
 def _check_domain(region: OutageRegion):
     if region.rate < RATE_FLOOR:
-        raise ValueError(
+        raise ParameterError(
             f"{region.region_id}: active rate {region.rate} below the oracle's "
             f"rate floor {RATE_FLOOR} (zero-rate limits live in the "
             "closed forms)"

@@ -16,9 +16,11 @@ link, drawn as Exp(1), matching |CN(0,1)|^2); phases never enter the
 outage tests, so the episode kernels and ``run_episode`` take the squared
 magnitudes (g11, g21, g22, g_relay) themselves.
 
-The kernels test round 1 on the whole block and each later round only on
-the trials still open, with the same elementwise tests as a per-round
-pass over every trial, so the counts are those of that pass.
+A scheme is a table of information tests per receiver, which ACKs a round
+when all of its tests hold.  The kernels test round 1 on the whole block
+and later rounds only on the trials still open, so the counts are those
+of a per-round pass over every trial.  hk-keep and hk-stop have no table
+and stay analysis-only.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 import numpy as np
 
-from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams
+from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams, check_rounds
 
 _MASK64 = (1 << 64) - 1
 _DRAWS_PER_TRIAL = 4  # uniforms per episode: g11, g21, g22, g_relay
+_GAIN_MAX = 37.0  # a drawn gain -log1p(-u), u <= 1 - 2**-53, is at most 53 ln 2
 _Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 # trials per vectorised block; estimates do not depend on it
 _BLOCK = 1 << 15
@@ -126,22 +131,17 @@ class ThroughputEstimate:
 # counter-based trial randomness
 # ---------------------------------------------------------------------------
 
-def _philox_at(seed: int, trial0: int, stream: int) -> np.random.Generator:
-    bg = np.random.Philox(key=np.array([seed & _MASK64, stream & _MASK64],
-                                       dtype=np.uint64))
-    # advance() counts 128-bit counter blocks; one block yields 4 uint64
-    # words = the 4 uniforms of one trial, so trial t starts at block t
-    bg.advance(trial0)
-    return np.random.Generator(bg)
-
-
 def _trial_gains(seed: int, trial0: int, n: int, stream: int) -> np.ndarray:
     """|h|^2 draws for trials [trial0, trial0+n): shape (n, 4) Exp(1).
 
     Each uniform u maps to -log1p(-u), computed in place on the uniforms.
     """
-    gen = _philox_at(seed, trial0, stream)
-    u = gen.random((n, _DRAWS_PER_TRIAL))
+    bg = np.random.Philox(key=np.array([seed & _MASK64, stream & _MASK64],
+                                       dtype=np.uint64))
+    # advance() counts 128-bit counter blocks; one block yields 4 uint64
+    # words = the 4 uniforms of one trial, so trial t starts at block t
+    bg.advance(trial0)
+    u = np.random.Generator(bg).random((n, _DRAWS_PER_TRIAL))
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.negative(u, out=u)
@@ -161,15 +161,14 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
     if scheme is SchemeId.COOP_STATIC:
         raise ParameterError(
             "coop-static is an envelope of coop-cmo/coop-tian, not a protocol")
-    coop = scheme in COOP_SCHEMES
-    if coop and p.L != 2:
-        raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
+    check_rounds(scheme, p)
     if scheme in (SchemeId.HK_KEEP, SchemeId.HK_STOP):
         raise ParameterError(f"scheme {scheme.value} is analysis-only")
+    rho_beta = _power(rho, p.beta, "beta")
+    _check_link_snr(rho, rho_beta, _GAIN_MAX)
     # both kernels' link: log2(rho), and the direct, cross and TX2 link SNRs
-    link = (math.log2(rho), g11 * rho, g21 * _power(rho, p.beta, "beta"),
-            g22 * rho)
-    if coop:
+    link = (math.log2(rho), g11 * rho, g21 * rho_beta, g22 * rho)
+    if scheme in COOP_SCHEMES:
         return _episode_batch_coop(scheme, p, rho, link, grelay, T)
     return _episode_batch_noncoop(scheme, p, rho, link)
 
@@ -182,24 +181,37 @@ def _power(rho: float, exponent: float, name: str) -> float:
                              f"{name}={exponent:g}") from None
 
 
-def _ack_rounds(L, ok1, ok, cols):
+def _check_link_snr(rho: float, rho_beta: float, gain: float):
+    # the kernels form g * rho and g * rho**beta, and add the direct and cross SNRs
+    if gain * rho + gain * rho_beta == math.inf:
+        raise ParameterError(f"a link SNR overflows a float at rho={rho:g}")
+
+
+def _ack_rounds(L, tests, ack2=None):
     """Round of each trial's first ACK, or L + 1 if none by round L.
 
-    ``ok1`` is round 1's outcome over the whole block.  Rounds >= 2 test
-    ``ok(l, *c)`` only on the trials still open, where ``c = cols(idx)``
-    at their indices ``idx``, compressed as trials ACK.
+    Round l ACKs when every test ``(x, clean, rate)`` holds: where TX2 never
+    stops interfering (``clean`` None), ``l * x >= rate``; else, with i =
+    min(ack2, l), ``i * x + (l - i) * clean(idx) >= rate``.  Round 1 runs on
+    the whole block, later rounds only at the indices ``idx`` of open trials.
     """
+    ok1 = reduce(and_, (x >= r for x, _, r in tests))
     # the smallest integer type that holds L + 1: int64 minimum/maximum
     # over a block cost several times as much
     ack = (L + 1) - L * ok1.astype(np.min_scalar_type(L + 1))
     if L > 1:
         idx = np.flatnonzero(~ok1)
-        c = cols(idx)
+        cols = [(x[idx], None if c is None else c(idx), r) for x, c, r in tests]
+        a2 = (ack2[idx].astype(np.float64)
+              if any(c is not None for _, c, _ in cols) else None)
         for l in range(2, L + 1):
-            hit = ok(l, *c)
+            i = None if a2 is None else np.minimum(a2, l)
+            hit = reduce(and_, (l * x >= r if c is None else i * x + (l - i) * c >= r
+                                for x, c, r in cols))
             ack[idx[hit]] = l
             keep = ~hit
-            idx, c = idx[keep], [x[keep] for x in c]
+            idx, a2 = idx[keep], None if a2 is None else a2[keep]
+            cols = [(x[keep], None if c is None else c[keep], r) for x, c, r in cols]
     return ack
 
 
@@ -207,107 +219,69 @@ def _episode_batch_noncoop(scheme, p, rho, link):
     L = p.L
     lg, A, B, C = link
     R1, R2, T2 = p.r1 * lg, p.r2 * lg, p.t2 * lg
-    m2 = [np.log2(1.0 + C)]
+    # hk: t2 <= r2, so the full-rate test covers the common stream's T2
+    rx2 = [(np.log2(1.0 + C), None, R2)]
     if scheme is SchemeId.HK:
         div = 1.0 + _power(rho, p.b, "b")
-        m2.append(np.log2(1.0 + C / div))
+        rx2.append((np.log2(1.0 + C / div), None, R2 - T2))
+    ack2 = _ack_rounds(L, rx2)
 
-    def rx2_ok(l, m2_full, m2_priv=None):
-        # hk: t2 <= r2, so the full-rate test covers the common stream's T2
-        ok = l * m2_full >= R2
-        return ok if m2_priv is None else ok & (l * m2_priv >= R2 - T2)
-
-    ack2 = _ack_rounds(L, rx2_ok(1, *m2), rx2_ok, lambda i: [m[i] for m in m2])
-
-    # RX1's round 1 always sees TX2's interference (i_eff = 1), so the
-    # clean-round terms are computed only for the trials it leaves open
+    # RX1's round 1 is interfered for every trial, so its clean-round
+    # information is computed only where round 1 leaves a trial open
     if scheme is SchemeId.HK:
         Bn = B / div
-        m1_int = np.log2(1.0 + A / (1.0 + Bn))
-        m1s_int = np.log2(1.0 + (A + B) / (1.0 + Bn))
-        ok1 = (m1_int >= R1) & (m1s_int >= R1 + T2)
-
-        def rx1_ok(l, a2, m_int, ms_int, m_clean, ms_clean):
-            i_eff = np.minimum(a2, l)
-            c1 = i_eff * m_int + (l - i_eff) * m_clean
-            c2 = i_eff * ms_int + (l - i_eff) * ms_clean
-            return (c1 >= R1) & (c2 >= R1 + T2)
-
-        def rx1_cols(i):
-            Ai = A[i]
-            return (ack2[i].astype(np.float64), m1_int[i], m1s_int[i],
-                    np.log2(1.0 + Ai), np.log2(1.0 + Ai + B[i]))
-
+        rx1 = [(np.log2(1.0 + A / (1.0 + Bn)), lambda i: np.log2(1.0 + A[i]), R1),
+               (np.log2(1.0 + (A + B) / (1.0 + Bn)),
+                lambda i: np.log2(1.0 + A[i] + B[i]), R1 + T2)]
     elif scheme is SchemeId.CMO:
-        m1 = np.log2(1.0 + A)
-        m1s = np.log2(1.0 + A + B)
-
-        def rx1_ok(l, m, ms):
-            # TX2 keeps sending the same message after its ACK, so both
-            # joint constraints keep accumulating over every round
-            return (l * m >= R1) & (l * ms >= R1 + R2)
-
-        ok1 = rx1_ok(1, m1, m1s)
-
-        def rx1_cols(i):
-            return m1[i], m1s[i]
-
-    else:  # tian
-        m1_int = np.log2(1.0 + A / (1.0 + B))
-        ok1 = m1_int >= R1
-
-        def rx1_ok(l, a2, m_int, m_clean):
-            # TX2 goes silent after its ACK: clean rounds afterwards
-            i_eff = np.minimum(a2, l)
-            return i_eff * m_int + (l - i_eff) * m_clean >= R1
-
-        def rx1_cols(i):
-            return ack2[i].astype(np.float64), m1_int[i], np.log2(1.0 + A[i])
-
-    ack1 = _ack_rounds(L, ok1, rx1_ok, rx1_cols)
+        # TX2 keeps sending the same message after its ACK, so both joint
+        # constraints keep accumulating over every round
+        rx1 = [(np.log2(1.0 + A), None, R1), (np.log2(1.0 + A + B), None, R1 + R2)]
+    else:  # tian: TX2 goes silent after its ACK
+        rx1 = [(np.log2(1.0 + A / (1.0 + B)), lambda i: np.log2(1.0 + A[i]), R1)]
+    ack1 = _ack_rounds(L, rx1, ack2)
     return ack1 > L, ack2 > L, np.maximum(np.minimum(ack1, L), np.minimum(ack2, L))
+
+
+# RX1's static decoders in each cooperative scheme; dynamic decoding runs both
+_COOP_DECODERS = {SchemeId.COOP_CMO: ("cmo",), SchemeId.COOP_TIAN: ("tian",),
+                  SchemeId.COOP_DD: ("cmo", "tian")}
+
+
+def _relayed(x, f, m1, m1s):  # round 2: TX2 listens for a fraction f, then relays
+    return x + f * m1 + (1.0 - f) * m1s
+
+
+def _relayed_own(x, f, m1, m1s):  # the individual-rate test, whose x is m1
+    return (1.0 + f) * x + (1.0 - f) * m1s
 
 
 def _episode_batch_coop(scheme, p, rho, link, grelay, T):
     lg, A, B, C = link
     R1, R2 = p.r1 * lg, p.r2 * lg
-
     m1 = np.log2(1.0 + A)
     m1s = np.log2(1.0 + A + B)
-    m1n = np.log2(1.0 + A / (1.0 + B))
     m2 = np.log2(1.0 + C)
-
-    cmo_ok1 = (m1 >= R1) & (m1s >= R1 + R2)
-    tian_ok1 = m1n >= R1
-    if scheme is SchemeId.COOP_CMO:
-        rx1_ack1 = cmo_ok1
-    elif scheme is SchemeId.COOP_TIAN:
-        rx1_ack1 = tian_ok1
-    else:  # dynamic decoding: RX1 picks the better decoder per realization
-        rx1_ack1 = cmo_ok1 | tian_ok1
+    # each decoder's tests (round-1 information, relayed-round rule, rate)
+    tests = {"cmo": lambda: [(m1, _relayed_own, R1), (m1s, _relayed, R1 + R2)],
+             "tian": lambda: [(np.log2(1.0 + A / (1.0 + B)), _relayed, R1)]}
+    decoders = [tests[name]() for name in _COOP_DECODERS[scheme]]
+    # RX1 ACKs round 1 if any decoder passes all of its tests
+    rx1_ack1 = reduce(or_, (reduce(and_, (x >= r for x, _, r in d)) for d in decoders))
 
     # the relayed round 2 runs only on the trials RX1 NACKed in round 1
     nack = np.flatnonzero(~rx1_ack1)
-    m1, m1s, m1n = m1[nack], m1s[nack], m1n[nack]
+    m, ms = m1[nack], m1s[nack]
     # listening threshold: symbols TX2 needs to decode TX1's message
     clog = np.log2(1.0 + grelay[nack] * rho)
     with np.errstate(divide="ignore", over="ignore"):
         need = np.where(clog > 0.0, np.ceil(T * R1 / clog), np.inf)
     f = np.minimum(float(T), need) / float(T)
 
-    # accumulated information at RX1 by the end of the relayed round 2
-    o1_bad = (1.0 + f) * m1 + (1.0 - f) * m1s < R1
-    o2_bad = m1s + f * m1 + (1.0 - f) * m1s < R1 + R2
-    o3_bad = m1n + f * m1 + (1.0 - f) * m1s < R1
-    if scheme is SchemeId.COOP_CMO:
-        err1_r2 = o1_bad | o2_bad
-    elif scheme is SchemeId.COOP_TIAN:
-        err1_r2 = o3_bad
-    else:
-        err1_r2 = o3_bad & (o1_bad | o2_bad)
-
+    # and errs after it only if every decoder fails one of its tests
     err1 = np.zeros_like(rx1_ack1)
-    err1[nack] = err1_r2
+    err1[nack] = reduce(and_, (reduce(or_, (rule(x[nack], f, m, ms) < r
+                                           for x, rule, r in d)) for d in decoders))
     # TX2 retransmits its own message in round 2 only when RX1 ACKed;
     # after an RX1 NACK it relays instead, whatever its own feedback was
     rx2_ack1 = m2 >= R2
@@ -320,9 +294,10 @@ def run_episode(scheme: SchemeId | str, params: SystemParams, rho: float,
                 gains, T: int = 1000) -> tuple[bool, bool, int]:
     """Run the protocol state machine for one message.
 
-    ``gains`` holds the squared magnitudes (g11, g21, g22, g_relay); the
-    result is (err1, err2, zeta).
+    ``gains`` holds the squared magnitudes (g11, g21, g22, g_relay), whose
+    link SNRs must not overflow a float; the result is (err1, err2, zeta).
     """
+    _check_link_snr(rho, _power(rho, params.beta, "beta"), max(gains))
     arrs = [np.asarray([x], dtype=np.float64) for x in gains]
     err1, err2, zeta = _episode_batch(SchemeId(scheme), params, rho, *arrs, T=T)
     return bool(err1[0]), bool(err2[0]), int(zeta[0])

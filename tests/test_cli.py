@@ -483,6 +483,8 @@ class TestBadInput:
         ["throughput", "--rho-db", "4000"],
         ["simulate", "--scheme", "hk", "--b", "100", "--rho-db", "40"],
         ["simulate", "--beta", "400", "--rho-db", "40"],
+        ["simulate", "--scheme", "hk", "--L", "2", "--r1", ".3", "--r2", ".3",
+         "--t2", ".1", "--b", ".1", "--beta", "1", "--rho-db", "3080"],
         ["verify", "--samples", "-1"],
         ["verify", "--samples", "1", "--tol", "nan"],
         ["verify", "--samples", "1", "--tol", "inf"],

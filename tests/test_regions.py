@@ -165,7 +165,7 @@ class TestOracleSpotValues:
 
     def test_rate_floor_rejected(self):
         p = P(r1=1e-6, r2=0.5, L=2)
-        with pytest.raises(ValueError, match="rate floor"):
+        with pytest.raises(ParameterError, match="rate floor"):
             oracle_min_exponent(region_o11_hk(p, 1))
 
     def test_empty_region_returns_inf(self):
@@ -212,7 +212,7 @@ class TestOracleD1Hk:
         assert got == pytest.approx(0.0, abs=TOL)
 
     def test_requires_positive_rates(self):
-        with pytest.raises(ValueError, match="rate floor"):
+        with pytest.raises(ParameterError, match="rate floor"):
             oracle_d1_hk(P(r1=0.0, r2=0.5, L=2))
 
     @pytest.mark.parametrize("stop", [False, True])
@@ -220,7 +220,7 @@ class TestOracleD1Hk:
         # a single round builds no RX2 prefix region, so r2 may sit below the floor
         p = P(r1=0.3, r2=0.0, b=0.1, beta=0.5, L=1)
         assert oracle_d1_hk(p, stop) == pytest.approx(analytic.d1_hk(p), abs=1e-12)
-        with pytest.raises(ValueError, match=r"O_RX2_HK\(l=1\).*rate floor"):
+        with pytest.raises(ParameterError, match=r"O_RX2_HK\(l=1\).*rate floor"):
             oracle_d1_hk(replace(p, L=2), stop)
 
 

@@ -84,6 +84,12 @@ class TestRunEpisode:
         with pytest.raises(ParameterError):
             run_episode(SchemeId.COOP_STATIC, P(r1=0.3, r2=0.3, L=2), 100.0, g)
 
+    def test_link_snr_overflow_rejected(self):
+        # rho and rho**beta are finite, but g11 * rho is not
+        with pytest.raises(ParameterError, match="link SNR overflows"):
+            run_episode(SchemeId.HK, HK_P, 1e10, (1e300, 1.0, 1.0, 1.0))
+        assert run_episode(SchemeId.HK, HK_P, 1e10, (1e290, 1.0, 1.0, 1.0))[2] == 1
+
     def test_zeta_bounds(self):
         for g in _trial_gains(1, 0, 100, 0):
             err1, err2, zeta = run_episode(SchemeId.HK, HK_P, 50.0, g)
@@ -211,6 +217,15 @@ class TestEstimateOutage:
         monkeypatch.setattr(simulator, "_BLOCK", 30_000)
         one_block = estimate_outage(**kw)
         assert pooled == serial == one_block
+
+    def test_link_snr_overflow_rejected_per_point(self):
+        # every drawn gain stays finite on the link at 3000 dB; at 3080 dB
+        # g * rho overflows, which would count NaN tests as outage
+        p = P(r1=0.3, r2=0.3, t2=0.1, b=0.1, beta=1.0, L=2)
+        assert simulator.run_trials(SchemeId.HK, p, 1e300, 2000, 0).k1 == 0
+        for scheme in (SchemeId.HK, SchemeId.TIAN, SchemeId.COOP_DD):
+            with pytest.raises(ParameterError, match="link SNR overflows"):
+                simulator.run_trials(scheme, p, 1e308, 2000, 0)
 
     def test_reproducible(self):
         a = estimate_outage(SchemeId.COOP_DD, P(r1=0.3, r2=0.4, beta=0.8, L=2),
@@ -356,6 +371,19 @@ class TestTrialGains:
         u = np.random.Generator(bg).random((n, 4))
         g = _trial_gains(seed, trial0, n, stream)
         assert g.tobytes() == (-np.log1p(-u)).tobytes()
+
+
+@pytest.mark.parametrize("scheme,L,dtype", [
+    *[(s, L, np.uint8) for s in ("hk", "cmo", "tian") for L in (1, 4)],
+    *[(s, 300, np.uint16) for s in ("hk", "cmo", "tian")],
+    ("coop-dd", 2, np.uint8)])
+def test_ack_rounds_keep_the_smallest_integer_type(scheme, L, dtype):
+    # int64 minimum/maximum over a block cost several times as much
+    p = P(r1=0.3, r2=0.4, t2=0.2 if scheme == "hk" else 0.0, beta=0.8, L=L)
+    g = _trial_gains(3, 0, 500, 0)
+    zeta = _episode_batch(SchemeId(scheme), p, 100.0, g[:, 0], g[:, 1], g[:, 2],
+                          g[:, 3], 1000)[2]
+    assert zeta.dtype == dtype
 
 
 def _reference_episodes(scheme, p, rho, g11, g21, g22, grelay, T):
