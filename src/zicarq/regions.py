@@ -14,10 +14,12 @@ box side) enters a tree only through the constant column of its affine
 pieces, and linearly, while the gamma coefficients come from the structure
 alone (L, the round index, the f multipliers).  So each family's tree is
 built once per structure and kept for the process, together with its level
-lines, the pairs of lines that are not parallel, and the denominators of
-the vertex sums.  A region binds its point, box side included, when it
-is built: its lines there are one product of the constant columns with
-theta = (beta, b, r1, r2, t2, cap, 1).
+lines, the pairs of lines that are not parallel, the denominators of the
+vertex sums, and its membership test compiled to straight-line steps over
+the stacked affine leaves.  A region binds its point, box side included,
+when it is built: its lines and its leaves there are products of the
+constant columns with theta = (beta, b, r1, r2, t2, cap, 1), so a
+membership test evaluates every leaf in one broadcast.
 
 Minimisation.  A diversity exponent is the infimum of the objective over
 the open outage region, which is its minimum over the region's closure
@@ -36,11 +38,18 @@ the level pieces at the point), and takes the smallest objective.  RX2
 events are 1-D: the candidates are the piece roots and the box ends.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
-The gamma solve above is exact at each v, so only v is searched: a
-uniform grid, plus, in every grid cell whose two ends have different
-optimal vertices, the exact v where those two vertices' objectives
-(ratios of quadratics in f) cross.  The objective is piecewise concave
-in v, so its minimum sits at such a kink or at an endpoint.
+The gamma solve above is exact at each v, so only v is searched, with no
+grid.  The search evaluates the two ends v = 1 and v = 1/r1 and keeps
+cells of v between evaluated points.  In a cell whose two finite ends
+have different optimal vertices it takes the exact v where those two
+vertices' objectives (ratios of quadratics in f) cross, all such roots
+of a round in one gamma solve.  A root whose optimal vertex is neither
+end's splits its cell there, and the two halves are searched again; a
+cell with an infinite end is halved, down to the resolution of a
+17-point grid.  The objective is piecewise concave in v, so its minimum
+sits at such a kink or at an endpoint.  That a cell holds at most the
+kinks its ends reveal is not proved: two pieces can cross twice inside
+one cell (a branch-and-bound certificate would close this).
 """
 
 from __future__ import annotations
@@ -58,11 +67,17 @@ from .core import COOP_SCHEMES, RATE_FLOOR, ParameterError, SchemeId, SystemPara
 # candidate, and the box test a few roundings of its side.
 _SLACK = 4 * np.finfo(float).eps
 
-# Search in v = 1/f: grid size.
-_V_GRID = 17
+# Search in v = 1/f: a cell with an infinite end is halved at most this
+# many times (the resolution of a 17-point grid), and a search stops after
+# this many rounds.
+_HALVINGS = 4
+_ROUNDS = 64
 
 # Compiled families kept per process, keyed by structure only.
 _FAMILIES = 256
+
+# Largest gain exponent that membership reads: no box reaches it.
+_GAMMA_MAX = 1e300
 
 # Largest admissible beta: the rounding error of the cooperative minima
 # grows in proportion to beta, and past this it exceeds 1e-12.
@@ -100,15 +115,6 @@ def _bind(pieces: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine_value(a, b, c, g11, g21):
-    out = c
-    if a:
-        out = out + a * g11
-    if b:
-        out = out + b * g21
-    return out
-
-
 def _scale(k0: float, k1: float, pieces: np.ndarray) -> np.ndarray:
     """(k0 + k1*f) * pieces, refusing terms quadratic in f."""
     if k1 and pieces[:, 1].any():
@@ -119,20 +125,16 @@ def _scale(k0: float, k1: float, pieces: np.ndarray) -> np.ndarray:
 
 
 class _Expr:
-    """A piecewise-linear expression: the affine pieces it can equal and
-    its numpy evaluator.  Arithmetic with numbers and other expressions
-    builds trees."""
+    """A piecewise-linear expression: the affine pieces it can equal, and
+    the node that computes it, ``op`` over ``args``: 'affine' (its one
+    piece), 'max' and 'add' (of two expressions), or 'scale' (k0, k1, x),
+    which is (k0 + k1*f) * x.  Arithmetic with numbers and other
+    expressions builds trees."""
 
-    def __init__(self, pieces, evaluate):
+    def __init__(self, pieces, op, args=()):
         self.pieces = pieces
-        self._evaluate = evaluate
-
-    def value(self, env: dict):
-        """Value at env's g11/g21/f arrays and theta; shared subtrees are
-        evaluated once."""
-        if id(self) not in env:
-            env[id(self)] = self._evaluate(env)
-        return env[id(self)]
+        self.op = op
+        self.args = args
 
     def _is_affine(self) -> bool:
         return len(self.pieces) == 1
@@ -145,8 +147,7 @@ class _Expr:
         other = _as_expr(other)
         if self._is_affine() and other._is_affine():
             return _affine(self.pieces[0] + other.pieces[0])
-        return _Expr(_unique(self.pieces[:, None] + other.pieces[None]),
-                     lambda env: self.value(env) + other.value(env))
+        return _Expr(_unique(self.pieces[:, None] + other.pieces[None]), "add", (self, other))
 
     __radd__ = __add__
 
@@ -164,8 +165,7 @@ class _Expr:
         k0, k1 = coef.pieces[0, :, -1]
         if x._is_affine():
             return _affine(_scale(k0, k1, x.pieces)[0])
-        return _Expr(_scale(k0, k1, x.pieces),
-                     lambda env: (k0 + k1 * env["f"]) * x.value(env))
+        return _Expr(_scale(k0, k1, x.pieces), "scale", (k0, k1, x))
 
     __rmul__ = __mul__
 
@@ -173,23 +173,11 @@ class _Expr:
         rate = _as_expr(rate)
         if not rate._is_affine():
             raise TypeError("a rate must be affine")
-        return _Event([self.pieces - rate.pieces],
-                      lambda env, slack: self.value(env) < rate.value(env) + slack)
+        return _Event([self.pieces - rate.pieces], "lt", (self, rate))
 
 
 def _affine(c) -> _Expr:
-    c = np.asarray(c, dtype=float)
-    a0, b0, a1, b1 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
-    has_f = c[1].any()
-
-    def evaluate(env):
-        c0, c1 = c[:, 2:] @ env["theta"]
-        out = _affine_value(a0, b0, c0, env["g11"], env["g21"])
-        if has_f:
-            out = out + env["f"] * _affine_value(a1, b1, c1, env["g11"], env["g21"])
-        return out
-
-    return _Expr(c[None], evaluate)
+    return _Expr(np.asarray(c, dtype=float)[None], "affine")
 
 
 def _as_expr(x) -> _Expr:
@@ -212,13 +200,67 @@ def symbols() -> tuple[_Expr, _Expr, _Expr]:
 def maximum(a, b) -> _Expr:
     """max(a, b) of expressions or numbers."""
     a, b = _as_expr(a), _as_expr(b)
-    return _Expr(_unique(np.concatenate([a.pieces, b.pieces])),
-                 lambda env: np.maximum(a.value(env), b.value(env)))
+    return _Expr(_unique(np.concatenate([a.pieces, b.pieces])), "max", (a, b))
 
 
 def pos_part(x) -> _Expr:
     """max(x, 0) of an expression."""
     return maximum(x, 0.0)
+
+
+# The steps of a compiled program over its values v, the listening
+# fraction f and the slack s that widens every rate constraint.
+_STEPS = {
+    "max": lambda v, f, s, a, b: np.maximum(v[a], v[b]),
+    "add": lambda v, f, s, a, b: v[a] + v[b],
+    "scale": lambda v, f, s, k0, k1, x: (k0 + k1 * f) * v[x],
+    "lt": lambda v, f, s, x, rate: v[x] < v[rate] + s,
+    "or": lambda v, f, s, a, b: v[a] | v[b],
+    "and": lambda v, f, s, a, b: v[a] & v[b],
+}
+
+
+class _Program:
+    """A tree compiled to straight-line code: its affine leaves stacked as
+    (n, 2, 9), then its other nodes as steps ``(op, *args)``, each after
+    its arguments.  An int argument is the index of a value: leaf k is
+    value k and step s is value n + s, so a shared subtree is one value."""
+
+    def __init__(self, root):
+        order = {}
+
+        def visit(node):
+            if id(node) not in order:
+                for arg in node.args:
+                    if isinstance(arg, (_Expr, _Event)):
+                        visit(arg)
+                order[id(node)] = node
+
+        visit(root)
+        nodes = sorted(order.values(), key=lambda node: node.op != "affine")
+        index = {id(node): k for k, node in enumerate(nodes)}
+        n = sum(node.op == "affine" for node in nodes)
+        self.leaves = np.array([node.pieces[0] for node in nodes[:n]])
+        self.has_f = bool(self.leaves[:, 1].any())
+        self.steps = [(_STEPS[node.op], *(index.get(id(arg), arg) for arg in node.args))
+                      for node in nodes[n:]]
+
+    def __call__(self, leaves, g11, g21, f, slack=0.0):
+        """The root's value at ``leaves``, the stacked leaves bound to one
+        theta (n, 2, 3), and at the g11/g21/f arrays."""
+        # an infinite gain exponent reads as _GAMMA_MAX, far past every
+        # box, so that a leaf's zero coefficient times it stays 0
+        g11, g21 = np.minimum(g11, _GAMMA_MAX), np.minimum(g21, _GAMMA_MAX)
+        f = np.asarray(f)
+        ndim = max(g11.ndim, g21.ndim, f.ndim)
+        a, b, c, a1, b1, c1 = leaves.reshape(-1, 6).T.reshape((6, -1) + (1,) * ndim)
+        values = c + a * g11 + b * g21
+        if self.has_f:
+            values = values + f * (c1 + a1 * g11 + b1 * g21)
+        values = list(values)
+        for step, *args in self.steps:
+            values.append(step(values, f, slack, *args))
+        return values[-1][()]
 
 
 _BOX = np.zeros((4, 2, 9))
@@ -229,21 +271,25 @@ _BOX[[1, 3], 0, 2 + _CAP] = -1.0
 
 class _Event:
     """Rate constraints ``F < r`` joined by ``|`` (union) and ``&``
-    (intersection): their level lines, and the membership test,
-    where ``slack`` widens every constraint.  What the oracle needs of
-    the structure is compiled on first use and kept with the event."""
+    (intersection): their level lines, and the node ``op`` over ``args``:
+    'lt' (F, r), 'or' and 'and' (of two events).  What the oracle and the
+    membership test need of the structure is compiled on first use and
+    kept with the event."""
 
-    def __init__(self, lines, holds):
+    def __init__(self, lines, op, args):
         self.lines = lines
-        self.holds = holds
+        self.op = op
+        self.args = args
 
     def __or__(self, other):
-        return _Event(self.lines + other.lines,
-                      lambda env, slack: self.holds(env, slack) | other.holds(env, slack))
+        return _Event(self.lines + other.lines, "or", (self, other))
 
     def __and__(self, other):
-        return _Event(self.lines + other.lines,
-                      lambda env, slack: self.holds(env, slack) & other.holds(env, slack))
+        return _Event(self.lines + other.lines, "and", (self, other))
+
+    @cached_property
+    def program(self) -> _Program:
+        return _Program(self)
 
     @cached_property
     def candidates(self) -> np.ndarray:
@@ -307,6 +353,7 @@ class OutageRegion:
         # box edges excluded), which bounds the rounding of a level value
         self.lines = _bind(event.candidates, self.theta)
         self.sizes = _bind(event.magnitudes, np.abs(self.theta))
+        self.leaves = _bind(event.program.leaves, self.theta)
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
@@ -314,8 +361,7 @@ class OutageRegion:
     def member(self, g11, g21=0.0, f=1.0, slack=0.0):
         """Elementwise membership; ``slack`` widens every rate constraint.
         RX2 regions read gamma22 in ``g11``."""
-        return self.event.holds({"g11": g11, "g21": g21, "f": f,
-                                 "theta": self.theta}, slack)
+        return self.event.program(self.leaves, g11, g21, f, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +511,29 @@ def _poly_mul(p, q):
     return out
 
 
-def _kinks(region, v_lo, v_hi, k_lo, k_hi):
-    """The v in each cell [v_lo, v_hi] where the vertex sums of the pairs
-    optimal at its two ends are equal."""
+def _kinks(region, lo, hi):
+    """The v in each cell where the vertex sums of the pairs optimal at its
+    two ends are equal, and the index of its cell.  Cell c runs from lo[c]
+    to hi[c], each end a triple (v, objective, optimal pair)."""
+    (v_lo, _, k_lo), (v_hi, _, k_hi) = (np.array(ends).reshape(-1, 3).T for ends in (lo, hi))
+    k_lo, k_hi = k_lo.astype(int), k_hi.astype(int)
     num, den = region.event.vertex_sums
-    num_lo, num_hi = (np.tensordot(region.theta, num[:, k], 1) for k in (k_lo, k_hi))
-    left, right = _poly_mul(num_lo, den[k_hi]), _poly_mul(num_hi, den[k_lo])
+    # each end's vertex-sum numerator times the other end's denominator
+    left, right = _poly_mul(np.tensordot(region.theta, num[:, np.concatenate([k_lo, k_hi])], 1),
+                            den[np.concatenate([k_hi, k_lo])]).reshape(2, len(v_lo), -1)
     gap = left - right
     scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
-    out = []
+    cells, out = [], []
     # a gap within 1e-12 of its terms is rounding: the two sums agree at every f
     for c in np.nonzero(np.abs(gap).max(axis=1) > 1e-12 * scale)[0]:
         f = np.roots(gap[c, ::-1])
         # a double root comes out slightly complex; a kept root is only a
-        # candidate, evaluated exactly like every grid point
+        # candidate, whose gamma minimum is solved exactly like the ends'
         f = f.real[np.abs(f.imag) <= 1e-6]
         f = f[(f >= 1.0 / v_hi[c]) & (f <= 1.0 / v_lo[c])]
+        cells += [c] * len(f)
         out.append(1.0 / f)
-    return np.concatenate(out) if out else np.empty(0)
+    return cells, np.concatenate(out) if out else np.empty(0)
 
 
 def _min_coop(region: OutageRegion) -> float:
@@ -493,16 +544,33 @@ def _min_coop(region: OutageRegion) -> float:
 
     def cost(v):
         g, k = _min_gamma(region, 1.0 / v)
-        return g + (1.0 - r1 * v), k
+        return list(zip(v.tolist(), (g + (1.0 - r1 * v)).tolist(), k.tolist()))
 
-    v = np.linspace(1.0, 1.0 / r1, _V_GRID)
-    h, k = cost(v)
-    if not np.isfinite(h).any():
-        return math.inf
-    # the exact kink in every cell whose two ends have different optimal vertices
-    keep = np.isfinite(h[:-1] + h[1:])
-    roots = _kinks(region, v[:-1][keep], v[1:][keep], k[:-1][keep], k[1:][keep])
-    return float(min(h.min(), cost(roots)[0].min(initial=np.inf)))
+    ends = cost(np.array([1.0, 1.0 / r1]))
+    best = min(h for _, h, _ in ends)
+    # a cell is its two ends (v, objective, optimal pair) and the halvings
+    # it has left
+    cells = [(*ends, _HALVINGS)]
+    for _ in range(_ROUNDS):
+        finite = [math.isfinite(lo[1] + hi[1]) for lo, hi, _ in cells]
+        kink = [c for c, ok in zip(cells, finite) if ok and c[0][2] != c[1][2]]
+        halve = [c for c, ok in zip(cells, finite) if not ok and c[2]]
+        at, roots = _kinks(region, *zip(*[c[:2] for c in kink])) if kink else ([], [])
+        mids = [0.5 * (lo[0] + hi[0]) for lo, hi, _ in halve]
+        if not len(roots) + len(mids):
+            break
+        points = cost(np.concatenate([roots, mids]))
+        best = min(best, *(h for _, h, _ in points))
+        cells = []
+        for c, (lo, hi, n) in enumerate(kink):
+            seq = [lo, *sorted(p for p, j in zip(points, at) if j == c), hi]
+            # a root whose optimal pair is neither end's reopens the cell on
+            # both of its sides; the others settle it
+            new = [False, *(p[2] not in (lo[2], hi[2]) for p in seq[1:-1]), False]
+            cells += [(a, b, n) for a, b, x, y in zip(seq, seq[1:], new, new[1:]) if x or y]
+        for (lo, hi, n), mid in zip(halve, points[len(roots):]):
+            cells += [(lo, mid, n - 1), (mid, hi, n - 1)]
+    return float(best)
 
 
 def _min_rx2(region: OutageRegion) -> float:

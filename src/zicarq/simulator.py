@@ -46,6 +46,14 @@ _BLOCK = 1 << 15
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = None  # built on first multi-block run
+# largest slot count T: the listening fraction computes in floats, which
+# hold every integer up to 2**53 (a far larger T overflows the conversion)
+_T_MAX = 2 ** 53
+
+
+def _check_slots(T: int):
+    if not 1 <= T <= _T_MAX:
+        raise ParameterError("T must be >= 1 and <= 2**53")
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,7 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
-        if self.T < 1:
-            raise ParameterError("T must be >= 1")
+        _check_slots(self.T)
         grid = self.rho_db_grid
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("rho_db_grid must be strictly increasing")
@@ -156,8 +163,7 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
     """Run one episode per array entry; returns (err1, err2, zeta) arrays."""
     if not rho > 1.0:
         raise ParameterError("rho must exceed 1 (linear scale)")
-    if T < 1:
-        raise ParameterError("T must be >= 1")
+    _check_slots(T)
     if scheme is SchemeId.COOP_STATIC:
         raise ParameterError(
             "coop-static is an envelope of coop-cmo/coop-tian, not a protocol")

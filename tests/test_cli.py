@@ -490,6 +490,9 @@ class TestBadInput:
         ["verify", "--samples", "1", "--tol", "inf"],
         ["verify", "--samples", "1", "--tol", "-1"],
         ["curve", "--config", "/nonexistent-dir/run.cfg"],
+        pytest.param(["simulate", "--scheme", "coop-dd", "--L", "2", "--rho-db", "20",
+                      "--trials", "100", "--T", "1" + "0" * 400],
+                     id="simulate --scheme coop-dd --T 10**400"),
     ], ids=" ".join)
     def test_validation_error(self, argv, tmp_path, capsys):
         rc = run(argv + ["--out", str(tmp_path / "x.csv")])

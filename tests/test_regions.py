@@ -58,19 +58,21 @@ class TestRegionContains:
             assert not region.member(0.0, 0.0, 1.0), region
 
     def test_membership_saturates_beyond_cap(self):
-        # past the cap every bracket has clamped, so membership freezes
+        # past the cap every bracket has clamped, so membership freezes,
+        # an infinite gain exponent included
         rng = np.random.default_rng(8)
         p = P(r1=0.4, r2=0.6, t2=0.2, b=0.1, beta=1.4, L=3)
         cap = regions._cap(p.beta)
         for region in (region_o11_hk(p, 2), region_o12_hk(p, 2), region_rx1_cmo(p)):
             for _ in range(50):
                 g_other = float(rng.uniform(0, cap))
-                a = region.member(cap, g_other)
-                b = region.member(cap * 3, g_other)
-                assert a == b
-                a = region.member(g_other, cap)
-                b = region.member(g_other, cap * 3)
-                assert a == b
+                for far in (cap * 3, math.inf):
+                    a = region.member(cap, g_other)
+                    b = region.member(far, g_other)
+                    assert a == b
+                    a = region.member(g_other, cap)
+                    b = region.member(g_other, far)
+                    assert a == b
 
 
 class TestAffineInF:
@@ -84,7 +86,8 @@ class TestAffineInF:
         for expr, expect in ((f * (1.0 - g11), ff * (1.0 - a)), (g11 + f, a + ff),
                              ((1.0 + f) * g21, (1.0 + ff) * b)):
             assert len(expr.pieces) == 1 and expr.pieces[0, 1].any()
-            got = expr.value({"g11": a, "g21": b, "f": ff, "theta": theta})
+            program = regions._Program(expr)
+            got = program(regions._bind(program.leaves, theta), a, b, ff)
             np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
 
     def test_region_reads_f_terms(self):
@@ -93,6 +96,85 @@ class TestAffineInF:
         assert not region.member(0.25, 0.0, 0.5) and region.member(0.75, 0.0, 0.5)
         a, ff = np.random.default_rng(6).uniform(0.0, 1.0, (2, 200))
         np.testing.assert_array_equal(region.member(a, 0.0, ff), ff * (1.0 - a) < 0.2)
+
+
+COOP_EVENTS = ("O1_COOP", "O2_COOP", "O3_COOP", "O11_DD", "O12_DD")
+
+
+def _count_min_gamma(monkeypatch):
+    """Patch the oracle's gamma solve to log how many listening fractions
+    each call solves at."""
+    sizes = []
+    solve = regions._min_gamma
+
+    def counted(region, f):
+        sizes.append(len(f))
+        return solve(region, f)
+
+    monkeypatch.setattr(regions, "_min_gamma", counted)
+    return sizes
+
+
+def _reference(node, theta, g11, g21, f, slack):
+    """A node's value by recursion over the tree, each affine leaf bound to
+    theta as its constant column's product with theta."""
+    if node.op == "affine":
+        (a, b, c), (a1, b1, c1) = np.column_stack([node.pieces[0, :, :2],
+                                                   node.pieces[0, :, 2:] @ theta])
+        return c + a * g11 + b * g21 + f * (c1 + a1 * g11 + b1 * g21)
+    args = [_reference(arg, theta, g11, g21, f, slack) if hasattr(arg, "op") else arg
+            for arg in node.args]
+    if node.op == "max":
+        return np.maximum(*args)
+    if node.op == "add":
+        return args[0] + args[1]
+    if node.op == "scale":
+        k0, k1, x = args
+        return (k0 + k1 * f) * x
+    if node.op == "lt":
+        return args[0] < args[1] + slack
+    if node.op == "or":
+        return args[0] | args[1]
+    assert node.op == "and", node.op
+    return args[0] & args[1]
+
+
+class TestCompiledMembership:
+    """Each event's compiled program equals a plain recursive walk of its
+    tree, bit for bit, on every family."""
+
+    @staticmethod
+    def _regions(p):
+        for L in range(1, 5):
+            q = replace(p, L=L)
+            yield region_rx2_hk(q)
+            yield region_rx1_cmo(q)
+            for i in range(1, L + 1):
+                yield region_o11_hk(q, i)
+                yield region_o12_hk(q, i)
+                yield region_o12_hk(q, i, stop=True)
+        coop = replace(p, t2=0.0, b=0.0, L=2)
+        for name in COOP_EVENTS:
+            yield region_coop(name, coop)
+        g11, _, f = symbols()
+        yield OutageRegion("F_SCALED", "coop", f * (1.0 - g11) + pos_part(g11 - f) < 0.4, coop)
+
+    @pytest.mark.parametrize("beta", [0.7, 1.6])
+    def test_program_equals_tree(self, beta):
+        p = P(r1=0.37, r2=0.61, t2=0.23, b=0.19, beta=beta, L=1)
+        rng = np.random.default_rng(23)
+        count = 0
+        for region in self._regions(p):
+            g11, g21 = rng.uniform(0.0, region.cap, (2, 2_000))
+            f = rng.uniform(0.0, 1.0, 2_000) if region.kind == "coop" else 1.0
+            slack = rng.uniform(0.0, 1e-3, 2_000)
+            for s in (0.0, slack):
+                got = region.member(g11, g21, f, slack=s)
+                expect = _reference(region.event, region.theta, g11, g21, f, s)
+                assert got.dtype == bool and np.array_equal(got, expect), region
+                assert 0 < got.sum() < got.size, region
+            count += 1
+        assert count == 2 * 4 + 3 * 10 + 5 + 1
 
 
 class TestOracleSpotValues:
@@ -180,6 +262,42 @@ class TestOracleSpotValues:
         coop = OutageRegion(
             "EMPTY_COOP", "coop", f * pos_part(1.0 - g11) + 1.0 < 0.5, p)
         assert oracle_min_exponent_coop(coop) == math.inf
+
+    def test_coop_anchor_off_a_coarse_grid(self):
+        # the minimum lies between the points of a three-point grid in v,
+        # which reads it at least 0.02 too high (0.0203 with its cells' kinks)
+        r1, beta = 0.40554862885485976, 1.0625336881257679
+        region = region_coop("O1_COOP", P(r1=r1, r2=0.0, beta=beta))
+        got = oracle_min_exponent_coop(region)
+        assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14
+        v = np.linspace(1.0, 1.0 / r1, 3)
+        assert (regions._min_gamma(region, 1.0 / v)[0] + 1.0 - r1 * v).min() - got > 0.02
+
+    def test_coop_search_splits_a_cell(self, monkeypatch):
+        # the kink between the ends' optimal vertices has a third optimal
+        # vertex, so the search must solve more than the ends and one round
+        sizes = _count_min_gamma(monkeypatch)
+        r1, beta = 0.37671331736191965, 1.7328803218152593
+        region = region_coop("O11_DD", P(r1=r1, r2=0.498533310040877, beta=beta))
+        got = oracle_min_exponent_coop(region)
+        assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14
+        assert sizes[0] == 2 and len(sizes) > 2, sizes
+
+    def test_coop_search_cost(self, monkeypatch):
+        # counted gamma solves, no timing: at most 4 v points per minimum on
+        # average, and no search reaches its round cap
+        rng = np.random.default_rng(7)
+        points = [sample_params(rng, SchemeId.COOP_DD) for _ in range(200)]
+        sizes = _count_min_gamma(monkeypatch)
+        solved, longest = 0, 0
+        for p in points:
+            for name in COOP_EVENTS:
+                sizes.clear()
+                oracle_min_exponent_coop(region_coop(name, p))
+                solved += sum(sizes)
+                longest = max(longest, len(sizes))
+        assert solved / (len(points) * len(COOP_EVENTS)) <= 4.0
+        assert longest <= regions._ROUNDS
 
     def test_coop_interior_kink(self):
         # the minimum sits at an interior listening fraction (f ~ 0.663);

@@ -72,6 +72,20 @@ class TestRunEpisode:
         with pytest.raises(ParameterError, match="T must be >= 1"):
             run_episode(SchemeId.COOP_DD, p, 100.0, (1.0, 1.0, 1.0, 1.0), T=T)
 
+    def test_slot_count_bounded(self):
+        # T enters the listening fraction as a float, exact up to 2**53; a
+        # far larger T overflowed the conversion
+        p = P(r1=0.3, r2=0.4, beta=0.8, L=2)
+        g = (1.0, 1.0, 1.0, 1.0)
+        for T in (2**53 + 1, 10**400):
+            with pytest.raises(ParameterError, match=r"T must be >= 1 and <= 2\*\*53"):
+                run_episode(SchemeId.COOP_DD, p, 100.0, g, T=T)
+            with pytest.raises(ParameterError, match=r"<= 2\*\*53"):
+                SimConfig(rho_db_grid=(20.0,), trials=100, T=T)
+        assert run_episode(SchemeId.COOP_DD, p, 100.0, g, T=2**53) == \
+            run_episode(SchemeId.COOP_DD, p, 100.0, g, T=1000)
+        assert SimConfig(rho_db_grid=(20.0,), trials=100, T=2**53).T == 2**53
+
     def test_coop_requires_two_rounds(self):
         g = (1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError, match="L=2"):
