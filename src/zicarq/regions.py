@@ -223,8 +223,9 @@ _STEPS = {
 class _Program:
     """A tree compiled to straight-line code: its affine leaves stacked as
     (n, 2, 9), then its other nodes as steps ``(op, *args)``, each after
-    its arguments.  An int argument is the index of a value: leaf k is
-    value k and step s is value n + s, so a shared subtree is one value."""
+    its arguments.  A node argument becomes the index of its value (leaf
+    k is value k and step s is value n + s, so a shared subtree is one
+    value); the numbers k0 and k1 of 'scale' stay numbers."""
 
     def __init__(self, root):
         order = {}
