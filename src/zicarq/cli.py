@@ -201,7 +201,7 @@ def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
     p = _system_params(args)
     grid = _parse_triplet(args.rho_db, "--rho-db")
     return scheme, p, SimConfig(rho_db_grid=tuple(grid), trials=args.trials,
-                                T=args.T, seed=args.seed)
+                                seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -244,8 +244,7 @@ def cmd_throughput(args) -> int:
     scheme, p, sim = _sim_setup(args)
     rows = []
     for k, db, rho in sim.points():
-        est = estimate_throughput(scheme, p, rho, sim.trials, sim.seed,
-                                  stream=k, T=sim.T)
+        est = estimate_throughput(scheme, p, rho, sim.trials, sim.seed, stream=k)
         rows.append([scheme.value, *map(_fmt, (db, est.eta1, est.eta2, est.ratio1,
                                                est.ratio2, est.mean_zeta))])
 
@@ -292,7 +291,6 @@ def _add_common(sp, *, sim: bool):
         sp.add_argument("--rho-db", dest="rho_db", default="10:40:5")
         sp.add_argument("--trials", type=int, default=10000)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--T", type=int, default=1000)
 
 
 COMMANDS = {"curve": cmd_curve, "verify": cmd_verify,

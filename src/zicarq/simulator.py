@@ -21,6 +21,10 @@ when all of its tests hold.  The kernels test round 1 on the whole block
 and later rounds only on the trials still open, so the counts are those
 of a per-round pass over every trial.  hk-keep and hk-stop have no table
 and stay analysis-only.
+
+TX2 listens a whole number of symbols of a fixed 1000-symbol round before
+it relays: the listening fraction is f = min(1000, ceil(1000*R1/clog)) / 1000,
+with clog = log2(1 + g_relay*rho) the relay link's information per symbol.
 """
 
 from __future__ import annotations
@@ -46,14 +50,7 @@ _BLOCK = 1 << 15
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = None  # built on first multi-block run
-# largest slot count T: the listening fraction computes in floats, which
-# hold every integer up to 2**53 (a far larger T overflows the conversion)
-_T_MAX = 2 ** 53
-
-
-def _check_slots(T: int):
-    if not 1 <= T <= _T_MAX:
-        raise ParameterError("T must be >= 1 and <= 2**53")
+_SYMBOLS = 1000  # symbols per round: the granularity of TX2's listening time
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,11 @@ class SimConfig:
 
     rho_db_grid: tuple[float, ...]
     trials: int
-    T: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
-        _check_slots(self.T)
         grid = self.rho_db_grid
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("rho_db_grid must be strictly increasing")
@@ -159,11 +154,10 @@ def _trial_gains(seed: int, trial0: int, n: int, stream: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
-                   g11, g21, g22, grelay, T: int):
+                   g11, g21, g22, grelay):
     """Run one episode per array entry; returns (err1, err2, zeta) arrays."""
     if not rho > 1.0:
         raise ParameterError("rho must exceed 1 (linear scale)")
-    _check_slots(T)
     if scheme is SchemeId.COOP_STATIC:
         raise ParameterError(
             "coop-static is an envelope of coop-cmo/coop-tian, not a protocol")
@@ -175,7 +169,7 @@ def _episode_batch(scheme: SchemeId, p: SystemParams, rho: float,
     # both kernels' link: log2(rho), and the direct, cross and TX2 link SNRs
     link = (math.log2(rho), g11 * rho, g21 * rho_beta, g22 * rho)
     if scheme in COOP_SCHEMES:
-        return _episode_batch_coop(scheme, p, rho, link, grelay, T)
+        return _episode_batch_coop(scheme, p, rho, link, grelay)
     return _episode_batch_noncoop(scheme, p, rho, link)
 
 
@@ -262,7 +256,7 @@ def _relayed_own(x, f, m1, m1s):  # the individual-rate test, whose x is m1
     return (1.0 + f) * x + (1.0 - f) * m1s
 
 
-def _episode_batch_coop(scheme, p, rho, link, grelay, T):
+def _episode_batch_coop(scheme, p, rho, link, grelay):
     lg, A, B, C = link
     R1, R2 = p.r1 * lg, p.r2 * lg
     m1 = np.log2(1.0 + A)
@@ -281,8 +275,8 @@ def _episode_batch_coop(scheme, p, rho, link, grelay, T):
     # listening threshold: symbols TX2 needs to decode TX1's message
     clog = np.log2(1.0 + grelay[nack] * rho)
     with np.errstate(divide="ignore", over="ignore"):
-        need = np.where(clog > 0.0, np.ceil(T * R1 / clog), np.inf)
-    f = np.minimum(float(T), need) / float(T)
+        need = np.where(clog > 0.0, np.ceil(_SYMBOLS * R1 / clog), np.inf)
+    f = np.minimum(_SYMBOLS, need) / _SYMBOLS
 
     # and errs after it only if every decoder fails one of its tests
     err1 = np.zeros_like(rx1_ack1)
@@ -297,7 +291,7 @@ def _episode_batch_coop(scheme, p, rho, link, grelay, T):
 
 
 def run_episode(scheme: SchemeId | str, params: SystemParams, rho: float,
-                gains, T: int = 1000) -> tuple[bool, bool, int]:
+                gains) -> tuple[bool, bool, int]:
     """Run the protocol state machine for one message.
 
     ``gains`` holds the squared magnitudes (g11, g21, g22, g_relay), whose
@@ -305,7 +299,7 @@ def run_episode(scheme: SchemeId | str, params: SystemParams, rho: float,
     """
     _check_link_snr(rho, _power(rho, params.beta, "beta"), max(gains))
     arrs = [np.asarray([x], dtype=np.float64) for x in gains]
-    err1, err2, zeta = _episode_batch(SchemeId(scheme), params, rho, *arrs, T=T)
+    err1, err2, zeta = _episode_batch(SchemeId(scheme), params, rho, *arrs)
     return bool(err1[0]), bool(err2[0]), int(zeta[0])
 
 
@@ -347,7 +341,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
-               trials: int, seed: int, *, stream: int = 0, T: int = 1000) -> Counts:
+               trials: int, seed: int, *, stream: int = 0) -> Counts:
     """Run ``trials`` episodes at one SNR point and count their events.
 
     Blocks of ``_BLOCK`` trials may run concurrently on worker threads.
@@ -362,7 +356,7 @@ def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
         n = min(_BLOCK, trials - done)
         g = _trial_gains(seed, done, n, stream)
         err1, err2, zeta = _episode_batch(scheme, params, rho,
-                                          g[:, 0], g[:, 1], g[:, 2], g[:, 3], T)
+                                          g[:, 0], g[:, 1], g[:, 2], g[:, 3])
         return (int(np.count_nonzero(err1)), int(np.count_nonzero(err2)),
                 int(zeta.sum()))
 
@@ -373,10 +367,9 @@ def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
 
 
 def estimate_outage(scheme: SchemeId | str, params: SystemParams, rho: float,
-                    trials: int, seed: int, *, stream: int = 0,
-                    T: int = 1000) -> OutageEstimate:
+                    trials: int, seed: int, *, stream: int = 0) -> OutageEstimate:
     """Empirical outage probabilities at one SNR point."""
-    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T)
+    c = run_trials(scheme, params, rho, trials, seed, stream=stream)
     return OutageEstimate(c.k1 / c.n, c.k2 / c.n, wilson_interval(c.k1, c.n),
                           wilson_interval(c.k2, c.n))
 
@@ -410,8 +403,7 @@ def estimate_diversity(scheme: SchemeId | str, params: SystemParams,
     with its slope fit; fewer than two usable points give None, not an error."""
     pts1, pts2 = [], []
     for k, db, rho in cfg.points():
-        est = estimate_outage(scheme, params, rho, cfg.trials, cfg.seed,
-                              stream=k, T=cfg.T)
+        est = estimate_outage(scheme, params, rho, cfg.trials, cfg.seed, stream=k)
         pts1.append(PointEstimate(db, est.p_out1, *est.ci1))
         pts2.append(PointEstimate(db, est.p_out2, *est.ci2))
     return tuple(DiversityEstimate(*fit_loglog_slope(pts), tuple(pts))
@@ -419,10 +411,9 @@ def estimate_diversity(scheme: SchemeId | str, params: SystemParams,
 
 
 def estimate_throughput(scheme: SchemeId | str, params: SystemParams, rho: float,
-                        trials: int, seed: int, *, stream: int = 0,
-                        T: int = 1000) -> ThroughputEstimate:
+                        trials: int, seed: int, *, stream: int = 0) -> ThroughputEstimate:
     """Empirical per-user throughput: first-block rate over mean renewal time."""
-    c = run_trials(scheme, params, rho, trials, seed, stream=stream, T=T)
+    c = run_trials(scheme, params, rho, trials, seed, stream=stream)
     mean_zeta = c.zeta_sum / c.n
     lg = math.log2(rho)
     R1, R2 = params.r1 * lg, params.r2 * lg

@@ -396,6 +396,15 @@ class TestConfigFile:
         assert "error:" in err and "unknown config key" in err
         assert "Traceback" not in err
 
+    def test_round_length_is_not_a_key(self, tmp_path, capsys):
+        # the relay's listening round is fixed at 1000 symbols
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("T = 1000\n")
+        rc = run(["simulate", "--scheme", "coop-dd", "--L", "2", "--config", str(cfg),
+                  "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "unknown config key 'T'" in capsys.readouterr().err
+
     def test_keys_are_the_subcommands_flags(self, tmp_path):
         # simulate's flags load (dashes may stand for underscores); curve
         # has no --trials, so the same file is refused there
@@ -560,8 +569,7 @@ _SWEEP = st.builds(lambda var, rest: f"{var}:{rest}",
 _COMMON = {"--L": st.integers(-1, 5).map(str), "--r1": _NUM, "--r2": _NUM,
            "--t2": _NUM, "--b": _NUM, "--beta": _NUM}
 _SIM = {"--scheme": _SCHEME, "--rho-db": _RHO_DB,
-        "--seed": st.integers(-3, 2**66).map(str),
-        "--T": st.integers(-1, 3000).map(str), **_COMMON}
+        "--seed": st.integers(-3, 2**66).map(str), **_COMMON}
 _ARGV = st.one_of(
     st.tuples(st.just("curve"),
               st.fixed_dictionaries({"--sweep": _SWEEP},

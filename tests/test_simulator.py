@@ -63,29 +63,6 @@ class TestRunEpisode:
             with pytest.raises(ParameterError, match="rho"):
                 run_episode(SchemeId.CMO, HK_P, rho, g)
 
-    @pytest.mark.parametrize("T", [0, -5])
-    def test_slot_count_must_be_positive(self, T):
-        # at T < 1 the relay's listening fraction is 0/0 or flips sign
-        p = P(r1=0.3, r2=0.4, beta=0.8, L=2)
-        with pytest.raises(ParameterError, match="T must be >= 1"):
-            estimate_outage(SchemeId.COOP_DD, p, 100.0, 20_000, 1, T=T)
-        with pytest.raises(ParameterError, match="T must be >= 1"):
-            run_episode(SchemeId.COOP_DD, p, 100.0, (1.0, 1.0, 1.0, 1.0), T=T)
-
-    def test_slot_count_bounded(self):
-        # T enters the listening fraction as a float, exact up to 2**53; a
-        # far larger T overflowed the conversion
-        p = P(r1=0.3, r2=0.4, beta=0.8, L=2)
-        g = (1.0, 1.0, 1.0, 1.0)
-        for T in (2**53 + 1, 10**400):
-            with pytest.raises(ParameterError, match=r"T must be >= 1 and <= 2\*\*53"):
-                run_episode(SchemeId.COOP_DD, p, 100.0, g, T=T)
-            with pytest.raises(ParameterError, match=r"<= 2\*\*53"):
-                SimConfig(rho_db_grid=(20.0,), trials=100, T=T)
-        assert run_episode(SchemeId.COOP_DD, p, 100.0, g, T=2**53) == \
-            run_episode(SchemeId.COOP_DD, p, 100.0, g, T=1000)
-        assert SimConfig(rho_db_grid=(20.0,), trials=100, T=2**53).T == 2**53
-
     def test_coop_requires_two_rounds(self):
         g = (1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError, match="L=2"):
@@ -143,10 +120,8 @@ class TestProtocolSemantics:
         power = simulator._power
         monkeypatch.setattr(simulator, "_power", lambda rho, exponent, name:
                             0.0 if name == "b" else power(rho, exponent, name))
-        hk = _episode_batch(SchemeId.HK, p, 200.0, g[:, 0], g[:, 1], g[:, 2],
-                            g[:, 3], 1000)
-        ti = _episode_batch(SchemeId.TIAN, p, 200.0, g[:, 0], g[:, 1],
-                            g[:, 2], g[:, 3], 1000)
+        hk = _episode_batch(SchemeId.HK, p, 200.0, g[:, 0], g[:, 1], g[:, 2], g[:, 3])
+        ti = _episode_batch(SchemeId.TIAN, p, 200.0, g[:, 0], g[:, 1], g[:, 2], g[:, 3])
         for a, b in zip(hk, ti):
             assert np.array_equal(a, b)
 
@@ -165,7 +140,7 @@ class TestProtocolSemantics:
     def test_dd_errs_only_when_both_static_decoders_err(self):
         p = P(r1=0.4, r2=0.5, beta=0.9, L=2)
         g = _trial_gains(7, 0, 6000, 0)
-        args = (g[:, 0], g[:, 1], g[:, 2], g[:, 3], 1000)
+        args = (g[:, 0], g[:, 1], g[:, 2], g[:, 3])
         e_cmo = _episode_batch(SchemeId.COOP_CMO, p, 100.0, *args)[0]
         e_tian = _episode_batch(SchemeId.COOP_TIAN, p, 100.0, *args)[0]
         e_dd = _episode_batch(SchemeId.COOP_DD, p, 100.0, *args)[0]
@@ -176,7 +151,7 @@ class TestProtocolSemantics:
                           (SchemeId.COOP_DD, P(r1=0.3, r2=0.4, beta=0.8, L=2))):
             g = _trial_gains(42, 0, 150, 0)
             be1, be2, bz = _episode_batch(scheme, p, 100.0, g[:, 0], g[:, 1],
-                                          g[:, 2], g[:, 3], 1000)
+                                          g[:, 2], g[:, 3])
             for t in range(150):
                 out = run_episode(scheme, p, 100.0, _trial_gains(42, t, 1, 0)[0])
                 assert out == (bool(be1[t]), bool(be2[t]), int(bz[t]))
@@ -396,11 +371,21 @@ def test_ack_rounds_keep_the_smallest_integer_type(scheme, L, dtype):
     p = P(r1=0.3, r2=0.4, t2=0.2 if scheme == "hk" else 0.0, beta=0.8, L=L)
     g = _trial_gains(3, 0, 500, 0)
     zeta = _episode_batch(SchemeId(scheme), p, 100.0, g[:, 0], g[:, 1], g[:, 2],
-                          g[:, 3], 1000)[2]
+                          g[:, 3])[2]
     assert zeta.dtype == dtype
 
 
-def _reference_episodes(scheme, p, rho, g11, g21, g22, grelay, T):
+def _reference_listening(p, rho, grelay):
+    """TX2's listening fraction: the whole symbols of a 1000-symbol round
+    it needs to decode TX1's message, or the whole round."""
+    R1 = p.r1 * math.log2(rho)
+    clog = np.log2(1.0 + grelay * rho)
+    with np.errstate(divide="ignore", over="ignore"):
+        need = np.where(clog > 0.0, np.ceil(1000 * R1 / clog), np.inf)
+    return np.minimum(1000.0, need) / 1000.0
+
+
+def _reference_episodes(scheme, p, rho, g11, g21, g22, grelay):
     """Every round over every trial, written from the protocol definition.
 
     RX2's ACK round comes first, since RX1 sees TX2's interference only
@@ -418,10 +403,7 @@ def _reference_episodes(scheme, p, rho, g11, g21, g22, grelay, T):
         tian_ok1 = m1n >= R1
         ack1 = {SchemeId.COOP_CMO: cmo_ok1, SchemeId.COOP_TIAN: tian_ok1,
                 SchemeId.COOP_DD: cmo_ok1 | tian_ok1}[scheme]
-        clog = np.log2(1.0 + grelay * rho)
-        with np.errstate(divide="ignore", over="ignore"):
-            need = np.where(clog > 0.0, np.ceil(T * R1 / clog), np.inf)
-        f = np.minimum(float(T), need) / float(T)
+        f = _reference_listening(p, rho, grelay)
         o1 = (1.0 + f) * m1 + (1.0 - f) * m1s < R1
         o2 = m1s + f * m1 + (1.0 - f) * m1s < R1 + R2
         o3 = m1n + f * m1 + (1.0 - f) * m1s < R1
@@ -481,8 +463,7 @@ def _reference_cases():
         L = 2 if scheme in COOP_SCHEMES else int(rng.integers(1, 7))
         p = P(r1=float(r1), r2=float(r2), t2=float(t2), b=float(b),
               beta=float(rng.uniform(0.0, 2.0)), L=L)
-        cases.append((scheme, p, float(10.0 ** rng.uniform(0.3, 4.0)),
-                      int(rng.choice((1, 7, 1000))), k))
+        cases.append((scheme, p, float(10.0 ** rng.uniform(0.3, 4.0)), k))
     return cases
 
 
@@ -490,13 +471,13 @@ REFERENCE_CASES = _reference_cases()
 
 
 class TestKernelsMatchReference:
-    @pytest.mark.parametrize("scheme,p,rho,T,stream", [
-        pytest.param(*c, id=f"{c[0].value}-{c[4]}") for c in REFERENCE_CASES])
-    def test_elementwise(self, scheme, p, rho, T, stream):
+    @pytest.mark.parametrize("scheme,p,rho,stream", [
+        pytest.param(*c, id=f"{c[0].value}-{c[3]}") for c in REFERENCE_CASES])
+    def test_elementwise(self, scheme, p, rho, stream):
         g = _trial_gains(8, 0, 3000, stream)
         cols = (g[:, 0], g[:, 1], g[:, 2], g[:, 3])
-        got = _episode_batch(scheme, p, rho, *cols, T)
-        want = _reference_episodes(scheme, p, rho, *cols, T)
+        got = _episode_batch(scheme, p, rho, *cols)
+        want = _reference_episodes(scheme, p, rho, *cols)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -504,12 +485,20 @@ class TestKernelsMatchReference:
         # the edge points reach both ends: a block where every trial ACKs
         # in round 1 and one where none does
         first = set()
-        for scheme, p, rho, T, stream in REFERENCE_CASES:
+        for scheme, p, rho, stream in REFERENCE_CASES:
             g = _trial_gains(8, 0, 3000, stream)
             _, _, zeta = _reference_episodes(scheme, p, rho, g[:, 0], g[:, 1],
-                                             g[:, 2], g[:, 3], T)
+                                             g[:, 2], g[:, 3])
             first.add(float(np.mean(zeta == 1)))
         assert 0.0 in first and 1.0 in first
+
+    def test_reference_reaches_both_listening_branches(self):
+        # TX2 relays for part of round 2 (f < 1) where its link decodes
+        # TX1's message within the round, and only listens (f = 1) elsewhere
+        f = np.concatenate([_reference_listening(p, rho, _trial_gains(8, 0, 3000, stream)[:, 3])
+                            for scheme, p, rho, stream in REFERENCE_CASES
+                            if scheme in COOP_SCHEMES])
+        assert np.count_nonzero(f == 1.0) and np.count_nonzero(f < 1.0)
 
 
 POINTS = {"split": dict(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8),
