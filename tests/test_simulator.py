@@ -498,7 +498,7 @@ class TestKernelsMatchReference:
         f = np.concatenate([_reference_listening(p, rho, _trial_gains(8, 0, 3000, stream)[:, 3])
                             for scheme, p, rho, stream in REFERENCE_CASES
                             if scheme in COOP_SCHEMES])
-        assert np.count_nonzero(f == 1.0) and np.count_nonzero(f < 1.0)
+        assert (f == 1.0).any() and (f < 1.0).any()
 
 
 POINTS = {"split": dict(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8),
