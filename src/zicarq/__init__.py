@@ -23,7 +23,7 @@ _EXPORTS = {
         "d1_tian_general", "d1c_cmo2", "d1c_dd2", "d1c_tian2", "d2_cmo", "d2_hk",
         "d2_tian", "d2c_cmo2", "d2c_dd2", "d2c_tian2", "d11_hk", "d11c_cmo2",
         "d12_hk", "d12_hk_stop", "d12c_cmo2", "d12c_dd2", "d_static_overall",
-        "scheme_dmt"),
+        "scheme_curve", "scheme_dmt"),
     "core": ("ParameterError", "SchemeId", "SystemParams", "ext_div", "pos_part",
              "validate"),
     "regions": ("OutageRegion", "oracle_d1_hk", "oracle_min_exponent",

@@ -27,6 +27,8 @@ individual- and joint-rate forms prefix theirs with ``d11:``/``d12:``
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .core import SchemeId, SystemParams, check_rounds, ext_div, pos_part
 
 
@@ -320,8 +322,19 @@ _DMT = {
 }
 
 
+def scheme_curve(scheme: SchemeId | str,
+                 points: Sequence[SystemParams]) -> list[tuple[Exponent, Exponent]]:
+    """One scheme's (d1, d2) at each of ``points``, in order, each labelled
+    by its winning piece.  The scheme is resolved once, and each delay L
+    among the points checked once, before any closed form runs."""
+    scheme = SchemeId(scheme)
+    for p in {p.L: p for p in points}.values():
+        check_rounds(scheme, p)
+    dmt = _DMT[scheme]
+    return [dmt(p) for p in points]
+
+
 def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> tuple[Exponent, Exponent]:
     """One scheme's (d1, d2) at one point, each labelled by its winning piece."""
-    scheme = SchemeId(scheme)
-    check_rounds(scheme, p)
-    return _DMT[scheme](p)
+    [dmt] = scheme_curve(scheme, (p,))
+    return dmt

@@ -23,7 +23,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
 from functools import cache
 
 from . import analytic
@@ -124,28 +123,52 @@ def _require_out(args):
         raise ParameterError("--out PATH is required")
 
 
+def _param_flags(args) -> dict:
+    """The SystemParams fields the common flags set, by name."""
+    return {"r1": args.r1, "r2": args.r2, "t2": args.t2, "b": args.b,
+            "beta": args.beta, "L": args.L}
+
+
 def _system_params(args) -> SystemParams:
-    return SystemParams(r1=args.r1, r2=args.r2, t2=args.t2,
-                        b=args.b, beta=args.beta, L=args.L)
+    return SystemParams(**_param_flags(args))
 
 
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
 
+def _sweep_points(args, var: str, values: list[float]) -> list[SystemParams]:
+    """The sweep's points: the flags' parameters with ``var`` set to each of
+    ``values``.  Only these are built; an invalid one is named in the error."""
+    fields = _param_flags(args)
+    points = []
+    try:
+        for v in values:
+            fields[var] = v
+            points.append(SystemParams(**fields))
+    except ParameterError as exc:
+        raise ParameterError(f"{exc} at {var}={_fmt(v)}") from None
+    return points
+
+
 def cmd_curve(args) -> int:
     _require_out(args)
     schemes = _parse_schemes(args.scheme)
     var, values = _parse_sweep(args.sweep)
-    base = _system_params(args)
-    points = [replace(base, **{var: v}) for v in values]
-    # a point's parameter cells are the same for every scheme, so each is
-    # formatted once; a row's own work is the closed forms and their cells
-    cells = [(p.L, *map(_fmt, (p.r1, p.r2, p.t2, p.b, p.beta))) for p in points]
+    points = _sweep_points(args, var, values)
+    # a point's parameter cells are the same for every scheme, and only the
+    # swept one changes along the sweep, so each cell is formatted once; a
+    # row's own work is the closed forms and their cells
+    names = ("r1", "r2", "t2", "b", "beta")
+    fixed = [_fmt(getattr(args, name)) for name in names]
+    swept = names.index(var)
+    cells = []
+    for v in values:
+        fixed[swept] = _fmt(v)
+        cells.append((args.L, *fixed))
     rows = []
     for s in schemes:
-        for p, params in zip(points, cells):
-            d1, d2 = analytic.scheme_dmt(s, p)
+        for params, (d1, d2) in zip(cells, analytic.scheme_curve(s, points)):
             rows.append((s.value, *params, _fmt(d1), _fmt(d2), "analytic",
                          f"d1:{d1.label}|d2:{d2.label}"))
 

@@ -30,6 +30,7 @@ from zicarq.analytic import (
     d12c_cmo2,
     d12c_dd2,
     d_static_overall,
+    scheme_curve,
     scheme_dmt,
 )
 from zicarq.core import COOP_SCHEMES, ParameterError, SystemParams
@@ -469,6 +470,25 @@ class TestSchemeDmt:
         p = P(r1=0.3, r2=0.3, beta=1.0, L=3)
         with pytest.raises(ParameterError, match="require L=2"):
             scheme_dmt(SchemeId.COOP_CMO, p)
+
+    def test_curve_checks_every_delay_first(self, monkeypatch):
+        # a cooperative curve with one point off L = 2 runs no closed form
+        def reached(p):
+            raise AssertionError("a closed form ran before the delay check")
+        monkeypatch.setattr(analytic, "d1c_cmo2", reached)
+        points = [P(r1=0.3, r2=0.3, L=2), P(r1=0.4, r2=0.3, L=3)]
+        with pytest.raises(ParameterError, match="require L=2"):
+            scheme_curve("coop-cmo", points)
+
+    def test_curve_is_scheme_dmt_at_each_point(self):
+        points = [P(r1=r1, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
+                  for r1 in (0.001, 0.2, 0.55, 1.0)]
+        for s in SchemeId:
+            got = scheme_curve(s.value, points)
+            want = [scheme_dmt(s, p) for p in points]
+            assert got == want
+            assert [[e.label for e in dmt] for dmt in got] == \
+                [[e.label for e in dmt] for dmt in want]
 
     # the public closed forms behind each scheme's (d1, d2)
     FORMS = {

@@ -127,7 +127,40 @@ class TestCurve:
         rc = run(["curve", "--scheme", "cmo,tian,hk", "--sweep", "r1:0:1:0.25",
                   "--out", str(tmp_path / "c.csv")])
         assert rc == 0
-        assert len(built) == 6  # the base point and the five sweep points
+        assert len(built) == 5  # the five sweep points, and no unswept base
+
+    def test_each_scheme_resolved_once(self, tmp_path, monkeypatch):
+        # six schemes over five points: one curve call and one delay check
+        # per scheme, not one dispatch per row
+        curves, checks = [], []
+        scheme_curve, check_rounds = analytic.scheme_curve, analytic.check_rounds
+        monkeypatch.setattr(analytic, "scheme_curve", lambda s, points:
+                            curves.append(s) or scheme_curve(s, points))
+        monkeypatch.setattr(analytic, "check_rounds", lambda s, p:
+                            checks.append(s) or check_rounds(s, p))
+        monkeypatch.setattr(analytic, "scheme_dmt", None)
+        schemes = "cmo,tian,hk,coop-cmo,coop-tian,coop-dd"
+        rc = run(["curve", "--scheme", schemes, "--L", "2",
+                  "--sweep", "r1:0:1:0.25", "--out", str(tmp_path / "c.csv")])
+        assert rc == 0
+        assert len(read_csv(tmp_path / "c.csv")) == 30
+        assert [s.value for s in curves] == schemes.split(",")
+        assert [s.value for s in checks] == schemes.split(",")
+
+    @pytest.mark.parametrize("lo", ["0.6", "0.3"])
+    def test_only_swept_points_validated(self, lo, tmp_path, capsys):
+        # the flags' r2 = 0.5 is below t2 = 0.6, but no written point has it;
+        # a swept point that is invalid is named in the error
+        rc = run(["curve", "--scheme", "hk", "--t2", "0.6",
+                  "--sweep", f"r2:{lo}:1:0.1", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        if lo == "0.6":
+            assert rc == 0, err
+            assert [row["r2"] for row in read_csv(tmp_path / "x.csv")] == \
+                ["0.6", "0.7", "0.8", "0.9", "1"]
+        else:
+            assert rc == 1
+            assert "error: t2 exceeds r2 at r2=0.3\n" in err
 
     def test_coop_requires_two_rounds(self, tmp_path, capsys):
         rc = run(["curve", "--scheme", "coop-dd", "--L", "3",
@@ -472,7 +505,7 @@ class TestSharedParser:
     @pytest.mark.parametrize("command,owner,work", [
         ("simulate", simulator, "estimate_diversity"),
         ("throughput", simulator, "estimate_throughput"),
-        ("curve", analytic, "scheme_dmt"),
+        ("curve", analytic, "scheme_curve"),
     ], ids=["simulate", "throughput", "curve"])
     def test_missing_out_fails_before_work(self, command, owner, work,
                                            monkeypatch, capsys):
