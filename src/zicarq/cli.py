@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from . import analytic
 from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams
@@ -157,20 +158,20 @@ def cmd_curve(args) -> int:
     var, values = _parse_sweep(args.sweep)
     points = _sweep_points(args, var, values)
     # a point's parameter cells are the same for every scheme, and only the
-    # swept one changes along the sweep, so each cell is formatted once; a
-    # row's own work is the closed forms and their cells
+    # swept one changes along the sweep, so each point's cells are formatted
+    # and joined once; a row's own work is the closed forms and their cells
     names = ("r1", "r2", "t2", "b", "beta")
-    fixed = [_fmt(getattr(args, name)) for name in names]
-    swept = names.index(var)
+    fixed = [str(args.L), *(_fmt(getattr(args, name)) for name in names)]
+    swept = 1 + names.index(var)
     cells = []
     for v in values:
         fixed[swept] = _fmt(v)
-        cells.append((args.L, *fixed))
+        cells.append(",".join(fixed))
     rows = []
     for s in schemes:
         for params, (d1, d2) in zip(cells, analytic.scheme_curve(s, points)):
-            rows.append((s.value, *params, _fmt(d1), _fmt(d2), "analytic",
-                         f"d1:{d1.label}|d2:{d2.label}"))
+            branch = _csv_cell(f"d1:{d1.label}|d2:{d2.label}")
+            rows.append(f"{s.value},{params},{_fmt(d1)},{_fmt(d2)},analytic,{branch}")
 
     _write_csv(args.out,
                ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
@@ -202,7 +203,8 @@ def cmd_verify(args) -> int:
         worst, worst_desc = worst_gap(scheme, args.samples, rng)
         status = "ok" if worst <= tol else "FAIL"
         failed |= status == "FAIL"
-        rows.append([scheme.value, args.samples, _fmt(worst), _fmt(tol), status])
+        rows.append(_line(scheme.value, args.samples, _fmt(worst), _fmt(tol),
+                          status))
         print(f"scheme={scheme.value:10s} samples={args.samples} "
               f"max|analytic-oracle|={worst:.3e} tol={tol:g} {status}"
               f"  worst: {worst_desc}")
@@ -233,10 +235,10 @@ def cmd_simulate(args) -> int:
 
     scheme, p, sim = _sim_setup(args)
     fit1, fit2 = estimate_diversity(scheme, p, sim)
-    rows = [["point", scheme.value,
-             *map(_fmt, (a.rho_db, a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
-                         b.p_out, (b.ci_hi - b.ci_lo) / 2.0)),
-             sim.trials, "", "", "", "", "", ""]
+    rows = [_line("point", scheme.value,
+                  *map(_fmt, (a.rho_db, a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
+                              b.p_out, (b.ci_hi - b.ci_lo) / 2.0)),
+                  sim.trials, "", "", "", "", "", "")
             for a, b in zip(fit1.points, fit2.points)]
 
     for fit, rx in ((fit1, "RX1"), (fit2, "RX2")):
@@ -247,9 +249,9 @@ def cmd_simulate(args) -> int:
     def cell(x):
         return "" if x is None or not math.isfinite(x) else _fmt(x)
 
-    rows.append(["summary", scheme.value, "", "", "", "", "", "",
-                 cell(fit1.slope), cell(fit1.stderr), cell(fit2.slope),
-                 cell(fit2.stderr), _fmt(d1), _fmt(d2)])
+    rows.append(_line("summary", scheme.value, "", "", "", "", "", "",
+                      cell(fit1.slope), cell(fit1.stderr), cell(fit2.slope),
+                      cell(fit2.stderr), _fmt(d1), _fmt(d2)))
 
     _write_csv(args.out,
                ["row", "scheme", "rho_db", "p_out1", "ci1", "p_out2", "ci2",
@@ -268,8 +270,9 @@ def cmd_throughput(args) -> int:
     rows = []
     for k, db, rho in sim.points():
         est = estimate_throughput(scheme, p, rho, sim.trials, sim.seed, stream=k)
-        rows.append([scheme.value, *map(_fmt, (db, est.eta1, est.eta2, est.ratio1,
-                                               est.ratio2, est.mean_zeta))])
+        rows.append(_line(scheme.value, *map(_fmt, (db, est.eta1, est.eta2,
+                                                    est.ratio1, est.ratio2,
+                                                    est.mean_zeta))))
 
     _write_csv(args.out,
                ["scheme", "rho_db", "eta1", "eta2", "ratio1", "ratio2",
@@ -288,17 +291,33 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_csv(path: str, header: list[str], rows: list):
-    """Write ``header`` and then ``rows`` to ``path`` as CSV.  Cells are
-    written as given: callers format their floats with :func:`_fmt`."""
+def _line(*cells) -> str:
+    """One CSV line of cells that need no quoting: numbers, names, ``ok``,
+    empty cells.  A cell that may hold a comma goes through :func:`_csv_cell`."""
+    return ",".join(map(str, cells))
+
+
+@lru_cache(maxsize=1024)
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as a cell: quoted if it holds a
+    comma, a quote or a line break.  Cached, since a curve's branch labels
+    repeat from row to row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
+def _write_csv(path: str, header: list[str], rows: list[str]):
+    """Write ``header`` and then ``rows``, one rendered line per data row, to
+    ``path`` in one write, each line ending in LF.  Callers format their
+    floats with :func:`_fmt` and render each row with :func:`_line`, quoting
+    any cell that needs it with :func:`_csv_cell`."""
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc}")
     with fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\n".join([",".join(header), *rows, ""]))
 
 
 def _add_common(sp, *, sim: bool):

@@ -205,6 +205,8 @@ def _ack_rounds(L, tests, ack2=None):
         a2 = (ack2[idx].astype(np.float64)
               if any(c is not None for _, c, _ in cols) else None)
         for l in range(2, L + 1):
+            if not idx.size:  # every trial has ACKed
+                break
             i = None if a2 is None else np.minimum(a2, l)
             hit = reduce(and_, (l * x >= r if c is None else i * x + (l - i) * c >= r
                                 for x, c, r in cols))

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from zicarq import analytic, cli, core, simulator
 from zicarq.cli import SWEEP_VARS, _parse_triplet, main
 from zicarq.core import ParameterError, SystemParams
 from zicarq.regions import oracle_d1_hk
+from zicarq.verify import worst_gap
 
 
 def run(argv):
@@ -22,6 +24,33 @@ def run(argv):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def plain_csv(header, rows):
+    """The reference writer: csv.writer over the cells, every float in .12g."""
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{c:.12g}" if isinstance(c, float) else c for c in row]
+                     for row in rows)
+    return ref.getvalue()
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """The rows of each cli._write_csv call, in call order."""
+    calls = []
+    write_csv = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows:
+                        calls.append(rows) or write_csv(path, header, rows))
+    return calls
+
+
+def assert_one_entry_per_row(written, out):
+    # the bench tracer counts rows with len()
+    [rows] = written
+    assert type(rows) is list
+    assert len(rows) == len(out.read_text(encoding="utf-8").splitlines()) - 1
 
 
 def assert_numeric_cells_finite(path):
@@ -208,40 +237,52 @@ class TestCurve:
         ("0.25", "beta:0:2:0.1"),
         ("-0.0", "beta:0:2:0.25"),
     ], ids=["r1", "r2", "t2", "b", "beta", "r1=-0"])
-    def test_matches_plain_row_writer(self, r1, sweep, tmp_path, monkeypatch):
+    def test_matches_plain_row_writer(self, r1, sweep, tmp_path, written):
         # every scheme at L 2, against the plain writer: scheme_dmt per row
         # and .12g on every float cell of it
         out = tmp_path / "c.csv"
-        written = []
-        write_csv = cli._write_csv
-        monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows:
-                            written.append(rows) or write_csv(path, header, rows))
         schemes = [s.value for s in core.SchemeId]
         rc = run(["curve", "--scheme", ",".join(schemes), "--L", "2",
                   "--r1", r1, "--r2", "0.5", "--t2", "0.25", "--b", "0.1",
                   "--beta", "0.8", "--sweep", sweep, "--out", str(out)])
         assert rc == 0
-        # the bench tracer counts rows with len()
-        [rows] = written
-        assert type(rows) is list
+        assert_one_entry_per_row(written, out)
 
         var, values = cli._parse_sweep(sweep)
         base = SystemParams(r1=float(r1), r2=0.5, t2=0.25, b=0.1, beta=0.8, L=2)
-        ref = io.StringIO()
-        writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
-                         "source", "branch"])
+        rows = []
         for s in schemes:
             for v in values:
                 p = SystemParams(**{**vars(base), var: v})
                 d1, d2 = analytic.scheme_dmt(s, p)
-                row = [s, p.L, p.r1, p.r2, p.t2, p.b, p.beta, d1, d2, "analytic",
-                       f"d1:{d1.label}|d2:{d2.label}"]
-                writer.writerow([f"{c:.12g}" if isinstance(c, float) else c
-                                 for c in row])
-        assert out.read_text(encoding="utf-8") == ref.getvalue()
+                rows.append([s, p.L, p.r1, p.r2, p.t2, p.b, p.beta, d1, d2,
+                             "analytic", f"d1:{d1.label}|d2:{d2.label}"])
+        assert out.read_text(encoding="utf-8") == plain_csv(
+            ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2", "source",
+             "branch"], rows)
         if r1 == "-0.0":
             assert {row["r1"] for row in read_csv(out)} == {"-0"}
+
+    def test_branch_with_comma_reads_back(self, tmp_path):
+        # hk's labels name the ACK round after a comma, so the cell is quoted
+        out = tmp_path / "hk.csv"
+        rc = run(["curve", "--scheme", "hk", "--L", "2", "--sweep", "r1:0:1:0.5",
+                  "--out", str(out)])
+        assert rc == 0
+        [row] = [row for row in read_csv(out) if row["r1"] == "0.001"]
+        assert row["branch"] == "d1:i=2,d11:tail|d2:total"
+        assert ',"d1:i=2,d11:tail|d2:total"\n' in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("label,cell", [
+        ("d1:own|d2:total", "d1:own|d2:total"),
+        ("d1:i=2,d11:tail|d2:total", '"d1:i=2,d11:tail|d2:total"'),
+        ('d1:"own"|d2:total', '"d1:""own""|d2:total"'),
+    ], ids=["plain", "comma", "quote"])
+    def test_csv_cell_matches_csv_writer(self, label, cell):
+        ref = io.StringIO()
+        csv.writer(ref, lineterminator="\n").writerow(["x", label, "y"])
+        assert ref.getvalue() == f"x,{cell},y\n"
+        assert cli._csv_cell(label) == cell
 
     def test_bad_sweep_variable(self, tmp_path):
         rc = run(["curve", "--scheme", "cmo", "--sweep", "L:1:4:1",
@@ -299,6 +340,23 @@ class TestVerify:
         assert rc == 2
         assert f"FAIL  worst: {d1}@" in capsys.readouterr().out
 
+    def test_matches_plain_row_writer(self, tmp_path, written):
+        # --tol 0 fails a scheme whose worst gap is not exactly 0
+        out = tmp_path / "v.csv"
+        schemes = ["cmo", "hk", "tian"]
+        rc = run(["verify", "--samples", "2", "--seed", "7", "--tol", "0",
+                  "--scheme", ",".join(schemes), "--out", str(out)])
+        assert_one_entry_per_row(written, out)
+
+        rng = np.random.default_rng(7)
+        rows = []
+        for s in schemes:
+            worst, _ = worst_gap(core.SchemeId(s), 2, rng)
+            rows.append([s, 2, worst, 0.0, "ok" if worst <= 0.0 else "FAIL"])
+        assert rc == (2 if any(row[-1] == "FAIL" for row in rows) else 0)
+        assert out.read_text(encoding="utf-8") == plain_csv(
+            ["scheme", "samples", "max_abs_gap", "tol", "status"], rows)
+
     def test_report_file(self, tmp_path):
         out = tmp_path / "report.csv"
         rc = run(["verify", "--samples", "2", "--seed", "7",
@@ -330,6 +388,34 @@ class TestSimulate:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_matches_plain_row_writer(self, tmp_path, written):
+        # RX2 sees no outage at 45 dB, so its fit has two points and its
+        # stderr cell stays empty
+        out = tmp_path / "sim.csv"
+        rc = run(["simulate", "--scheme", "hk", "--L", "2", "--r1", "0.3",
+                  "--r2", "0.4", "--t2", "0.2", "--b", "0.1", "--beta", "0.8",
+                  "--rho-db", "5:45:20", "--trials", "2000", "--seed", "3",
+                  "--out", str(out)])
+        assert rc == 0
+        assert_one_entry_per_row(written, out)
+
+        p = SystemParams(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
+        sim = simulator.SimConfig(rho_db_grid=(5.0, 25.0, 45.0), trials=2000,
+                                  seed=3)
+        fit1, fit2 = simulator.estimate_diversity("hk", p, sim)
+        rows = [["point", "hk", a.rho_db, a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
+                 b.p_out, (b.ci_hi - b.ci_lo) / 2.0, 2000, "", "", "", "", "", ""]
+                for a, b in zip(fit1.points, fit2.points)]
+        fits = [x if x is not None and math.isfinite(x) else ""
+                for x in (fit1.slope, fit1.stderr, fit2.slope, fit2.stderr)]
+        rows.append(["summary", "hk", "", "", "", "", "", "", *fits,
+                     *analytic.scheme_dmt("hk", p)])
+        assert fits[-1] == ""
+        assert out.read_text(encoding="utf-8") == plain_csv(
+            ["row", "scheme", "rho_db", "p_out1", "ci1", "p_out2", "ci2", "trials",
+             "slope1", "stderr1", "slope2", "stderr2", "analytic_d1",
+             "analytic_d2"], rows)
 
     def test_invalid_scheme_lists_valid_ones(self, capsys):
         rc = run(["simulate", "--scheme", "bogus", "--out", "/tmp/x.csv"])
@@ -370,6 +456,26 @@ class TestThroughput:
         assert float(row["ratio1"]) == 1.0
         assert float(row["ratio2"]) == 1.0
         assert float(row["mean_zeta"]) == 1.0
+
+    def test_matches_plain_row_writer(self, tmp_path, written):
+        out = tmp_path / "tp.csv"
+        rc = run(["throughput", "--scheme", "tian", "--L", "3", "--r1", "0.3",
+                  "--r2", "0.4", "--beta", "0.8", "--rho-db", "10:30:10",
+                  "--trials", "2000", "--seed", "4", "--out", str(out)])
+        assert rc == 0
+        assert_one_entry_per_row(written, out)
+
+        p = SystemParams(r1=0.3, r2=0.4, beta=0.8, L=3)
+        sim = simulator.SimConfig(rho_db_grid=(10.0, 20.0, 30.0), trials=2000,
+                                  seed=4)
+        rows = []
+        for k, db, rho in sim.points():
+            est = simulator.estimate_throughput("tian", p, rho, 2000, 4, stream=k)
+            rows.append(["tian", db, est.eta1, est.eta2, est.ratio1, est.ratio2,
+                         est.mean_zeta])
+        assert out.read_text(encoding="utf-8") == plain_csv(
+            ["scheme", "rho_db", "eta1", "eta2", "ratio1", "ratio2", "mean_zeta"],
+            rows)
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

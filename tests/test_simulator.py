@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -373,6 +374,24 @@ def test_ack_rounds_keep_the_smallest_integer_type(scheme, L, dtype):
     zeta = _episode_batch(SchemeId(scheme), p, 100.0, g[:, 0], g[:, 1], g[:, 2],
                           g[:, 3])[2]
     assert zeta.dtype == dtype
+
+
+def test_ack_rounds_stop_once_every_trial_acks(monkeypatch):
+    # each round the loop runs reduces its tests once; at L = 10**6 a loop
+    # that ran on over empty index arrays took about 5 s, and here it fails
+    # at its eleventh round instead
+    rounds = []
+
+    def counted(f, tests):
+        rounds.append(len(rounds) + 1)
+        assert len(rounds) <= 10, "round loop runs on after every trial ACKed"
+        return functools.reduce(f, tests)
+
+    monkeypatch.setattr(simulator, "reduce", counted)
+    x = np.array([0.5, 1.0, 0.25, 2.0])
+    ack = simulator._ack_rounds(10**6, [(x, None, 1.0)])
+    assert ack.tolist() == [2, 1, 4, 1]
+    assert rounds == [1, 2, 3, 4]
 
 
 def _reference_listening(p, rho, grelay):
