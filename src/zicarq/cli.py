@@ -299,12 +299,14 @@ def _line(*cells) -> str:
 
 @lru_cache(maxsize=1024)
 def _csv_cell(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as a cell: quoted if it holds a
-    comma, a quote or a line break.  Cached, since a curve's branch labels
-    repeat from row to row."""
+    """``text`` as a cell of the LF-ended ``csv.writer`` lines: quoted if it
+    holds a comma, a quote or a newline.  Cached, since a curve's branch
+    labels repeat from row to row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([text])
-    return buf.getvalue()
+    # the writer quotes the characters of its line terminator, so it needs
+    # the file's own "\n", which is then cut off
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def _write_csv(path: str, header: list[str], rows: list[str]):

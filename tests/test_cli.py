@@ -277,7 +277,8 @@ class TestCurve:
         ("d1:own|d2:total", "d1:own|d2:total"),
         ("d1:i=2,d11:tail|d2:total", '"d1:i=2,d11:tail|d2:total"'),
         ('d1:"own"|d2:total', '"d1:""own""|d2:total"'),
-    ], ids=["plain", "comma", "quote"])
+        ("d1:own\n|d2:total", '"d1:own\n|d2:total"'),
+    ], ids=["plain", "comma", "quote", "newline"])
     def test_csv_cell_matches_csv_writer(self, label, cell):
         ref = io.StringIO()
         csv.writer(ref, lineterminator="\n").writerow(["x", label, "y"])
