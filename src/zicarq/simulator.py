@@ -193,12 +193,14 @@ def _ack_rounds(L, tests, ack2=None):
     Round l ACKs when every test ``(x, clean, rate)`` holds: where TX2 never
     stops interfering (``clean`` None), ``l * x >= rate``; else, with i =
     min(ack2, l), ``i * x + (l - i) * clean(idx) >= rate``.  Round 1 runs on
-    the whole block, later rounds only at the indices ``idx`` of open trials.
+    the whole block, later rounds only at the indices ``idx`` of open trials,
+    which each round gathers by integer position.  An open trial holds the
+    round it is tested in next, so one that never ACKs ends at L + 1.
     """
     ok1 = reduce(and_, (x >= r for x, _, r in tests))
     # the smallest integer type that holds L + 1: int64 minimum/maximum
     # over a block cost several times as much
-    ack = (L + 1) - L * ok1.astype(np.min_scalar_type(L + 1))
+    ack = 2 - ok1.astype(np.min_scalar_type(L + 1))
     if L > 1:
         idx = np.flatnonzero(~ok1)
         cols = [(x[idx], None if c is None else c(idx), r) for x, c, r in tests]
@@ -210,10 +212,11 @@ def _ack_rounds(L, tests, ack2=None):
             i = None if a2 is None else np.minimum(a2, l)
             hit = reduce(and_, (l * x >= r if c is None else i * x + (l - i) * c >= r
                                 for x, c, r in cols))
-            ack[idx[hit]] = l
-            keep = ~hit
+            # gathering by a boolean mask costs several times as much
+            keep = np.flatnonzero(~hit)
             idx, a2 = idx[keep], None if a2 is None else a2[keep]
             cols = [(x[keep], None if c is None else c[keep], r) for x, c, r in cols]
+            ack[idx] = l + 1
     return ack
 
 
@@ -231,9 +234,9 @@ def _episode_batch_noncoop(scheme, p, rho, link):
     # RX1's round 1 is interfered for every trial, so its clean-round
     # information is computed only where round 1 leaves a trial open
     if scheme is SchemeId.HK:
-        Bn = B / div
-        rx1 = [(np.log2(1.0 + A / (1.0 + Bn)), lambda i: np.log2(1.0 + A[i]), R1),
-               (np.log2(1.0 + (A + B) / (1.0 + Bn)),
+        den = 1.0 + B / div  # noise plus TX2's private stream
+        rx1 = [(np.log2(1.0 + A / den), lambda i: np.log2(1.0 + A[i]), R1),
+               (np.log2(1.0 + (A + B) / den),
                 lambda i: np.log2(1.0 + A[i] + B[i]), R1 + T2)]
     elif scheme is SchemeId.CMO:
         # TX2 keeps sending the same message after its ACK, so both joint
@@ -242,7 +245,7 @@ def _episode_batch_noncoop(scheme, p, rho, link):
     else:  # tian: TX2 goes silent after its ACK
         rx1 = [(np.log2(1.0 + A / (1.0 + B)), lambda i: np.log2(1.0 + A[i]), R1)]
     ack1 = _ack_rounds(L, rx1, ack2)
-    return ack1 > L, ack2 > L, np.maximum(np.minimum(ack1, L), np.minimum(ack2, L))
+    return ack1 > L, ack2 > L, np.minimum(np.maximum(ack1, ack2), L)
 
 
 # RX1's static decoders in each cooperative scheme; dynamic decoding runs both
