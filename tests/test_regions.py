@@ -299,6 +299,27 @@ class TestOracleSpotValues:
         assert solved / (len(points) * len(COOP_EVENTS)) <= 4.0
         assert longest <= regions._ROUNDS
 
+    def test_kinks_do_not_depend_on_the_other_cells(self):
+        # a cell's roots come out bit for bit the same whether the cell is
+        # passed alone or beside others, so batching the cells of many
+        # minima into one call would leave each minimum's search path as is
+        rng = np.random.default_rng(7)
+        found = 0
+        for n in range(400):
+            p = sample_params(rng, SchemeId.COOP_DD)
+            region = region_coop(COOP_EVENTS[n % len(COOP_EVENTS)], p)
+            v = np.linspace(1.0, 1.0 / p.r1, 6)
+            g, k = regions._min_gamma(region, 1.0 / v)
+            ends = list(zip(v.tolist(), (g + (1.0 - p.r1 * v)).tolist(), k.tolist()))
+            lo, hi = ends[:-1], ends[1:]
+            cells, roots = regions._kinks(region, lo, hi)
+            cells = np.array(cells, dtype=int)
+            for c in range(len(lo)):
+                alone = regions._kinks(region, [lo[c]], [hi[c]])[1]
+                assert roots[cells == c].tobytes() == alone.tobytes()
+            found += len(roots)
+        assert found > 100
+
     def test_coop_interior_kink(self):
         # the minimum sits at an interior listening fraction (f ~ 0.663);
         # the f = 1 endpoint, 2 - 1.5*r1, lies about 4.5e-3 higher

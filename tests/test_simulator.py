@@ -394,6 +394,22 @@ def test_ack_rounds_stop_once_every_trial_acks(monkeypatch):
     assert rounds == [1, 2, 3, 4]
 
 
+def test_ack_rounds_count_past_the_uint64_range():
+    # from L = 2**64 - 1 on no fixed-width integer holds L + 1, so the ACK
+    # rounds are Python ints in an object array; where every trial ACKs by
+    # round 3, L = 2**64 must give the episodes of L = 8
+    p = P(r1=0.2, r2=0.2, beta=0.5, L=8)
+    g = _trial_gains(3, 0, 2000, 0)
+    cols = (g[:, 0], g[:, 1], g[:, 2], g[:, 3])
+    err1, err2, zeta = want = _episode_batch(SchemeId.CMO, p, 1e4, *cols)
+    assert not (err1.any() or err2.any())
+    assert set(zeta.tolist()) == {1, 2, 3}
+    got = _episode_batch(SchemeId.CMO, dataclasses.replace(p, L=2**64), 1e4, *cols)
+    assert got[2].dtype == object
+    for a, b in zip(got, want):
+        assert a.tolist() == b.tolist()
+
+
 def _reference_listening(p, rho, grelay):
     """TX2's listening fraction: the whole symbols of a 1000-symbol round
     it needs to decode TX1's message, or the whole round."""
@@ -499,6 +515,25 @@ class TestKernelsMatchReference:
         want = _reference_episodes(scheme, p, rho, *cols)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("db", (10, 20))
+    @pytest.mark.parametrize("L", (8, 16))
+    @pytest.mark.parametrize("scheme", (SchemeId.HK, SchemeId.CMO, SchemeId.TIAN))
+    def test_late_rounds(self, scheme, L, db):
+        # at r1 = r2 = 0.5 some trials first ACK after round 4, so the open
+        # trials are gathered round after round
+        split = scheme is SchemeId.HK
+        p = P(r1=0.5, r2=0.5, t2=0.2 if split else 0.0, b=0.1 if split else 0.0,
+              beta=0.8, L=L)
+        rho = 10.0 ** (db / 10.0)
+        g = _trial_gains(8, 0, 3000, db)
+        cols = (g[:, 0], g[:, 1], g[:, 2], g[:, 3])
+        got = _episode_batch(scheme, p, rho, *cols)
+        want = _reference_episodes(scheme, p, rho, *cols)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        zeta = want[2]
+        assert ((zeta > 4) & (zeta < L)).any()
 
     def test_reference_covers_all_and_none_open(self):
         # the edge points reach both ends: a block where every trial ACKs
