@@ -7,7 +7,6 @@ All diversity exponents in this package are plain nonnegative floats;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -85,7 +84,6 @@ def ext_div(num: float, den: float) -> float:
     raise ParameterError("ext_div: negative input")
 
 
-@dataclass(frozen=True)
 class SystemParams:
     """Operating point of the tradeoff.
 
@@ -95,18 +93,48 @@ class SystemParams:
     beta    interference level (cross-link power scales as rho**(beta-1))
     L       maximum ARQ rounds, integer >= 1
 
-    Construction raises ParameterError on the first violated bound.
+    Construction raises ParameterError on the first violated bound.  A
+    point is immutable and compares, hashes and prints by its six fields;
+    :meth:`replace` returns a validated copy with some fields changed.
+    Written out by hand rather than generated, so that starting the CLI
+    imports no record-generating module and no ``inspect`` behind it.
     """
 
-    r1: float
-    r2: float
-    t2: float = 0.0
-    b: float = 0.0
-    beta: float = 1.0
-    L: int = 1
-
-    def __post_init__(self):
+    def __init__(self, r1: float, r2: float, t2: float = 0.0, b: float = 0.0,
+                 beta: float = 1.0, L: int = 1):
+        # one explicit call per field builds a point faster than a loop
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "t2", t2)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "L", L)
         validate(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.r1, self.r2, self.t2, self.b, self.beta, self.L)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(r1={self.r1!r}, r2={self.r2!r}, "
+                f"t2={self.t2!r}, b={self.b!r}, beta={self.beta!r}, L={self.L!r})")
+
+    def replace(self, **changes) -> SystemParams:
+        """A validated copy with the named fields changed."""
+        return self.__class__(**{**self.__dict__, **changes})
 
     @property
     def s2(self) -> float:
@@ -117,12 +145,14 @@ class SystemParams:
 def validate(params: SystemParams) -> SystemParams:
     """Return params unchanged if every invariant holds, else raise.
 
-    The error message names the violated bound.
+    The error message names the violated bound.  A bool is rejected in
+    every field, although ``bool`` subclasses ``int``.
     """
     p = params
     for name, val in (("r1", p.r1), ("r2", p.r2), ("t2", p.t2),
                       ("b", p.b), ("beta", p.beta)):
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
+        if (not isinstance(val, (int, float)) or val is True or val is False
+                or not math.isfinite(val)):
             raise ParameterError(f"{name} must be a finite real number")
     if not 0.0 <= p.r1 <= 1.0:
         raise ParameterError("r1 must lie in [0, 1]")
@@ -136,6 +166,8 @@ def validate(params: SystemParams) -> SystemParams:
         raise ParameterError("b must be >= 0")
     if p.beta < 0.0:
         raise ParameterError("beta must be >= 0")
+    if p.L is True or p.L is False:
+        raise ParameterError("L must be an integer, not a bool")
     if not isinstance(p.L, int) or p.L < 1:
         raise ParameterError("L must be >= 1")
     return p

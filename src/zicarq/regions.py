@@ -55,7 +55,6 @@ one cell (a branch-and-bound certificate would close this).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -645,7 +644,7 @@ def oracle_d1_hk(p: SystemParams, stop: bool = False) -> float:
     """
     best = math.inf
     for i in range(1, p.L + 1):
-        prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(replace(p, L=i - 1)))
+        prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(p.replace(L=i - 1)))
         best = min(best, prefix + oracle_rx1_hk(p, i, stop))
     return best
 
@@ -659,7 +658,7 @@ def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
     if scheme not in COOP_SCHEMES - {SchemeId.COOP_STATIC}:
         raise ParameterError(f"oracle_d2_coop covers coop-cmo, coop-tian and "
                              f"coop-dd, not {scheme.value}")
-    one = replace(p, L=1)
+    one = p.replace(L=1)
     round1 = []
     if scheme is not SchemeId.COOP_TIAN:
         round1.append(region_rx1_cmo(one))
@@ -667,4 +666,4 @@ def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
         round1.append(region_o11_hk(one, 1))
     rx1_round1 = max(oracle_min_exponent(region) for region in round1)
     return min(rx1_round1 + oracle_min_exponent(region_rx2_hk(one)),
-               oracle_min_exponent(region_rx2_hk(replace(p, L=2))))
+               oracle_min_exponent(region_rx2_hk(p.replace(L=2))))

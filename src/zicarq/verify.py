@@ -9,8 +9,6 @@ only samples the points and pairs the values."""
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 
 from . import analytic
@@ -68,7 +66,7 @@ def worst_gap(scheme: SchemeId, samples: int,
             if gap > worst:
                 worst, where = gap, (name, p)
     name, p = where
-    return max(worst, 0.0), f"{name}@{asdict(p)}"
+    return max(worst, 0.0), f"{name}@{vars(p)}"
 
 
 def _verify_checks(scheme: SchemeId, p: SystemParams):

@@ -139,15 +139,56 @@ class TestValidate:
             (dict(r1=0.5, r2=-0.1), "r2"),
             (dict(r1=0.5, r2=0.5, b=-0.2), "b"),
             (dict(r1=0.5, r2=0.5, beta=-1.0), "beta"),
+            # bool subclasses int, but is no rate, exponent or delay
+            (dict(r1=True, r2=0.4), "r1"),
+            (dict(r1=0.5, r2=False), "r2"),
+            (dict(r1=0.5, r2=0.5, t2=False), "t2"),
+            (dict(r1=0.5, r2=0.5, b=True), "b"),
+            (dict(r1=0.5, r2=0.5, beta=True), "beta"),
+            (dict(r1=0.5, r2=0.5, L=True), "L"),
         ],
     )
     def test_bounds(self, kwargs, match):
         with pytest.raises(ParameterError, match=match):
-            validate(SystemParams(L=1, **kwargs))
+            validate(SystemParams(**{"L": 1, **kwargs}))
 
     def test_derived_s2(self):
         p = SystemParams(r1=0.1, r2=0.7, t2=0.2, L=2)
         assert p.s2 == pytest.approx(0.5)
+
+
+class TestSystemParamsRecord:
+    def test_frozen(self):
+        p = SystemParams(r1=0.3, r2=0.4)
+        for name in ("r1", "L", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p == SystemParams(r1=0.3, r2=0.4)
+
+    def test_equal_fields_equal_points_and_hashes(self):
+        a = SystemParams(r1=0.3, r2=0.4, t2=0.1, b=0.2, beta=1.5, L=3)
+        b = SystemParams(0.3, 0.4, 0.1, 0.2, 1.5, 3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a.replace(L=4)
+        assert a != (0.3, 0.4, 0.1, 0.2, 1.5, 3)
+
+    def test_repr(self):
+        assert repr(SystemParams(r1=0.3, r2=0.4)) == (
+            "SystemParams(r1=0.3, r2=0.4, t2=0.0, b=0.0, beta=1.0, L=1)")
+
+    def test_positional_defaults(self):
+        p = SystemParams(0.3, 0.4)
+        assert vars(p) == dict(r1=0.3, r2=0.4, t2=0.0, b=0.0, beta=1.0, L=1)
+
+    def test_replace_copies_and_validates(self):
+        p = SystemParams(r1=0.5, r2=0.4)
+        q = p.replace(t2=0.3, L=2)
+        assert q == SystemParams(r1=0.5, r2=0.4, t2=0.3, L=2) and q is not p
+        with pytest.raises(ParameterError, match="t2 exceeds r2"):
+            p.replace(t2=0.9)
+        assert vars(p) == dict(r1=0.5, r2=0.4, t2=0.0, b=0.0, beta=1.0, L=1)
 
 
 class TestSchemeId:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,14 +145,14 @@ class TestCompiledMembership:
     @staticmethod
     def _regions(p):
         for L in range(1, 5):
-            q = replace(p, L=L)
+            q = p.replace(L=L)
             yield region_rx2_hk(q)
             yield region_rx1_cmo(q)
             for i in range(1, L + 1):
                 yield region_o11_hk(q, i)
                 yield region_o12_hk(q, i)
                 yield region_o12_hk(q, i, stop=True)
-        coop = replace(p, t2=0.0, b=0.0, L=2)
+        coop = p.replace(t2=0.0, b=0.0, L=2)
         for name in COOP_EVENTS:
             yield region_coop(name, coop)
         g11, _, f = symbols()
@@ -360,7 +359,7 @@ class TestOracleD1Hk:
         p = P(r1=0.3, r2=0.0, b=0.1, beta=0.5, L=1)
         assert oracle_d1_hk(p, stop) == pytest.approx(analytic.d1_hk(p), abs=1e-12)
         with pytest.raises(ParameterError, match=r"O_RX2_HK\(l=1\).*rate floor"):
-            oracle_d1_hk(replace(p, L=2), stop)
+            oracle_d1_hk(p.replace(L=2), stop)
 
 
 class TestStopPolicyOracle:
@@ -405,7 +404,7 @@ class TestOracleRobustness:
         assert inside.any()
         assert (g11 + g21)[inside].min() >= oracle_min_exponent(rx1) - 1e-12
 
-        rx2 = region_rx2_hk(replace(p, L=2))
+        rx2 = region_rx2_hk(p.replace(L=2))
         inside = rx2.member(g11)
         assert inside.any()
         assert g11[inside].min() >= oracle_min_exponent(rx2) - 1e-12
@@ -481,7 +480,7 @@ class TestExactness:
         for scheme in map(SchemeId, VERIFY_SCHEMES):
             for L in (2,) if scheme in COOP_SCHEMES else range(1, 6):
                 for _ in range(3):
-                    p = replace(sample_params(rng, scheme), beta=beta, L=L)
+                    p = sample_params(rng, scheme).replace(beta=beta, L=L)
                     for check, closed, oracle in _verify_checks(scheme, p):
                         assert abs(closed - oracle) <= 1e-12, (check, p)
 
@@ -490,7 +489,7 @@ class TestExactness:
         # once b >= max(1, beta) every b term is 0 over the box, so a huge b
         # gives the minima of b = cap, and the closed forms still agree
         p = P(r1=0.5, r2=0.5, t2=0.2, b=b, beta=0.8, L=2)
-        at_cap = replace(p, b=regions._cap(p.beta))
+        at_cap = p.replace(b=regions._cap(p.beta))
         for stop in (False, True):
             assert oracle_d1_hk(p, stop) == oracle_d1_hk(at_cap, stop)
         assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
@@ -510,16 +509,16 @@ class TestExactness:
         for beta in (math.nextafter(BETA_CEILING, math.inf), 1e100):
             for stop in (False, True):
                 with pytest.raises(ParameterError, match="beta.*ceiling"):
-                    oracle_d1_hk(replace(p, beta=beta), stop)
+                    oracle_d1_hk(p.replace(beta=beta), stop)
             with pytest.raises(ParameterError, match="beta.*ceiling"):
-                oracle_min_exponent_coop(region_coop("O1_COOP", replace(coop, beta=beta)))
+                oracle_min_exponent_coop(region_coop("O1_COOP", coop.replace(beta=beta)))
 
     def test_level_constant_cancels(self):
         # 1 - b - (r2 - t2) leaves RX2 a level constant of 0.005 where the
         # compared values are 0.72, so the slack must follow the terms
         p = P(r1=0.8145143700705831, r2=0.9187082787536379, t2=0.1963162175546898,
               b=0.27249134072900205, beta=5.0, L=3)
-        got = oracle_min_exponent(region_rx2_hk(replace(p, L=1)))
+        got = oracle_min_exponent(region_rx2_hk(p.replace(L=1)))
         assert abs(got - analytic.d2_hk(p, 1)) <= 1e-12
         assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
 
@@ -535,7 +534,7 @@ class TestNearRateFloor:
             got = oracle_min_exponent_coop(region_coop("O11_DD", p))
             assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14, r1
             for r2 in (0.1, 0.5, 0.9):
-                got = oracle_min_exponent_coop(region_coop("O12_DD", replace(p, r2=r2)))
+                got = oracle_min_exponent_coop(region_coop("O12_DD", p.replace(r2=r2)))
                 assert abs(got - analytic.d12c_dd2(r1, r2, beta)) <= 1e-14, (r1, r2)
 
 
@@ -549,13 +548,13 @@ class TestCompiledFamilies:
     def test_keyed_by_structure(self):
         # points that differ only in rates and beta share one compiled tree
         p = P(r1=0.3, r2=0.4, t2=0.1, b=0.1, beta=0.8, L=3)
-        q = replace(p, r1=0.7, r2=0.9, t2=0.2, beta=1.6)
+        q = p.replace(r1=0.7, r2=0.9, t2=0.2, beta=1.6)
         _clear_compiled()
         first, second = region_o12_hk(p, 2), region_o12_hk(q, 2)
         info = regions._o12_event.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert first.event is second.event
-        region_o12_hk(replace(p, L=4), 2)  # a new structure compiles anew
+        region_o12_hk(p.replace(L=4), 2)  # a new structure compiles anew
         assert regions._o12_event.cache_info().misses == 2
         for name in ("O1_COOP", "O3_COOP", "O11_DD"):
             assert region_coop(name, P(r1=0.2, r2=0.0, beta=0.5)).event \

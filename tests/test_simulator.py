@@ -185,7 +185,7 @@ class TestEstimateOutage:
         pytest.param(SchemeId.TIAN, 4, id="tian-L4")])
     def test_partition_independent(self, scheme, L, monkeypatch):
         p = HK_P if scheme not in COOP_SCHEMES else P(r1=0.3, r2=0.4, beta=0.8, L=2)
-        p = dataclasses.replace(p, L=L)
+        p = p.replace(L=L)
         kw = dict(scheme=scheme, params=p, rho=100.0, trials=30_000, seed=42)
         threads = []
         draw = simulator._trial_gains
@@ -227,7 +227,7 @@ class TestEstimateOutage:
 
 class TestWorkerPool:
     @pytest.mark.parametrize("scheme,p", [
-        pytest.param(SchemeId.HK, dataclasses.replace(HK_P, beta=400.0),
+        pytest.param(SchemeId.HK, HK_P.replace(beta=400.0),
                      id="beta-overflow"),
         pytest.param(SchemeId.HK_KEEP, HK_P, id="hk-keep")])
     def test_worker_error_surfaces_as_in_one_block(self, scheme, p, monkeypatch):
@@ -404,7 +404,7 @@ def test_ack_rounds_count_past_the_uint64_range():
     err1, err2, zeta = want = _episode_batch(SchemeId.CMO, p, 1e4, *cols)
     assert not (err1.any() or err2.any())
     assert set(zeta.tolist()) == {1, 2, 3}
-    got = _episode_batch(SchemeId.CMO, dataclasses.replace(p, L=2**64), 1e4, *cols)
+    got = _episode_batch(SchemeId.CMO, p.replace(L=2**64), 1e4, *cols)
     assert got[2].dtype == object
     for a, b in zip(got, want):
         assert a.tolist() == b.tolist()

@@ -1,7 +1,9 @@
 """Start-up cost: each engine, and numpy with it, loads only in the
-subcommand that runs it, and the package's lazy exports are the objects
-their modules define.  The module sets are read in fresh interpreters,
-since the test process may already hold every engine."""
+subcommand that runs it, start-up and ``curve`` load neither
+``dataclasses`` nor ``inspect`` (``verify`` no ``dataclasses``), and the
+package's lazy exports are the objects their modules define.  The module
+sets are read in fresh interpreters, since the test process may already
+hold every engine."""
 
 import importlib
 import json
@@ -15,7 +17,8 @@ import pytest
 import zicarq
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("numpy", "zicarq.regions", "zicarq.simulator", "zicarq.verify")
+WATCHED = ("numpy", "zicarq.regions", "zicarq.simulator", "zicarq.verify",
+           "dataclasses", "inspect")
 
 
 def _loaded_after(tmp_path, *steps):
@@ -43,8 +46,8 @@ def test_curve_loads_no_engine_and_no_numpy(tmp_path):
         "import zicarq.cli\nzicarq.cli.build_parser()",
         _main(["curve", "--scheme", "hk,hk-stop,coop-dd", "--L", "2",
                "--sweep", "r1:0:1:0.5", "--out", "c.csv"]))
-    assert "numpy" not in package
-    assert "numpy" not in parser
+    assert not package
+    assert not parser
     assert not curve
 
 
@@ -61,6 +64,7 @@ def test_verify_loads_no_monte_carlo(tmp_path):
                                                "--scheme", "hk"]))
     assert {"zicarq.regions", "zicarq.verify"} <= loaded
     assert "zicarq.simulator" not in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_exports_are_their_defining_modules_objects():
