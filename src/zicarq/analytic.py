@@ -17,8 +17,8 @@ and ``coop-tian`` fix RX1's decoder; ``coop-dd`` lets RX1 pick per
 realization; ``coop-static`` is the per-user envelope of the two static
 decoders.
 
-Every function returns its exponent as an :class:`Exponent`, a float
-whose ``label`` names the piece of the piecewise form that won.  RX1's
+Every public function returns its exponent as an :class:`Exponent`, a
+float whose ``label`` names the piece of the piecewise form that won.  RX1's
 individual- and joint-rate forms prefix theirs with ``d11:``/``d12:``
 (``d12:high-sum``), a minimum over TX2's ACK round names the round
 (``i=2,d12:high-sum``), and ``d_static_overall`` names the decoder
@@ -44,13 +44,9 @@ def _piece(value: float, label: str) -> Exponent:
     return e
 
 
-def _pick(best, a: float, la: str, b: float, lb: str) -> Exponent:
-    """``best(a, b)`` for best in (min, max), labelled by the piece that
-    won.  Ties keep ``a``, as min and max do."""
-    if (b > a) if best is max else (b < a):
-        return _piece(b, lb)
-    return _piece(a, la)
-
+# The private forms below return plain ``(value, label)`` pairs, and only a
+# public function boxes its result in an Exponent.  A choice between two
+# pieces keeps the first on a tie, as min and max do.
 
 def _joint(x: float, beta: float) -> float:
     # joint decoding of both messages at RX1 at per-round sum rate x
@@ -61,75 +57,66 @@ def _joint(x: float, beta: float) -> float:
 # non-cooperative closed forms
 # ---------------------------------------------------------------------------
 
+def _d2_hk(p: SystemParams, l: int) -> tuple[float, str]:
+    total = pos_part(1.0 - ext_div(p.r2, l))
+    private = pos_part(1.0 - ext_div(p.s2, l) - p.b)
+    return (private, "private") if private < total else (total, "total")
+
+
 def d2_hk(p: SystemParams, rounds: int | None = None) -> Exponent:
     """RX2 diversity under rate splitting after ``rounds`` ARQ rounds.
 
     rounds=0 is allowed: it is the ACK-prefix factor for round 1 and
     evaluates through ext_div (0 whenever r2 > 0).
     """
-    l = p.L if rounds is None else rounds
-    return _pick(min, pos_part(1.0 - ext_div(p.r2, l)), "total",
-                 pos_part(1.0 - ext_div(p.s2, l) - p.b), "private")
+    return _piece(*_d2_hk(p, p.L if rounds is None else rounds))
 
 
-def _d11(p: SystemParams, i: int, excess: float) -> Exponent:
+def _d11(p: SystemParams, i: int, excess: float) -> tuple[float, str]:
     # RX1 decodes its own message alone given TX2's ACK at round i; excess is
     # the interference term of rounds 1..i, (beta - b)+ for hk and beta for tian
-    return _pick(max, pos_part(1.0 - ext_div(p.r1, p.L - i)), "d11:tail",
-                 pos_part(1.0 - (p.r1 + i * excess) / p.L), "d11:capped")
+    tail = pos_part(1.0 - ext_div(p.r1, p.L - i))
+    capped = pos_part(1.0 - (p.r1 + i * excess) / p.L)
+    return (capped, "d11:capped") if capped > tail else (tail, "d11:tail")
+
+
+def _check_round(p: SystemParams, i: int):
+    if not 1 <= i <= p.L:
+        raise IndexError(f"round index i={i} outside 1..{p.L}")
 
 
 def d11_hk(p: SystemParams, i: int) -> Exponent:
     """Individual-rate outage exponent at RX1 given TX2 ACKed at round i."""
-    if not 1 <= i <= p.L:
-        raise IndexError(f"round index i={i} outside 1..{p.L}")
-    return _d11(p, i, pos_part(p.beta - p.b))
+    _check_round(p, i)
+    return _piece(*_d11(p, i, pos_part(p.beta - p.b)))
+
+
+def _d12_hk(p: SystemParams, i: int) -> tuple[float, str]:
+    s = p.r1 + p.t2
+    if s <= p.L * p.b:
+        return _joint(s / p.L, p.beta), "d12:low-sum"
+    if s >= (p.L - i) * p.beta + i * p.b:
+        return pos_part(1.0 - (s + i * pos_part(p.beta - p.b)) / p.L), "d12:high-sum"
+    # middle branch is unreachable at i == L, so the division is safe
+    return _joint((s - i * p.b) / (p.L - i), p.beta), "d12:mid-sum"
 
 
 def d12_hk(p: SystemParams, i: int) -> Exponent:
     """Joint-rate outage exponent at RX1 given TX2 ACKed at round i."""
-    if not 1 <= i <= p.L:
-        raise IndexError(f"round index i={i} outside 1..{p.L}")
-    s = p.r1 + p.t2
-    if s <= p.L * p.b:
-        return _piece(_joint(s / p.L, p.beta), "d12:low-sum")
-    if s >= (p.L - i) * p.beta + i * p.b:
-        val = pos_part(1.0 - (s + i * pos_part(p.beta - p.b)) / p.L)
-        return _piece(val, "d12:high-sum")
-    # middle branch is unreachable at i == L, so the division is safe
-    return _piece(_joint((s - i * p.b) / (p.L - i), p.beta), "d12:mid-sum")
+    _check_round(p, i)
+    return _piece(*_d12_hk(p, i))
 
 
-def _first_ack(p: SystemParams, ack_by, rx1_given) -> Exponent:
-    """Min over TX2's ACK round i of ``ack_by(p, i - 1) + rx1_given(p, i)``,
-    labelled ``i=<round>,<rx1_given's label>``.  ``ack_by(p, l)`` is TX2's
-    exponent for needing more than l rounds; an ACK at round 1 costs
-    nothing, as the conditioning event has polynomial order 0."""
-    best = None
-    for i in range(1, p.L + 1):
-        term = rx1_given(p, i)
-        total = term if i == 1 else ack_by(p, i - 1) + term
-        if best is None or total < best:
-            best, won = total, (i, term)
-    return _piece(best, f"i={won[0]},{won[1].label}")
-
-
-def _rx1_hk(p: SystemParams, i: int) -> Exponent:
-    return min(d11_hk(p, i), d12_hk(p, i))
-
-
-def d1_hk(p: SystemParams) -> Exponent:
-    """RX1 diversity under rate splitting: dominant ACK-round term."""
-    return _first_ack(p, d2_hk, _rx1_hk)
-
-
-def d1_hk_keep(p: SystemParams) -> Exponent:
-    """RX1 diversity when TX2 keeps both streams running all L rounds.
-
-    The outage region is the i=L instantiation with no ACK-prefix factor,
-    so the exponent never beats d1_hk.
-    """
-    return _rx1_hk(p, p.L)
+def _d12_hk_stop(p: SystemParams, i: int) -> tuple[float, str]:
+    s, cap = p.r1 + p.t2, min(p.b, p.beta)
+    if s <= i * cap:
+        val, label = 1.0 + p.beta - s / i, "d12:low-sum"
+    elif s >= (p.L - i) * p.beta + i * cap:
+        val, label = pos_part(1.0 - (s + i * (p.beta - cap)) / p.L), "d12:high-sum"
+    else:  # unreachable at i == L, so the division is safe
+        val, label = pos_part(1.0 - (s - i * cap) / (p.L - i)), "d12:mid-sum"
+    joint = _joint(s / p.L, p.beta)
+    return (val, label) if val < joint else (joint, "d12:joint")
 
 
 def d12_hk_stop(p: SystemParams, i: int) -> Exponent:
@@ -138,27 +125,129 @@ def d12_hk_stop(p: SystemParams, i: int) -> Exponent:
     gamma21 = beta - s/L, at gamma11 = 1 if the i interfered rounds carry s
     alone (s <= i*b'), or else at gamma21 = 0, where each interfered round
     carries b' and the tail rounds carry the direct link."""
-    if not 1 <= i <= p.L:
-        raise IndexError(f"round index i={i} outside 1..{p.L}")
-    s, cap = p.r1 + p.t2, min(p.b, p.beta)
-    if s <= i * cap:
-        val, label = 1.0 + p.beta - s / i, "d12:low-sum"
-    elif s >= (p.L - i) * p.beta + i * cap:
-        val, label = pos_part(1.0 - (s + i * (p.beta - cap)) / p.L), "d12:high-sum"
-    else:  # unreachable at i == L, so the division is safe
-        val, label = pos_part(1.0 - (s - i * cap) / (p.L - i)), "d12:mid-sum"
-    return _pick(min, _joint(s / p.L, p.beta), "d12:joint", val, label)
+    _check_round(p, i)
+    return _piece(*_d12_hk_stop(p, i))
+
+
+# Up to this many rounds, _first_ack tries every ACK round.  The scan and
+# the candidate rounds cost about the same at L = 8 (measured for hk, hk-stop
+# and tian on 2 CPUs, Python 3.11); below it the scan is cheaper.
+_SCAN_ROUNDS = 8
+
+
+def _ack_rounds(L: int, cuts) -> list[int]:
+    """1, 2, L - 1, L and the four rounds around each cut in [1, L], in
+    increasing order.  A cut is a pair (num, den), the real round num/den."""
+    rounds = {1, 2, L - 1, L}
+    for num, den in cuts:
+        if den:
+            t = num / den
+            if 1.0 <= t <= L:  # NaN and the infinities fail
+                k = int(t)
+                rounds.update((k - 1, k, k + 1, k + 2))
+    return sorted(i for i in rounds if 1 <= i <= L)
+
+
+def _first_ack(p: SystemParams, ack_by, rx1_given, cuts) -> tuple[float, str]:
+    """Min over TX2's ACK round i of ``ack_by(p, i - 1) + rx1_given(p, i)``,
+    labelled ``i=<round>,<rx1_given's label>``.  ``ack_by(p, l)`` is TX2's
+    exponent for needing more than l rounds; an ACK at round 1 costs
+    nothing, as the conditioning event has polynomial order 0.
+
+    Past _SCAN_ROUNDS only candidate rounds are tried, so the cost does not
+    grow with L.  ``cuts(p)`` gives the real rounds where a term of the sum
+    changes form: a branch bound, a pos_part reaching 0, a max changing
+    sides.  Apart from the isolated rounds 1 and L, each term is concave in
+    i or nondecreasing between two cuts, so the sum is smallest at an end of
+    that run of rounds, and the rounds 1, 2, L - 1, L and those next to each
+    cut hold every such end.  They are tried in increasing i with the same
+    strict ``<`` as a scan over i = 1..L, so a tie keeps the smallest round
+    and the value and label are the scan's.  The exception is a sum flat in
+    exact arithmetic over a run of rounds, where the scan's pick rests on
+    rounding.
+    """
+    L = p.L
+    best = None
+    for i in range(1, L + 1) if L <= _SCAN_ROUNDS else _ack_rounds(L, cuts(p)):
+        term, label = rx1_given(p, i)
+        total = term if i == 1 else ack_by(p, i - 1) + term
+        if best is None or total < best:
+            best, won, won_label = total, i, label
+    return best, f"i={won},{won_label}"
+
+
+def _ack_hk(p: SystemParams, l: int) -> float:
+    return _d2_hk(p, l)[0]
+
+
+def _ack_tian(p: SystemParams, l: int) -> float:
+    return pos_part(1.0 - ext_div(p.r2, l))
+
+
+def _rx1_hk(p: SystemParams, i: int) -> tuple[float, str]:
+    d11 = _d11(p, i, pos_part(p.beta - p.b))
+    d12 = _d12_hk(p, i)
+    return d12 if d12[0] < d11[0] else d11
+
+
+def _rx1_hk_stop(p: SystemParams, i: int) -> tuple[float, str]:
+    d11 = _d11(p, i, pos_part(p.beta - p.b))
+    d12 = _d12_hk_stop(p, i)
+    return d12 if d12[0] < d11[0] else d11
+
+
+def _rx1_tian(p: SystemParams, i: int) -> tuple[float, str]:
+    return _d11(p, i, p.beta)
+
+
+def _hk_cuts(p: SystemParams) -> tuple[tuple[float, float], ...]:
+    # d11's capped piece overtakes its tail at i = L - r1/e (it reaches 0
+    # only past L - 1, where the tail has), TX2's private exponent reaches
+    # 0, d12's branch bound (also a kink of its middle branch), and the
+    # high-sum branch and the middle branch's 1 - x reach 0
+    s, e = p.r1 + p.t2, pos_part(p.beta - p.b)
+    return ((p.L * e - p.r1, e), (1.0 - p.b + p.s2, 1.0 - p.b),
+            (p.L * p.beta - s, p.beta - p.b), (p.L - s, e), (p.L - s, 1.0 - p.b))
+
+
+def _hk_stop_cuts(p: SystemParams) -> tuple[tuple[float, float], ...]:
+    # as _hk_cuts, with d12_hk_stop's two branch bounds and the rounds
+    # where its high-sum and middle branches reach 0
+    s, e, cap = p.r1 + p.t2, pos_part(p.beta - p.b), min(p.b, p.beta)
+    return ((p.L * e - p.r1, e), (1.0 - p.b + p.s2, 1.0 - p.b), (s, cap),
+            (p.L * p.beta - s, p.beta - cap), (p.L - s, p.beta - cap),
+            (p.L - s, 1.0 - cap))
+
+
+def _tian_cuts(p: SystemParams) -> tuple[tuple[float, float], ...]:
+    # d11's capped piece overtakes its tail
+    return ((p.L * p.beta - p.r1, p.beta),)
+
+
+def d1_hk(p: SystemParams) -> Exponent:
+    """RX1 diversity under rate splitting: dominant ACK-round term."""
+    return _piece(*_first_ack(p, _ack_hk, _rx1_hk, _hk_cuts))
+
+
+def d1_hk_keep(p: SystemParams) -> Exponent:
+    """RX1 diversity when TX2 keeps both streams running all L rounds.
+
+    The outage region is the i=L instantiation with no ACK-prefix factor,
+    so the exponent never beats d1_hk.
+    """
+    return _piece(*_rx1_hk(p, p.L))
 
 
 def d1_hk_stop(p: SystemParams) -> Exponent:
     """d1_hk when TX2 stops both streams after its ACK: only d12 changes."""
-    return _first_ack(p, d2_hk, lambda p, i: min(d11_hk(p, i), d12_hk_stop(p, i)))
+    return _piece(*_first_ack(p, _ack_hk, _rx1_hk_stop, _hk_stop_cuts))
 
 
 def d1_cmo(p: SystemParams) -> Exponent:
     """RX1 diversity when TX2 sends a single common message."""
-    return _pick(min, pos_part(1.0 - p.r1 / p.L), "own",
-                 _joint((p.r1 + p.r2) / p.L, p.beta), "joint")
+    own = pos_part(1.0 - p.r1 / p.L)
+    joint = _joint((p.r1 + p.r2) / p.L, p.beta)
+    return _piece(joint, "joint") if joint < own else _piece(own, "own")
 
 
 def d2_cmo(p: SystemParams) -> Exponent:
@@ -172,8 +261,9 @@ def d1_tian(p: SystemParams) -> Exponent:
     coincide when the other user's rate is small (see d1_tian_general);
     at L=1 the first bracket resolves through ext_div.
     """
-    return _pick(max, pos_part(1.0 - ext_div(p.r1, p.L - 1)), "d11:tail",
-                 pos_part(1.0 - p.r1 / p.L - p.beta / p.L), "d11:capped")
+    tail = pos_part(1.0 - ext_div(p.r1, p.L - 1))
+    capped = pos_part(1.0 - p.r1 / p.L - p.beta / p.L)
+    return _piece(capped, "d11:capped") if capped > tail else _piece(tail, "d11:tail")
 
 
 def d1_tian_general(p: SystemParams) -> Exponent:
@@ -185,8 +275,7 @@ def d1_tian_general(p: SystemParams) -> Exponent:
     both large.
     """
     # d1_hk's ACK rounds at t2 = b = 0, without the joint-rate event
-    return _first_ack(p, lambda p, l: pos_part(1.0 - ext_div(p.r2, l)),
-                      lambda p, i: _d11(p, i, p.beta))
+    return _piece(*_first_ack(p, _ack_tian, _rx1_tian, _tian_cuts))
 
 
 # RX2 hears no interference, so its exponent does not depend on RX1's decoder
@@ -197,19 +286,21 @@ d2_tian = d2_cmo
 # cooperative closed forms (two rounds)
 # ---------------------------------------------------------------------------
 
-def d11c_cmo2(r1: float, beta: float) -> Exponent:
-    """Individual-rate RX1 exponent, cooperative common-message decoding."""
+def _d11c_cmo2(r1: float, beta: float) -> tuple[float, str]:
     if r1 >= 2.0 * beta:
-        return _piece(1.0 - r1 / 2.0, "d11:r1>=2beta")
+        return 1.0 - r1 / 2.0, "d11:r1>=2beta"
     if r1 >= beta / (1.0 + beta):
-        val = min(1.0 + ((1.0 - r1) * beta - r1) / (1.0 + r1), 2.0 - 1.5 * r1)
-        return _piece(val, "d11:mid")
-    val = min(
+        return min(1.0 + ((1.0 - r1) * beta - r1) / (1.0 + r1), 2.0 - 1.5 * r1), "d11:mid"
+    return min(
         2.0 - 1.5 * r1,
         2.0 - beta * r1 / (beta - r1),
         1.0 + beta - r1 / (1.0 - r1),
-    )
-    return _piece(val, "d11:low")
+    ), "d11:low"
+
+
+def d11c_cmo2(r1: float, beta: float) -> Exponent:
+    """Individual-rate RX1 exponent, cooperative common-message decoding."""
+    return _piece(*_d11c_cmo2(r1, beta))
 
 
 def d12c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
@@ -217,8 +308,14 @@ def d12c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
     return _piece(_joint((r1 + r2) / 2.0, beta), "d12")
 
 
+def _d1c_cmo2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    d11 = _d11c_cmo2(r1, beta)
+    d12 = _joint((r1 + r2) / 2.0, beta)
+    return (d12, "d12") if d12 < d11[0] else d11
+
+
 def d1c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
-    return min(d11c_cmo2(r1, beta), d12c_cmo2(r1, r2, beta))
+    return _piece(*_d1c_cmo2(r1, r2, beta))
 
 
 def _d1_cmo1(r1: float, r2: float, beta: float) -> float:
@@ -241,8 +338,9 @@ def _d2c(round1: float, r2: float) -> Exponent:
     # RX2 under cooperation.  Dominant error paths: RX1 NACKs round 1
     # (exponent round1), TX2 turns relay and RX2's single shot failed; or
     # RX1 ACKs round 1 and TX2's retransmission still fails after round 2.
-    return _pick(min, round1 + pos_part(1.0 - r2), "relay",
-                 pos_part(1.0 - r2 / 2.0), "two-round")
+    relay = round1 + pos_part(1.0 - r2)
+    two_round = pos_part(1.0 - r2 / 2.0)
+    return _piece(two_round, "two-round") if two_round < relay else _piece(relay, "relay")
 
 
 def d2c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
@@ -250,17 +348,21 @@ def d2c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
     return _d2c(_d1_cmo1(r1, r2, beta), r2)
 
 
-def d1c_tian2(r1: float, beta: float) -> Exponent:
-    """RX1 exponent, cooperative noise-treating decoder."""
+def _d1c_tian2(r1: float, beta: float) -> tuple[float, str]:
     if r1 >= beta:
-        return _piece(pos_part(1.0 - (r1 + beta) / 2.0), "r1>=beta")
+        return pos_part(1.0 - (r1 + beta) / 2.0), "r1>=beta"
     if r1 < beta / 2.0:
         if beta >= 1.0:
-            return _piece(2.0 * pos_part(1.0 - r1), "low,beta>=1")
-        return _piece(_joint(r1, beta), "low,beta<1")
+            return 2.0 * pos_part(1.0 - r1), "low,beta>=1"
+        return _joint(r1, beta), "low,beta<1"
     if r1 > 0.5:
-        return _piece((1.0 - r1) * beta / r1, "mid,r1>1/2")
-    return _piece(_joint(r1, beta), "mid,r1<=1/2")
+        return (1.0 - r1) * beta / r1, "mid,r1>1/2"
+    return _joint(r1, beta), "mid,r1<=1/2"
+
+
+def d1c_tian2(r1: float, beta: float) -> Exponent:
+    """RX1 exponent, cooperative noise-treating decoder."""
+    return _piece(*_d1c_tian2(r1, beta))
 
 
 def d2c_tian2(r1: float, r2: float, beta: float) -> Exponent:
@@ -273,26 +375,33 @@ def d_static_overall(r1: float, r2: float, beta: float) -> tuple[Exponent, Expon
     d1 is the max of the CMO and noise-treating values; d2 is reported for
     whichever decoder attained that max (ties resolve to CMO).
     """
-    c1, t1 = d1c_cmo2(r1, r2, beta), d1c_tian2(r1, beta)
+    c1, c1_label = _d1c_cmo2(r1, r2, beta)
+    t1, t1_label = _d1c_tian2(r1, beta)
     if c1 >= t1:
-        return _piece(c1, "cmo:" + c1.label), d2c_cmo2(r1, r2, beta)
-    return _piece(t1, "tian:" + t1.label), d2c_tian2(r1, r2, beta)
+        return _piece(c1, "cmo:" + c1_label), d2c_cmo2(r1, r2, beta)
+    return _piece(t1, "tian:" + t1_label), d2c_tian2(r1, r2, beta)
+
+
+def _d12c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    if r2 >= beta:
+        v, label = _d1c_tian2(r1, beta)
+        return v, "d12:r2>=beta:" + label
+    if r1 >= r2:
+        return _joint((r1 + r2) / 2.0, beta), "d12:r1>=r2"
+    if r1 >= 0.5:
+        return pos_part(beta - (2.0 * r1 - 1.0) * r2 / r1), "d12:1/2<=r1<r2"
+    return _joint(r1, beta), "d12:r1<min(1/2,r2)"
 
 
 def d12c_dd2(r1: float, r2: float, beta: float) -> Exponent:
     """Joint-event RX1 exponent for the dynamic cooperative decoder."""
-    if r2 >= beta:
-        v = d1c_tian2(r1, beta)
-        return _piece(v, "d12:r2>=beta:" + v.label)
-    if r1 >= r2:
-        return _piece(d12c_cmo2(r1, r2, beta), "d12:r1>=r2")
-    if r1 >= 0.5:
-        return _piece(pos_part(beta - (2.0 * r1 - 1.0) * r2 / r1), "d12:1/2<=r1<r2")
-    return _piece(_joint(r1, beta), "d12:r1<min(1/2,r2)")
+    return _piece(*_d12c_dd2(r1, r2, beta))
 
 
 def d1c_dd2(r1: float, r2: float, beta: float) -> Exponent:
-    return min(d11c_cmo2(r1, beta), d12c_dd2(r1, r2, beta))
+    d11 = _d11c_cmo2(r1, beta)
+    d12 = _d12c_dd2(r1, r2, beta)
+    return _piece(*(d12 if d12[0] < d11[0] else d11))
 
 
 def d2c_dd2(r1: float, r2: float, beta: float) -> Exponent:

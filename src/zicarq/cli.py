@@ -30,6 +30,8 @@ from . import analytic
 from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams
 
 SWEEP_VARS = ("r1", "r2", "beta", "b", "t2")
+# the real fields of a point, in SystemParams' order, and so in a curve row's
+_POINT_FIELDS = ("r1", "r2", "t2", "b", "beta")
 MAX_GRID_POINTS = 100_000
 
 
@@ -141,12 +143,13 @@ def _system_params(args) -> SystemParams:
 def _sweep_points(args, var: str, values: list[float]) -> list[SystemParams]:
     """The sweep's points: the flags' parameters with ``var`` set to each of
     ``values``.  Only these are built; an invalid one is named in the error."""
-    fields = _param_flags(args)
+    fields = [*_param_flags(args).values()]  # in SystemParams' order
+    swept = _POINT_FIELDS.index(var)
     points = []
     try:
         for v in values:
-            fields[var] = v
-            points.append(SystemParams(**fields))
+            fields[swept] = v
+            points.append(SystemParams(*fields))
     except ParameterError as exc:
         raise ParameterError(f"{exc} at {var}={_fmt(v)}") from None
     return points
@@ -160,18 +163,22 @@ def cmd_curve(args) -> int:
     # a point's parameter cells are the same for every scheme, and only the
     # swept one changes along the sweep, so each point's cells are formatted
     # and joined once; a row's own work is the closed forms and their cells
-    names = ("r1", "r2", "t2", "b", "beta")
-    fixed = [str(args.L), *(_fmt(getattr(args, name)) for name in names)]
-    swept = 1 + names.index(var)
+    fixed = [str(args.L), *(_fmt(getattr(args, name)) for name in _POINT_FIELDS)]
+    swept = 1 + _POINT_FIELDS.index(var)
     cells = []
     for v in values:
         fixed[swept] = _fmt(v)
         cells.append(",".join(fixed))
+    # exponents repeat along a sweep (d2 of hk, cmo and tian does not move
+    # with r1), so each value is formatted once per call
+    exponent = _FloatCells()
     rows = []
     for s in schemes:
+        name = s.value
         for params, (d1, d2) in zip(cells, analytic.scheme_curve(s, points)):
             branch = _csv_cell(f"d1:{d1.label}|d2:{d2.label}")
-            rows.append(f"{s.value},{params},{_fmt(d1)},{_fmt(d2)},analytic,{branch}")
+            rows.append(f"{name},{params},{exponent[d1]},{exponent[d2]},"
+                        f"analytic,{branch}")
 
     _write_csv(args.out,
                ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
@@ -289,6 +296,17 @@ def cmd_throughput(args) -> int:
 def _fmt(x: float) -> str:
     """The one format of every float cell the CLI writes."""
     return f"{x:.12g}"
+
+
+class _FloatCells(dict):
+    """Float cells by value, each formatted with :func:`_fmt` on first use.
+    A zero is formatted every time: 0.0 == -0.0, but the two differ."""
+
+    def __missing__(self, x: float) -> str:
+        text = _fmt(x)
+        if x:
+            self[x] = text
+        return text
 
 
 def _line(*cells) -> str:

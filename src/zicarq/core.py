@@ -102,13 +102,16 @@ class SystemParams:
 
     def __init__(self, r1: float, r2: float, t2: float = 0.0, b: float = 0.0,
                  beta: float = 1.0, L: int = 1):
-        # one explicit call per field builds a point faster than a loop
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "t2", t2)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "L", L)
+        # one call per field, through a setter looked up once; each field
+        # lands in the instance's inline values, which read faster than a
+        # __dict__ filled in one update
+        _set = object.__setattr__
+        _set(self, "r1", r1)
+        _set(self, "r2", r2)
+        _set(self, "t2", t2)
+        _set(self, "b", b)
+        _set(self, "beta", beta)
+        _set(self, "L", L)
         validate(self)
 
     def __setattr__(self, name, value):
@@ -166,9 +169,10 @@ def validate(params: SystemParams) -> SystemParams:
         raise ParameterError("b must be >= 0")
     if p.beta < 0.0:
         raise ParameterError("beta must be >= 0")
-    if p.L is True or p.L is False:
-        raise ParameterError("L must be an integer, not a bool")
-    if not isinstance(p.L, int) or p.L < 1:
+    L = p.L
+    if not isinstance(L, int) or L is True or L is False:
+        raise ParameterError("L must be an int")
+    if L < 1:
         raise ParameterError("L must be >= 1")
     return p
 

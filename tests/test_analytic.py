@@ -548,3 +548,84 @@ class TestSchemeDmt:
             assert d1 >= 0.0 and d2 >= 0.0
             assert isinstance(d1, Exponent) and isinstance(d2, Exponent)
             assert d1.label and d2.label
+
+
+def scan_first_ack(p, ack_by, rx1_given):
+    """Reference for _first_ack: every ACK round i = 1..L in turn.  Returns
+    the total at each round (index i - 1) and the (value, label) of the
+    first smallest."""
+    totals, best = [], None
+    for i in range(1, p.L + 1):
+        term, label = rx1_given(p, i)
+        total = term if i == 1 else ack_by(p, i - 1) + term
+        totals.append(total)
+        if best is None or total < best:
+            best, won = total, f"i={i},{label}"
+    return totals, (best, won)
+
+
+# each scheme's public d1, its ACK-round terms and its cuts
+ACK_FORMS = {
+    "hk": (d1_hk, analytic._ack_hk, analytic._rx1_hk, analytic._hk_cuts),
+    "hk-stop": (d1_hk_stop, analytic._ack_hk, analytic._rx1_hk_stop,
+                analytic._hk_stop_cuts),
+    "tian": (d1_tian_general, analytic._ack_tian, analytic._rx1_tian,
+             analytic._tian_cuts),
+}
+
+
+class TestCandidateAckRounds:
+    def _points(self, rng, n):
+        for k in range(n):
+            r2 = float(rng.uniform(0, 1))
+            t2 = (0.0, r2, float(rng.uniform(0, r2)))[k % 3]
+            b = (0.0, float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
+                 float(rng.uniform(0, 0.2)))[k % 4]
+            beta = b if k % 7 == 0 else float(rng.uniform(0, 3))
+            # L in 1..512, weighted towards small L, where the cuts crowd
+            L = int(512 ** (rng.uniform(0, 1) ** 2))
+            yield P(r1=float(rng.uniform(0, 1)), r2=r2, t2=t2, b=b, beta=beta, L=L)
+
+    def test_candidates_equal_the_scan(self, monkeypatch):
+        # candidate rounds at every L (no scan below the cut-over): value and
+        # label equal the scan's, and every local minimum of the scan's
+        # totals is a candidate, so no cut can go missing unnoticed
+        monkeypatch.setattr(analytic, "_SCAN_ROUNDS", 0)
+        rng = np.random.default_rng(2024)
+        for p in self._points(rng, 10_000):
+            for name, (d1, ack_by, rx1_given, cuts) in ACK_FORMS.items():
+                totals, want = scan_first_ack(p, ack_by, rx1_given)
+                got = d1(p)
+                assert (got, got.label) == want, (name, p)
+                rounds = set(analytic._ack_rounds(p.L, cuts(p)))
+                ends = [math.inf]
+                minima = {i for i, (left, t, right) in enumerate(
+                    zip(ends + totals, totals, totals[1:] + ends), 1)
+                    if t < left and t <= right}
+                assert minima <= rounds, (name, p, minima - rounds)
+
+    def test_scan_below_the_cut_over(self):
+        # up to _SCAN_ROUNDS every round is tried, as before
+        rng = np.random.default_rng(8)
+        for p in self._points(rng, 300):
+            q = p.replace(L=1 + p.L % analytic._SCAN_ROUNDS)
+            for name, (d1, ack_by, rx1_given, _) in ACK_FORMS.items():
+                got = d1(q)
+                assert (got, got.label) == scan_first_ack(q, ack_by, rx1_given)[1]
+
+    def test_cost_does_not_grow_with_L(self, monkeypatch):
+        # counted per-round terms, no timing: at L = 10^12 each d1 tries at
+        # most 4 rounds plus 4 per cut, and names a round in 1..L
+        counts = []
+        for name in ("_rx1_hk", "_rx1_hk_stop", "_rx1_tian"):
+            term = getattr(analytic, name)
+            monkeypatch.setattr(analytic, name, lambda p, i, term=term:
+                                counts.append(i) or term(p, i))
+        rng = np.random.default_rng(12)
+        for p in self._points(rng, 200):
+            p = p.replace(L=10**12)
+            for name, (d1, _, _, cuts) in ACK_FORMS.items():
+                counts.clear()
+                got = d1(p)
+                assert 0 < len(counts) <= 4 + 4 * len(cuts(p)) <= 28, name
+                assert 1 <= int(re.match(r"i=(\d+),", got.label).group(1)) <= p.L

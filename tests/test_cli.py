@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import re
@@ -736,3 +737,31 @@ def test_fuzz_main_exit_codes(cmd_flags, tmp_path_factory):
         rc = main(argv)
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+# Every curve CSV of the golden grid below, concatenated in order, hashes to
+# CURVE_GOLDEN: the closed forms' values and branch labels, recorded before
+# the closed forms' internals and ACK-round search were rewritten.
+GOLDEN_BASES = (
+    ["--r1", "0.25", "--r2", "0.5", "--t2", "0.25", "--b", "0.1", "--beta", "0.8"],
+    ["--r1", "0.4", "--r2", "0.9", "--t2", "0.3", "--b", "0.35", "--beta", "1.6"],
+)
+GOLDEN_SWEEPS = ("r1:0:1:0.025", "r2:0.3:1:0.025", "t2:0:0.5:0.025",
+                 "b:0:1:0.025", "beta:0:2.5:0.05")
+CURVE_GOLDEN = "8a5ffa8822dbbae3eeaa950df356b2400138c56fcbcee1e3d7768c701400bc9b"
+
+
+def test_curve_golden(tmp_path):
+    # all nine schemes at L 2, the non-cooperative ones at L 1, 3, 5 and 8
+    digest = hashlib.sha256()
+    out = tmp_path / "g.csv"
+    for L in (1, 2, 3, 5, 8):
+        schemes = [s.value for s in core.SchemeId
+                   if L == 2 or s not in core.COOP_SCHEMES]
+        for base in GOLDEN_BASES:
+            for sweep in GOLDEN_SWEEPS:
+                rc = run(["curve", "--scheme", ",".join(schemes), "--L", str(L),
+                          *base, "--sweep", sweep, "--out", str(out)])
+                assert rc == 0, (L, base, sweep)
+                digest.update(out.read_bytes())
+    assert digest.hexdigest() == CURVE_GOLDEN

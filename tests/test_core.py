@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,12 @@ class TestValidate:
     def test_l_zero(self):
         with pytest.raises(ParameterError, match="L must be >= 1"):
             validate(SystemParams(r1=0.5, r2=0.4, L=0))
+
+    @pytest.mark.parametrize("L", [np.int64(2), 2.0], ids=["np.int64", "float"])
+    def test_l_not_an_int(self, L):
+        # a whole number of another type is refused as such, not as L < 1
+        with pytest.raises(ParameterError, match="^L must be an int$"):
+            SystemParams(r1=0.5, r2=0.4, L=L)
 
     @pytest.mark.parametrize(
         "kwargs,match",
