@@ -20,7 +20,6 @@ so ``curve``, ``--help`` and a usage error never import numpy.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import sys
@@ -320,6 +319,8 @@ def _csv_cell(text: str) -> str:
     """``text`` as a cell of the LF-ended ``csv.writer`` lines: quoted if it
     holds a comma, a quote or a newline.  Cached, since a curve's branch
     labels repeat from row to row."""
+    import csv  # loaded on first use, so start-up and --help skip it
+
     buf = io.StringIO()
     # the writer quotes the characters of its line terminator, so it needs
     # the file's own "\n", which is then cut off
