@@ -609,7 +609,7 @@ class TestCandidateAckRounds:
         rng = np.random.default_rng(8)
         for p in self._points(rng, 300):
             q = p.replace(L=1 + p.L % analytic._SCAN_ROUNDS)
-            for name, (d1, ack_by, rx1_given, _) in ACK_FORMS.items():
+            for d1, ack_by, rx1_given, _ in ACK_FORMS.values():
                 got = d1(q)
                 assert (got, got.label) == scan_first_ack(q, ack_by, rx1_given)[1]
 
