@@ -23,7 +23,7 @@ import argparse
 import io
 import math
 import sys
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from . import analytic
 from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams
@@ -361,17 +361,25 @@ COMMANDS = {"curve": cmd_curve, "verify": cmd_verify,
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="zicarq",
+    # argparse builds a help formatter for each flag it adds, and each
+    # formatter asks for the terminal size; ask once, with argparse's margin
+    import shutil
+
+    formatter = partial(argparse.HelpFormatter,
+                        width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="zicarq", formatter_class=formatter,
                      description="ARQ diversity tradeoff toolkit for the "
                                  "Z-interference channel")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("curve", help="closed-form DMT curves to CSV")
+    c = sub.add_parser("curve", help="closed-form DMT curves to CSV",
+                       formatter_class=formatter)
     c.add_argument("--scheme", default="hk,cmo,tian")
     c.add_argument("--sweep", default="r1:0:1:0.01")
     _add_common(c, sim=False)
 
-    v = sub.add_parser("verify", help="analytic vs oracle agreement sweep")
+    v = sub.add_parser("verify", help="analytic vs oracle agreement sweep",
+                       formatter_class=formatter)
     v.add_argument("--scheme", default=None)
     v.add_argument("--samples", type=int, default=500)
     v.add_argument("--seed", type=int, default=7)
@@ -379,11 +387,13 @@ def build_parser() -> _Parser:
     v.add_argument("--config", default=None)
     v.add_argument("--out", default=None)
 
-    s = sub.add_parser("simulate", help="Monte Carlo outage curves")
+    s = sub.add_parser("simulate", help="Monte Carlo outage curves",
+                       formatter_class=formatter)
     s.add_argument("--scheme", default="cmo")
     _add_common(s, sim=True)
 
-    t = sub.add_parser("throughput", help="Monte Carlo throughput table")
+    t = sub.add_parser("throughput", help="Monte Carlo throughput table",
+                       formatter_class=formatter)
     t.add_argument("--scheme", default="cmo")
     _add_common(t, sim=True)
 

@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import math
+import os
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -568,6 +571,21 @@ class TestSharedParser:
     # main() parses every call with one parser per process; a --config
     # call passes the file's flags as arguments, so they never reach a
     # later call
+
+    def test_terminal_size_read_once(self, monkeypatch):
+        # argparse's own formatter reads the terminal size for every flag
+        # added; the parser reads it once, and every help text is as
+        # argparse's own formatter prints it at that size
+        calls = []
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a)
+                            or os.terminal_size((70, 24)))
+        parser = cli.build_parser()
+        assert len(calls) == 1
+        for command in (parser, *parser.commands.values()):
+            text = command.format_help()
+            command.formatter_class = argparse.HelpFormatter
+            assert command.format_help() == text
+        assert len(calls) == 1 + 1 + len(parser.commands)
 
     def test_curve_config_does_not_leak(self, tmp_path):
         cfg = tmp_path / "run.cfg"
