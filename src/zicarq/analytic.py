@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .core import SchemeId, SystemParams, check_rounds, ext_div, pos_part
+from .core import SchemeId, SystemParams, check_round, check_rounds, ext_div, pos_part
 
 
 class Exponent(float):
@@ -80,14 +80,9 @@ def _d11(p: SystemParams, i: int, excess: float) -> tuple[float, str]:
     return (capped, "d11:capped") if capped > tail else (tail, "d11:tail")
 
 
-def _check_round(p: SystemParams, i: int):
-    if not 1 <= i <= p.L:
-        raise IndexError(f"round index i={i} outside 1..{p.L}")
-
-
 def d11_hk(p: SystemParams, i: int) -> Exponent:
     """Individual-rate outage exponent at RX1 given TX2 ACKed at round i."""
-    _check_round(p, i)
+    check_round(p.L, i)
     return _piece(*_d11(p, i, pos_part(p.beta - p.b)))
 
 
@@ -103,7 +98,7 @@ def _d12_hk(p: SystemParams, i: int) -> tuple[float, str]:
 
 def d12_hk(p: SystemParams, i: int) -> Exponent:
     """Joint-rate outage exponent at RX1 given TX2 ACKed at round i."""
-    _check_round(p, i)
+    check_round(p.L, i)
     return _piece(*_d12_hk(p, i))
 
 
@@ -125,7 +120,7 @@ def d12_hk_stop(p: SystemParams, i: int) -> Exponent:
     gamma21 = beta - s/L, at gamma11 = 1 if the i interfered rounds carry s
     alone (s <= i*b'), or else at gamma21 = 0, where each interfered round
     carries b' and the tail rounds carry the direct link."""
-    _check_round(p, i)
+    check_round(p.L, i)
     return _piece(*_d12_hk_stop(p, i))
 
 
@@ -148,11 +143,24 @@ def _ack_rounds(L: int, cuts) -> list[int]:
     return sorted(i for i in rounds if 1 <= i <= L)
 
 
-def _first_ack(p: SystemParams, ack_by, rx1_given, cuts) -> tuple[float, str]:
-    """Min over TX2's ACK round i of ``ack_by(p, i - 1) + rx1_given(p, i)``,
-    labelled ``i=<round>,<rx1_given's label>``.  ``ack_by(p, l)`` is TX2's
+def _rx1(p: SystemParams, i: int, excess: float, d12) -> tuple[float, str]:
+    """RX1's exponent given TX2's ACK at round i: ``_d11(p, i, excess)``, or
+    the post-ACK policy's joint-rate term ``d12(p, i)`` where that is
+    smaller.  tian decodes its own message alone, so its ``d12`` is None."""
+    d11 = _d11(p, i, excess)
+    if d12 is None:
+        return d11
+    joint = d12(p, i)
+    return joint if joint[0] < d11[0] else d11
+
+
+def _first_ack(p: SystemParams, ack_by, excess: float, d12,
+               cuts) -> tuple[float, str]:
+    """Min over TX2's ACK round i of ``ack_by(p, i - 1) + _rx1(p, i, excess,
+    d12)``, labelled ``i=<round>,<_rx1's label>``.  ``ack_by(p, l)`` is TX2's
     exponent for needing more than l rounds; an ACK at round 1 costs
-    nothing, as the conditioning event has polynomial order 0.
+    nothing, as the conditioning event has polynomial order 0.  ``excess``
+    and ``d12`` are the policy's, as :func:`_rx1` takes them.
 
     Past _SCAN_ROUNDS only candidate rounds are tried, so the cost does not
     grow with L.  ``cuts(p)`` gives the real rounds where a term of the sum
@@ -169,7 +177,7 @@ def _first_ack(p: SystemParams, ack_by, rx1_given, cuts) -> tuple[float, str]:
     L = p.L
     best = None
     for i in range(1, L + 1) if L <= _SCAN_ROUNDS else _ack_rounds(L, cuts(p)):
-        term, label = rx1_given(p, i)
+        term, label = _rx1(p, i, excess, d12)
         total = term if i == 1 else ack_by(p, i - 1) + term
         if best is None or total < best:
             best, won, won_label = total, i, label
@@ -182,22 +190,6 @@ def _ack_hk(p: SystemParams, l: int) -> float:
 
 def _ack_tian(p: SystemParams, l: int) -> float:
     return pos_part(1.0 - ext_div(p.r2, l))
-
-
-def _rx1_hk(p: SystemParams, i: int) -> tuple[float, str]:
-    d11 = _d11(p, i, pos_part(p.beta - p.b))
-    d12 = _d12_hk(p, i)
-    return d12 if d12[0] < d11[0] else d11
-
-
-def _rx1_hk_stop(p: SystemParams, i: int) -> tuple[float, str]:
-    d11 = _d11(p, i, pos_part(p.beta - p.b))
-    d12 = _d12_hk_stop(p, i)
-    return d12 if d12[0] < d11[0] else d11
-
-
-def _rx1_tian(p: SystemParams, i: int) -> tuple[float, str]:
-    return _d11(p, i, p.beta)
 
 
 def _hk_cuts(p: SystemParams) -> tuple[tuple[float, float], ...]:
@@ -226,7 +218,7 @@ def _tian_cuts(p: SystemParams) -> tuple[tuple[float, float], ...]:
 
 def d1_hk(p: SystemParams) -> Exponent:
     """RX1 diversity under rate splitting: dominant ACK-round term."""
-    return _piece(*_first_ack(p, _ack_hk, _rx1_hk, _hk_cuts))
+    return _piece(*_first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk, _hk_cuts))
 
 
 def d1_hk_keep(p: SystemParams) -> Exponent:
@@ -235,12 +227,13 @@ def d1_hk_keep(p: SystemParams) -> Exponent:
     The outage region is the i=L instantiation with no ACK-prefix factor,
     so the exponent never beats d1_hk.
     """
-    return _piece(*_rx1_hk(p, p.L))
+    return _piece(*_rx1(p, p.L, pos_part(p.beta - p.b), _d12_hk))
 
 
 def d1_hk_stop(p: SystemParams) -> Exponent:
     """d1_hk when TX2 stops both streams after its ACK: only d12 changes."""
-    return _piece(*_first_ack(p, _ack_hk, _rx1_hk_stop, _hk_stop_cuts))
+    return _piece(*_first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk_stop,
+                              _hk_stop_cuts))
 
 
 def d1_cmo(p: SystemParams) -> Exponent:
@@ -261,9 +254,7 @@ def d1_tian(p: SystemParams) -> Exponent:
     coincide when the other user's rate is small (see d1_tian_general);
     at L=1 the first bracket resolves through ext_div.
     """
-    tail = pos_part(1.0 - ext_div(p.r1, p.L - 1))
-    capped = pos_part(1.0 - p.r1 / p.L - p.beta / p.L)
-    return _piece(capped, "d11:capped") if capped > tail else _piece(tail, "d11:tail")
+    return _piece(*_rx1(p, 1, p.beta, None))
 
 
 def d1_tian_general(p: SystemParams) -> Exponent:
@@ -275,7 +266,7 @@ def d1_tian_general(p: SystemParams) -> Exponent:
     both large.
     """
     # d1_hk's ACK rounds at t2 = b = 0, without the joint-rate event
-    return _piece(*_first_ack(p, _ack_tian, _rx1_tian, _tian_cuts))
+    return _piece(*_first_ack(p, _ack_tian, p.beta, None, _tian_cuts))
 
 
 # RX2 hears no interference, so its exponent does not depend on RX1's decoder

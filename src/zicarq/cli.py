@@ -28,9 +28,9 @@ from functools import cache, lru_cache, partial
 from . import analytic
 from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams
 
-SWEEP_VARS = ("r1", "r2", "beta", "b", "t2")
-# the real fields of a point, in SystemParams' order, and so in a curve row's
-_POINT_FIELDS = ("r1", "r2", "t2", "b", "beta")
+# the sweep variables: the real fields of a point, in SystemParams' order,
+# and so in a curve row's
+SWEEP_VARS = ("r1", "r2", "t2", "b", "beta")
 MAX_GRID_POINTS = 100_000
 
 
@@ -131,10 +131,6 @@ def _param_flags(args) -> dict:
             "beta": args.beta, "L": args.L}
 
 
-def _system_params(args) -> SystemParams:
-    return SystemParams(**_param_flags(args))
-
-
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
@@ -143,7 +139,7 @@ def _sweep_points(args, var: str, values: list[float]) -> list[SystemParams]:
     """The sweep's points: the flags' parameters with ``var`` set to each of
     ``values``.  Only these are built; an invalid one is named in the error."""
     fields = [*_param_flags(args).values()]  # in SystemParams' order
-    swept = _POINT_FIELDS.index(var)
+    swept = SWEEP_VARS.index(var)
     points = []
     try:
         for v in values:
@@ -162,8 +158,8 @@ def cmd_curve(args) -> int:
     # a point's parameter cells are the same for every scheme, and only the
     # swept one changes along the sweep, so each point's cells are formatted
     # and joined once; a row's own work is the closed forms and their cells
-    fixed = [str(args.L), *(_fmt(getattr(args, name)) for name in _POINT_FIELDS)]
-    swept = 1 + _POINT_FIELDS.index(var)
+    fixed = [str(args.L), *(_fmt(getattr(args, name)) for name in SWEEP_VARS)]
+    swept = 1 + SWEEP_VARS.index(var)
     cells = []
     for v in values:
         fixed[swept] = _fmt(v)
@@ -229,7 +225,7 @@ def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
     from .simulator import SimConfig
 
     scheme = SchemeId(args.scheme)
-    p = _system_params(args)
+    p = SystemParams(**_param_flags(args))
     grid = _parse_triplet(args.rho_db, "--rho-db")
     return scheme, p, SimConfig(rho_db_grid=tuple(grid), trials=args.trials,
                                 seed=args.seed)

@@ -7,6 +7,7 @@ All diversity exponents in this package are plain nonnegative floats;
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 
@@ -43,10 +44,20 @@ def check_rounds(scheme: SchemeId, p: SystemParams) -> None:
         raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
 
 
+def check_round(L: int, i: int) -> None:
+    """Raise unless ``i`` is one of the ARQ rounds 1..L."""
+    if not 1 <= i <= L:
+        raise ParameterError(f"round index i={i} outside 1..{L}")
+
+
 # Smallest active rate the outage-region oracle accepts, and the lower end
 # that `curve` clamps swept rates to: zero-rate limits live in the closed
 # forms, not in the oracle.
 RATE_FLOOR = 1e-3
+
+# Largest delay L: the closed forms mix L with floats, and a larger int
+# does not convert to one.
+_L_MAX = int(sys.float_info.max)
 
 
 def pos_part(x: float) -> float:
@@ -172,7 +183,8 @@ def validate(params: SystemParams) -> SystemParams:
     L = p.L
     if not isinstance(L, int) or L is True or L is False:
         raise ParameterError("L must be an int")
-    if L < 1:
-        raise ParameterError("L must be >= 1")
+    if not 1 <= L <= _L_MAX:
+        raise ParameterError("L must be >= 1" if L < 1 else
+                             f"L must be <= {_L_MAX:.6g} (the largest float)")
     return p
 

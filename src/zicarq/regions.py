@@ -59,7 +59,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import COOP_SCHEMES, RATE_FLOOR, ParameterError, SchemeId, SystemParams
+from .core import (COOP_SCHEMES, RATE_FLOOR, ParameterError, SchemeId,
+                   SystemParams, check_round)
 
 # Candidate vertices lie on the boundary ``F = r`` up to rounding; the
 # closure test allows a few roundings of the largest level piece at the
@@ -368,11 +369,6 @@ class OutageRegion:
 # region factories (trees transcribe the defining inequalities verbatim)
 # ---------------------------------------------------------------------------
 
-def _check_round(L: int, i: int):
-    if not 1 <= i <= L:
-        raise ParameterError(f"round index i={i} outside 1..{L}")
-
-
 # the leaves every family is written in; RX2 events read gamma22 in the
 # first coordinate.  Each family below takes structure only and is cached
 # per process; each ``region_*`` builder binds one at a point p.
@@ -388,14 +384,14 @@ def _rx2_hk_event(l: int):
 
 @lru_cache(maxsize=_FAMILIES)
 def _o11_event(L: int, i: int):
-    _check_round(L, i)
+    check_round(L, i)
     interfered = pos_part(1.0 - _G11 - pos_part(_BETA - _G21 - _B))
     return i * interfered + (L - i) * pos_part(1.0 - _G11) < _R1
 
 
 @lru_cache(maxsize=_FAMILIES)
 def _o12_event(L: int, i: int, stop: bool):
-    _check_round(L, i)
+    check_round(L, i)
     joint = pos_part(maximum(1.0 - _G11, _BETA - _G21) - pos_part(_BETA - _G21 - _B))
     tail = pos_part(1.0 - _G11) if stop else \
         maximum(pos_part(1.0 - _G11), pos_part(_BETA - _G21))

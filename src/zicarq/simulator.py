@@ -233,9 +233,12 @@ def _episode_batch_noncoop(scheme, p, rho, link):
 
     # RX1's round 1 is interfered for every trial, so its clean-round
     # information is computed only where round 1 leaves a trial open
+    def own(i):  # RX1's own link once TX2 is silent
+        return np.log2(1.0 + A[i])
+
     if scheme is SchemeId.HK:
         den = 1.0 + B / div  # noise plus TX2's private stream
-        rx1 = [(np.log2(1.0 + A / den), lambda i: np.log2(1.0 + A[i]), R1),
+        rx1 = [(np.log2(1.0 + A / den), own, R1),
                (np.log2(1.0 + (A + B) / den),
                 lambda i: np.log2(1.0 + A[i] + B[i]), R1 + T2)]
     elif scheme is SchemeId.CMO:
@@ -243,7 +246,7 @@ def _episode_batch_noncoop(scheme, p, rho, link):
         # constraints keep accumulating over every round
         rx1 = [(np.log2(1.0 + A), None, R1), (np.log2(1.0 + A + B), None, R1 + R2)]
     else:  # tian: TX2 goes silent after its ACK
-        rx1 = [(np.log2(1.0 + A / (1.0 + B)), lambda i: np.log2(1.0 + A[i]), R1)]
+        rx1 = [(np.log2(1.0 + A / (1.0 + B)), own, R1)]
     ack1 = _ack_rounds(L, rx1, ack2)
     return ack1 > L, ack2 > L, np.minimum(np.maximum(ack1, ack2), L)
 
@@ -253,40 +256,34 @@ _COOP_DECODERS = {SchemeId.COOP_CMO: ("cmo",), SchemeId.COOP_TIAN: ("tian",),
                   SchemeId.COOP_DD: ("cmo", "tian")}
 
 
-def _relayed(x, f, m1, m1s):  # round 2: TX2 listens for a fraction f, then relays
-    return x + f * m1 + (1.0 - f) * m1s
-
-
-def _relayed_own(x, f, m1, m1s):  # the individual-rate test, whose x is m1
-    return (1.0 + f) * x + (1.0 - f) * m1s
-
-
 def _episode_batch_coop(scheme, p, rho, link, grelay):
     lg, A, B, C = link
     R1, R2 = p.r1 * lg, p.r2 * lg
     m1 = np.log2(1.0 + A)
     m1s = np.log2(1.0 + A + B)
     m2 = np.log2(1.0 + C)
-    # each decoder's tests (round-1 information, relayed-round rule, rate)
-    tests = {"cmo": lambda: [(m1, _relayed_own, R1), (m1s, _relayed, R1 + R2)],
-             "tian": lambda: [(np.log2(1.0 + A / (1.0 + B)), _relayed, R1)]}
+    # each decoder's tests (round-1 information, rate)
+    tests = {"cmo": lambda: [(m1, R1), (m1s, R1 + R2)],
+             "tian": lambda: [(np.log2(1.0 + A / (1.0 + B)), R1)]}
     decoders = [tests[name]() for name in _COOP_DECODERS[scheme]]
     # RX1 ACKs round 1 if any decoder passes all of its tests
-    rx1_ack1 = reduce(or_, (reduce(and_, (x >= r for x, _, r in d)) for d in decoders))
+    rx1_ack1 = reduce(or_, (reduce(and_, (x >= r for x, r in d)) for d in decoders))
 
     # the relayed round 2 runs only on the trials RX1 NACKed in round 1
     nack = np.flatnonzero(~rx1_ack1)
-    m, ms = m1[nack], m1s[nack]
     # listening threshold: symbols TX2 needs to decode TX1's message
     clog = np.log2(1.0 + grelay[nack] * rho)
     with np.errstate(divide="ignore", over="ignore"):
         need = np.where(clog > 0.0, np.ceil(_SYMBOLS * R1 / clog), np.inf)
     f = np.minimum(_SYMBOLS, need) / _SYMBOLS
+    # round 2 adds one column to every test's information: RX1 hears TX1
+    # alone while TX2 listens, then TX1 and the relaying TX2 together
+    relayed = f * m1[nack] + (1.0 - f) * m1s[nack]
 
     # and errs after it only if every decoder fails one of its tests
     err1 = np.zeros_like(rx1_ack1)
-    err1[nack] = reduce(and_, (reduce(or_, (rule(x[nack], f, m, ms) < r
-                                           for x, rule, r in d)) for d in decoders))
+    err1[nack] = reduce(and_, (reduce(or_, (x[nack] + relayed < r for x, r in d))
+                               for d in decoders))
     # TX2 retransmits its own message in round 2 only when RX1 ACKed;
     # after an RX1 NACK it relays instead, whatever its own feedback was
     rx2_ack1 = m2 >= R2

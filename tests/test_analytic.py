@@ -1,5 +1,6 @@
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestD11Hk:
         assert d11_hk(P(r1=0, r2=0, beta=0.5, L=2), 1) == 1.0
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ParameterError):
             d11_hk(P(r1=0.3, r2=0, L=2), 3)
 
 
@@ -87,7 +88,7 @@ class TestD12Hk:
 
     @pytest.mark.parametrize("i", [0, 3])
     def test_index_out_of_range(self, i):
-        with pytest.raises(IndexError, match=f"i={i} outside 1..2"):
+        with pytest.raises(ParameterError, match=f"i={i} outside 1..2"):
             d12_hk(P(r1=0.3, r2=0.3, L=2), i)
 
     def test_branch_continuity(self):
@@ -384,7 +385,7 @@ class TestD12HkStop:
         assert abs(got - oracle) <= 1e-12
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ParameterError):
             d12_hk_stop(P(r1=0.3, r2=0.3, L=2), 3)
 
     def test_d1_matches_oracle(self):
@@ -556,21 +557,34 @@ def scan_first_ack(p, ack_by, rx1_given):
     first smallest."""
     totals, best = [], None
     for i in range(1, p.L + 1):
-        term, label = rx1_given(p, i)
+        term = rx1_given(p, i)
         total = term if i == 1 else ack_by(p, i - 1) + term
         totals.append(total)
         if best is None or total < best:
-            best, won = total, f"i={i},{label}"
+            best, won = total, f"i={i},{term.label}"
     return totals, (best, won)
 
 
-# each scheme's public d1, its ACK-round terms and its cuts
+@lru_cache(maxsize=1)
+def _without_b(p):
+    return p.replace(b=0.0)
+
+
+def tian_rx1(p, i):
+    # tian's RX1 term is d11 with the whole cross link as interference; the
+    # scan asks for every round of one point in turn, so b = 0 is set once
+    return d11_hk(_without_b(p), i)
+
+
+# each scheme's public d1, its ACK-round terms, RX1's term from the public
+# per-round forms (min keeps d11 on a tie, as _rx1 does) and its cuts
 ACK_FORMS = {
-    "hk": (d1_hk, analytic._ack_hk, analytic._rx1_hk, analytic._hk_cuts),
-    "hk-stop": (d1_hk_stop, analytic._ack_hk, analytic._rx1_hk_stop,
+    "hk": (d1_hk, analytic._ack_hk, lambda p, i: min(d11_hk(p, i), d12_hk(p, i)),
+           analytic._hk_cuts),
+    "hk-stop": (d1_hk_stop, analytic._ack_hk,
+                lambda p, i: min(d11_hk(p, i), d12_hk_stop(p, i)),
                 analytic._hk_stop_cuts),
-    "tian": (d1_tian_general, analytic._ack_tian, analytic._rx1_tian,
-             analytic._tian_cuts),
+    "tian": (d1_tian_general, analytic._ack_tian, tian_rx1, analytic._tian_cuts),
 }
 
 
@@ -617,10 +631,9 @@ class TestCandidateAckRounds:
         # counted per-round terms, no timing: at L = 10^12 each d1 tries at
         # most 4 rounds plus 4 per cut, and names a round in 1..L
         counts = []
-        for name in ("_rx1_hk", "_rx1_hk_stop", "_rx1_tian"):
-            term = getattr(analytic, name)
-            monkeypatch.setattr(analytic, name, lambda p, i, term=term:
-                                counts.append(i) or term(p, i))
+        term = analytic._rx1
+        monkeypatch.setattr(analytic, "_rx1", lambda p, i, *policy:
+                            counts.append(i) or term(p, i, *policy))
         rng = np.random.default_rng(12)
         for p in self._points(rng, 200):
             p = p.replace(L=10**12)

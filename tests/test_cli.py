@@ -661,6 +661,11 @@ class TestBadInput:
         pytest.param(["simulate", "--scheme", "coop-dd", "--L", "2", "--rho-db", "20",
                       "--trials", "100", "--T", "1" + "0" * 400],
                      id="simulate --scheme coop-dd --T 10**400"),
+        # an L past the largest float, which the closed forms cannot mix with floats
+        pytest.param(["curve", "--scheme", "cmo", "--L", "1" + "0" * 400,
+                      "--sweep", "r1:0:1:0.5"], id="curve --scheme cmo --L 10**400"),
+        pytest.param(["simulate", "--scheme", "cmo", "--L", "1" + "0" * 400],
+                     id="simulate --scheme cmo --L 10**400"),
     ], ids=" ".join)
     def test_validation_error(self, argv, tmp_path, capsys):
         rc = run(argv + ["--out", str(tmp_path / "x.csv")])
@@ -689,6 +694,8 @@ class TestBadInput:
             ("curve --sweep r1:0:1:0", "--sweep: STEP must be > 0"),
             ("curve --sweep r1:0:1", "--sweep expects VAR:LO:HI:STEP"),
             ("curve --t2 -0.1", "t2 must be >= 0"),
+            ("verify --samples 1 --scheme coop-static",
+             "scheme coop-static has no verify checks"),
         ]])
     def test_validation_error_names_bound(self, argv, message, tmp_path, capsys):
         rc = run(argv.split() + ["--out", str(tmp_path / "x.csv")])

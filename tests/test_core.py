@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +133,15 @@ class TestValidate:
     def test_l_zero(self):
         with pytest.raises(ParameterError, match="L must be >= 1"):
             validate(SystemParams(r1=0.5, r2=0.4, L=0))
+
+    def test_l_past_the_largest_float(self):
+        # the closed forms mix L with floats: the largest int that converts
+        # to one runs them, and the next is refused with the bound named
+        top = int(sys.float_info.max)
+        for scheme in ("hk", "cmo", "tian", "hk-keep", "hk-stop"):
+            scheme_dmt(scheme, SystemParams(r1=0.5, r2=0.4, t2=0.1, b=0.2, L=top))
+        with pytest.raises(ParameterError, match=r"^L must be <= 1\.79769e\+308 "):
+            SystemParams(r1=0.5, r2=0.4, L=top + 1)
 
     @pytest.mark.parametrize("L", [np.int64(2), 2.0], ids=["np.int64", "float"])
     def test_l_not_an_int(self, L):

@@ -97,6 +97,26 @@ class TestAffineInF:
         np.testing.assert_array_equal(region.member(a, 0.0, ff), ff * (1.0 - a) < 0.2)
 
 
+class TestExprRefusals:
+    """A tree stays affine in f and piecewise affine in gamma, or is refused
+    while it is built."""
+
+    def test_term_quadratic_in_f(self):
+        _, _, f = symbols()
+        with pytest.raises(ValueError, match="affine in f"):
+            f * f
+
+    def test_product_of_two_gamma_terms(self):
+        g11, g21, _ = symbols()
+        with pytest.raises(TypeError, match="one factor free of gamma"):
+            g11 * g21
+
+    def test_rate_not_affine(self):
+        g11, g21, _ = symbols()
+        with pytest.raises(TypeError, match="rate must be affine"):
+            g11 < pos_part(g21)
+
+
 COOP_EVENTS = ("O1_COOP", "O2_COOP", "O3_COOP", "O11_DD", "O12_DD")
 
 

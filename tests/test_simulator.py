@@ -293,6 +293,10 @@ class TestWilson:
             assert lo <= k / n <= hi
             assert 0.0 <= lo <= hi <= 1.0
 
+    def test_no_trials(self):
+        with pytest.raises(ParameterError, match="trials must be >= 1"):
+            wilson_interval(0, 0)
+
 
 class TestEstimateDiversity:
     def test_monotone_in_snr_with_ci_overlap(self):
