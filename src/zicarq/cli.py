@@ -26,7 +26,7 @@ import sys
 from functools import cache, lru_cache, partial
 
 from . import analytic
-from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams
+from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams, check_seed
 
 # the sweep variables: the real fields of a point, in SystemParams' order,
 # and so in a curve row's
@@ -195,6 +195,7 @@ def cmd_verify(args) -> int:
     tol = args.tol
     if not 0.0 <= tol < math.inf:
         raise ParameterError("--tol must be finite and >= 0")
+    check_seed(args.seed, "--seed")
     rng = np.random.default_rng(args.seed)
     schemes = _parse_schemes(args.scheme) if args.scheme else \
         [SchemeId(s) for s in VERIFY_SCHEMES]
@@ -227,6 +228,7 @@ def _sim_setup(args) -> tuple[SchemeId, SystemParams, SimConfig]:
     scheme = SchemeId(args.scheme)
     p = SystemParams(**_param_flags(args))
     grid = _parse_triplet(args.rho_db, "--rho-db")
+    check_seed(args.seed, "--seed")
     return scheme, p, SimConfig(rho_db_grid=tuple(grid), trials=args.trials,
                                 seed=args.seed)
 

@@ -50,6 +50,13 @@ def check_round(L: int, i: int) -> None:
         raise ParameterError(f"round index i={i} outside 1..{L}")
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise unless ``seed`` is an int in [0, 2**64): the Monte Carlo key
+    holds 64 bits of it, so any other seed would run as the one it aliases."""
+    if not isinstance(seed, int) or seed is True or seed is False or not 0 <= seed < 1 << 64:
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+
+
 # Smallest active rate the outage-region oracle accepts, and the lower end
 # that `curve` clamps swept rates to: zero-rate limits live in the closed
 # forms, not in the oracle.

@@ -16,9 +16,12 @@ alone (L, the round index, the f multipliers).  So each family's tree is
 built once per structure and kept for the process, together with its level
 lines, the pairs of lines that are not parallel, the denominators of the
 vertex sums, and its membership test compiled to straight-line steps over
-the stacked affine leaves.  A region binds its point, box side included,
-when it is built: its lines and its leaves there are products of the
-constant columns with theta = (beta, b, r1, r2, t2, cap, 1), so a
+the stacked affine leaves; so are, per stack of families solved together,
+the pairs' gamma coefficients and determinants at f = 1.  A region binds its point, box side included, when it is
+built: its lines, the sizes of their terms and its leaves come from one
+product of the constant columns with theta = (beta, b, r1, r2, t2, cap, 1),
+which is >= 0, so |c| times theta is the size of a line's terms.  The
+regions an oracle call needs at one point share one such product, and a
 membership test evaluates every leaf in one broadcast.
 
 Minimisation.  A diversity exponent is the infimum of the objective over
@@ -35,7 +38,11 @@ finite set: the level lines ``piece = r`` of every affine piece, and the
 four box edges.  The oracle intersects them pairwise, keeps the points
 in the closure (``F <= r`` up to a rounding slack scaled to the size of
 the level pieces at the point), and takes the smallest objective.  RX2
-events are 1-D: the candidates are the piece roots and the box ends.
+events are 1-D: the candidates are the piece roots and the box ends.  The
+RX1 regions of a point are solved in one vertex pass and its RX2 regions
+in one root pass: every region's candidates are computed together, each
+region's program tests its own, and each minimum is bit for bit the one
+the region gives alone.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
 The gamma solve above is exact at each v, so only v is searched, with no
@@ -43,19 +50,21 @@ grid.  The search evaluates the two ends v = 1 and v = 1/r1 and keeps
 cells of v between evaluated points.  In a cell whose two finite ends
 have different optimal vertices it takes the exact v where those two
 vertices' objectives (ratios of quadratics in f) cross, all such roots
-of a round in one gamma solve.  A root whose optimal vertex is neither
-end's splits its cell there, and the two halves are searched again; a
-cell with an infinite end is halved, down to the resolution of a
-17-point grid.  The objective is piecewise concave in v, so its minimum
-sits at such a kink or at an endpoint.  That a cell holds at most the
-kinks its ends reveal is not proved: two pieces can cross twice inside
-one cell (a branch-and-bound certificate would close this).
+of a round from one eigenvalue call per companion size and in one gamma
+solve.  A root whose optimal vertex is neither end's splits its cell
+there, and the two halves are searched again; a cell with an infinite end
+is halved, down to the resolution of a 17-point grid.  The objective is
+piecewise concave in v, so its minimum sits at such a kink or at an
+endpoint.  That a cell holds at most the kinks its ends reveal is not
+proved: two pieces can cross twice inside one cell (a branch-and-bound
+certificate would close this).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -113,6 +122,14 @@ def _bind(pieces: np.ndarray, theta: np.ndarray) -> np.ndarray:
     out[..., :2] = pieces[..., :2]
     out[..., 2:] = pieces[..., 2:] @ theta[:, None]
     return out
+
+
+def _theta(p: SystemParams) -> np.ndarray:
+    """(beta, b, r1, r2, t2, cap, 1) at ``p``, every entry >= 0."""
+    cap = _cap(p.beta)
+    # past max(1, beta) every b term is 0 at gamma >= 0, so b binds at most
+    # cap: a larger b would only swamp the closure slack
+    return np.array([p.beta, min(p.b, cap), p.r1, p.r2, p.t2, cap, 1.0])
 
 
 def _scale(k0: float, k1: float, pieces: np.ndarray) -> np.ndarray:
@@ -299,9 +316,12 @@ class _Event:
         return np.concatenate([lines[lines[:, :, :2].any(axis=(1, 2))], _BOX])
 
     @cached_property
-    def magnitudes(self) -> np.ndarray:
-        """|candidates| of the level lines, the box edges excluded."""
-        return np.abs(self.candidates[:-4])
+    def pieces(self) -> np.ndarray:
+        """What a region binds: the candidates, |candidates| of the level
+        lines (the box edges excluded), and the program's leaves.  theta is
+        >= 0, so the second block bound is the size of each line's terms."""
+        lines = self.candidates
+        return np.concatenate([lines, np.abs(lines[:-4]), self.program.leaves])
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -339,22 +359,25 @@ class OutageRegion:
     at the operating point ``p``, box side ``cap`` included.
     """
 
-    def __init__(self, region_id, kind, event, p: SystemParams):
+    def __init__(self, region_id, kind, event, p: SystemParams, bound=None):
         self.region_id = region_id
         self.kind = kind
         self.event = event
         self.rate = p.r2 if kind == "rx2" else p.r1
         self.cap = _cap(p.beta)
-        # past max(1, beta) every b term is 0 at gamma >= 0, so b binds at
-        # most cap: a larger b would only swamp the closure slack
-        self.theta = np.array([p.beta, min(p.b, self.cap), p.r1, p.r2, p.t2,
-                               self.cap, 1.0])
+        # ``bound`` is theta and the event's pieces bound to it, when the
+        # point's regions were bound together (see _at_point)
+        if bound is None:
+            theta = _theta(p)
+            bound = theta, _bind(event.pieces, theta)
+        self.theta, pieces = bound
         # the oracle's candidate lines at this point, and the size of every
-        # level line's terms (|a|, |b|, and the sum of |c_k*theta_k|; the
+        # level line's terms (|a|, |b|, and the sum of |c_k|*theta_k; the
         # box edges excluded), which bounds the rounding of a level value
-        self.lines = _bind(event.candidates, self.theta)
-        self.sizes = _bind(event.magnitudes, np.abs(self.theta))
-        self.leaves = _bind(event.program.leaves, self.theta)
+        n = len(event.candidates)
+        self.lines = pieces[:n]
+        self.sizes = pieces[n:2 * n - 4]
+        self.leaves = pieces[2 * n - 4:]
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
@@ -427,33 +450,62 @@ def _coop_event(name: str):
     return events[name]
 
 
+def _at_point(p: SystemParams, specs) -> list[OutageRegion]:
+    """The OutageRegions of (region_id, kind, event) ``specs`` at ``p``,
+    every event's pieces bound to p's theta in one product."""
+    theta = _theta(p)
+    pieces = _bind(np.concatenate([event.pieces for _, _, event in specs]), theta)
+    regions, start = [], 0
+    for region_id, kind, event in specs:
+        stop = start + len(event.pieces)
+        regions.append(OutageRegion(region_id, kind, event, p, (theta, pieces[start:stop])))
+        start = stop
+    return regions
+
+
+def _rx2(l: int):
+    return f"O_RX2_HK(l={l})", "rx2", _rx2_hk_event(l)
+
+
+def _o11(L: int, i: int):
+    return f"O11_HK(i={i})", "rx1", _o11_event(L, i)
+
+
+def _o12(L: int, i: int, stop: bool):
+    name = "O12_STOP" if stop else "O12_HK"
+    return f"{name}(i={i})", "rx1", _o12_event(L, i, stop)
+
+
+def _rx1_cmo(l: int):
+    return f"O_RX1_CMO(l={l})", "rx1", _rx1_cmo_event(l)
+
+
 def region_rx2_hk(p: SystemParams) -> OutageRegion:
     """RX2 outage under rate splitting after L rounds.  RX2 hears no
     interference, so at t2 = b = 0 this is also the CMO and Tian RX2
     outage."""
-    return OutageRegion(f"O_RX2_HK(l={p.L})", "rx2", _rx2_hk_event(p.L), p)
+    return OutageRegion(*_rx2(p.L), p)
 
 
 def region_o11_hk(p: SystemParams, i: int) -> OutageRegion:
     """RX1 individual-rate outage given TX2's ACK at round i (of L).  At
     L = 1 and b = 0 this is the single-round noise-treating (Tian)
     outage."""
-    return OutageRegion(f"O11_HK(i={i})", "rx1", _o11_event(p.L, i), p)
+    return OutageRegion(*_o11(p.L, i), p)
 
 
 def region_o12_hk(p: SystemParams, i: int, stop: bool = False) -> OutageRegion:
     """RX1 joint-rate outage given TX2's ACK at round i (of L).  With
     ``stop``, TX2 stops both streams after its ACK: the common stream is
     gone, so the tail rounds contribute the direct link only."""
-    name = "O12_STOP" if stop else "O12_HK"
-    return OutageRegion(f"{name}(i={i})", "rx1", _o12_event(p.L, i, stop), p)
+    return OutageRegion(*_o12(p.L, i, stop), p)
 
 
 def region_rx1_cmo(p: SystemParams) -> OutageRegion:
     """RX1 outage under common-message-only decoding after L rounds: the
     own-rate test or the joint-rate test fails.  TX2 keeps sending after
     its ACK, so no ACK round enters the event."""
-    return OutageRegion(f"O_RX1_CMO(l={p.L})", "rx1", _rx1_cmo_event(p.L), p)
+    return OutageRegion(*_rx1_cmo(p.L), p)
 
 
 def region_coop(name: str, p: SystemParams) -> OutageRegion:
@@ -492,9 +544,67 @@ def _min_gamma(region, f):
     return obj[np.arange(len(f)), k], k
 
 
-def _min_rx1(region: OutageRegion) -> float:
-    """min gamma11 + gamma21 over an RX1 region, by vertex enumeration."""
-    return float(_min_gamma(region, np.ones(1))[0][0])
+@lru_cache(maxsize=_FAMILIES)
+def _vertex_pairs(events):
+    """The pairs of a stack of events at f = 1, each event's lines numbered
+    after those of the events before it: the lines (j, i) and (i, j) of
+    every pair and the gamma coefficients (b_i, a_j) and (b_j, a_i) that
+    multiply their constants in the vertex solve, each as a (2, pairs)
+    array; the pair's determinant; the event it is of; and where each
+    event's pairs start, the total last."""
+    lines = np.cumsum([0] + [len(event.candidates) for event in events])
+    i, j = (np.concatenate([event.pairs[k] + n for event, n in zip(events, lines)])
+            for k in (0, 1))
+    candidates = np.concatenate([event.candidates for event in events])
+    at = candidates[:, 0, :2] + candidates[:, 1, :2]
+    a_i, b_i, a_j, b_j = at[i, 0], at[i, 1], at[j, 0], at[j, 1]
+    counts = [len(event.pairs[0]) for event in events]
+    return (np.array([j, i]), np.array([i, j]), np.array([b_i, a_j]), np.array([b_j, a_i]),
+            a_i * b_j - a_j * b_i, np.repeat(np.arange(len(events)), counts),
+            np.cumsum([0] + counts))
+
+
+def _each(regions, bounds, g11, g21, slack):
+    """Membership at f = 1 of the candidates (g11, g21), where candidates
+    bounds[r]:bounds[r + 1] are those of regions[r]: each region's program
+    runs on its own slice."""
+    inside = np.empty(len(g11), dtype=bool)
+    for region, lo, hi in zip(regions, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if lo < hi:
+            inside[lo:hi] = region.member(g11[lo:hi], g21[lo:hi], 1.0, slack[lo:hi])
+    return inside
+
+
+def _largest_sizes(regions, f):
+    """The column-wise max over each region's level lines of their sizes
+    at f, 0 where it has none, as (regions, 3): a row of zeros goes before
+    each region's rows."""
+    zero = np.zeros((1, 2, 3))
+    sizes = np.concatenate([part for region in regions for part in (zero, region.sizes)])
+    starts = accumulate((len(region.sizes) + 1 for region in regions[:-1]), initial=0)
+    return np.maximum.reduceat(sizes[:, 0] + f * sizes[:, 1], list(starts))
+
+
+def _min_rx1(regions) -> list[float]:
+    """min gamma11 + gamma21 over each RX1 region, by vertex enumeration at
+    f = 1, the vertices of every region in one pass: for each region
+    ``_min_gamma(region, np.ones(1))``, bit for bit."""
+    ji, ij, left, right, det, owner, starts = _vertex_pairs(
+        tuple(region.event for region in regions))
+    lines = np.concatenate([region.lines for region in regions])
+    c = lines[:, 0, 2] + lines[:, 1, 2]
+    # every pair's vertex (gamma11, gamma21), by Cramer's rule
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xy = (left * c[ji] - right * c[ij]) / det
+    cap = np.array([region.cap for region in regions])[owner]
+    (k,) = np.nonzero(((xy >= -_SLACK * cap) & (xy <= cap * (1.0 + _SLACK))).all(axis=0))
+    g11, g21 = np.clip(xy[:, k], 0.0, cap[k])
+    size = _largest_sizes(regions, 1.0)[owner[k]]
+    slack = _SLACK * (size[:, 0] * g11 + size[:, 1] * g21 + size[:, 2])
+    inside = _each(regions, np.searchsorted(k, starts), g11, g21, slack)
+    obj = np.full(len(det), np.inf)
+    obj[k[inside]] = g11[inside] + g21[inside]
+    return np.minimum.reduceat(obj, starts[:-1]).tolist()
 
 
 def _poly_mul(p, q):
@@ -519,10 +629,10 @@ def _kinks(region, lo, hi):
                             den[np.concatenate([k_hi, k_lo])]).reshape(2, len(v_lo), -1)
     gap = left - right
     scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
-    cells, out = [], []
     # a gap within 1e-12 of its terms is rounding: the two sums agree at every f
-    for c in np.nonzero(np.abs(gap).max(axis=1) > 1e-12 * scale)[0]:
-        f = np.roots(gap[c, ::-1])
+    (kept,) = np.nonzero(np.abs(gap).max(axis=1) > 1e-12 * scale)
+    cells, out = [], []
+    for c, f in zip(kept.tolist(), _roots(gap[kept, ::-1])):
         # a double root comes out slightly complex; a kept root is only a
         # candidate, whose gamma minimum is solved exactly like the ends'
         f = f.real[np.abs(f.imag) <= 1e-6]
@@ -530,6 +640,33 @@ def _kinks(region, lo, hi):
         cells += [c] * len(f)
         out.append(1.0 / f)
     return cells, np.concatenate(out) if out else np.empty(0)
+
+
+def _roots(polys) -> list[np.ndarray]:
+    """``np.roots`` of each row of ``polys`` (coefficients highest order
+    first), bit for bit, with one ``np.linalg.eigvals`` call per companion
+    matrix size.  Where a row's roots are all real but another's of its size
+    are not, its roots come out complex with zero imaginary parts."""
+    roots, sizes = [np.empty(0)] * len(polys), {}
+    for row, p in enumerate(polys):
+        nonzero = np.flatnonzero(p).tolist()
+        if nonzero:
+            # np.roots drops the leading and trailing zeros, takes the
+            # eigenvalues of the rest's companion matrix, then appends a
+            # zero root per trailing zero
+            lo, hi = nonzero[0], nonzero[-1]
+            top = -p[lo + 1:hi + 1] / p[lo]
+            sizes.setdefault(hi - lo, []).append((row, len(p) - 1 - hi, top))
+    for n, rows in sizes.items():
+        found = np.empty((len(rows), 0))
+        if n:
+            companion = np.zeros((len(rows), n, n))
+            companion[:, 0] = [top for _, _, top in rows]
+            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            found = np.linalg.eigvals(companion)
+        for (row, trailing, _), w in zip(rows, found):
+            roots[row] = np.concatenate([w, np.zeros(trailing, w.dtype)]) if trailing else w
+    return roots
 
 
 def _min_coop(region: OutageRegion) -> float:
@@ -569,16 +706,42 @@ def _min_coop(region: OutageRegion) -> float:
     return float(best)
 
 
-def _min_rx2(region: OutageRegion) -> float:
-    """min gamma22 over an RX2 region: the smallest member among the piece
-    roots and the box ends."""
-    a, _, c = region.lines[:, 0].T
-    roots = -c[a != 0] / a[a != 0]
-    cand = np.concatenate([[0.0, region.cap],
-                           roots[(roots > 0.0) & (roots < region.cap)]])
-    size = region.sizes[:, 0].max(axis=0, initial=0.0)
-    inside = region.member(cand, slack=_SLACK * (size[0] * cand + size[2]))
-    return float(cand[inside].min()) if inside.any() else math.inf
+@lru_cache(maxsize=_FAMILIES)
+def _root_slots(events):
+    """For a stack of RX2 events: the lines with a gamma22 term, each
+    event's numbered after those of the events before it, and their
+    coefficients; the event of each; and the candidates' layout, event
+    after event a box end at 0, one at cap and a root per such line: where
+    each root goes, the event of each candidate, and where each event's
+    candidates start, the total last."""
+    a = [event.candidates[:, 0, 0] for event in events]
+    lines = np.flatnonzero(np.concatenate(a))
+    counts = [np.count_nonzero(coef) for coef in a]
+    starts = np.cumsum([0] + [2 + n for n in counts])
+    slots = np.concatenate([start + 2 + np.arange(n) for start, n in zip(starts, counts)])
+    event = np.arange(len(events))
+    return (lines, np.concatenate(a)[lines], np.repeat(event, counts), slots,
+            np.repeat(event, np.diff(starts)), starts)
+
+
+def _min_rx2(regions) -> list[float]:
+    """min gamma22 over each RX2 region: the smallest member among its
+    piece roots and its box ends, the candidates of every region in one
+    pass."""
+    lines, a, owner, slots, cand_owner, starts = _root_slots(
+        tuple(region.event for region in regions))
+    roots = -np.concatenate([region.lines[:, 0, 2] for region in regions])[lines] / a
+    caps = np.array([region.cap for region in regions])
+    cand = np.zeros(starts[-1])
+    cand[starts[:-1] + 1] = caps
+    cand[slots] = roots
+    # a root outside the open box is no candidate (an end already is)
+    valid = np.ones(len(cand), dtype=bool)
+    valid[slots] = (roots > 0.0) & (roots < caps[owner])
+    size = _largest_sizes(regions, 0.0)[cand_owner]
+    slack = _SLACK * (size[:, 0] * cand + size[:, 2])
+    inside = _each(regions, starts, cand, np.zeros(len(cand)), slack)
+    return np.minimum.reduceat(np.where(inside & valid, cand, np.inf), starts[:-1]).tolist()
 
 
 def _check_domain(region: OutageRegion):
@@ -600,6 +763,14 @@ def _check_domain(region: OutageRegion):
 # oracle surface
 # ---------------------------------------------------------------------------
 
+def _minima(rx1, rx2=()) -> tuple[list[float], list[float]]:
+    """The minima over RX1 regions, in one vertex pass, and over RX2
+    regions, in one root pass; every region's domain is checked first."""
+    for region in (*rx1, *rx2):
+        _check_domain(region)
+    return _min_rx1(rx1) if rx1 else [], _min_rx2(rx2) if rx2 else []
+
+
 def oracle_min_exponent(region: OutageRegion) -> float:
     """Exact minimum exponent over a non-cooperative region.
 
@@ -607,11 +778,9 @@ def oracle_min_exponent(region: OutageRegion) -> float:
     Returns +inf when no point within the search cap enters the region.
     """
     _check_domain(region)
-    if region.kind == "rx2":
-        return _min_rx2(region)
     if region.kind == "coop":
         raise ValueError("use oracle_min_exponent_coop for listening-phase regions")
-    return _min_rx1(region)
+    return (_min_rx2 if region.kind == "rx2" else _min_rx1)([region])[0]
 
 
 def oracle_min_exponent_coop(region: OutageRegion) -> float:
@@ -628,8 +797,21 @@ def oracle_rx1_hk(p: SystemParams, i: int, stop: bool = False) -> float:
     """RX1 exponent given TX2's ACK at round i (of L): the smaller of the
     individual-rate (O11) and joint-rate (O12) outage minima.  With
     ``stop``, TX2 stops both streams after its ACK."""
-    return min(oracle_min_exponent(region_o11_hk(p, i)),
-               oracle_min_exponent(region_o12_hk(p, i, stop)))
+    return min(_minima(_at_point(p, [_o11(p.L, i), _o12(p.L, i, stop)]))[0])
+
+
+def _hk(p: SystemParams, stop: bool, rx2_rounds: int):
+    """RX1's exponent under rate splitting, RX1's term at each ACK round
+    i = 1..L (as :func:`oracle_rx1_hk`), and RX2's minima after 1 to
+    ``rx2_rounds`` rounds: one vertex pass over the 2L RX1 regions and one
+    root pass over the RX2 ones."""
+    L = p.L
+    specs = [spec for i in range(1, L + 1) for spec in (_o11(L, i), _o12(L, i, stop))]
+    regions = _at_point(p, specs + [_rx2(l) for l in range(1, rx2_rounds + 1)])
+    rx1, rx2 = _minima(regions[:2 * L], regions[2 * L:])
+    terms = [min(o11, o12) for o11, o12 in zip(rx1[::2], rx1[1::2])]
+    # TX2 ACKs at round i after needing more than i - 1 rounds
+    return min(prefix + term for prefix, term in zip([0.0, *rx2], terms)), terms, rx2
 
 
 def oracle_d1_hk(p: SystemParams, stop: bool = False) -> float:
@@ -638,11 +820,16 @@ def oracle_d1_hk(p: SystemParams, stop: bool = False) -> float:
     Minimises over the ACK round i of TX2: the exponent of TX2 needing
     more than i - 1 rounds plus :func:`oracle_rx1_hk` at i.
     """
-    best = math.inf
-    for i in range(1, p.L + 1):
-        prefix = 0.0 if i == 1 else oracle_min_exponent(region_rx2_hk(p.replace(L=i - 1)))
-        best = min(best, prefix + oracle_rx1_hk(p, i, stop))
-    return best
+    return _hk(p, stop, p.L - 1)[0]
+
+
+def oracle_hk(p: SystemParams, stop: bool = False) -> tuple[float, float, list[float]]:
+    """(d1, d2, terms) under rate splitting: :func:`oracle_d1_hk`, RX2's
+    exponent after L rounds (the minimum over :func:`region_rx2_hk`), and
+    RX1's term at each ACK round i (:func:`oracle_rx1_hk`, terms[i - 1]),
+    from the one vertex pass and one root pass that d1 needs."""
+    d1, terms, rx2 = _hk(p, stop, p.L)
+    return d1, rx2[-1], terms
 
 
 def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
@@ -654,12 +841,11 @@ def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
     if scheme not in COOP_SCHEMES - {SchemeId.COOP_STATIC}:
         raise ParameterError(f"oracle_d2_coop covers coop-cmo, coop-tian and "
                              f"coop-dd, not {scheme.value}")
-    one = p.replace(L=1)
     round1 = []
     if scheme is not SchemeId.COOP_TIAN:
-        round1.append(region_rx1_cmo(one))
+        round1.append(_rx1_cmo(1))
     if scheme is not SchemeId.COOP_CMO:
-        round1.append(region_o11_hk(one, 1))
-    rx1_round1 = max(oracle_min_exponent(region) for region in round1)
-    return min(rx1_round1 + oracle_min_exponent(region_rx2_hk(one)),
-               oracle_min_exponent(region_rx2_hk(p.replace(L=2))))
+        round1.append(_o11(1, 1))
+    regions = _at_point(p, round1 + [_rx2(1), _rx2(2)])
+    rx1, (one, two) = _minima(regions[:-2], regions[-2:])
+    return min(max(rx1) + one, two)

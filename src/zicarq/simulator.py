@@ -37,7 +37,8 @@ from operator import and_, or_
 
 import numpy as np
 
-from .core import COOP_SCHEMES, ParameterError, SchemeId, SystemParams, check_rounds
+from .core import (COOP_SCHEMES, ParameterError, SchemeId, SystemParams, check_rounds,
+                   check_seed)
 
 _MASK64 = (1 << 64) - 1
 _DRAWS_PER_TRIAL = 4  # uniforms per episode: g11, g21, g22, g_relay
@@ -64,6 +65,7 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
+        check_seed(self.seed)
         grid = self.rho_db_grid
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("rho_db_grid must be strictly increasing")
@@ -353,6 +355,7 @@ def run_trials(scheme: SchemeId | str, params: SystemParams, rho: float,
     scheme = SchemeId(scheme)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    check_seed(seed)
 
     def block(done):
         n = min(_BLOCK, trials - done)

@@ -1,7 +1,8 @@
 """Randomized agreement checks: at random operating points, each scheme's
 closed forms (:mod:`zicarq.analytic`) against their oracle twins from
-:mod:`zicarq.regions`: ``oracle_d1_hk``, ``oracle_rx1_hk`` (round L for
-hk-keep, round 1 for Tian's single term), ``oracle_d2_coop``, and minima
+:mod:`zicarq.regions`: ``oracle_hk`` (d1 and d2 of hk and tian, and RX1's
+round-1 term for Tian's single-term form), ``oracle_d1_hk`` (hk-stop),
+``oracle_rx1_hk`` (round L for hk-keep), ``oracle_d2_coop``, and minima
 over single regions, whose builders take their rounds from ``p.L``.  The
 cooperative d1 of coop-cmo and coop-dd is checked piece by piece and as
 the min of its two piece minima, which costs no oracle call.  This module
@@ -16,6 +17,7 @@ from .core import COOP_SCHEMES, RATE_FLOOR, ParameterError, SchemeId, SystemPara
 from .regions import (
     oracle_d1_hk,
     oracle_d2_coop,
+    oracle_hk,
     oracle_min_exponent,
     oracle_min_exponent_coop,
     oracle_rx1_hk,
@@ -77,16 +79,18 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
         return oracle_min_exponent_coop(region_coop(name, p))
 
     if scheme is SchemeId.HK:
-        yield "d1_hk", analytic.d1_hk(p), oracle_d1_hk(p)
-        yield "d2_hk", analytic.d2_hk(p), oracle_min_exponent(region_rx2_hk(p))
+        d1, d2, _ = oracle_hk(p)
+        yield "d1_hk", analytic.d1_hk(p), d1
+        yield "d2_hk", analytic.d2_hk(p), d2
     elif scheme is SchemeId.CMO:
         yield "d1_cmo", analytic.d1_cmo(p), oracle_min_exponent(region_rx1_cmo(p))
         yield "d2_cmo", analytic.d2_cmo(p), oracle_min_exponent(region_rx2_hk(p))
     elif scheme is SchemeId.TIAN:
-        yield "d1_tian_general", analytic.d1_tian_general(p), oracle_d1_hk(p)
+        d1, d2, terms = oracle_hk(p)
+        yield "d1_tian_general", analytic.d1_tian_general(p), d1
         # the single-term closed form is the ACK-at-round-1 term
-        yield "d1_tian", analytic.d1_tian(p), oracle_rx1_hk(p, 1)
-        yield "d2_tian", analytic.d2_tian(p), oracle_min_exponent(region_rx2_hk(p))
+        yield "d1_tian", analytic.d1_tian(p), terms[0]
+        yield "d2_tian", analytic.d2_tian(p), d2
     elif scheme is SchemeId.HK_KEEP:
         yield "d1_hk_keep", analytic.d1_hk_keep(p), oracle_rx1_hk(p, p.L)
     elif scheme is SchemeId.HK_STOP:

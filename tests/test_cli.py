@@ -704,6 +704,30 @@ class TestBadInput:
         assert f"error: {message}" in err
         assert "Traceback" not in err
 
+    # the Monte Carlo key holds 64 bits of the seed, so 7, 2**64 + 7 and
+    # 7 - 2**64 would run the same trials; verify refuses the same range
+    @pytest.mark.parametrize("argv", [
+        pytest.param(argv, id=" ".join(argv).replace(str(seed), name))
+        for seed, name in ((-1, "-1"), (2**64 + 7, "2**64+7"), (7 - 2**64, "7-2**64"),
+                           (2**64, "2**64"))
+        for argv in (["simulate", "--trials", "10", "--rho-db", "20", f"--seed={seed}"],
+                     ["throughput", "--trials", "10", "--rho-db", "20", f"--seed={seed}"],
+                     ["verify", "--samples", "1", f"--seed={seed}"])])
+    def test_seed_outside_64_bits(self, argv, tmp_path, capsys):
+        rc = run(argv + ["--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: --seed must be an integer in [0, 2**64)" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "throughput", "verify"])
+    def test_seed_outside_64_bits_in_config(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {2**64 + 7}\n")
+        rc = run([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "error: --seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
     def test_grid_point_cap(self):
         # refused from the counts alone, before any point is built
         with pytest.raises(ParameterError, match="grid points"):
@@ -790,3 +814,22 @@ def test_curve_golden(tmp_path):
                 assert rc == 0, (L, base, sweep)
                 digest.update(out.read_bytes())
     assert digest.hexdigest() == CURVE_GOLDEN
+
+
+# The stdout and --out CSV of verify at seeds 7 and 11, all eight schemes,
+# concatenated in order, hash to VERIFY_GOLDEN: every worst gap and the
+# point where it occurred, recorded before the oracle's minimisers were
+# stacked per operating point.
+VERIFY_GOLDEN = "3cc8daec3838d4807562c196e05e6921d593775d8443acde0ff6381da1fb6411"
+
+
+def test_verify_golden(tmp_path, capsys):
+    digest = hashlib.sha256()
+    out = tmp_path / "v.csv"
+    for seed in (7, 11):
+        rc = run(["verify", "--samples", "40", "--tol", "1e-9", "--seed", str(seed),
+                  "--out", str(out)])
+        assert rc == 0, seed
+        digest.update(capsys.readouterr().out.encode())
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == VERIFY_GOLDEN

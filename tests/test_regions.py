@@ -640,3 +640,129 @@ class TestSubsetCheck:
         for i in (1, 2):
             outside = np.nonzero(~region_o12_hk(p, i, stop=True).member(g11, g21))[0]
             assert escapes[i].size and np.array_equal(escapes[i], outside), i
+
+
+def _min_rx2_alone(region):
+    """The minimum over one RX2 region by its own root solve: the box ends
+    and the piece roots inside the box, the smallest member."""
+    a, _, c = region.lines[:, 0].T
+    roots = -c[a != 0] / a[a != 0]
+    cand = np.concatenate([[0.0, region.cap], roots[(roots > 0.0) & (roots < region.cap)]])
+    size = region.sizes[:, 0].max(axis=0, initial=0.0)
+    inside = region.member(cand, slack=regions._SLACK * (size[0] * cand + size[2]))
+    return float(cand[inside].min()) if inside.any() else math.inf
+
+
+def _kinks_cell_by_cell(region, lo, hi):
+    """regions._kinks with np.roots called on each cell's gap on its own."""
+    (v_lo, _, k_lo), (v_hi, _, k_hi) = (np.array(ends).reshape(-1, 3).T for ends in (lo, hi))
+    k_lo, k_hi = k_lo.astype(int), k_hi.astype(int)
+    num, den = region.event.vertex_sums
+    left, right = regions._poly_mul(
+        np.tensordot(region.theta, num[:, np.concatenate([k_lo, k_hi])], 1),
+        den[np.concatenate([k_hi, k_lo])]).reshape(2, len(v_lo), -1)
+    gap = left - right
+    scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
+    cells, out = [], []
+    for c in np.nonzero(np.abs(gap).max(axis=1) > 1e-12 * scale)[0]:
+        f = np.roots(gap[c, ::-1])
+        f = f.real[np.abs(f.imag) <= 1e-6]
+        f = f[(f >= 1.0 / v_hi[c]) & (f <= 1.0 / v_lo[c])]
+        cells += [c] * len(f)
+        out.append(1.0 / f)
+    return cells, np.concatenate(out) if out else np.empty(0)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestStackedPasses:
+    """The oracle solves a point's RX1 regions in one vertex pass and its
+    RX2 regions in one root pass; each region's minimum must come out bit
+    for bit as if it were solved alone, whatever its batch."""
+
+    @staticmethod
+    def _families(rng, L):
+        scheme = SchemeId(("hk", "hk-stop", "tian", "cmo")[int(rng.integers(0, 4))])
+        p = sample_params(rng, scheme).replace(L=L)
+        if rng.random() < 0.15:
+            p = p.replace(b=float(rng.choice([1e20, 2.0])), beta=float(rng.choice([0.0, 5.0])))
+        rx1 = [region_rx1_cmo(p), *(region(p, i) for i in range(1, L + 1)
+                                    for region in (region_o11_hk, region_o12_hk,
+                                                   lambda p, i: region_o12_hk(p, i, True)))]
+        return p, rx1, [region_rx2_hk(p.replace(L=l)) for l in range(1, L + 1)]
+
+    @staticmethod
+    def _empty(p):
+        g11, g21, _ = symbols()
+        return (OutageRegion("EMPTY", "rx1", pos_part(g11) + pos_part(g21) + 1.0 < 0.5, p),
+                OutageRegion("EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5, p))
+
+    def _batches(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(60):
+            rx1, rx2 = [], []
+            for L in rng.integers(1, 9, 3).tolist():
+                p, one, two = self._families(rng, L)
+                empty1, empty2 = self._empty(p)
+                rx1 += one + [empty1]
+                rx2 += two + [empty2]
+            for pool in (rx1, rx2):
+                rng.shuffle(pool)
+            size = int(rng.integers(1, 41))
+            yield rx1[:size], rx2[:size]
+
+    def test_min_rx1_equals_the_solve_alone(self):
+        found = set()
+        for batch, _ in self._batches(31):
+            alone = [regions._min_gamma(region, np.ones(1))[0][0] for region in batch]
+            assert _bits(regions._min_rx1(batch)) == _bits(alone), batch
+            found.update(map(math.isfinite, alone))
+        assert found == {True, False}
+
+    def test_min_rx2_equals_the_solve_alone(self):
+        found = set()
+        for _, batch in self._batches(32):
+            alone = [_min_rx2_alone(region) for region in batch]
+            assert _bits(regions._min_rx2(batch)) == _bits(alone), batch
+            found.update(map(math.isfinite, alone))
+        assert found == {True, False}
+
+    def test_oracle_hk_reads_the_same_minima(self):
+        rng = np.random.default_rng(33)
+        for n in range(40):
+            p = sample_params(rng, SchemeId.HK).replace(L=n % 8 + 1)
+            for stop in (False, True):
+                d1, d2, terms = regions.oracle_hk(p, stop)
+                assert d1 == oracle_d1_hk(p, stop)
+                assert d2 == oracle_min_exponent(region_rx2_hk(p))
+                assert terms == [oracle_rx1_hk(p, i, stop) for i in range(1, p.L + 1)]
+
+    def test_roots_equal_np_roots_row_by_row(self):
+        rng = np.random.default_rng(34)
+        for n in range(300):
+            polys = rng.normal(size=(int(rng.integers(0, 7)), 5))
+            # zero leading, trailing and inner coefficients, and all-zero rows
+            polys[rng.random(polys.shape) < 0.3] = 0.0
+            if len(polys) and n % 5 == 0:
+                polys[0] = 0.0
+            for row, got in zip(polys, regions._roots(polys), strict=True):
+                want = np.roots(row)
+                assert np.real(got).tobytes() == np.real(want).tobytes(), row
+                assert np.imag(got).tobytes() == np.imag(want).tobytes(), row
+
+    def test_kinks_equal_np_roots_cell_by_cell(self):
+        rng = np.random.default_rng(35)
+        found = 0
+        for n in range(200):
+            p = sample_params(rng, SchemeId.COOP_DD)
+            region = region_coop(COOP_EVENTS[n % len(COOP_EVENTS)], p)
+            v = np.linspace(1.0, 1.0 / p.r1, int(rng.integers(2, 8)))
+            g, k = regions._min_gamma(region, 1.0 / v)
+            ends = list(zip(v.tolist(), (g + (1.0 - p.r1 * v)).tolist(), k.tolist()))
+            cells, roots = regions._kinks(region, ends[:-1], ends[1:])
+            want_cells, want = _kinks_cell_by_cell(region, ends[:-1], ends[1:])
+            assert cells == list(want_cells) and roots.tobytes() == want.tobytes()
+            found += len(roots)
+        assert found > 50

@@ -330,6 +330,14 @@ class TestEstimateDiversity:
         with pytest.raises(ParameterError, match="strictly increasing"):
             SimConfig(rho_db_grid=(10, 10), trials=10, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 7 - 2**64, 7.0, True])
+    def test_seed_outside_64_bits(self, seed):
+        # the key holds 64 bits, so these would alias seeds in [0, 2**64)
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            SimConfig(rho_db_grid=(10,), trials=10, seed=seed)
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            simulator.run_trials(SchemeId.CMO, P(r1=0.2, r2=0.2), 100.0, 10, seed)
+
 
 class TestEstimateThroughput:
     def test_single_round_ratio_is_one(self):
