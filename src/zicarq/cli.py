@@ -45,7 +45,10 @@ def _parse_triplet(text: str, what: str) -> list[float]:
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ParameterError(f"{what} expects LO:HI:STEP, got {text!r}")
-    values = [float(v) for v in parts]
+    try:
+        values = [float(v) for v in parts]
+    except ValueError:
+        raise ParameterError(f"{what}: values must be numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ParameterError(f"{what}: values must be finite, got {text!r}")
     if len(values) == 1:

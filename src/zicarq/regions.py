@@ -16,13 +16,15 @@ alone (L, the round index, the f multipliers).  So each family's tree is
 built once per structure and kept for the process, together with its level
 lines, the pairs of lines that are not parallel, the denominators of the
 vertex sums, and its membership test compiled to straight-line steps over
-the stacked affine leaves; so are, per stack of families solved together,
-the pairs' gamma coefficients and determinants at f = 1.  A region binds its point, box side included, when it is
-built: its lines, the sizes of their terms and its leaves come from one
-product of the constant columns with theta = (beta, b, r1, r2, t2, cap, 1),
-which is >= 0, so |c| times theta is the size of a line's terms.  The
-regions an oracle call needs at one point share one such product, and a
-membership test evaluates every leaf in one broadcast.
+the stacked affine leaves.  Per stack of events solved in one pass, the
+layout of the pass is kept too, with the pairs' gamma coefficients and
+determinants at f = 1; a pass at other f forms them from f.  A region
+binds its point, box side included, when it is built: its lines, the
+sizes of their terms and its leaves come from one product of the constant
+columns with theta = (beta, b, r1, r2, t2, cap, 1), which is >= 0, so |c|
+times theta is the size of a line's terms.  The regions an oracle call
+needs at one point share one such product, and a membership test
+evaluates every leaf in one broadcast.
 
 Minimisation.  A diversity exponent is the infimum of the objective over
 the open outage region, which is its minimum over the region's closure
@@ -37,12 +39,15 @@ equal ``r``, so every vertex is the intersection of two lines from a
 finite set: the level lines ``piece = r`` of every affine piece, and the
 four box edges.  The oracle intersects them pairwise, keeps the points
 in the closure (``F <= r`` up to a rounding slack scaled to the size of
-the level pieces at the point), and takes the smallest objective.  RX2
-events are 1-D: the candidates are the piece roots and the box ends.  The
-RX1 regions of a point are solved in one vertex pass and its RX2 regions
-in one root pass: every region's candidates are computed together, each
-region's program tests its own, and each minimum is bit for bit the one
-the region gives alone.
+the level pieces at the point), and takes the smallest objective.  An
+RX2 event reads gamma22 in the first coordinate and has no gamma21 term,
+so its level lines meet the edge gamma21 = 0 at their roots, and the
+same enumeration minimises gamma22.  One vertex pass solves rows, each a
+region at a listening fraction f: the regions of an oracle call at one
+point, RX1 and RX2 together, or a cooperative region at each v of a
+search round.  Every row's vertices are computed together, each run of
+rows of one region is tested by its program in one call, and each row's
+minimum is bit for bit the one it gives alone.
 
 Cooperative events add the relay-link cost u = 1 - r1*v with v = 1/f.
 The gamma solve above is exact at each v, so only v is searched, with no
@@ -50,8 +55,8 @@ grid.  The search evaluates the two ends v = 1 and v = 1/r1 and keeps
 cells of v between evaluated points.  In a cell whose two finite ends
 have different optimal vertices it takes the exact v where those two
 vertices' objectives (ratios of quadratics in f) cross, all such roots
-of a round from one eigenvalue call per companion size and in one gamma
-solve.  A root whose optimal vertex is neither end's splits its cell
+of a round from one eigenvalue call per companion size and in one vertex
+pass.  A root whose optimal vertex is neither end's splits its cell
 there, and the two halves are searched again; a cell with an infinite end
 is halved, down to the resolution of a 17-point grid.  The objective is
 piecewise concave in v, so its minimum sits at such a kink or at an
@@ -64,7 +69,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import groupby
 
 import numpy as np
 
@@ -317,11 +322,12 @@ class _Event:
 
     @cached_property
     def pieces(self) -> np.ndarray:
-        """What a region binds: the candidates, |candidates| of the level
-        lines (the box edges excluded), and the program's leaves.  theta is
-        >= 0, so the second block bound is the size of each line's terms."""
-        lines = self.candidates
-        return np.concatenate([lines, np.abs(lines[:-4]), self.program.leaves])
+        """What a region binds: the candidates, their sizes, and the
+        program's leaves.  theta is >= 0, so a level line's |coefficients|
+        bound are the size of its terms; a box edge's sizes are 0."""
+        sizes = np.abs(self.candidates)
+        sizes[-4:] = 0.0
+        return np.concatenate([self.candidates, sizes, self.program.leaves])
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -372,12 +378,12 @@ class OutageRegion:
             bound = theta, _bind(event.pieces, theta)
         self.theta, pieces = bound
         # the oracle's candidate lines at this point, and the size of every
-        # level line's terms (|a|, |b|, and the sum of |c_k|*theta_k; the
-        # box edges excluded), which bounds the rounding of a level value
+        # line's terms (|a|, |b|, and the sum of |c_k|*theta_k; 0 for the
+        # box edges), which bounds the rounding of a level value
         n = len(event.candidates)
         self.lines = pieces[:n]
-        self.sizes = pieces[n:2 * n - 4]
-        self.leaves = pieces[2 * n - 4:]
+        self.sizes = pieces[n:2 * n]
+        self.leaves = pieces[2 * n:]
 
     def __repr__(self):
         return f"OutageRegion({self.region_id})"
@@ -517,94 +523,90 @@ def region_coop(name: str, p: SystemParams) -> OutageRegion:
 # oracle internals
 # ---------------------------------------------------------------------------
 
-def _min_gamma(region, f):
-    """Exact min of gamma11 + gamma21 over the region at each listening
-    fraction in ``f`` (shape (n,)), and the index of the minimising pair
-    (+inf where no vertex enters the region)."""
-    lines, sizes, cap = region.lines, region.sizes, region.cap
-    at = lines[:, 0] + f[:, None, None] * lines[:, 1]
-    i, j = region.event.pairs
-    a_i, b_i, c_i = at[:, i, 0], at[:, i, 1], at[:, i, 2]
-    a_j, b_j, c_j = at[:, j, 0], at[:, j, 1], at[:, j, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = a_i * b_j - a_j * b_i
-        x = (b_i * c_j - b_j * c_i) / det
-        y = (a_j * c_i - a_i * c_j) / det
-    lo, hi = -_SLACK * cap, cap * (1.0 + _SLACK)
-    rows, cols = np.nonzero((x >= lo) & (x <= hi) & (y >= lo) & (y <= hi))
-    g11 = np.clip(x[rows, cols], 0.0, cap)
-    g21 = np.clip(y[rows, cols], 0.0, cap)
-    # the largest level line's terms at each vertex, bounded column by column
-    size = (sizes[:, 0] + f[:, None, None] * sizes[:, 1]).max(axis=1, initial=0.0)[rows]
-    slack = _SLACK * (size[:, 0] * g11 + size[:, 1] * g21 + size[:, 2])
-    inside = region.member(g11, g21, f[rows], slack=slack)
-    obj = np.full(x.shape, np.inf)
-    obj[rows[inside], cols[inside]] = g11[inside] + g21[inside]
-    k = obj.argmin(axis=1)
-    return obj[np.arange(len(f)), k], k
+def _cramer(at, take):
+    """Cramer's rule for the vertex of each pair (i, j) of the lines in
+    ``at``, rows (a, b, c) of a*gamma11 + b*gamma21 + c = 0: the vertex is
+    (left * (c_j, c_i) - right * (c_i, c_j)) / det with left = (b_i, a_j),
+    right = (b_j, a_i) and det = a_i*b_j - a_j*b_i.  ``take`` holds the flat
+    indices into ``at`` of left, right, (c_j, c_i) and (c_i, c_j), each
+    (2, pairs); returns those four and det."""
+    left, right, c_ji, c_ij = at.take(take)
+    return left, right, c_ji, c_ij, right[0] * right[1] - left[0] * left[1]
 
 
 @lru_cache(maxsize=_FAMILIES)
 def _vertex_pairs(events):
-    """The pairs of a stack of events at f = 1, each event's lines numbered
-    after those of the events before it: the lines (j, i) and (i, j) of
-    every pair and the gamma coefficients (b_i, a_j) and (b_j, a_i) that
-    multiply their constants in the vertex solve, each as a (2, pairs)
-    array; the pair's determinant; the event it is of; and where each
-    event's pairs start, the total last."""
+    """The layout of a vertex pass over a stack of events, a row each, each
+    event's lines numbered after those of the events before it: what
+    _cramer takes of every pair; the row of every line and of every pair;
+    where each row's lines and pairs start, the totals last; and the
+    pairs' left, right and det at f = 1, which need no constant."""
     lines = np.cumsum([0] + [len(event.candidates) for event in events])
-    i, j = (np.concatenate([event.pairs[k] + n for event, n in zip(events, lines)])
-            for k in (0, 1))
-    candidates = np.concatenate([event.candidates for event in events])
-    at = candidates[:, 0, :2] + candidates[:, 1, :2]
-    a_i, b_i, a_j, b_j = at[i, 0], at[i, 1], at[j, 0], at[j, 1]
+    ij = np.array([np.concatenate([event.pairs[k] + n for event, n in zip(events, lines)])
+                   for k in (0, 1)])
+    ji = ij[::-1]
+    take = np.array([3 * ij + [[1], [0]], 3 * ji + [[1], [0]], 3 * ji + 2, 3 * ij + 2])
     counts = [len(event.pairs[0]) for event in events]
-    return (np.array([j, i]), np.array([i, j]), np.array([b_i, a_j]), np.array([b_j, a_i]),
-            a_i * b_j - a_j * b_i, np.repeat(np.arange(len(events)), counts),
-            np.cumsum([0] + counts))
+    rows = np.arange(len(events))
+    candidates = np.concatenate([event.candidates for event in events])
+    gamma = np.pad(candidates[:, 0, :2] + candidates[:, 1, :2], ((0, 0), (0, 1)))
+    left, right, _, _, det = _cramer(gamma, take)
+    return (take, np.repeat(rows, np.diff(lines)), lines, np.repeat(rows, counts),
+            np.cumsum([0] + counts), (left, right, det))
 
 
-def _each(regions, bounds, g11, g21, slack):
-    """Membership at f = 1 of the candidates (g11, g21), where candidates
-    bounds[r]:bounds[r + 1] are those of regions[r]: each region's program
-    runs on its own slice."""
-    inside = np.empty(len(g11), dtype=bool)
-    for region, lo, hi in zip(regions, bounds[:-1].tolist(), bounds[1:].tolist()):
-        if lo < hi:
-            inside[lo:hi] = region.member(g11[lo:hi], g21[lo:hi], 1.0, slack[lo:hi])
-    return inside
-
-
-def _largest_sizes(regions, f):
-    """The column-wise max over each region's level lines of their sizes
-    at f, 0 where it has none, as (regions, 3): a row of zeros goes before
-    each region's rows."""
-    zero = np.zeros((1, 2, 3))
-    sizes = np.concatenate([part for region in regions for part in (zero, region.sizes)])
-    starts = accumulate((len(region.sizes) + 1 for region in regions[:-1]), initial=0)
-    return np.maximum.reduceat(sizes[:, 0] + f * sizes[:, 1], list(starts))
-
-
-def _min_rx1(regions) -> list[float]:
-    """min gamma11 + gamma21 over each RX1 region, by vertex enumeration at
-    f = 1, the vertices of every region in one pass: for each region
-    ``_min_gamma(region, np.ones(1))``, bit for bit."""
-    ji, ij, left, right, det, owner, starts = _vertex_pairs(
+def _vertex_minima(regions, f=None):
+    """min gamma11 + gamma21 over each row, regions[r] at the listening
+    fraction f[r] (every row at f = 1 where ``f`` is None), and the index
+    of the minimising pair among the pairs of the row's event: +inf and 0
+    where no vertex enters the region.  Every row's vertices are solved in
+    one pass, and each row comes out bit for bit as it does alone.  RX2
+    rows read gamma22 in gamma11; their level lines have no gamma21 term,
+    so each meets the edge gamma21 = 0 at its root."""
+    take, line_row, line_starts, row, starts, at_one = _vertex_pairs(
         tuple(region.event for region in regions))
     lines = np.concatenate([region.lines for region in regions])
-    c = lines[:, 0, 2] + lines[:, 1, 2]
+    sizes = np.concatenate([region.sizes for region in regions])
+    if f is None:
+        lines, sizes = lines[:, 0] + lines[:, 1], sizes[:, 0] + sizes[:, 1]
+        (left, right, det), (c_ji, c_ij) = at_one, lines.take(take[2:])
+    else:
+        f = np.asarray(f, dtype=float)
+        lines = lines[:, 0] + f[line_row, None] * lines[:, 1]
+        sizes = sizes[:, 0] + f[line_row, None] * sizes[:, 1]
+        left, right, c_ji, c_ij, det = _cramer(lines, take)
     # every pair's vertex (gamma11, gamma21), by Cramer's rule
     with np.errstate(divide="ignore", invalid="ignore"):
-        xy = (left * c[ji] - right * c[ij]) / det
-    cap = np.array([region.cap for region in regions])[owner]
-    (k,) = np.nonzero(((xy >= -_SLACK * cap) & (xy <= cap * (1.0 + _SLACK))).all(axis=0))
-    g11, g21 = np.clip(xy[:, k], 0.0, cap[k])
-    size = _largest_sizes(regions, 1.0)[owner[k]]
+        xy = (left * c_ji - right * c_ij) / det
+    cap = np.array([region.cap for region in regions])[row]
+    box = (xy >= -_SLACK * cap) & (xy <= cap * (1.0 + _SLACK))
+    (k,) = np.nonzero(box[0] & box[1])
+    g11, g21 = np.clip(xy.take(k, axis=1), 0.0, cap[k])
+    # the largest line's terms at each vertex, column by column
+    k_row = row[k]
+    size = np.maximum.reduceat(sizes, line_starts[:-1])[k_row]
     slack = _SLACK * (size[:, 0] * g11 + size[:, 1] * g21 + size[:, 2])
-    inside = _each(regions, np.searchsorted(k, starts), g11, g21, slack)
-    obj = np.full(len(det), np.inf)
-    obj[k[inside]] = g11[inside] + g21[inside]
-    return np.minimum.reduceat(obj, starts[:-1]).tolist()
+    # each run of rows of one region tests its vertices in one program call
+    inside = np.empty(len(k), dtype=bool)
+    f = None if f is None else f[k_row]
+    bounds, first = np.searchsorted(k, starts).tolist(), 0
+    for region, run in groupby(regions):
+        last = first + len(list(run))
+        lo, hi = bounds[first], bounds[last]
+        inside[lo:hi] = region.member(g11[lo:hi], g21[lo:hi], 1.0 if f is None else f[lo:hi],
+                                      slack[lo:hi])
+        first = last
+    obj = np.full(len(row), np.inf)
+    obj[k[inside]] = (g11 + g21)[inside]
+    # the first pair of each row at its minimum
+    at_min = obj == np.minimum.reduceat(obj, starts[:-1])[row]
+    first = np.minimum.reduceat(np.where(at_min, np.arange(len(row)), len(row)), starts[:-1])
+    return obj[first], first - starts[:-1]
+
+
+# The benchmark's tracer (bench/tracing.py) wraps the oracle's solvers
+# under these names; both are the one vertex pass.
+_min_rx1 = _min_rx2 = _vertex_minima
 
 
 def _poly_mul(p, q):
@@ -676,7 +678,7 @@ def _min_coop(region: OutageRegion) -> float:
     r1 = region.rate
 
     def cost(v):
-        g, k = _min_gamma(region, 1.0 / v)
+        g, k = _vertex_minima([region] * len(v), 1.0 / v)
         return list(zip(v.tolist(), (g + (1.0 - r1 * v)).tolist(), k.tolist()))
 
     ends = cost(np.array([1.0, 1.0 / r1]))
@@ -706,44 +708,6 @@ def _min_coop(region: OutageRegion) -> float:
     return float(best)
 
 
-@lru_cache(maxsize=_FAMILIES)
-def _root_slots(events):
-    """For a stack of RX2 events: the lines with a gamma22 term, each
-    event's numbered after those of the events before it, and their
-    coefficients; the event of each; and the candidates' layout, event
-    after event a box end at 0, one at cap and a root per such line: where
-    each root goes, the event of each candidate, and where each event's
-    candidates start, the total last."""
-    a = [event.candidates[:, 0, 0] for event in events]
-    lines = np.flatnonzero(np.concatenate(a))
-    counts = [np.count_nonzero(coef) for coef in a]
-    starts = np.cumsum([0] + [2 + n for n in counts])
-    slots = np.concatenate([start + 2 + np.arange(n) for start, n in zip(starts, counts)])
-    event = np.arange(len(events))
-    return (lines, np.concatenate(a)[lines], np.repeat(event, counts), slots,
-            np.repeat(event, np.diff(starts)), starts)
-
-
-def _min_rx2(regions) -> list[float]:
-    """min gamma22 over each RX2 region: the smallest member among its
-    piece roots and its box ends, the candidates of every region in one
-    pass."""
-    lines, a, owner, slots, cand_owner, starts = _root_slots(
-        tuple(region.event for region in regions))
-    roots = -np.concatenate([region.lines[:, 0, 2] for region in regions])[lines] / a
-    caps = np.array([region.cap for region in regions])
-    cand = np.zeros(starts[-1])
-    cand[starts[:-1] + 1] = caps
-    cand[slots] = roots
-    # a root outside the open box is no candidate (an end already is)
-    valid = np.ones(len(cand), dtype=bool)
-    valid[slots] = (roots > 0.0) & (roots < caps[owner])
-    size = _largest_sizes(regions, 0.0)[cand_owner]
-    slack = _SLACK * (size[:, 0] * cand + size[:, 2])
-    inside = _each(regions, starts, cand, np.zeros(len(cand)), slack)
-    return np.minimum.reduceat(np.where(inside & valid, cand, np.inf), starts[:-1]).tolist()
-
-
 def _check_domain(region: OutageRegion):
     if region.rate < RATE_FLOOR:
         raise ParameterError(
@@ -763,12 +727,12 @@ def _check_domain(region: OutageRegion):
 # oracle surface
 # ---------------------------------------------------------------------------
 
-def _minima(rx1, rx2=()) -> tuple[list[float], list[float]]:
-    """The minima over RX1 regions, in one vertex pass, and over RX2
-    regions, in one root pass; every region's domain is checked first."""
-    for region in (*rx1, *rx2):
+def _minima(regions) -> list[float]:
+    """The minima over non-cooperative regions, in one vertex pass; every
+    region's domain is checked first."""
+    for region in regions:
         _check_domain(region)
-    return _min_rx1(rx1) if rx1 else [], _min_rx2(rx2) if rx2 else []
+    return _vertex_minima(regions)[0].tolist()
 
 
 def oracle_min_exponent(region: OutageRegion) -> float:
@@ -780,7 +744,7 @@ def oracle_min_exponent(region: OutageRegion) -> float:
     _check_domain(region)
     if region.kind == "coop":
         raise ValueError("use oracle_min_exponent_coop for listening-phase regions")
-    return (_min_rx2 if region.kind == "rx2" else _min_rx1)([region])[0]
+    return _vertex_minima([region])[0].item()
 
 
 def oracle_min_exponent_coop(region: OutageRegion) -> float:
@@ -797,18 +761,18 @@ def oracle_rx1_hk(p: SystemParams, i: int, stop: bool = False) -> float:
     """RX1 exponent given TX2's ACK at round i (of L): the smaller of the
     individual-rate (O11) and joint-rate (O12) outage minima.  With
     ``stop``, TX2 stops both streams after its ACK."""
-    return min(_minima(_at_point(p, [_o11(p.L, i), _o12(p.L, i, stop)]))[0])
+    return min(_minima(_at_point(p, [_o11(p.L, i), _o12(p.L, i, stop)])))
 
 
 def _hk(p: SystemParams, stop: bool, rx2_rounds: int):
     """RX1's exponent under rate splitting, RX1's term at each ACK round
     i = 1..L (as :func:`oracle_rx1_hk`), and RX2's minima after 1 to
-    ``rx2_rounds`` rounds: one vertex pass over the 2L RX1 regions and one
-    root pass over the RX2 ones."""
+    ``rx2_rounds`` rounds: one vertex pass over the 2L RX1 regions and the
+    RX2 ones."""
     L = p.L
     specs = [spec for i in range(1, L + 1) for spec in (_o11(L, i), _o12(L, i, stop))]
-    regions = _at_point(p, specs + [_rx2(l) for l in range(1, rx2_rounds + 1)])
-    rx1, rx2 = _minima(regions[:2 * L], regions[2 * L:])
+    minima = _minima(_at_point(p, specs + [_rx2(l) for l in range(1, rx2_rounds + 1)]))
+    rx1, rx2 = minima[:2 * L], minima[2 * L:]
     terms = [min(o11, o12) for o11, o12 in zip(rx1[::2], rx1[1::2])]
     # TX2 ACKs at round i after needing more than i - 1 rounds
     return min(prefix + term for prefix, term in zip([0.0, *rx2], terms)), terms, rx2
@@ -827,9 +791,16 @@ def oracle_hk(p: SystemParams, stop: bool = False) -> tuple[float, float, list[f
     """(d1, d2, terms) under rate splitting: :func:`oracle_d1_hk`, RX2's
     exponent after L rounds (the minimum over :func:`region_rx2_hk`), and
     RX1's term at each ACK round i (:func:`oracle_rx1_hk`, terms[i - 1]),
-    from the one vertex pass and one root pass that d1 needs."""
+    from the one vertex pass that d1 needs."""
     d1, terms, rx2 = _hk(p, stop, p.L)
     return d1, rx2[-1], terms
+
+
+def oracle_cmo(p: SystemParams) -> tuple[float, float]:
+    """(d1, d2) under common-message-only decoding: the minima over
+    :func:`region_rx1_cmo` and :func:`region_rx2_hk`, in one vertex pass."""
+    d1, d2 = _minima(_at_point(p, [_rx1_cmo(p.L), _rx2(p.L)]))
+    return d1, d2
 
 
 def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
@@ -846,6 +817,5 @@ def oracle_d2_coop(p: SystemParams, scheme: SchemeId | str) -> float:
         round1.append(_rx1_cmo(1))
     if scheme is not SchemeId.COOP_CMO:
         round1.append(_o11(1, 1))
-    regions = _at_point(p, round1 + [_rx2(1), _rx2(2)])
-    rx1, (one, two) = _minima(regions[:-2], regions[-2:])
+    *rx1, one, two = _minima(_at_point(p, round1 + [_rx2(1), _rx2(2)]))
     return min(max(rx1) + one, two)

@@ -1,9 +1,9 @@
 """Randomized agreement checks: at random operating points, each scheme's
 closed forms (:mod:`zicarq.analytic`) against their oracle twins from
 :mod:`zicarq.regions`: ``oracle_hk`` (d1 and d2 of hk and tian, and RX1's
-round-1 term for Tian's single-term form), ``oracle_d1_hk`` (hk-stop),
-``oracle_rx1_hk`` (round L for hk-keep), ``oracle_d2_coop``, and minima
-over single regions, whose builders take their rounds from ``p.L``.  The
+round-1 term for Tian's single-term form), ``oracle_cmo`` (d1 and d2 of
+cmo), ``oracle_d1_hk`` (hk-stop), ``oracle_rx1_hk`` (round L for
+hk-keep), ``oracle_d2_coop``, and minima over cooperative regions.  The
 cooperative d1 of coop-cmo and coop-dd is checked piece by piece and as
 the min of its two piece minima, which costs no oracle call.  This module
 only samples the points and pairs the values."""
@@ -15,15 +15,13 @@ import numpy as np
 from . import analytic
 from .core import COOP_SCHEMES, RATE_FLOOR, ParameterError, SchemeId, SystemParams
 from .regions import (
+    oracle_cmo,
     oracle_d1_hk,
     oracle_d2_coop,
     oracle_hk,
-    oracle_min_exponent,
     oracle_min_exponent_coop,
     oracle_rx1_hk,
     region_coop,
-    region_rx1_cmo,
-    region_rx2_hk,
 )
 
 VERIFY_SCHEMES = ("hk", "cmo", "tian", "hk-keep", "coop-cmo", "coop-tian", "coop-dd",
@@ -83,8 +81,9 @@ def _verify_checks(scheme: SchemeId, p: SystemParams):
         yield "d1_hk", analytic.d1_hk(p), d1
         yield "d2_hk", analytic.d2_hk(p), d2
     elif scheme is SchemeId.CMO:
-        yield "d1_cmo", analytic.d1_cmo(p), oracle_min_exponent(region_rx1_cmo(p))
-        yield "d2_cmo", analytic.d2_cmo(p), oracle_min_exponent(region_rx2_hk(p))
+        d1, d2 = oracle_cmo(p)
+        yield "d1_cmo", analytic.d1_cmo(p), d1
+        yield "d2_cmo", analytic.d2_cmo(p), d2
     elif scheme is SchemeId.TIAN:
         d1, d2, terms = oracle_hk(p)
         yield "d1_tian_general", analytic.d1_tian_general(p), d1

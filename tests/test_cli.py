@@ -693,6 +693,9 @@ class TestBadInput:
             ("curve --sweep r1:1:0:0.1", "--sweep: HI must be >= LO"),
             ("curve --sweep r1:0:1:0", "--sweep: STEP must be > 0"),
             ("curve --sweep r1:0:1", "--sweep expects VAR:LO:HI:STEP"),
+            ("curve --scheme cmo --sweep r1:a:1:0.1",
+             "--sweep: values must be numbers, got 'a:1:0.1'"),
+            ("throughput --rho-db x", "--rho-db: values must be numbers, got 'x'"),
             ("curve --t2 -0.1", "t2 must be >= 0"),
             ("verify --samples 1 --scheme coop-static",
              "scheme coop-static has no verify checks"),

@@ -1,4 +1,5 @@
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -120,18 +121,25 @@ class TestExprRefusals:
 COOP_EVENTS = ("O1_COOP", "O2_COOP", "O3_COOP", "O11_DD", "O12_DD")
 
 
-def _count_min_gamma(monkeypatch):
-    """Patch the oracle's gamma solve to log how many listening fractions
-    each call solves at."""
+def _count_v_points(monkeypatch):
+    """Patch the oracle's vertex pass to log, for each run of cooperative
+    rows of one region in a pass, how many listening fractions it solves
+    at."""
     sizes = []
-    solve = regions._min_gamma
+    solve = regions._vertex_minima
 
-    def counted(region, f):
-        sizes.append(len(f))
-        return solve(region, f)
+    def counted(rows, f=None):
+        sizes.extend(len(list(run)) for region, run in groupby(rows) if region.kind == "coop")
+        return solve(rows, f)
 
-    monkeypatch.setattr(regions, "_min_gamma", counted)
+    monkeypatch.setattr(regions, "_vertex_minima", counted)
     return sizes
+
+
+def _gamma_minima(region, v):
+    """The exact gamma minima of a cooperative region at each v = 1/f, and
+    their pairs, from one vertex pass."""
+    return regions._vertex_minima([region] * len(v), 1.0 / v)
 
 
 def _reference(node, theta, g11, g21, f, slack):
@@ -290,12 +298,12 @@ class TestOracleSpotValues:
         got = oracle_min_exponent_coop(region)
         assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14
         v = np.linspace(1.0, 1.0 / r1, 3)
-        assert (regions._min_gamma(region, 1.0 / v)[0] + 1.0 - r1 * v).min() - got > 0.02
+        assert (_gamma_minima(region, v)[0] + 1.0 - r1 * v).min() - got > 0.02
 
     def test_coop_search_splits_a_cell(self, monkeypatch):
         # the kink between the ends' optimal vertices has a third optimal
         # vertex, so the search must solve more than the ends and one round
-        sizes = _count_min_gamma(monkeypatch)
+        sizes = _count_v_points(monkeypatch)
         r1, beta = 0.37671331736191965, 1.7328803218152593
         region = region_coop("O11_DD", P(r1=r1, r2=0.498533310040877, beta=beta))
         got = oracle_min_exponent_coop(region)
@@ -307,7 +315,7 @@ class TestOracleSpotValues:
         # average, and no search reaches its round cap
         rng = np.random.default_rng(7)
         points = [sample_params(rng, SchemeId.COOP_DD) for _ in range(200)]
-        sizes = _count_min_gamma(monkeypatch)
+        sizes = _count_v_points(monkeypatch)
         solved, longest = 0, 0
         for p in points:
             for name in COOP_EVENTS:
@@ -328,7 +336,7 @@ class TestOracleSpotValues:
             p = sample_params(rng, SchemeId.COOP_DD)
             region = region_coop(COOP_EVENTS[n % len(COOP_EVENTS)], p)
             v = np.linspace(1.0, 1.0 / p.r1, 6)
-            g, k = regions._min_gamma(region, 1.0 / v)
+            g, k = _gamma_minima(region, v)
             ends = list(zip(v.tolist(), (g + (1.0 - p.r1 * v)).tolist(), k.tolist()))
             lo, hi = ends[:-1], ends[1:]
             cells, roots = regions._kinks(region, lo, hi)
@@ -642,6 +650,34 @@ class TestSubsetCheck:
             assert escapes[i].size and np.array_equal(escapes[i], outside), i
 
 
+def _min_gamma_alone(region, f):
+    """The exact min of gamma11 + gamma21 over one region at each listening
+    fraction in ``f`` (shape (n,)), and the index of the minimising pair
+    (+inf where no vertex enters the region): the region's own vertex
+    solve, every f in one broadcast."""
+    lines, sizes, cap = region.lines, region.sizes, region.cap
+    at = lines[:, 0] + f[:, None, None] * lines[:, 1]
+    i, j = region.event.pairs
+    a_i, b_i, c_i = at[:, i, 0], at[:, i, 1], at[:, i, 2]
+    a_j, b_j, c_j = at[:, j, 0], at[:, j, 1], at[:, j, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = a_i * b_j - a_j * b_i
+        x = (b_i * c_j - b_j * c_i) / det
+        y = (a_j * c_i - a_i * c_j) / det
+    lo, hi = -regions._SLACK * cap, cap * (1.0 + regions._SLACK)
+    rows, cols = np.nonzero((x >= lo) & (x <= hi) & (y >= lo) & (y <= hi))
+    g11 = np.clip(x[rows, cols], 0.0, cap)
+    g21 = np.clip(y[rows, cols], 0.0, cap)
+    # the largest level line's terms at each vertex, bounded column by column
+    size = (sizes[:, 0] + f[:, None, None] * sizes[:, 1]).max(axis=1, initial=0.0)[rows]
+    slack = regions._SLACK * (size[:, 0] * g11 + size[:, 1] * g21 + size[:, 2])
+    inside = region.member(g11, g21, f[rows], slack=slack)
+    obj = np.full(x.shape, np.inf)
+    obj[rows[inside], cols[inside]] = g11[inside] + g21[inside]
+    k = obj.argmin(axis=1)
+    return obj[np.arange(len(f)), k], k
+
+
 def _min_rx2_alone(region):
     """The minimum over one RX2 region by its own root solve: the box ends
     and the piece roots inside the box, the smallest member."""
@@ -678,9 +714,10 @@ def _bits(values):
 
 
 class TestStackedPasses:
-    """The oracle solves a point's RX1 regions in one vertex pass and its
-    RX2 regions in one root pass; each region's minimum must come out bit
-    for bit as if it were solved alone, whatever its batch."""
+    """The oracle solves every region in one vertex pass over (region, f)
+    rows: a point's RX1 and RX2 regions together, and each round of a
+    cooperative search as rows of its region.  Each row's minimum must come
+    out bit for bit as its region's own solve gives it, whatever its batch."""
 
     @staticmethod
     def _families(rng, L):
@@ -695,39 +732,59 @@ class TestStackedPasses:
 
     @staticmethod
     def _empty(p):
-        g11, g21, _ = symbols()
+        g11, g21, f = symbols()
         return (OutageRegion("EMPTY", "rx1", pos_part(g11) + pos_part(g21) + 1.0 < 0.5, p),
-                OutageRegion("EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5, p))
+                OutageRegion("EMPTY22", "rx2", pos_part(g11) + 1.0 < 0.5, p),
+                OutageRegion("EMPTY_COOP", "coop", f * pos_part(1.0 - g11) + 1.0 < 0.5, p))
 
     def _batches(self, seed):
+        """Batches of 1-40 (region, f) rows: RX1 and RX2 regions at f = 1,
+        and cooperative ones at 1-8 random f in [r1, 1] each (f = 1 among
+        them at times), empty regions included, shuffled row by row or as
+        runs of one region's rows."""
         rng = np.random.default_rng(seed)
-        for n in range(60):
-            rx1, rx2 = [], []
+        for n in range(40):
+            runs = []
             for L in rng.integers(1, 9, 3).tolist():
-                p, one, two = self._families(rng, L)
-                empty1, empty2 = self._empty(p)
-                rx1 += one + [empty1]
-                rx2 += two + [empty2]
-            for pool in (rx1, rx2):
-                rng.shuffle(pool)
-            size = int(rng.integers(1, 41))
-            yield rx1[:size], rx2[:size]
+                p, rx1, rx2 = self._families(rng, L)
+                q = sample_params(rng, SchemeId.COOP_DD)
+                *empty, empty_coop = self._empty(q)
+                runs += [[(region, 1.0)] for region in rx1 + rx2 + empty]
+                for region in [region_coop(name, q) for name in COOP_EVENTS] + [empty_coop]:
+                    f = rng.uniform(q.r1, 1.0, int(rng.integers(1, 9)))
+                    f[0] = 1.0 if rng.random() < 0.3 else f[0]
+                    runs.append([(region, x) for x in f.tolist()])
+            rng.shuffle(runs)
+            rows = [row for run in runs for row in run]
+            if n % 2:
+                rng.shuffle(rows)
+            yield rows[:int(rng.integers(1, 41))]
 
-    def test_min_rx1_equals_the_solve_alone(self):
-        found = set()
-        for batch, _ in self._batches(31):
-            alone = [regions._min_gamma(region, np.ones(1))[0][0] for region in batch]
-            assert _bits(regions._min_rx1(batch)) == _bits(alone), batch
-            found.update(map(math.isfinite, alone))
-        assert found == {True, False}
+    @staticmethod
+    def _alone(region, f):
+        """The reference minimum of one row, and its pair where the
+        reference names one."""
+        if region.kind == "rx2":
+            return _min_rx2_alone(region), None
+        g, k = _min_gamma_alone(region, np.array([f]))
+        return g[0], k[0]
 
-    def test_min_rx2_equals_the_solve_alone(self):
+    def test_vertex_pass_equals_the_solves_alone(self):
         found = set()
-        for _, batch in self._batches(32):
-            alone = [_min_rx2_alone(region) for region in batch]
-            assert _bits(regions._min_rx2(batch)) == _bits(alone), batch
-            found.update(map(math.isfinite, alone))
-        assert found == {True, False}
+        for batch in self._batches(31):
+            rows, f = zip(*batch)
+            got, pairs = regions._vertex_minima(list(rows), np.array(f))
+            want, want_pairs = zip(*(self._alone(region, f) for region, f in batch))
+            assert _bits(got) == _bits(want), batch
+            assert all(k is None or k == pair for k, pair in zip(want_pairs, pairs)), batch
+            for (region, f), g, pair in zip(batch, got, pairs):
+                # a row alone, and a row at f = 1 from its stack's kept coefficients
+                for alone in [[f]] + ([None] if f == 1.0 else []):
+                    one, k = regions._vertex_minima([region], alone)
+                    assert (_bits(one), k.tolist()) == (_bits([g]), [pair]), (region, f)
+            found.update((region.kind, math.isfinite(g)) for (region, _), g in zip(batch, got))
+        assert found == {(kind, finite) for kind in ("rx1", "rx2", "coop")
+                         for finite in (True, False)}
 
     def test_oracle_hk_reads_the_same_minima(self):
         rng = np.random.default_rng(33)
@@ -738,6 +795,13 @@ class TestStackedPasses:
                 assert d1 == oracle_d1_hk(p, stop)
                 assert d2 == oracle_min_exponent(region_rx2_hk(p))
                 assert terms == [oracle_rx1_hk(p, i, stop) for i in range(1, p.L + 1)]
+
+    def test_oracle_cmo_reads_the_same_minima(self):
+        rng = np.random.default_rng(36)
+        for n in range(40):
+            p = sample_params(rng, SchemeId.CMO).replace(L=n % 8 + 1)
+            alone = [oracle_min_exponent(region_rx1_cmo(p)), oracle_min_exponent(region_rx2_hk(p))]
+            assert _bits(regions.oracle_cmo(p)) == _bits(alone), p
 
     def test_roots_equal_np_roots_row_by_row(self):
         rng = np.random.default_rng(34)
@@ -759,7 +823,7 @@ class TestStackedPasses:
             p = sample_params(rng, SchemeId.COOP_DD)
             region = region_coop(COOP_EVENTS[n % len(COOP_EVENTS)], p)
             v = np.linspace(1.0, 1.0 / p.r1, int(rng.integers(2, 8)))
-            g, k = regions._min_gamma(region, 1.0 / v)
+            g, k = _gamma_minima(region, v)
             ends = list(zip(v.tolist(), (g + (1.0 - p.r1 * v)).tolist(), k.tolist()))
             cells, roots = regions._kinks(region, ends[:-1], ends[1:])
             want_cells, want = _kinks_cell_by_cell(region, ends[:-1], ends[1:])
