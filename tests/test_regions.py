@@ -760,6 +760,38 @@ class TestStackedPasses:
                 rng.shuffle(rows)
             yield rows[:int(rng.integers(1, 41))]
 
+    def _pools(self, seed):
+        """Batches of 1-40 RX1 regions and of 1-40 RX2 regions from three
+        points each, empty regions included, shuffled."""
+        rng = np.random.default_rng(seed)
+        for n in range(60):
+            rx1, rx2 = [], []
+            for L in rng.integers(1, 9, 3).tolist():
+                p, one, two = self._families(rng, L)
+                empty1, empty2, _ = self._empty(p)
+                rx1 += one + [empty1]
+                rx2 += two + [empty2]
+            for pool in (rx1, rx2):
+                rng.shuffle(pool)
+            size = int(rng.integers(1, 41))
+            yield rx1[:size], rx2[:size]
+
+    def test_min_rx1_equals_the_solve_alone(self):
+        found = set()
+        for batch, _ in self._pools(31):
+            alone = [_min_gamma_alone(region, np.ones(1))[0][0] for region in batch]
+            assert _bits(regions._min_rx1(batch)[0]) == _bits(alone), batch
+            found.update(map(math.isfinite, alone))
+        assert found == {True, False}
+
+    def test_min_rx2_equals_the_solve_alone(self):
+        found = set()
+        for _, batch in self._pools(32):
+            alone = [_min_rx2_alone(region) for region in batch]
+            assert _bits(regions._min_rx2(batch)[0]) == _bits(alone), batch
+            found.update(map(math.isfinite, alone))
+        assert found == {True, False}
+
     @staticmethod
     def _alone(region, f):
         """The reference minimum of one row, and its pair where the
