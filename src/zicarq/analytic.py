@@ -17,12 +17,17 @@ and ``coop-tian`` fix RX1's decoder; ``coop-dd`` lets RX1 pick per
 realization; ``coop-static`` is the per-user envelope of the two static
 decoders.
 
-Every public function returns its exponent as an :class:`Exponent`, a
-float whose ``label`` names the piece of the piecewise form that won.  RX1's
-individual- and joint-rate forms prefix theirs with ``d11:``/``d12:``
-(``d12:high-sum``), a minimum over TX2's ACK round names the round
-(``i=2,d12:high-sum``), and ``d_static_overall`` names the decoder
-(``cmo:d11:mid``).  Arithmetic on an Exponent gives a plain float.
+Each scheme's (d1, d2) is written once, as private forms that return
+plain ``(value, label)`` pairs, where the label names the piece of the
+piecewise form that won.  RX1's individual- and joint-rate forms prefix
+theirs with ``d11:``/``d12:`` (``d12:high-sum``), a minimum over TX2's ACK
+round names the round (``i=2,d12:high-sum``), and the static envelope names
+the decoder (``cmo:d11:mid``).
+
+``scheme_curve`` returns those pairs, ``((d1, label), (d2, label))`` per
+point, and boxes nothing.  Every other public function, ``scheme_dmt``
+included, boxes its result in an :class:`Exponent`: a float that carries
+the label.  Arithmetic on an Exponent gives a plain float.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ def _piece(value: float, label: str) -> Exponent:
     return e
 
 
-# The private forms below return plain ``(value, label)`` pairs, and only a
-# public function boxes its result in an Exponent.  A choice between two
-# pieces keeps the first on a tie, as min and max do.
+# The private forms below return plain ``(value, label)`` pairs, and a
+# public form is ``_piece`` over one of them.  A choice between two pieces
+# keeps the first on a tie, as min and max do.
 
 def _joint(x: float, beta: float) -> float:
     # joint decoding of both messages at RX1 at per-round sum rate x
@@ -216,9 +221,17 @@ def _tian_cuts(p: SystemParams) -> tuple[tuple[float, float], ...]:
     return ((p.L * p.beta - p.r1, p.beta),)
 
 
+def _d1_hk(p: SystemParams) -> tuple[float, str]:
+    return _first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk, _hk_cuts)
+
+
 def d1_hk(p: SystemParams) -> Exponent:
     """RX1 diversity under rate splitting: dominant ACK-round term."""
-    return _piece(*_first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk, _hk_cuts))
+    return _piece(*_d1_hk(p))
+
+
+def _d1_hk_keep(p: SystemParams) -> tuple[float, str]:
+    return _rx1(p, p.L, pos_part(p.beta - p.b), _d12_hk)
 
 
 def d1_hk_keep(p: SystemParams) -> Exponent:
@@ -227,24 +240,36 @@ def d1_hk_keep(p: SystemParams) -> Exponent:
     The outage region is the i=L instantiation with no ACK-prefix factor,
     so the exponent never beats d1_hk.
     """
-    return _piece(*_rx1(p, p.L, pos_part(p.beta - p.b), _d12_hk))
+    return _piece(*_d1_hk_keep(p))
+
+
+def _d1_hk_stop(p: SystemParams) -> tuple[float, str]:
+    return _first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk_stop,
+                      _hk_stop_cuts)
 
 
 def d1_hk_stop(p: SystemParams) -> Exponent:
     """d1_hk when TX2 stops both streams after its ACK: only d12 changes."""
-    return _piece(*_first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk_stop,
-                              _hk_stop_cuts))
+    return _piece(*_d1_hk_stop(p))
+
+
+def _d1_cmo(p: SystemParams) -> tuple[float, str]:
+    own = pos_part(1.0 - p.r1 / p.L)
+    joint = _joint((p.r1 + p.r2) / p.L, p.beta)
+    return (joint, "joint") if joint < own else (own, "own")
 
 
 def d1_cmo(p: SystemParams) -> Exponent:
     """RX1 diversity when TX2 sends a single common message."""
-    own = pos_part(1.0 - p.r1 / p.L)
-    joint = _joint((p.r1 + p.r2) / p.L, p.beta)
-    return _piece(joint, "joint") if joint < own else _piece(own, "own")
+    return _piece(*_d1_cmo(p))
+
+
+def _d2_cmo(p: SystemParams) -> tuple[float, str]:
+    return pos_part(1.0 - p.r2 / p.L), "total"
 
 
 def d2_cmo(p: SystemParams) -> Exponent:
-    return _piece(pos_part(1.0 - p.r2 / p.L), "total")
+    return _piece(*_d2_cmo(p))
 
 
 def d1_tian(p: SystemParams) -> Exponent:
@@ -257,6 +282,11 @@ def d1_tian(p: SystemParams) -> Exponent:
     return _piece(*_rx1(p, 1, p.beta, None))
 
 
+def _d1_tian_general(p: SystemParams) -> tuple[float, str]:
+    # d1_hk's ACK rounds at t2 = b = 0, without the joint-rate event
+    return _first_ack(p, _ack_tian, p.beta, None, _tian_cuts)
+
+
 def d1_tian_general(p: SystemParams) -> Exponent:
     """RX1 diversity for the private-only scheme, min over the ACK round.
 
@@ -265,8 +295,7 @@ def d1_tian_general(p: SystemParams) -> Exponent:
     the i=1 term, which is not always the minimizer when r2 and beta are
     both large.
     """
-    # d1_hk's ACK rounds at t2 = b = 0, without the joint-rate event
-    return _piece(*_first_ack(p, _ack_tian, p.beta, None, _tian_cuts))
+    return _piece(*_d1_tian_general(p))
 
 
 # RX2 hears no interference, so its exponent does not depend on RX1's decoder
@@ -325,18 +354,22 @@ def _d1_tian1(r1: float, beta: float) -> float:
     return pos_part(1.0 - r1 - beta)
 
 
-def _d2c(round1: float, r2: float) -> Exponent:
+def _d2c(round1: float, r2: float) -> tuple[float, str]:
     # RX2 under cooperation.  Dominant error paths: RX1 NACKs round 1
     # (exponent round1), TX2 turns relay and RX2's single shot failed; or
     # RX1 ACKs round 1 and TX2's retransmission still fails after round 2.
     relay = round1 + pos_part(1.0 - r2)
     two_round = pos_part(1.0 - r2 / 2.0)
-    return _piece(two_round, "two-round") if two_round < relay else _piece(relay, "relay")
+    return (two_round, "two-round") if two_round < relay else (relay, "relay")
+
+
+def _d2c_cmo2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    return _d2c(_d1_cmo1(r1, r2, beta), r2)
 
 
 def d2c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
     """RX2 exponent under cooperation with the common-message decoder."""
-    return _d2c(_d1_cmo1(r1, r2, beta), r2)
+    return _piece(*_d2c_cmo2(r1, r2, beta))
 
 
 def _d1c_tian2(r1: float, beta: float) -> tuple[float, str]:
@@ -356,8 +389,20 @@ def d1c_tian2(r1: float, beta: float) -> Exponent:
     return _piece(*_d1c_tian2(r1, beta))
 
 
-def d2c_tian2(r1: float, r2: float, beta: float) -> Exponent:
+def _d2c_tian2(r1: float, r2: float, beta: float) -> tuple[float, str]:
     return _d2c(_d1_tian1(r1, beta), r2)
+
+
+def d2c_tian2(r1: float, r2: float, beta: float) -> Exponent:
+    return _piece(*_d2c_tian2(r1, r2, beta))
+
+
+def _d_static_overall(r1: float, r2: float, beta: float):
+    c1, c1_label = _d1c_cmo2(r1, r2, beta)
+    t1, t1_label = _d1c_tian2(r1, beta)
+    if c1 >= t1:
+        return (c1, "cmo:" + c1_label), _d2c_cmo2(r1, r2, beta)
+    return (t1, "tian:" + t1_label), _d2c_tian2(r1, r2, beta)
 
 
 def d_static_overall(r1: float, r2: float, beta: float) -> tuple[Exponent, Exponent]:
@@ -366,11 +411,8 @@ def d_static_overall(r1: float, r2: float, beta: float) -> tuple[Exponent, Expon
     d1 is the max of the CMO and noise-treating values; d2 is reported for
     whichever decoder attained that max (ties resolve to CMO).
     """
-    c1, c1_label = _d1c_cmo2(r1, r2, beta)
-    t1, t1_label = _d1c_tian2(r1, beta)
-    if c1 >= t1:
-        return _piece(c1, "cmo:" + c1_label), d2c_cmo2(r1, r2, beta)
-    return _piece(t1, "tian:" + t1_label), d2c_tian2(r1, r2, beta)
+    d1, d2 = _d_static_overall(r1, r2, beta)
+    return _piece(*d1), _piece(*d2)
 
 
 def _d12c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
@@ -389,44 +431,53 @@ def d12c_dd2(r1: float, r2: float, beta: float) -> Exponent:
     return _piece(*_d12c_dd2(r1, r2, beta))
 
 
-def d1c_dd2(r1: float, r2: float, beta: float) -> Exponent:
+def _d1c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
     d11 = _d11c_cmo2(r1, beta)
     d12 = _d12c_dd2(r1, r2, beta)
-    return _piece(*(d12 if d12[0] < d11[0] else d11))
+    return d12 if d12[0] < d11[0] else d11
+
+
+def d1c_dd2(r1: float, r2: float, beta: float) -> Exponent:
+    return _piece(*_d1c_dd2(r1, r2, beta))
+
+
+def _d2c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    return _d2c(max(_d1_cmo1(r1, r2, beta), _d1_tian1(r1, beta)), r2)
 
 
 def d2c_dd2(r1: float, r2: float, beta: float) -> Exponent:
     """RX2 exponent under dynamic decoding; equals the better of the two
     static cooperative RX2 exponents."""
-    return _d2c(max(_d1_cmo1(r1, r2, beta), _d1_tian1(r1, beta)), r2)
+    return _piece(*_d2c_dd2(r1, r2, beta))
 
 
 # ---------------------------------------------------------------------------
 # scheme dispatcher
 # ---------------------------------------------------------------------------
 
-# each scheme's (d1, d2), from the public closed forms above
+# each scheme's ((d1, label), (d2, label)), from the private forms above
 _DMT = {
-    SchemeId.HK: lambda p: (d1_hk(p), d2_hk(p)),
-    SchemeId.CMO: lambda p: (d1_cmo(p), d2_cmo(p)),
-    SchemeId.TIAN: lambda p: (d1_tian_general(p), d2_tian(p)),
-    SchemeId.HK_KEEP: lambda p: (d1_hk_keep(p), d2_hk(p)),
-    SchemeId.HK_STOP: lambda p: (d1_hk_stop(p), d2_hk(p)),
-    SchemeId.COOP_CMO: lambda p: (d1c_cmo2(p.r1, p.r2, p.beta),
-                                  d2c_cmo2(p.r1, p.r2, p.beta)),
-    SchemeId.COOP_TIAN: lambda p: (d1c_tian2(p.r1, p.beta),
-                                   d2c_tian2(p.r1, p.r2, p.beta)),
-    SchemeId.COOP_STATIC: lambda p: d_static_overall(p.r1, p.r2, p.beta),
-    SchemeId.COOP_DD: lambda p: (d1c_dd2(p.r1, p.r2, p.beta),
-                                 d2c_dd2(p.r1, p.r2, p.beta)),
+    SchemeId.HK: lambda p: (_d1_hk(p), _d2_hk(p, p.L)),
+    SchemeId.CMO: lambda p: (_d1_cmo(p), _d2_cmo(p)),
+    SchemeId.TIAN: lambda p: (_d1_tian_general(p), _d2_cmo(p)),
+    SchemeId.HK_KEEP: lambda p: (_d1_hk_keep(p), _d2_hk(p, p.L)),
+    SchemeId.HK_STOP: lambda p: (_d1_hk_stop(p), _d2_hk(p, p.L)),
+    SchemeId.COOP_CMO: lambda p: (_d1c_cmo2(p.r1, p.r2, p.beta),
+                                  _d2c_cmo2(p.r1, p.r2, p.beta)),
+    SchemeId.COOP_TIAN: lambda p: (_d1c_tian2(p.r1, p.beta),
+                                   _d2c_tian2(p.r1, p.r2, p.beta)),
+    SchemeId.COOP_STATIC: lambda p: _d_static_overall(p.r1, p.r2, p.beta),
+    SchemeId.COOP_DD: lambda p: (_d1c_dd2(p.r1, p.r2, p.beta),
+                                 _d2c_dd2(p.r1, p.r2, p.beta)),
 }
 
 
-def scheme_curve(scheme: SchemeId | str,
-                 points: Sequence[SystemParams]) -> list[tuple[Exponent, Exponent]]:
-    """One scheme's (d1, d2) at each of ``points``, in order, each labelled
-    by its winning piece.  The scheme is resolved once, and each delay L
-    among the points checked once, before any closed form runs."""
+def scheme_curve(scheme: SchemeId | str, points: Sequence[SystemParams]
+                 ) -> list[tuple[tuple[float, str], tuple[float, str]]]:
+    """One scheme's ``((d1, label), (d2, label))`` at each of ``points``, in
+    order: plain floats, each with the name of its winning piece.  The
+    scheme is resolved once, and each delay L among the points checked
+    once, before any closed form runs."""
     scheme = SchemeId(scheme)
     for p in {p.L: p for p in points}.values():
         check_rounds(scheme, p)
@@ -435,6 +486,7 @@ def scheme_curve(scheme: SchemeId | str,
 
 
 def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> tuple[Exponent, Exponent]:
-    """One scheme's (d1, d2) at one point, each labelled by its winning piece."""
-    [dmt] = scheme_curve(scheme, (p,))
-    return dmt
+    """One scheme's (d1, d2) at one point, each an Exponent labelled by its
+    winning piece: :func:`scheme_curve` at ``p``, boxed."""
+    [(d1, d2)] = scheme_curve(scheme, (p,))
+    return _piece(*d1), _piece(*d2)

@@ -26,11 +26,12 @@ import sys
 from functools import cache, lru_cache, partial
 
 from . import analytic
-from .core import RATE_FLOOR, ParameterError, SchemeId, SystemParams, check_seed
+from .core import (RATE_FLOOR, REAL_FIELDS, ParameterError, SchemeId, SystemParams,
+                   check_seed)
 
 # the sweep variables: the real fields of a point, in SystemParams' order,
 # and so in a curve row's
-SWEEP_VARS = ("r1", "r2", "t2", "b", "beta")
+SWEEP_VARS = REAL_FIELDS
 MAX_GRID_POINTS = 100_000
 
 
@@ -168,15 +169,26 @@ def cmd_curve(args) -> int:
         fixed[swept] = _fmt(v)
         cells.append(",".join(fixed))
     # exponents repeat along a sweep (d2 of hk, cmo and tian does not move
-    # with r1), so each value is formatted once per call
-    exponent = _FloatCells()
+    # with r1), so each value is formatted once per call, and so is each
+    # pair of labels; a zero is formatted every time, since 0.0 == -0.0
+    # but the two differ
+    floats, branches = {}, {}
     rows = []
     for s in schemes:
         name = s.value
-        for params, (d1, d2) in zip(cells, analytic.scheme_curve(s, points)):
-            branch = _csv_cell(f"d1:{d1.label}|d2:{d2.label}")
-            rows.append(f"{name},{params},{exponent[d1]},{exponent[d2]},"
-                        f"analytic,{branch}")
+        for params, ((d1, l1), (d2, l2)) in zip(cells, analytic.scheme_curve(s, points)):
+            c1, c2, branch = floats.get(d1), floats.get(d2), branches.get((l1, l2))
+            if c1 is None:
+                c1 = _fmt(d1)
+                if d1:
+                    floats[d1] = c1
+            if c2 is None:
+                c2 = _fmt(d2)
+                if d2:
+                    floats[d2] = c2
+            if branch is None:
+                branch = branches[l1, l2] = _csv_cell(f"d1:{l1}|d2:{l2}")
+            rows.append(f"{name},{params},{c1},{c2},analytic,{branch}")
 
     _write_csv(args.out,
                ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2",
@@ -296,17 +308,6 @@ def cmd_throughput(args) -> int:
 def _fmt(x: float) -> str:
     """The one format of every float cell the CLI writes."""
     return f"{x:.12g}"
-
-
-class _FloatCells(dict):
-    """Float cells by value, each formatted with :func:`_fmt` on first use.
-    A zero is formatted every time: 0.0 == -0.0, but the two differ."""
-
-    def __missing__(self, x: float) -> str:
-        text = _fmt(x)
-        if x:
-            self[x] = text
-        return text
 
 
 def _line(*cells) -> str:

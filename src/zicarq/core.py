@@ -163,6 +163,10 @@ class SystemParams:
         return self.r2 - self.t2
 
 
+# the real fields of a point, in SystemParams' order
+REAL_FIELDS = ("r1", "r2", "t2", "b", "beta")
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Return params unchanged if every invariant holds, else raise.
 
@@ -170,11 +174,17 @@ def validate(params: SystemParams) -> SystemParams:
     every field, although ``bool`` subclasses ``int``.
     """
     p = params
-    for name, val in (("r1", p.r1), ("r2", p.r2), ("t2", p.t2),
-                      ("b", p.b), ("beta", p.beta)):
-        if (not isinstance(val, (int, float)) or val is True or val is False
-                or not math.isfinite(val)):
-            raise ParameterError(f"{name} must be a finite real number")
+    for val in (p.r1, p.r2, p.t2, p.b, p.beta):
+        # an exact float needs the finiteness test alone; any other value
+        # sends every field through the full test, which names the first
+        # field that fails it
+        if val.__class__ is not float or not math.isfinite(val):
+            for name in REAL_FIELDS:
+                val = getattr(p, name)
+                if (not isinstance(val, (int, float)) or val is True
+                        or val is False or not math.isfinite(val)):
+                    raise ParameterError(f"{name} must be a finite real number")
+            break
     if not 0.0 <= p.r1 <= 1.0:
         raise ParameterError("r1 must lie in [0, 1]")
     if not 0.0 <= p.r2 <= 1.0:

@@ -197,7 +197,9 @@ def _ack_rounds(L, tests, ack2=None):
     min(ack2, l), ``i * x + (l - i) * clean(idx) >= rate``.  Round 1 runs on
     the whole block, later rounds only at the indices ``idx`` of open trials,
     which each round gathers by integer position.  An open trial holds the
-    round it is tested in next, so one that never ACKs ends at L + 1.
+    round it is tested in next, so one that never ACKs ends at L + 1.  A
+    trial that round 1 shows can never ACK (see :func:`_never_acks`) leaves
+    the loop after round 2 all the same, so no L is too large to run.
     """
     ok1 = reduce(and_, (x >= r for x, _, r in tests))
     # the smallest integer type that holds L + 1: int64 minimum/maximum
@@ -206,20 +208,46 @@ def _ack_rounds(L, tests, ack2=None):
     if L > 1:
         idx = np.flatnonzero(~ok1)
         cols = [(x[idx], None if c is None else c(idx), r) for x, c, r in tests]
-        a2 = (ack2[idx].astype(np.float64)
-              if any(c is not None for _, c, _ in cols) else None)
+        open2 = ack2[idx] if any(c is not None for _, c, _ in cols) else None
+        a2 = None if open2 is None else open2.astype(np.float64)
+        never = _never_acks(L, cols, open2)
+        if never is not None:
+            ack[idx[never]] = L + 1
         for l in range(2, L + 1):
             if not idx.size:  # every trial has ACKed
                 break
             i = None if a2 is None else np.minimum(a2, l)
             hit = reduce(and_, (l * x >= r if c is None else i * x + (l - i) * c >= r
                                 for x, c, r in cols))
+            if never is not None:  # they leave the loop with round 2's ACKs
+                hit, never = hit | never, None
             # gathering by a boolean mask costs several times as much
             keep = np.flatnonzero(~hit)
             idx, a2 = idx[keep], None if a2 is None else a2[keep]
             cols = [(x[keep], None if c is None else c[keep], r) for x, c, r in cols]
             ack[idx] = l + 1
     return ack
+
+
+def _never_acks(L, cols, open2):
+    """Which open trials can never ACK, as a mask, or None if none.
+
+    A test of a positive rate with no interfered information (x <= 0) is
+    never met if it has no clean information either: none at all, none
+    that is positive, or none by round L, since TX2 does not ACK before
+    round L.  That last is judged on TX2's integer ACK rounds ``open2``: a
+    float64 copy cannot tell L from L + 1 past 2**53.  Drawn gains are 0
+    with probability 2**-53, so the mask is nearly always None, found by
+    one ``min`` per test.
+    """
+    never = None
+    for x, c, r in cols:
+        if r > 0.0 and x.size and x.min() <= 0.0:
+            dead = x <= 0.0
+            if c is not None:
+                dead &= (c <= 0.0) | (open2 >= L)
+            never = dead if never is None else never | dead
+    return never
 
 
 def _episode_batch_noncoop(scheme, p, rho, link):

@@ -474,22 +474,46 @@ class TestSchemeDmt:
 
     def test_curve_checks_every_delay_first(self, monkeypatch):
         # a cooperative curve with one point off L = 2 runs no closed form
-        def reached(p):
+        def reached(*args):
             raise AssertionError("a closed form ran before the delay check")
-        monkeypatch.setattr(analytic, "d1c_cmo2", reached)
+        monkeypatch.setattr(analytic, "_d1c_cmo2", reached)
         points = [P(r1=0.3, r2=0.3, L=2), P(r1=0.4, r2=0.3, L=3)]
         with pytest.raises(ParameterError, match="require L=2"):
             scheme_curve("coop-cmo", points)
 
+    @staticmethod
+    def _curve_points(n):
+        # sample_params-style points at L 1..12; of every ten, one sets each
+        # of r1 = 0, r1 = 1, r2 = 0, r2 = 1 and beta = 0, and two draw b > beta
+        rng = np.random.default_rng(37)
+        for k in range(n):
+            r1, r2 = (float(v) for v in rng.uniform(0.05, 0.95, 2))
+            beta = float(rng.uniform(0.2, 2.0))
+            edge = k % 10
+            r1 = {1: 0.0, 2: 1.0}.get(edge, r1)
+            r2 = {3: 0.0, 4: 1.0}.get(edge, r2)
+            beta = 0.0 if edge == 5 else beta
+            t2 = float(rng.uniform(0.0, r2))
+            b = float(rng.uniform(0.0, 0.5)) + (beta if edge in (5, 6) else 0.0)
+            yield P(r1=r1, r2=r2, t2=t2, b=b, beta=beta, L=int(rng.integers(1, 13)))
+
     def test_curve_is_scheme_dmt_at_each_point(self):
-        points = [P(r1=r1, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-                  for r1 in (0.001, 0.2, 0.55, 1.0)]
+        # scheme_curve gives plain (value, label) pairs, and scheme_dmt and
+        # the public forms box the same value bits and labels
+        def bits(pair):
+            return [(float.hex(d), d.label) for d in pair]
+
+        points = list(self._curve_points(2000))
+        coop_points = [p.replace(L=2) for p in points]
         for s in SchemeId:
-            got = scheme_curve(s.value, points)
-            want = [scheme_dmt(s, p) for p in points]
-            assert got == want
-            assert [[e.label for e in dmt] for dmt in got] == \
-                [[e.label for e in dmt] for dmt in want]
+            at = coop_points if s in COOP_SCHEMES else points
+            got = scheme_curve(s.value, at)
+            assert len(got) == len(at)
+            for p, pair in zip(at, got):
+                assert [(type(d), type(label)) for d, label in pair] == [(float, str)] * 2
+                want = [(d.hex(), label) for d, label in pair]
+                assert bits(scheme_dmt(s, p)) == want, (s, p)
+                assert bits(self.FORMS[s](p)) == want, (s, p)
 
     # the public closed forms behind each scheme's (d1, d2)
     FORMS = {

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zicarq.analytic import scheme_dmt
+from zicarq.analytic import Exponent, scheme_dmt
 from zicarq.core import (
+    REAL_FIELDS,
     ParameterError,
     SystemParams,
     ext_div,
@@ -163,11 +164,25 @@ class TestValidate:
             (dict(r1=0.5, r2=0.5, b=True), "b"),
             (dict(r1=0.5, r2=0.5, beta=True), "beta"),
             (dict(r1=0.5, r2=0.5, L=True), "L"),
+            # an exact float takes the finiteness test alone, and any other
+            # value the full test, which names the field either way
+            *[({"r1": 0.5, "r2": 0.5, name: bad}, f"^{name} must be a finite real number$")
+              for name in REAL_FIELDS
+              for bad in (math.nan, math.inf, -math.inf, np.float64("nan"), "0.5", None)],
         ],
     )
     def test_bounds(self, kwargs, match):
         with pytest.raises(ParameterError, match=match):
             validate(SystemParams(**{"L": 1, **kwargs}))
+
+    @pytest.mark.parametrize("value", [1, np.float64(0.25), Exponent(0.25)],
+                             ids=["int", "np.float64", "Exponent"])
+    def test_accepts_other_reals(self, value):
+        # a real that is not an exact float is accepted as it is, in each field
+        for name in REAL_FIELDS:
+            p = SystemParams(**{"r1": 0.5, "r2": 1.0, "t2": 0.0, name: value})
+            assert validate(p) is p
+            assert getattr(p, name) is value
 
     def test_derived_s2(self):
         p = SystemParams(r1=0.1, r2=0.7, t2=0.2, L=2)

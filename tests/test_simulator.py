@@ -422,6 +422,31 @@ def test_ack_rounds_count_past_the_uint64_range():
         assert a.tolist() == b.tolist()
 
 
+@pytest.mark.parametrize("scheme,gains,L,want", [
+    ("cmo", (0.0, 1.0, 1.0, 1.0), 10**18, (True, False)),
+    ("hk", (0.0, 1.0, 1.0, 1.0), 10**18, (True, False)),
+    ("hk", (1.0, 1.0, 0.0, 1.0), 10**18, (False, True)),
+    ("tian", (0.0, 1.0, 1.0, 1.0), 2**64, (True, False)),
+], ids=["cmo-g11=0", "hk-g11=0", "hk-g22=0", "tian-g11=0-2**64"])
+def test_never_ack_trials_leave_the_round_loop(scheme, gains, L, want, monkeypatch):
+    # a zero direct gain leaves a positive rate with no information in any
+    # round: the trial ends at L + 1 after round 1, where the loop used to
+    # run one round per ARQ round and never return at these L.  The result
+    # is the one the full loop gives: the receiver errs and zeta = L
+    rounds = []
+
+    def counted(f, tests):
+        rounds.append(f)
+        assert len(rounds) <= 10, "the round loop runs on for a trial that never ACKs"
+        return functools.reduce(f, tests)
+
+    monkeypatch.setattr(simulator, "reduce", counted)
+    p = P(r1=0.3, r2=0.3, beta=0.5, L=L)
+    assert run_episode(scheme, p, 100.0, gains) == (*want, L)
+    monkeypatch.undo()
+    assert run_episode(scheme, p.replace(L=6), 100.0, gains) == (*want, 6)
+
+
 def _reference_listening(p, rho, grelay):
     """TX2's listening fraction: the whole symbols of a 1000-symbol round
     it needs to decode TX1's message, or the whole round."""
