@@ -319,8 +319,8 @@ def _line(*cells) -> str:
 @lru_cache(maxsize=1024)
 def _csv_cell(text: str) -> str:
     """``text`` as a cell of the LF-ended ``csv.writer`` lines: quoted if it
-    holds a comma, a quote or a newline.  Cached, since a curve's branch
-    labels repeat from row to row."""
+    holds a comma, a quote or a newline.  Cached, since the same branch
+    labels recur from one curve to the next."""
     import csv  # loaded on first use, so start-up and --help skip it
 
     buf = io.StringIO()
