@@ -17,17 +17,15 @@ and ``coop-tian`` fix RX1's decoder; ``coop-dd`` lets RX1 pick per
 realization; ``coop-static`` is the per-user envelope of the two static
 decoders.
 
-Each scheme's (d1, d2) is written once, as private forms that return
-plain ``(value, label)`` pairs, where the label names the piece of the
-piecewise form that won.  RX1's individual- and joint-rate forms prefix
-theirs with ``d11:``/``d12:`` (``d12:high-sum``), a minimum over TX2's ACK
-round names the round (``i=2,d12:high-sum``), and the static envelope names
-the decoder (``cmo:d11:mid``).
-
-``scheme_curve`` returns those pairs, ``((d1, label), (d2, label))`` per
-point, and boxes nothing.  Every other public function, ``scheme_dmt``
-included, boxes its result in an :class:`Exponent`: a float that carries
-the label.  Arithmetic on an Exponent gives a plain float.
+Every public closed form returns a plain ``(value, label)`` pair, where
+the label names the piece of the piecewise form that won.  RX1's
+individual- and joint-rate forms prefix theirs with ``d11:``/``d12:``
+(``d12:high-sum``), a minimum over TX2's ACK round names the round
+(``i=2,d12:high-sum``), and the static envelope names the decoder
+(``cmo:d11:mid``).  A choice between two pieces keeps the first on a tie,
+as min and max do.  ``scheme_curve`` returns ``((d1, label), (d2,
+label))`` per point, and ``scheme_dmt`` the same at one point.  Compare
+two pairs by their values, ``[0]``: tuples order by label on a tie.
 """
 
 from __future__ import annotations
@@ -36,22 +34,6 @@ from collections.abc import Sequence
 
 from .core import SchemeId, SystemParams, check_round, check_rounds, ext_div, pos_part
 
-
-class Exponent(float):
-    """A float exponent that names the piece of its piecewise form that won."""
-
-    __slots__ = ("label",)
-
-
-def _piece(value: float, label: str) -> Exponent:
-    e = Exponent(value)
-    e.label = label
-    return e
-
-
-# The private forms below return plain ``(value, label)`` pairs, and a
-# public form is ``_piece`` over one of them.  A choice between two pieces
-# keeps the first on a tie, as min and max do.
 
 def _joint(x: float, beta: float) -> float:
     # joint decoding of both messages at RX1 at per-round sum rate x
@@ -68,13 +50,15 @@ def _d2_hk(p: SystemParams, l: int) -> tuple[float, str]:
     return (private, "private") if private < total else (total, "total")
 
 
-def d2_hk(p: SystemParams, rounds: int | None = None) -> Exponent:
+def d2_hk(p: SystemParams, rounds: int | None = None) -> tuple[float, str]:
     """RX2 diversity under rate splitting after ``rounds`` ARQ rounds.
 
     rounds=0 is allowed: it is the ACK-prefix factor for round 1 and
     evaluates through ext_div (0 whenever r2 > 0).
     """
-    return _piece(*_d2_hk(p, p.L if rounds is None else rounds))
+    if rounds is not None:
+        check_round(p.L, rounds, first=0, name="rounds")
+    return _d2_hk(p, p.L if rounds is None else rounds)
 
 
 def _d11(p: SystemParams, i: int, excess: float) -> tuple[float, str]:
@@ -85,10 +69,10 @@ def _d11(p: SystemParams, i: int, excess: float) -> tuple[float, str]:
     return (capped, "d11:capped") if capped > tail else (tail, "d11:tail")
 
 
-def d11_hk(p: SystemParams, i: int) -> Exponent:
+def d11_hk(p: SystemParams, i: int) -> tuple[float, str]:
     """Individual-rate outage exponent at RX1 given TX2 ACKed at round i."""
     check_round(p.L, i)
-    return _piece(*_d11(p, i, pos_part(p.beta - p.b)))
+    return _d11(p, i, pos_part(p.beta - p.b))
 
 
 def _d12_hk(p: SystemParams, i: int) -> tuple[float, str]:
@@ -101,10 +85,10 @@ def _d12_hk(p: SystemParams, i: int) -> tuple[float, str]:
     return _joint((s - i * p.b) / (p.L - i), p.beta), "d12:mid-sum"
 
 
-def d12_hk(p: SystemParams, i: int) -> Exponent:
+def d12_hk(p: SystemParams, i: int) -> tuple[float, str]:
     """Joint-rate outage exponent at RX1 given TX2 ACKed at round i."""
     check_round(p.L, i)
-    return _piece(*_d12_hk(p, i))
+    return _d12_hk(p, i)
 
 
 def _d12_hk_stop(p: SystemParams, i: int) -> tuple[float, str]:
@@ -119,14 +103,14 @@ def _d12_hk_stop(p: SystemParams, i: int) -> tuple[float, str]:
     return (val, label) if val < joint else (joint, "d12:joint")
 
 
-def d12_hk_stop(p: SystemParams, i: int) -> Exponent:
+def d12_hk_stop(p: SystemParams, i: int) -> tuple[float, str]:
     """d12_hk when TX2 stops both streams after its ACK at round i.  With
     s = r1 + t2 and b' = min(b, beta), the minimum sits at the joint vertex
     gamma21 = beta - s/L, at gamma11 = 1 if the i interfered rounds carry s
     alone (s <= i*b'), or else at gamma21 = 0, where each interfered round
     carries b' and the tail rounds carry the direct link."""
     check_round(p.L, i)
-    return _piece(*_d12_hk_stop(p, i))
+    return _d12_hk_stop(p, i)
 
 
 # Up to this many rounds, _first_ack tries every ACK round.  The scan and
@@ -221,73 +205,48 @@ def _tian_cuts(p: SystemParams) -> tuple[tuple[float, float], ...]:
     return ((p.L * p.beta - p.r1, p.beta),)
 
 
-def _d1_hk(p: SystemParams) -> tuple[float, str]:
+def d1_hk(p: SystemParams) -> tuple[float, str]:
+    """RX1 diversity under rate splitting: dominant ACK-round term."""
     return _first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk, _hk_cuts)
 
 
-def d1_hk(p: SystemParams) -> Exponent:
-    """RX1 diversity under rate splitting: dominant ACK-round term."""
-    return _piece(*_d1_hk(p))
-
-
-def _d1_hk_keep(p: SystemParams) -> tuple[float, str]:
-    return _rx1(p, p.L, pos_part(p.beta - p.b), _d12_hk)
-
-
-def d1_hk_keep(p: SystemParams) -> Exponent:
+def d1_hk_keep(p: SystemParams) -> tuple[float, str]:
     """RX1 diversity when TX2 keeps both streams running all L rounds.
 
     The outage region is the i=L instantiation with no ACK-prefix factor,
     so the exponent never beats d1_hk.
     """
-    return _piece(*_d1_hk_keep(p))
+    return _rx1(p, p.L, pos_part(p.beta - p.b), _d12_hk)
 
 
-def _d1_hk_stop(p: SystemParams) -> tuple[float, str]:
+def d1_hk_stop(p: SystemParams) -> tuple[float, str]:
+    """d1_hk when TX2 stops both streams after its ACK: only d12 changes."""
     return _first_ack(p, _ack_hk, pos_part(p.beta - p.b), _d12_hk_stop,
                       _hk_stop_cuts)
 
 
-def d1_hk_stop(p: SystemParams) -> Exponent:
-    """d1_hk when TX2 stops both streams after its ACK: only d12 changes."""
-    return _piece(*_d1_hk_stop(p))
-
-
-def _d1_cmo(p: SystemParams) -> tuple[float, str]:
+def d1_cmo(p: SystemParams) -> tuple[float, str]:
+    """RX1 diversity when TX2 sends a single common message."""
     own = pos_part(1.0 - p.r1 / p.L)
     joint = _joint((p.r1 + p.r2) / p.L, p.beta)
     return (joint, "joint") if joint < own else (own, "own")
 
 
-def d1_cmo(p: SystemParams) -> Exponent:
-    """RX1 diversity when TX2 sends a single common message."""
-    return _piece(*_d1_cmo(p))
-
-
-def _d2_cmo(p: SystemParams) -> tuple[float, str]:
+def d2_cmo(p: SystemParams) -> tuple[float, str]:
     return pos_part(1.0 - p.r2 / p.L), "total"
 
 
-def d2_cmo(p: SystemParams) -> Exponent:
-    return _piece(*_d2_cmo(p))
-
-
-def d1_tian(p: SystemParams) -> Exponent:
+def d1_tian(p: SystemParams) -> tuple[float, str]:
     """Single-term RX1 diversity for the private-only scheme.
 
     This is the ACK-at-round-1 term of :func:`d1_tian_general`.  The two
     coincide when the other user's rate is small (see d1_tian_general);
     at L=1 the first bracket resolves through ext_div.
     """
-    return _piece(*_rx1(p, 1, p.beta, None))
+    return _rx1(p, 1, p.beta, None)
 
 
-def _d1_tian_general(p: SystemParams) -> tuple[float, str]:
-    # d1_hk's ACK rounds at t2 = b = 0, without the joint-rate event
-    return _first_ack(p, _ack_tian, p.beta, None, _tian_cuts)
-
-
-def d1_tian_general(p: SystemParams) -> Exponent:
+def d1_tian_general(p: SystemParams) -> tuple[float, str]:
     """RX1 diversity for the private-only scheme, min over the ACK round.
 
     Ignores t2 and b (both forced to 0).  This is the value that matches
@@ -295,7 +254,8 @@ def d1_tian_general(p: SystemParams) -> Exponent:
     the i=1 term, which is not always the minimizer when r2 and beta are
     both large.
     """
-    return _piece(*_d1_tian_general(p))
+    # d1_hk's ACK rounds at t2 = b = 0, without the joint-rate event
+    return _first_ack(p, _ack_tian, p.beta, None, _tian_cuts)
 
 
 # RX2 hears no interference, so its exponent does not depend on RX1's decoder
@@ -306,7 +266,8 @@ d2_tian = d2_cmo
 # cooperative closed forms (two rounds)
 # ---------------------------------------------------------------------------
 
-def _d11c_cmo2(r1: float, beta: float) -> tuple[float, str]:
+def d11c_cmo2(r1: float, beta: float) -> tuple[float, str]:
+    """Individual-rate RX1 exponent, cooperative common-message decoding."""
     if r1 >= 2.0 * beta:
         return 1.0 - r1 / 2.0, "d11:r1>=2beta"
     if r1 >= beta / (1.0 + beta):
@@ -318,24 +279,14 @@ def _d11c_cmo2(r1: float, beta: float) -> tuple[float, str]:
     ), "d11:low"
 
 
-def d11c_cmo2(r1: float, beta: float) -> Exponent:
-    """Individual-rate RX1 exponent, cooperative common-message decoding."""
-    return _piece(*_d11c_cmo2(r1, beta))
-
-
-def d12c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
+def d12c_cmo2(r1: float, r2: float, beta: float) -> tuple[float, str]:
     """Joint-rate RX1 exponent, cooperative common-message decoding."""
-    return _piece(_joint((r1 + r2) / 2.0, beta), "d12")
+    return _joint((r1 + r2) / 2.0, beta), "d12"
 
 
-def _d1c_cmo2(r1: float, r2: float, beta: float) -> tuple[float, str]:
-    d11 = _d11c_cmo2(r1, beta)
-    d12 = _joint((r1 + r2) / 2.0, beta)
-    return (d12, "d12") if d12 < d11[0] else d11
-
-
-def d1c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
-    return _piece(*_d1c_cmo2(r1, r2, beta))
+def d1c_cmo2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    d11, d12 = d11c_cmo2(r1, beta), d12c_cmo2(r1, r2, beta)
+    return d12 if d12[0] < d11[0] else d11
 
 
 def _d1_cmo1(r1: float, r2: float, beta: float) -> float:
@@ -363,16 +314,13 @@ def _d2c(round1: float, r2: float) -> tuple[float, str]:
     return (two_round, "two-round") if two_round < relay else (relay, "relay")
 
 
-def _d2c_cmo2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+def d2c_cmo2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    """RX2 exponent under cooperation with the common-message decoder."""
     return _d2c(_d1_cmo1(r1, r2, beta), r2)
 
 
-def d2c_cmo2(r1: float, r2: float, beta: float) -> Exponent:
-    """RX2 exponent under cooperation with the common-message decoder."""
-    return _piece(*_d2c_cmo2(r1, r2, beta))
-
-
-def _d1c_tian2(r1: float, beta: float) -> tuple[float, str]:
+def d1c_tian2(r1: float, beta: float) -> tuple[float, str]:
+    """RX1 exponent, cooperative noise-treating decoder."""
     if r1 >= beta:
         return pos_part(1.0 - (r1 + beta) / 2.0), "r1>=beta"
     if r1 < beta / 2.0:
@@ -384,40 +332,28 @@ def _d1c_tian2(r1: float, beta: float) -> tuple[float, str]:
     return _joint(r1, beta), "mid,r1<=1/2"
 
 
-def d1c_tian2(r1: float, beta: float) -> Exponent:
-    """RX1 exponent, cooperative noise-treating decoder."""
-    return _piece(*_d1c_tian2(r1, beta))
-
-
-def _d2c_tian2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+def d2c_tian2(r1: float, r2: float, beta: float) -> tuple[float, str]:
     return _d2c(_d1_tian1(r1, beta), r2)
 
 
-def d2c_tian2(r1: float, r2: float, beta: float) -> Exponent:
-    return _piece(*_d2c_tian2(r1, r2, beta))
-
-
-def _d_static_overall(r1: float, r2: float, beta: float):
-    c1, c1_label = _d1c_cmo2(r1, r2, beta)
-    t1, t1_label = _d1c_tian2(r1, beta)
-    if c1 >= t1:
-        return (c1, "cmo:" + c1_label), _d2c_cmo2(r1, r2, beta)
-    return (t1, "tian:" + t1_label), _d2c_tian2(r1, r2, beta)
-
-
-def d_static_overall(r1: float, r2: float, beta: float) -> tuple[Exponent, Exponent]:
+def d_static_overall(r1: float, r2: float, beta: float
+                     ) -> tuple[tuple[float, str], tuple[float, str]]:
     """Per-user envelope of the two static cooperative decoders.
 
     d1 is the max of the CMO and noise-treating values; d2 is reported for
     whichever decoder attained that max (ties resolve to CMO).
     """
-    d1, d2 = _d_static_overall(r1, r2, beta)
-    return _piece(*d1), _piece(*d2)
+    c1, c1_label = d1c_cmo2(r1, r2, beta)
+    t1, t1_label = d1c_tian2(r1, beta)
+    if c1 >= t1:
+        return (c1, "cmo:" + c1_label), d2c_cmo2(r1, r2, beta)
+    return (t1, "tian:" + t1_label), d2c_tian2(r1, r2, beta)
 
 
-def _d12c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+def d12c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    """Joint-event RX1 exponent for the dynamic cooperative decoder."""
     if r2 >= beta:
-        v, label = _d1c_tian2(r1, beta)
+        v, label = d1c_tian2(r1, beta)
         return v, "d12:r2>=beta:" + label
     if r1 >= r2:
         return _joint((r1 + r2) / 2.0, beta), "d12:r1>=r2"
@@ -426,49 +362,36 @@ def _d12c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
     return _joint(r1, beta), "d12:r1<min(1/2,r2)"
 
 
-def d12c_dd2(r1: float, r2: float, beta: float) -> Exponent:
-    """Joint-event RX1 exponent for the dynamic cooperative decoder."""
-    return _piece(*_d12c_dd2(r1, r2, beta))
-
-
-def _d1c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
-    d11 = _d11c_cmo2(r1, beta)
-    d12 = _d12c_dd2(r1, r2, beta)
+def d1c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
+    d11 = d11c_cmo2(r1, beta)
+    d12 = d12c_dd2(r1, r2, beta)
     return d12 if d12[0] < d11[0] else d11
 
 
-def d1c_dd2(r1: float, r2: float, beta: float) -> Exponent:
-    return _piece(*_d1c_dd2(r1, r2, beta))
-
-
-def _d2c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
-    return _d2c(max(_d1_cmo1(r1, r2, beta), _d1_tian1(r1, beta)), r2)
-
-
-def d2c_dd2(r1: float, r2: float, beta: float) -> Exponent:
+def d2c_dd2(r1: float, r2: float, beta: float) -> tuple[float, str]:
     """RX2 exponent under dynamic decoding; equals the better of the two
     static cooperative RX2 exponents."""
-    return _piece(*_d2c_dd2(r1, r2, beta))
+    return _d2c(max(_d1_cmo1(r1, r2, beta), _d1_tian1(r1, beta)), r2)
 
 
 # ---------------------------------------------------------------------------
 # scheme dispatcher
 # ---------------------------------------------------------------------------
 
-# each scheme's ((d1, label), (d2, label)), from the private forms above
+# each scheme's ((d1, label), (d2, label)), from the unchecked forms above
 _DMT = {
-    SchemeId.HK: lambda p: (_d1_hk(p), _d2_hk(p, p.L)),
-    SchemeId.CMO: lambda p: (_d1_cmo(p), _d2_cmo(p)),
-    SchemeId.TIAN: lambda p: (_d1_tian_general(p), _d2_cmo(p)),
-    SchemeId.HK_KEEP: lambda p: (_d1_hk_keep(p), _d2_hk(p, p.L)),
-    SchemeId.HK_STOP: lambda p: (_d1_hk_stop(p), _d2_hk(p, p.L)),
-    SchemeId.COOP_CMO: lambda p: (_d1c_cmo2(p.r1, p.r2, p.beta),
-                                  _d2c_cmo2(p.r1, p.r2, p.beta)),
-    SchemeId.COOP_TIAN: lambda p: (_d1c_tian2(p.r1, p.beta),
-                                   _d2c_tian2(p.r1, p.r2, p.beta)),
-    SchemeId.COOP_STATIC: lambda p: _d_static_overall(p.r1, p.r2, p.beta),
-    SchemeId.COOP_DD: lambda p: (_d1c_dd2(p.r1, p.r2, p.beta),
-                                 _d2c_dd2(p.r1, p.r2, p.beta)),
+    SchemeId.HK: lambda p: (d1_hk(p), _d2_hk(p, p.L)),
+    SchemeId.CMO: lambda p: (d1_cmo(p), d2_cmo(p)),
+    SchemeId.TIAN: lambda p: (d1_tian_general(p), d2_cmo(p)),
+    SchemeId.HK_KEEP: lambda p: (d1_hk_keep(p), _d2_hk(p, p.L)),
+    SchemeId.HK_STOP: lambda p: (d1_hk_stop(p), _d2_hk(p, p.L)),
+    SchemeId.COOP_CMO: lambda p: (d1c_cmo2(p.r1, p.r2, p.beta),
+                                  d2c_cmo2(p.r1, p.r2, p.beta)),
+    SchemeId.COOP_TIAN: lambda p: (d1c_tian2(p.r1, p.beta),
+                                   d2c_tian2(p.r1, p.r2, p.beta)),
+    SchemeId.COOP_STATIC: lambda p: d_static_overall(p.r1, p.r2, p.beta),
+    SchemeId.COOP_DD: lambda p: (d1c_dd2(p.r1, p.r2, p.beta),
+                                 d2c_dd2(p.r1, p.r2, p.beta)),
 }
 
 
@@ -485,8 +408,8 @@ def scheme_curve(scheme: SchemeId | str, points: Sequence[SystemParams]
     return [dmt(p) for p in points]
 
 
-def scheme_dmt(scheme: SchemeId | str, p: SystemParams) -> tuple[Exponent, Exponent]:
-    """One scheme's (d1, d2) at one point, each an Exponent labelled by its
-    winning piece: :func:`scheme_curve` at ``p``, boxed."""
-    [(d1, d2)] = scheme_curve(scheme, (p,))
-    return _piece(*d1), _piece(*d2)
+def scheme_dmt(scheme: SchemeId | str, p: SystemParams
+               ) -> tuple[tuple[float, str], tuple[float, str]]:
+    """One scheme's ``((d1, label), (d2, label))`` at one point:
+    :func:`scheme_curve` at ``p``."""
+    return scheme_curve(scheme, (p,))[0]

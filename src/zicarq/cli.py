@@ -263,7 +263,7 @@ def cmd_simulate(args) -> int:
     for fit, rx in ((fit1, "RX1"), (fit2, "RX2")):
         if fit.dropped_rho_db:
             print(f"note: {rx} zero-outage points dropped from fit: {fit.dropped_rho_db}")
-    d1, d2 = analytic.scheme_dmt(scheme, p)
+    (d1, _), (d2, _) = analytic.scheme_dmt(scheme, p)
 
     def cell(x):
         return "" if x is None or not math.isfinite(x) else _fmt(x)

@@ -44,10 +44,13 @@ def check_rounds(scheme: SchemeId, p: SystemParams) -> None:
         raise ParameterError(f"cooperative schemes require L=2 (scheme {scheme.value})")
 
 
-def check_round(L: int, i: int) -> None:
-    """Raise unless ``i`` is one of the ARQ rounds 1..L."""
-    if not 1 <= i <= L:
-        raise ParameterError(f"round index i={i} outside 1..{L}")
+def check_round(L: int, i: int, first: int = 1, name: str = "round index i") -> None:
+    """Raise unless ``i`` is an int (a bool is not) in first..L, by default
+    one of the ARQ rounds 1..L.  The error names the index as ``name``."""
+    if i.__class__ is not int:
+        raise ParameterError(f"{name} must be an int, got {i!r}")
+    if not first <= i <= L:
+        raise ParameterError(f"{name}={i} outside {first}..{L}")
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -62,8 +65,8 @@ def check_seed(seed: int, name: str = "seed") -> None:
 # forms, not in the oracle.
 RATE_FLOOR = 1e-3
 
-# Largest delay L: the closed forms mix L with floats, and a larger int
-# does not convert to one.
+# Largest delay L, and largest int in a real field: the closed forms mix
+# both with floats, and a larger int does not convert to one.
 _L_MAX = int(sys.float_info.max)
 
 
@@ -181,8 +184,9 @@ def validate(params: SystemParams) -> SystemParams:
         if val.__class__ is not float or not math.isfinite(val):
             for name in REAL_FIELDS:
                 val = getattr(p, name)
-                if (not isinstance(val, (int, float)) or val is True
-                        or val is False or not math.isfinite(val)):
+                if (not isinstance(val, (int, float)) or val is True or val is False
+                        # finite, and for an int, no larger than the largest float
+                        or not -_L_MAX <= val <= _L_MAX):
                     raise ParameterError(f"{name} must be a finite real number")
             break
     if not 0.0 <= p.r1 <= 1.0:

@@ -413,14 +413,12 @@ def _rx2_hk_event(l: int):
 
 @lru_cache(maxsize=_FAMILIES)
 def _o11_event(L: int, i: int):
-    check_round(L, i)
     interfered = pos_part(1.0 - _G11 - pos_part(_BETA - _G21 - _B))
     return i * interfered + (L - i) * pos_part(1.0 - _G11) < _R1
 
 
 @lru_cache(maxsize=_FAMILIES)
 def _o12_event(L: int, i: int, stop: bool):
-    check_round(L, i)
     joint = pos_part(maximum(1.0 - _G11, _BETA - _G21) - pos_part(_BETA - _G21 - _B))
     tail = pos_part(1.0 - _G11) if stop else \
         maximum(pos_part(1.0 - _G11), pos_part(_BETA - _G21))
@@ -474,10 +472,12 @@ def _rx2(l: int):
 
 
 def _o11(L: int, i: int):
+    check_round(L, i)  # before the cache, which keys True as 1
     return f"O11_HK(i={i})", "rx1", _o11_event(L, i)
 
 
 def _o12(L: int, i: int, stop: bool):
+    check_round(L, i)
     name = "O12_STOP" if stop else "O12_HK"
     return f"{name}(i={i})", "rx1", _o12_event(L, i, stop)
 

@@ -61,7 +61,7 @@ def worst_gap(scheme: SchemeId, samples: int,
     worst, where = -1.0, None
     for _ in range(samples):
         p = sample_params(rng, scheme)
-        for name, ana, orc in _verify_checks(scheme, p):
+        for name, (ana, _), orc in _verify_checks(scheme, p):
             gap = abs(ana - orc)
             if gap > worst:
                 worst, where = gap, (name, p)
@@ -70,7 +70,7 @@ def worst_gap(scheme: SchemeId, samples: int,
 
 
 def _verify_checks(scheme: SchemeId, p: SystemParams):
-    """Yield (check name, analytic value, oracle value) triples."""
+    """Yield (check name, analytic (value, label), oracle value) triples."""
     r1, r2, beta = p.r1, p.r2, p.beta
 
     def coop(name):

@@ -63,9 +63,9 @@ def test_criterion_2_special_case_identity():
         for beta in np.linspace(0.0, 2.0, 50):
             for L in (1, 2, 3, 4, 5):
                 p = P(r1=float(r1), r2=0.0, t2=0.0, b=0.0, beta=float(beta), L=L)
-                a = d1_hk(p)
-                g = d1_tian_general(p)
-                c = d1_tian(p)
+                a = d1_hk(p)[0]
+                g = d1_tian_general(p)[0]
+                c = d1_tian(p)[0]
                 worst = max(worst, abs(a - g), abs(g - c))
     assert worst <= 1e-12, f"identity violated by {worst}"
     print(f"ACCEPTANCE 2 special-case identity (50x50x5 grid, max gap "
@@ -78,8 +78,8 @@ def test_criterion_3_policy_dominance():
     rng = np.random.default_rng(37)
     for _ in range(200):
         p = sample_params(rng, SchemeId.HK)
-        lhs = d1_hk(p)
-        rhs = max(d1_hk_keep(p), d1_hk_stop(p), oracle_d1_hk(p, stop=True))
+        lhs = d1_hk(p)[0]
+        rhs = max(d1_hk_keep(p)[0], d1_hk_stop(p)[0], oracle_d1_hk(p, stop=True))
         assert lhs >= rhs - 1e-12, f"policy dominance violated at {p}"
 
     # Per ACK round i, O12_HK(i) lies within O12_STOP(i): the mixed tail
@@ -106,9 +106,9 @@ def test_criterion_4_cooperation_curves():
     exists_strict = False
     for r1 in sweep:
         r1 = float(r1)
-        dd = d1c_dd2(r1, r2, beta)
-        assert dd >= d1c_cmo2(r1, r2, beta) - 1e-12
-        static_d1, _ = d_static_overall(r1, r2, beta)
+        dd = d1c_dd2(r1, r2, beta)[0]
+        assert dd >= d1c_cmo2(r1, r2, beta)[0] - 1e-12
+        (static_d1, _), _ = d_static_overall(r1, r2, beta)
         if dd > static_d1 + 1e-3:
             exists_strict = True
     assert exists_strict, "dynamic decoding never beat the static envelope"
@@ -116,14 +116,14 @@ def test_criterion_4_cooperation_curves():
     # near-zero rate: cooperation approaches two-branch diversity while
     # every non-cooperative curve stays below 1 + beta/2
     r1 = 0.001
-    dd0 = d1c_dd2(r1, r2, beta)
+    dd0 = d1c_dd2(r1, r2, beta)[0]
     assert dd0 == pytest.approx(2.0, abs=0.01)
     noncoop = [
-        d1_cmo(P(r1=r1, r2=r2, beta=beta, L=2)),
-        d1_tian(P(r1=r1, r2=r2, beta=beta, L=2)),
-        d1_tian_general(P(r1=r1, r2=r2, beta=beta, L=2)),
-        d1_hk(P(r1=r1, r2=r2, t2=0.3, b=0.1, beta=beta, L=2)),
-        d1_hk(P(r1=r1, r2=r2, t2=0.6, b=0.3, beta=beta, L=2)),
+        d1_cmo(P(r1=r1, r2=r2, beta=beta, L=2))[0],
+        d1_tian(P(r1=r1, r2=r2, beta=beta, L=2))[0],
+        d1_tian_general(P(r1=r1, r2=r2, beta=beta, L=2))[0],
+        d1_hk(P(r1=r1, r2=r2, t2=0.3, b=0.1, beta=beta, L=2))[0],
+        d1_hk(P(r1=r1, r2=r2, t2=0.6, b=0.3, beta=beta, L=2))[0],
     ]
     assert all(v <= 1.0 + beta / 2.0 for v in noncoop)
     print(f"ACCEPTANCE 4 cooperative curves at beta=1.3, r2=0.9 "
@@ -138,11 +138,11 @@ def test_criterion_5_rx2_cooperation_cost():
             for beta in (0.2, 0.5, 0.8, 1.0, 1.3, 1.7, 2.0):
                 r1f, r2f = float(r1), float(r2)
                 base = P(r1=r1f, r2=r2f, beta=beta, L=2)
-                assert d2c_cmo2(r1f, r2f, beta) <= d2_cmo(base) + 1e-12
-                assert d2c_tian2(r1f, r2f, beta) <= d2_tian(base) + 1e-12
-                assert d2c_dd2(r1f, r2f, beta) <= d2_cmo(base) + 1e-12
-                assert d2c_dd2(r1f, r2f, beta) == max(
-                    d2c_cmo2(r1f, r2f, beta), d2c_tian2(r1f, r2f, beta))
+                assert d2c_cmo2(r1f, r2f, beta)[0] <= d2_cmo(base)[0] + 1e-12
+                assert d2c_tian2(r1f, r2f, beta)[0] <= d2_tian(base)[0] + 1e-12
+                assert d2c_dd2(r1f, r2f, beta)[0] <= d2_cmo(base)[0] + 1e-12
+                assert d2c_dd2(r1f, r2f, beta)[0] == max(
+                    d2c_cmo2(r1f, r2f, beta)[0], d2c_tian2(r1f, r2f, beta)[0])
     print("ACCEPTANCE 5 RX2 cooperation cost and dynamic-decoding RX2 "
           "identity (26x26x7 grid): PASS")
 

@@ -1,13 +1,15 @@
+import inspect
 import math
 import re
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
+import zicarq
 from zicarq import analytic, oracle_d1_hk
 from zicarq.analytic import (
-    Exponent,
     SchemeId,
     d1_cmo,
     d1_hk,
@@ -42,31 +44,36 @@ def P(**kw):
     return SystemParams(**kw)
 
 
+# a (value, label) pair's value: the key to min or max pairs by, since
+# tuples order by label when the values tie
+by_value = itemgetter(0)
+
+
 class TestD2Hk:
     def test_zero_rate(self):
-        assert d2_hk(P(r1=0, r2=0, L=2)) == 1.0
+        assert d2_hk(P(r1=0, r2=0, L=2))[0] == 1.0
 
     def test_pure_common_split(self):
         # cross-checked against the RX2 region oracle in test_regions
-        assert d2_hk(P(r1=0, r2=0.5, t2=0.5, b=0.2, L=2)) == pytest.approx(0.75)
+        assert d2_hk(P(r1=0, r2=0.5, t2=0.5, b=0.2, L=2))[0] == pytest.approx(0.75)
 
     def test_full_multiplexing(self):
-        assert d2_hk(P(r1=0, r2=1, L=1)) == 0.0
+        assert d2_hk(P(r1=0, r2=1, L=1))[0] == 0.0
 
     def test_round_zero_prefix(self):
         # positive rate at zero rounds: reaching the round costs nothing
-        assert d2_hk(P(r1=0, r2=0.4, t2=0.2, b=0.1, L=2), rounds=0) == 0.0
+        assert d2_hk(P(r1=0, r2=0.4, t2=0.2, b=0.1, L=2), rounds=0)[0] == 0.0
 
 
 class TestD11Hk:
     def test_first_round(self):
-        assert d11_hk(P(r1=0.3, r2=0, beta=0.8, b=0.1, L=2), 1) == pytest.approx(0.7)
+        assert d11_hk(P(r1=0.3, r2=0, beta=0.8, b=0.1, L=2), 1)[0] == pytest.approx(0.7)
 
     def test_last_round(self):
-        assert d11_hk(P(r1=0.3, r2=0, beta=0.8, b=0.1, L=2), 2) == pytest.approx(0.15)
+        assert d11_hk(P(r1=0.3, r2=0, beta=0.8, b=0.1, L=2), 2)[0] == pytest.approx(0.15)
 
     def test_zero_rate(self):
-        assert d11_hk(P(r1=0, r2=0, beta=0.5, L=2), 1) == 1.0
+        assert d11_hk(P(r1=0, r2=0, beta=0.5, L=2), 1)[0] == 1.0
 
     def test_index_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -76,15 +83,15 @@ class TestD11Hk:
 class TestD12Hk:
     def test_mid_branch(self):
         p = P(r1=0.3, r2=0.2, t2=0.2, b=0.1, beta=0.8, L=2)
-        assert d12_hk(p, 1) == pytest.approx(1.0)
+        assert d12_hk(p, 1)[0] == pytest.approx(1.0)
 
     def test_high_sum_branch_at_last_round(self):
         p = P(r1=0.3, r2=0.2, t2=0.2, b=0.1, beta=0.8, L=2)
-        assert d12_hk(p, 2) == pytest.approx(0.05)
+        assert d12_hk(p, 2)[0] == pytest.approx(0.05)
 
     def test_low_sum_branch(self):
         p = P(r1=0.1, r2=0.0, t2=0.0, b=0.3, beta=0.5, L=2)
-        assert d12_hk(p, 1) == pytest.approx(1.4)
+        assert d12_hk(p, 1)[0] == pytest.approx(1.4)
 
     @pytest.mark.parametrize("i", [0, 3])
     def test_index_out_of_range(self, i):
@@ -108,7 +115,7 @@ class TestD12Hk:
                     continue
                 lo = P(r1=boundary - eps, r2=0, b=b, beta=beta, L=L)
                 hi = P(r1=boundary + eps, r2=0, b=b, beta=beta, L=L)
-                assert d12_hk(lo, i) == pytest.approx(d12_hk(hi, i), abs=1e-9)
+                assert d12_hk(lo, i)[0] == pytest.approx(d12_hk(hi, i)[0], abs=1e-9)
 
     def test_genuine_jump_at_full_round_boundary(self):
         # finding: with interference persisting through every round (i=L)
@@ -117,8 +124,8 @@ class TestD12Hk:
         # drops to [1-(s+L[beta-b]+)/L]+ as soon as s crosses L*b; both
         # sides of the jump match the region oracle (see test_regions)
         L, b, beta = 1, 0.2, 1.5
-        below = d12_hk(P(r1=0.18, r2=0, b=b, beta=beta, L=L), L)
-        above = d12_hk(P(r1=0.22, r2=0, b=b, beta=beta, L=L), L)
+        below = d12_hk(P(r1=0.18, r2=0, b=b, beta=beta, L=L), L)[0]
+        above = d12_hk(P(r1=0.22, r2=0, b=b, beta=beta, L=L), L)[0]
         assert below == pytest.approx(2.14)
         assert above == 0.0
 
@@ -131,57 +138,57 @@ class TestD12Hk:
     ], ids=["high-sum", "low-sum"])
     def test_labels_on_each_side_of_the_jump(self, r1, label, d12, d1, d1_label):
         p = P(r1=r1, r2=0.5, t2=0.1, b=0.3, beta=0.6, L=1)
-        assert d12_hk(p, 1).label == label
-        assert d12_hk(p, 1) == d12
-        got, _ = scheme_dmt(SchemeId.HK, p)
+        assert d12_hk(p, 1)[1] == label
+        assert d12_hk(p, 1)[0] == d12
+        (got, got_label), _ = scheme_dmt(SchemeId.HK, p)
         assert got == d1
-        assert got.label == d1_label
+        assert got_label == d1_label
         assert abs(oracle_d1_hk(p) - got) <= 1e-12
 
 
 class TestD1Hk:
     def test_two_round_example(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        assert d1_hk(p) == pytest.approx(0.65)
+        assert d1_hk(p)[0] == pytest.approx(0.65)
 
     def test_single_round_zero_rates(self):
-        assert d1_hk(P(r1=0, r2=0, beta=1.0, L=1)) == 1.0
+        assert d1_hk(P(r1=0, r2=0, beta=1.0, L=1))[0] == 1.0
 
     def test_full_r1(self):
         # saturated multiplexing: the i=1 term already hits zero
-        assert d1_hk(P(r1=1.0, r2=0.9, beta=1.0, L=2)) == pytest.approx(0.0)
+        assert d1_hk(P(r1=1.0, r2=0.9, beta=1.0, L=2))[0] == pytest.approx(0.0)
 
 
 class TestCmo:
     def test_d1_two_rounds(self):
-        assert d1_cmo(P(r1=0.5, r2=0.5, beta=1.3, L=2)) == pytest.approx(0.75)
+        assert d1_cmo(P(r1=0.5, r2=0.5, beta=1.3, L=2))[0] == pytest.approx(0.75)
 
     def test_d1_one_round(self):
-        assert d1_cmo(P(r1=0.3, r2=0.3, beta=0.4, L=1)) == pytest.approx(0.4)
+        assert d1_cmo(P(r1=0.3, r2=0.3, beta=0.4, L=1))[0] == pytest.approx(0.4)
 
     def test_d1_zero_rates(self):
-        assert d1_cmo(P(r1=0, r2=0, beta=0.9, L=2)) == 1.0
+        assert d1_cmo(P(r1=0, r2=0, beta=0.9, L=2))[0] == 1.0
 
     def test_d2(self):
-        assert d2_cmo(P(r1=0, r2=0.5, L=2)) == pytest.approx(0.75)
-        assert d2_cmo(P(r1=0, r2=1.0, L=1)) == 0.0
-        assert d2_cmo(P(r1=0, r2=0.0, L=4)) == 1.0
+        assert d2_cmo(P(r1=0, r2=0.5, L=2))[0] == pytest.approx(0.75)
+        assert d2_cmo(P(r1=0, r2=1.0, L=1))[0] == 0.0
+        assert d2_cmo(P(r1=0, r2=0.0, L=4))[0] == 1.0
 
 
 class TestTian:
     def test_closed_form_values(self):
-        assert d1_tian(P(r1=0.6, r2=0, beta=1.3, L=2)) == pytest.approx(0.4)
-        assert d1_tian(P(r1=0.9, r2=0, beta=0.3, L=3)) == pytest.approx(0.6)
-        assert d1_tian(P(r1=0.3, r2=0, beta=0.5, L=1)) == pytest.approx(0.2)
+        assert d1_tian(P(r1=0.6, r2=0, beta=1.3, L=2))[0] == pytest.approx(0.4)
+        assert d1_tian(P(r1=0.9, r2=0, beta=0.3, L=3))[0] == pytest.approx(0.6)
+        assert d1_tian(P(r1=0.3, r2=0, beta=0.5, L=1))[0] == pytest.approx(0.2)
 
     def test_d2(self):
-        assert d2_tian(P(r1=0, r2=0.9, L=2)) == pytest.approx(0.55)
-        assert d2_tian(P(r1=0, r2=0.0, L=2)) == 1.0
-        assert d2_tian(P(r1=0, r2=1.0, L=1)) == 0.0
+        assert d2_tian(P(r1=0, r2=0.9, L=2))[0] == pytest.approx(0.55)
+        assert d2_tian(P(r1=0, r2=0.0, L=2))[0] == 1.0
+        assert d2_tian(P(r1=0, r2=1.0, L=1))[0] == 0.0
 
     def test_general_examples(self):
-        assert d1_tian_general(P(r1=0, r2=0.5, beta=1.0, L=2)) == 1.0
-        assert d1_tian_general(P(r1=0.9, r2=0.2, beta=0.3, L=3)) == pytest.approx(0.6)
+        assert d1_tian_general(P(r1=0, r2=0.5, beta=1.0, L=2))[0] == 1.0
+        assert d1_tian_general(P(r1=0.9, r2=0.2, beta=0.3, L=3))[0] == pytest.approx(0.6)
 
     def test_general_never_exceeds_single_term(self):
         # the single-term form keeps only the ACK-at-round-1 term
@@ -189,14 +196,14 @@ class TestTian:
         for _ in range(300):
             p = P(r1=float(rng.uniform(0, 1)), r2=float(rng.uniform(0, 1)),
                   beta=float(rng.uniform(0, 2)), L=int(rng.integers(1, 5)))
-            assert d1_tian_general(p) <= d1_tian(p) + 1e-12
+            assert d1_tian_general(p)[0] <= d1_tian(p)[0] + 1e-12
 
     def test_single_term_form_is_optimistic_under_heavy_interference(self):
         # with a highly loaded second user the dominant outage path runs
         # through a late ACK round, which the single-term form misses
         p = P(r1=0.1, r2=0.5, beta=0.9, L=2)
-        assert d1_tian_general(p) == pytest.approx(0.55)
-        assert d1_tian(p) == pytest.approx(0.9)
+        assert d1_tian_general(p)[0] == pytest.approx(0.55)
+        assert d1_tian(p)[0] == pytest.approx(0.9)
 
 
 class TestSpecialCaseIdentities:
@@ -207,52 +214,52 @@ class TestSpecialCaseIdentities:
         for _ in range(500):
             p = P(r1=float(rng.uniform(0, 1)), r2=float(rng.uniform(0, 1)),
                   beta=float(rng.uniform(0, 2)), L=int(rng.integers(1, 6)))
-            assert d1_hk(p) == pytest.approx(d1_tian_general(p), abs=1e-12)
+            assert d1_hk(p)[0] == pytest.approx(d1_tian_general(p)[0], abs=1e-12)
 
     def test_all_three_agree_when_other_user_is_unloaded(self):
         for r1 in np.linspace(0, 1, 21):
             for beta in np.linspace(0, 2, 21):
                 for L in (1, 2, 3, 4, 5):
                     p = P(r1=float(r1), r2=0.0, beta=float(beta), L=L)
-                    a, g, c = d1_hk(p), d1_tian_general(p), d1_tian(p)
+                    a, g, c = d1_hk(p)[0], d1_tian_general(p)[0], d1_tian(p)[0]
                     assert abs(a - g) <= 1e-12
                     assert abs(g - c) <= 1e-12
 
 
 class TestCoopCmo:
     def test_d11_high_rate(self):
-        assert d11c_cmo2(0.8, 0.3) == pytest.approx(0.6)
+        assert d11c_cmo2(0.8, 0.3)[0] == pytest.approx(0.6)
 
     def test_d11_low_rate(self):
-        assert d11c_cmo2(0.2, 1.0) == pytest.approx(1.7)
+        assert d11c_cmo2(0.2, 1.0)[0] == pytest.approx(1.7)
 
     def test_d11_zero_rate(self):
-        assert d11c_cmo2(0.0, 1.3) == pytest.approx(2.0)
+        assert d11c_cmo2(0.0, 1.3)[0] == pytest.approx(2.0)
 
     def test_d12(self):
-        assert d12c_cmo2(0.4, 0.6, 0.9) == pytest.approx(0.9)
-        assert d12c_cmo2(0.0, 0.0, 0.5) == pytest.approx(1.5)
-        assert d12c_cmo2(1.0, 1.0, 0.5) == 0.0
+        assert d12c_cmo2(0.4, 0.6, 0.9)[0] == pytest.approx(0.9)
+        assert d12c_cmo2(0.0, 0.0, 0.5)[0] == pytest.approx(1.5)
+        assert d12c_cmo2(1.0, 1.0, 0.5)[0] == 0.0
 
     def test_d2(self):
-        assert d2c_cmo2(0.3, 0.4, 1.0) == pytest.approx(0.8)
-        assert d2c_cmo2(0.0, 0.0, 1.0) == pytest.approx(1.0)
+        assert d2c_cmo2(0.3, 0.4, 1.0)[0] == pytest.approx(0.8)
+        assert d2c_cmo2(0.0, 0.0, 1.0)[0] == pytest.approx(1.0)
 
     def test_d1(self):
-        assert d1c_cmo2(0.8, 0.1, 0.3) == pytest.approx(0.55)
+        assert d1c_cmo2(0.8, 0.1, 0.3)[0] == pytest.approx(0.55)
 
 
 class TestCoopTian:
     def test_branches(self):
-        assert d1c_tian2(0.5, 0.4) == pytest.approx(0.55)
-        assert d1c_tian2(0.1, 1.5) == pytest.approx(1.8)
-        assert d1c_tian2(0.6, 1.0) == pytest.approx(2.0 / 3.0)
+        assert d1c_tian2(0.5, 0.4)[0] == pytest.approx(0.55)
+        assert d1c_tian2(0.1, 1.5)[0] == pytest.approx(1.8)
+        assert d1c_tian2(0.6, 1.0)[0] == pytest.approx(2.0 / 3.0)
 
     def test_d2(self):
-        assert d2c_tian2(0.3, 0.4, 0.5) == pytest.approx(0.8)
-        assert d2c_tian2(0.0, 0.0, 2.0) == pytest.approx(1.0)
+        assert d2c_tian2(0.3, 0.4, 0.5)[0] == pytest.approx(0.8)
+        assert d2c_tian2(0.0, 0.0, 2.0)[0] == pytest.approx(1.0)
         # relay path [1-r2]^+ + [1-r1-beta]^+ = 0.7, duplex path 0.5
-        assert d2c_tian2(0.1, 1.0, 0.2) == pytest.approx(0.5)
+        assert d2c_tian2(0.1, 1.0, 0.2)[0] == pytest.approx(0.5)
 
     def test_branch_continuity(self):
         eps = 1e-12
@@ -260,14 +267,14 @@ class TestCoopTian:
             for boundary in (beta, beta / 2.0, 0.5):
                 if not eps < boundary < 1.0 - eps:
                     continue
-                lo = d1c_tian2(boundary - eps, float(beta))
-                hi = d1c_tian2(boundary + eps, float(beta))
+                lo = d1c_tian2(boundary - eps, float(beta))[0]
+                hi = d1c_tian2(boundary + eps, float(beta))[0]
                 assert lo == pytest.approx(hi, abs=1e-9)
 
 
 class TestStaticOverall:
     def test_zero_rates(self):
-        d1, _ = d_static_overall(0.0, 0.0, 1.0)
+        (d1, _), _ = d_static_overall(0.0, 0.0, 1.0)
         assert d1 == pytest.approx(2.0)
 
     def test_is_max(self):
@@ -275,24 +282,24 @@ class TestStaticOverall:
         for _ in range(200):
             r1, r2 = rng.uniform(0, 1, 2)
             beta = float(rng.uniform(0, 2))
-            d1, d2 = d_static_overall(float(r1), float(r2), beta)
-            c1, t1 = d1c_cmo2(float(r1), float(r2), beta), d1c_tian2(float(r1), beta)
+            (d1, _), (d2, _) = d_static_overall(float(r1), float(r2), beta)
+            c1, t1 = d1c_cmo2(float(r1), float(r2), beta)[0], d1c_tian2(float(r1), beta)[0]
             assert d1 == max(c1, t1)
-            expect_d2 = d2c_cmo2(float(r1), float(r2), beta) if c1 >= t1 \
-                else d2c_tian2(float(r1), float(r2), beta)
+            expect_d2 = d2c_cmo2(float(r1), float(r2), beta)[0] if c1 >= t1 \
+                else d2c_tian2(float(r1), float(r2), beta)[0]
             assert d2 == expect_d2
 
     def test_evaluates_both_branches(self):
-        d1, _ = d_static_overall(0.05, 0.9, 1.3)
-        assert d1 == max(d1c_cmo2(0.05, 0.9, 1.3), d1c_tian2(0.05, 1.3))
+        (d1, _), _ = d_static_overall(0.05, 0.9, 1.3)
+        assert d1 == max(d1c_cmo2(0.05, 0.9, 1.3)[0], d1c_tian2(0.05, 1.3)[0])
 
 
 class TestDynamicDecoding:
     def test_d12_mid_rate(self):
-        assert d12c_dd2(0.6, 0.8, 0.9) == pytest.approx(0.9 - 0.2 * 0.8 / 0.6)
+        assert d12c_dd2(0.6, 0.8, 0.9)[0] == pytest.approx(0.9 - 0.2 * 0.8 / 0.6)
 
     def test_d12_low_rate(self):
-        assert d12c_dd2(0.3, 0.5, 0.6) == pytest.approx(1.0)
+        assert d12c_dd2(0.3, 0.5, 0.6)[0] == pytest.approx(1.0)
 
     def test_d12_matches_cmo_when_r1_dominates(self):
         rng = np.random.default_rng(21)
@@ -300,7 +307,7 @@ class TestDynamicDecoding:
             r2 = float(rng.uniform(0.05, 0.9))
             beta = float(rng.uniform(r2 + 0.01, 2.0))
             r1 = float(rng.uniform(r2, 1.0))
-            assert d12c_dd2(r1, r2, beta) == d12c_cmo2(r1, r2, beta)
+            assert d12c_dd2(r1, r2, beta)[0] == d12c_cmo2(r1, r2, beta)[0]
 
     def test_d12_branch_continuity(self):
         eps = 1e-12
@@ -313,29 +320,29 @@ class TestDynamicDecoding:
             for boundary in (r2, 0.5):
                 if not eps < boundary < 1 - eps or boundary > r2:
                     continue
-                lo = d12c_dd2(boundary - eps, r2, beta)
-                hi = d12c_dd2(boundary + eps, r2, beta)
+                lo = d12c_dd2(boundary - eps, r2, beta)[0]
+                hi = d12c_dd2(boundary + eps, r2, beta)[0]
                 assert lo == pytest.approx(hi, abs=1e-9)
 
     def test_d2_is_max_of_static_d2s(self):
         for r1 in np.linspace(0, 1, 21):
             for r2 in np.linspace(0, 1, 21):
                 for beta in (0.2, 0.6, 1.0, 1.5, 2.0):
-                    lhs = d2c_dd2(float(r1), float(r2), beta)
-                    rhs = max(d2c_cmo2(float(r1), float(r2), beta),
-                              d2c_tian2(float(r1), float(r2), beta))
+                    lhs = d2c_dd2(float(r1), float(r2), beta)[0]
+                    rhs = max(d2c_cmo2(float(r1), float(r2), beta)[0],
+                              d2c_tian2(float(r1), float(r2), beta)[0])
                     assert lhs == rhs
 
     def test_dominates_static_cmo(self):
         for r1 in np.linspace(0.001, 1, 200):
             for beta, r2 in ((1.3, 0.9), (0.5, 0.3), (2.0, 0.7)):
-                assert d1c_dd2(float(r1), r2, beta) >= d1c_cmo2(float(r1), r2, beta) - 1e-12
+                assert d1c_dd2(float(r1), r2, beta)[0] >= d1c_cmo2(float(r1), r2, beta)[0] - 1e-12
 
 
 class TestPolicies:
     def test_keep_worked_example(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        assert d1_hk_keep(p) == pytest.approx(0.05)
+        assert d1_hk_keep(p)[0] == pytest.approx(0.05)
 
     def test_keep_never_beats_policy(self):
         rng = np.random.default_rng(77)
@@ -345,16 +352,16 @@ class TestPolicies:
                   beta=float(rng.uniform(0, 2)), L=int(rng.integers(1, 5)))
             p = P(r1=p.r1, r2=p.r2, t2=float(rng.uniform(0, p.r2)), b=p.b,
                   beta=p.beta, L=p.L)
-            assert d1_hk(p) >= d1_hk_keep(p) - 1e-12
+            assert d1_hk(p)[0] >= d1_hk_keep(p)[0] - 1e-12
 
     def test_keep_at_zero_rate(self):
         p = P(r1=0.0, r2=0.4, t2=0.1, b=0.2, beta=0.8, L=2)
-        assert d1_hk_keep(p) <= d1_hk(p) + 1e-12
+        assert d1_hk_keep(p)[0] <= d1_hk(p)[0] + 1e-12
 
     def test_stop_worked_example(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
-        assert d1_hk_stop(p) == pytest.approx(0.6)
-        assert d1_hk_stop(p).label == "i=1,d12:mid-sum"
+        assert d1_hk_stop(p)[0] == pytest.approx(0.6)
+        assert d1_hk_stop(p)[1] == "i=1,d12:mid-sum"
 
     def test_mixed_policy_beats_keep_and_stop(self):
         # the paper's claim in closed form: sending only the common stream
@@ -366,7 +373,7 @@ class TestPolicies:
             b = 0.0 if k % 4 == 0 else float(rng.uniform(0, 1))
             p = P(r1=float(rng.uniform(0, 1)), r2=r2, t2=t2, b=b,
                   beta=float(rng.uniform(0, 2)), L=k % 6 + 1)
-            assert d1_hk(p) >= max(d1_hk_keep(p), d1_hk_stop(p)), p
+            assert d1_hk(p)[0] >= max(d1_hk_keep(p)[0], d1_hk_stop(p)[0]), p
 
 
 class TestD12HkStop:
@@ -378,8 +385,8 @@ class TestD12HkStop:
     ], ids=["joint", "low-sum", "mid-sum", "high-sum"])
     def test_each_piece_matches_oracle(self, kw, i, label, value):
         p = P(r2=0.5, **kw)
-        got = d12_hk_stop(p, i)
-        assert got.label == label
+        got, got_label = d12_hk_stop(p, i)
+        assert got_label == label
         assert got == pytest.approx(value, abs=1e-15)
         oracle = oracle_min_exponent(region_o12_hk(p, i, stop=True))
         assert abs(got - oracle) <= 1e-12
@@ -397,7 +404,7 @@ class TestD12HkStop:
             r1 = RATE_FLOOR if k % 5 == 0 else float(rng.uniform(RATE_FLOOR, 1))
             p = P(r1=r1, r2=r2, t2=t2, b=b, beta=float(rng.uniform(0, 3)),
                   L=k % 6 + 1)
-            assert abs(d1_hk_stop(p) - oracle_d1_hk(p, stop=True)) <= 1e-12, p
+            assert abs(d1_hk_stop(p)[0] - oracle_d1_hk(p, stop=True)) <= 1e-12, p
 
     @pytest.mark.parametrize("b, d12, d1", [
         (math.nextafter(0.25, 0.0), 0.2, 0.7),
@@ -410,12 +417,12 @@ class TestD12HkStop:
         # flat piece at gamma21 = 0 and keeps reading the lower side
         p = P(r1=0.25, r2=0.5, t2=0.25, b=b, beta=0.8, L=2)
         for form in (d12_hk, d12_hk_stop):
-            assert form(p, 2) == pytest.approx(d12, abs=1e-15)
+            assert form(p, 2)[0] == pytest.approx(d12, abs=1e-15)
         for stop in (False, True):
             o12 = oracle_min_exponent(region_o12_hk(p, 2, stop))
             assert o12 == pytest.approx(0.2, abs=1e-15)
             assert oracle_d1_hk(p, stop) == pytest.approx(0.7, abs=1e-15)
-        assert d1_hk(p) == d1_hk_stop(p) == pytest.approx(d1, abs=1e-15)
+        assert d1_hk(p)[0] == d1_hk_stop(p)[0] == pytest.approx(d1, abs=1e-15)
 
 
 class TestGlobalInvariants:
@@ -438,7 +445,7 @@ class TestGlobalInvariants:
                 d1c_tian2(p.r1, p.beta), d2c_tian2(p.r1, p.r2, p.beta),
                 d1c_dd2(p.r1, p.r2, p.beta), d2c_dd2(p.r1, p.r2, p.beta),
             ]
-            for v in vals:
+            for v, _ in vals:
                 assert 0.0 <= v <= hi + 1e-12
 
     def test_rate_monotonicity(self):
@@ -448,12 +455,12 @@ class TestGlobalInvariants:
             dr = float(rng.uniform(0, 1.0 - p.r1))
             hi = P(r1=p.r1 + dr, r2=p.r2, t2=p.t2, b=p.b, beta=p.beta, L=p.L)
             for fn in (d1_hk, d1_cmo, d1_tian, d1_tian_general):
-                assert fn(hi) <= fn(p) + 1e-12
+                assert fn(hi)[0] <= fn(p)[0] + 1e-12
             dr2 = float(rng.uniform(0, 1.0 - p.r2))
             hi2 = P(r1=p.r1, r2=p.r2 + dr2, t2=p.t2, b=p.b, beta=p.beta, L=p.L)
-            assert d2_hk(hi2) <= d2_hk(p) + 1e-12
-            assert d2_cmo(hi2) <= d2_cmo(p) + 1e-12
-            assert d1_hk(hi2) <= d1_hk(p) + 1e-12
+            assert d2_hk(hi2)[0] <= d2_hk(p)[0] + 1e-12
+            assert d2_cmo(hi2)[0] <= d2_cmo(p)[0] + 1e-12
+            assert d1_hk(hi2)[0] <= d1_hk(p)[0] + 1e-12
 
     def test_rx2_cooperation_cost(self):
         # giving up the second transmission round to relay can only hurt RX2
@@ -461,9 +468,9 @@ class TestGlobalInvariants:
             for r2 in np.linspace(0, 1, 15):
                 for beta in (0.2, 0.8, 1.3, 2.0):
                     base = P(r1=float(r1), r2=float(r2), beta=beta, L=2)
-                    assert d2c_cmo2(float(r1), float(r2), beta) <= d2_cmo(base) + 1e-12
-                    assert d2c_tian2(float(r1), float(r2), beta) <= d2_tian(base) + 1e-12
-                    assert d2c_dd2(float(r1), float(r2), beta) <= d2_cmo(base) + 1e-12
+                    assert d2c_cmo2(float(r1), float(r2), beta)[0] <= d2_cmo(base)[0] + 1e-12
+                    assert d2c_tian2(float(r1), float(r2), beta)[0] <= d2_tian(base)[0] + 1e-12
+                    assert d2c_dd2(float(r1), float(r2), beta)[0] <= d2_cmo(base)[0] + 1e-12
 
 
 class TestSchemeDmt:
@@ -476,7 +483,7 @@ class TestSchemeDmt:
         # a cooperative curve with one point off L = 2 runs no closed form
         def reached(*args):
             raise AssertionError("a closed form ran before the delay check")
-        monkeypatch.setattr(analytic, "_d1c_cmo2", reached)
+        monkeypatch.setattr(analytic, "d1c_cmo2", reached)
         points = [P(r1=0.3, r2=0.3, L=2), P(r1=0.4, r2=0.3, L=3)]
         with pytest.raises(ParameterError, match="require L=2"):
             scheme_curve("coop-cmo", points)
@@ -499,9 +506,9 @@ class TestSchemeDmt:
 
     def test_curve_is_scheme_dmt_at_each_point(self):
         # scheme_curve gives plain (value, label) pairs, and scheme_dmt and
-        # the public forms box the same value bits and labels
+        # the public forms give the same value bits and labels
         def bits(pair):
-            return [(float.hex(d), d.label) for d in pair]
+            return [(float.hex(d), label) for d, label in pair]
 
         points = list(self._curve_points(2000))
         coop_points = [p.replace(L=2) for p in points]
@@ -544,35 +551,81 @@ class TestSchemeDmt:
                 p = P(r1=r1, r2=r2, t2=t2, b=b, beta=beta,
                       L=2 if scheme in COOP_SCHEMES else L)
                 got = scheme_dmt(scheme, p)
-                d1, d2 = forms(p)
-                assert got == (d1, d2), (scheme, p)
-                assert [e.label for e in got] == [d1.label, d2.label]
-                assert all(e.label for e in got), (scheme, p)
+                (d1, d1_label), (d2, d2_label) = forms(p)
+                assert [v for v, _ in got] == [d1, d2], (scheme, p)
+                assert [label for _, label in got] == [d1_label, d2_label]
+                assert all(label for _, label in got), (scheme, p)
                 if scheme not in (SchemeId.HK, SchemeId.TIAN, SchemeId.HK_STOP):
                     continue
                 # the label names the ACK round whose term is d1; tian is hk
                 # at t2 = b = 0 with RX1 treating interference as noise
-                m = re.fullmatch(r"i=(\d+),(d1[12]:.+)", d1.label)
-                assert m, (scheme, d1.label)
+                m = re.fullmatch(r"i=(\d+),(d1[12]:.+)", d1_label)
+                assert m, (scheme, d1_label)
                 i = int(m.group(1))
                 assert 1 <= i <= p.L
                 if scheme is SchemeId.HK:
-                    q, event = p, min(d11_hk(p, i), d12_hk(p, i))
+                    q, event = p, min(d11_hk(p, i), d12_hk(p, i), key=by_value)
                 elif scheme is SchemeId.HK_STOP:
-                    q, event = p, min(d11_hk(p, i), d12_hk_stop(p, i))
+                    q, event = p, min(d11_hk(p, i), d12_hk_stop(p, i), key=by_value)
                 else:
                     q = P(r1=r1, r2=r2, beta=beta, L=L)
                     event = d11_hk(q, i)
-                assert m.group(2) == event.label
-                assert d1 == (0.0 if i == 1 else d2_hk(q, i - 1)) + event
+                assert m.group(2) == event[1]
+                assert d1 == (0.0 if i == 1 else d2_hk(q, i - 1)[0]) + event[0]
+
+    def test_every_export_returns_pairs(self):
+        # every closed form the package exports returns (float, str) pairs
+        # with non-empty labels, at every round and every scheme: one pair,
+        # or one per user from d_static_overall, scheme_dmt and scheme_curve.
+        # Arguments are bound by parameter name, so a new export with a new
+        # parameter fails here until the test learns it
+        def is_pair(x):
+            return (type(x) is tuple and len(x) == 2 and type(x[0]) is float
+                    and type(x[1]) is str and x[1] != "")
+
+        def calls(form, p):
+            names = list(inspect.signature(form).parameters)
+            if names == ["p", "i"]:
+                return [(p, i) for i in range(1, p.L + 1)]
+            if names == ["p", "rounds"]:
+                return [(p,), *((p, l) for l in range(p.L + 1))]
+            if names == ["scheme", "p"]:
+                return [(s, p.replace(L=2) if s in COOP_SCHEMES else p)
+                        for s in SchemeId]
+            if names == ["scheme", "points"]:
+                at = [p, p.replace(r1=1.0 - p.r1)]
+                return [(s, [q.replace(L=2) for q in at] if s in COOP_SCHEMES else at)
+                        for s in SchemeId]
+            return [tuple(p if n == "p" else getattr(p, n) for n in names)]
+
+        per_user = {"d_static_overall", "scheme_dmt", "scheme_curve"}
+        seen = set()
+        for p in self._curve_points(200):
+            seen.add(p.L)
+            for name in zicarq._EXPORTS["analytic"]:
+                form = getattr(analytic, name)
+                for args in calls(form, p):
+                    got = form(*args)
+                    if name == "scheme_curve":
+                        assert len(got) == len(args[1])
+                    else:
+                        got = [got]
+                    for out in got:
+                        if name in per_user:
+                            assert type(out) is tuple and len(out) == 2, (name, args)
+                            assert is_pair(out[0]) and is_pair(out[1]), (name, args, out)
+                        else:
+                            assert is_pair(out), (name, args, out)
+        assert seen == set(range(1, 13))
 
     def test_all_schemes_dispatch(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
         for s in SchemeId:
-            d1, d2 = scheme_dmt(s, p)  # hk-stop included: every scheme has a pair
+            # hk-stop included: every scheme has a pair
+            (d1, d1_label), (d2, d2_label) = scheme_dmt(s, p)
             assert d1 >= 0.0 and d2 >= 0.0
-            assert isinstance(d1, Exponent) and isinstance(d2, Exponent)
-            assert d1.label and d2.label
+            assert type(d1) is float and type(d2) is float
+            assert d1_label and d2_label
 
 
 def scan_first_ack(p, ack_by, rx1_given):
@@ -581,11 +634,11 @@ def scan_first_ack(p, ack_by, rx1_given):
     first smallest."""
     totals, best = [], None
     for i in range(1, p.L + 1):
-        term = rx1_given(p, i)
+        term, label = rx1_given(p, i)
         total = term if i == 1 else ack_by(p, i - 1) + term
         totals.append(total)
         if best is None or total < best:
-            best, won = total, f"i={i},{term.label}"
+            best, won = total, f"i={i},{label}"
     return totals, (best, won)
 
 
@@ -603,10 +656,11 @@ def tian_rx1(p, i):
 # each scheme's public d1, its ACK-round terms, RX1's term from the public
 # per-round forms (min keeps d11 on a tie, as _rx1 does) and its cuts
 ACK_FORMS = {
-    "hk": (d1_hk, analytic._ack_hk, lambda p, i: min(d11_hk(p, i), d12_hk(p, i)),
+    "hk": (d1_hk, analytic._ack_hk,
+           lambda p, i: min(d11_hk(p, i), d12_hk(p, i), key=by_value),
            analytic._hk_cuts),
     "hk-stop": (d1_hk_stop, analytic._ack_hk,
-                lambda p, i: min(d11_hk(p, i), d12_hk_stop(p, i)),
+                lambda p, i: min(d11_hk(p, i), d12_hk_stop(p, i), key=by_value),
                 analytic._hk_stop_cuts),
     "tian": (d1_tian_general, analytic._ack_tian, tian_rx1, analytic._tian_cuts),
 }
@@ -633,8 +687,7 @@ class TestCandidateAckRounds:
         for p in self._points(rng, 10_000):
             for name, (d1, ack_by, rx1_given, cuts) in ACK_FORMS.items():
                 totals, want = scan_first_ack(p, ack_by, rx1_given)
-                got = d1(p)
-                assert (got, got.label) == want, (name, p)
+                assert d1(p) == want, (name, p)
                 rounds = set(analytic._ack_rounds(p.L, cuts(p)))
                 ends = [math.inf]
                 minima = {i for i, (left, t, right) in enumerate(
@@ -648,8 +701,7 @@ class TestCandidateAckRounds:
         for p in self._points(rng, 300):
             q = p.replace(L=1 + p.L % analytic._SCAN_ROUNDS)
             for d1, ack_by, rx1_given, _ in ACK_FORMS.values():
-                got = d1(q)
-                assert (got, got.label) == scan_first_ack(q, ack_by, rx1_given)[1]
+                assert d1(q) == scan_first_ack(q, ack_by, rx1_given)[1]
 
     def test_cost_does_not_grow_with_L(self, monkeypatch):
         # counted per-round terms, no timing: at L = 10^12 each d1 tries at
@@ -663,6 +715,6 @@ class TestCandidateAckRounds:
             p = p.replace(L=10**12)
             for name, (d1, _, _, cuts) in ACK_FORMS.items():
                 counts.clear()
-                got = d1(p)
+                _, label = d1(p)
                 assert 0 < len(counts) <= 4 + 4 * len(cuts(p)) <= 28, name
-                assert 1 <= int(re.match(r"i=(\d+),", got.label).group(1)) <= p.L
+                assert 1 <= int(re.match(r"i=(\d+),", label).group(1)) <= p.L

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+from operator import itemgetter
 import re
 import shutil
 import warnings
@@ -19,6 +20,11 @@ from zicarq.cli import SWEEP_VARS, _parse_triplet, main
 from zicarq.core import ParameterError, SystemParams
 from zicarq.regions import oracle_d1_hk
 from zicarq.verify import worst_gap
+
+
+# the schemes the Monte Carlo runs; hk-keep, hk-stop and coop-static are
+# analysis-only
+SIMULATED = ("hk", "cmo", "tian", "coop-cmo", "coop-tian", "coop-dd")
 
 
 def run(argv):
@@ -117,9 +123,9 @@ class TestCurve:
         [row] = read_csv(out)
         assert row["source"] == "analytic"
         p = SystemParams(r1=0.25, r2=0.4, t2=0.2, b=0.2, beta=1.2, L=2)
-        d1 = analytic.d1_hk_stop(p)
-        assert row["branch"] == f"d1:{d1.label}|d2:{analytic.d2_hk(p).label}"
-        assert re.fullmatch(r"i=[12],d1[12]:[a-z-]+", d1.label)
+        d1, d1_label = analytic.d1_hk_stop(p)
+        assert row["branch"] == f"d1:{d1_label}|d2:{analytic.d2_hk(p)[1]}"
+        assert re.fullmatch(r"i=[12],d1[12]:[a-z-]+", d1_label)
         assert row["d1"] == f"{d1:.12g}"
         assert float(row["d1"]) == pytest.approx(oracle_d1_hk(p, stop=True), abs=1e-11)
 
@@ -141,8 +147,8 @@ class TestCurve:
             if row["scheme"] == "hk-stop":
                 p = SystemParams(r1=float(row["r1"]), r2=float(row["r2"]),
                                  beta=float(row["beta"]), L=2)
-                assert row["d1"] == f"{analytic.d1_hk_stop(p):.12g}"
-                assert row["d2"] == f"{analytic.d2_hk(p):.12g}"
+                assert row["d1"] == f"{analytic.d1_hk_stop(p)[0]:.12g}"
+                assert row["d2"] == f"{analytic.d2_hk(p)[0]:.12g}"
 
     def test_hk_stop_cells_exact(self, tmp_path):
         # hk-stop's closed form writes these cells exactly; the sweep's
@@ -227,7 +233,7 @@ class TestCurve:
         assert not caught and "Warning" not in capsys.readouterr().err
         [row] = read_csv(tmp_path / "x.csv")
         p = SystemParams(r1=0.5, r2=0.5, beta=float(beta), L=2)
-        assert row["d1"] == f"{analytic.d1_hk_stop(p):.12g}"
+        assert row["d1"] == f"{analytic.d1_hk_stop(p)[0]:.12g}"
         assert_numeric_cells_finite(tmp_path / "x.csv")
 
     # one sweep per variable from r1 .25, r2 .5, t2 .25, b .1, beta .8; the
@@ -258,9 +264,9 @@ class TestCurve:
         for s in schemes:
             for v in values:
                 p = SystemParams(**{**vars(base), var: v})
-                d1, d2 = analytic.scheme_dmt(s, p)
+                (d1, d1_label), (d2, d2_label) = analytic.scheme_dmt(s, p)
                 rows.append([s, p.L, p.r1, p.r2, p.t2, p.b, p.beta, d1, d2,
-                             "analytic", f"d1:{d1.label}|d2:{d2.label}"])
+                             "analytic", f"d1:{d1_label}|d2:{d2_label}"])
         assert out.read_text(encoding="utf-8") == plain_csv(
             ["scheme", "L", "r1", "r2", "t2", "b", "beta", "d1", "d2", "source",
              "branch"], rows)
@@ -324,7 +330,11 @@ class TestVerify:
     def test_impossible_tolerance_fails(self, capsys, monkeypatch):
         # a closed form off by more than --tol fails the sweep
         d1_cmo = analytic.d1_cmo
-        monkeypatch.setattr(analytic, "d1_cmo", lambda p: d1_cmo(p) + 1e-3)
+
+        def off(p):
+            value, label = d1_cmo(p)
+            return value + 1e-3, label
+        monkeypatch.setattr(analytic, "d1_cmo", off)
         rc = run(["verify", "--samples", "2", "--seed", "7",
                   "--scheme", "cmo", "--tol", "1e-9"])
         assert rc == 2
@@ -340,7 +350,7 @@ class TestVerify:
         # right, so only the check of the minimum itself can catch it
         d11c, d12c = analytic.d11c_cmo2, getattr(analytic, d12)
         monkeypatch.setattr(analytic, d1, lambda r1, r2, beta:
-                            max(d11c(r1, beta), d12c(r1, r2, beta)))
+                            max(d11c(r1, beta), d12c(r1, r2, beta), key=itemgetter(0)))
         rc = run(["verify", "--samples", "20", "--seed", "7", "--scheme", scheme])
         assert rc == 2
         assert f"FAIL  worst: {d1}@" in capsys.readouterr().out
@@ -395,32 +405,37 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_matches_plain_row_writer(self, tmp_path, written):
-        # RX2 sees no outage at 45 dB, so its fit has two points and its
-        # stderr cell stays empty
-        out = tmp_path / "sim.csv"
-        rc = run(["simulate", "--scheme", "hk", "--L", "2", "--r1", "0.3",
-                  "--r2", "0.4", "--t2", "0.2", "--b", "0.1", "--beta", "0.8",
-                  "--rho-db", "5:45:20", "--trials", "2000", "--seed", "3",
-                  "--out", str(out)])
-        assert rc == 0
-        assert_one_entry_per_row(written, out)
-
+        # every simulatable scheme; the summary row ends with the scheme's
+        # closed-form d1 and d2.  For hk, RX2 sees no outage at 45 dB, so
+        # its fit has two points and its stderr cell stays empty
         p = SystemParams(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
         sim = simulator.SimConfig(rho_db_grid=(5.0, 25.0, 45.0), trials=2000,
                                   seed=3)
-        fit1, fit2 = simulator.estimate_diversity("hk", p, sim)
-        rows = [["point", "hk", a.rho_db, a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
-                 b.p_out, (b.ci_hi - b.ci_lo) / 2.0, 2000, "", "", "", "", "", ""]
-                for a, b in zip(fit1.points, fit2.points)]
-        fits = [x if x is not None and math.isfinite(x) else ""
-                for x in (fit1.slope, fit1.stderr, fit2.slope, fit2.stderr)]
-        rows.append(["summary", "hk", "", "", "", "", "", "", *fits,
-                     *analytic.scheme_dmt("hk", p)])
-        assert fits[-1] == ""
-        assert out.read_text(encoding="utf-8") == plain_csv(
-            ["row", "scheme", "rho_db", "p_out1", "ci1", "p_out2", "ci2", "trials",
-             "slope1", "stderr1", "slope2", "stderr2", "analytic_d1",
-             "analytic_d2"], rows)
+        for scheme in SIMULATED:
+            out = tmp_path / f"{scheme}.csv"
+            written.clear()
+            rc = run(["simulate", "--scheme", scheme, "--L", "2", "--r1", "0.3",
+                      "--r2", "0.4", "--t2", "0.2", "--b", "0.1", "--beta", "0.8",
+                      "--rho-db", "5:45:20", "--trials", "2000", "--seed", "3",
+                      "--out", str(out)])
+            assert rc == 0
+            assert_one_entry_per_row(written, out)
+
+            fit1, fit2 = simulator.estimate_diversity(scheme, p, sim)
+            rows = [["point", scheme, a.rho_db, a.p_out, (a.ci_hi - a.ci_lo) / 2.0,
+                     b.p_out, (b.ci_hi - b.ci_lo) / 2.0, 2000, "", "", "", "", "",
+                     ""]
+                    for a, b in zip(fit1.points, fit2.points)]
+            fits = [x if x is not None and math.isfinite(x) else ""
+                    for x in (fit1.slope, fit1.stderr, fit2.slope, fit2.stderr)]
+            (d1, _), (d2, _) = analytic.scheme_dmt(scheme, p)
+            rows.append(["summary", scheme, "", "", "", "", "", "", *fits, d1, d2])
+            if scheme == "hk":
+                assert fits[-1] == ""
+            assert out.read_text(encoding="utf-8") == plain_csv(
+                ["row", "scheme", "rho_db", "p_out1", "ci1", "p_out2", "ci2",
+                 "trials", "slope1", "stderr1", "slope2", "stderr2", "analytic_d1",
+                 "analytic_d2"], rows), scheme
 
     def test_invalid_scheme_lists_valid_ones(self, capsys):
         rc = run(["simulate", "--scheme", "bogus", "--out", "/tmp/x.csv"])

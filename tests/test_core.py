@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zicarq.analytic import Exponent, scheme_dmt
+from zicarq import analytic
+from zicarq.analytic import d2_hk, d11_hk, d12_hk, d12_hk_stop, scheme_dmt
 from zicarq.core import (
     REAL_FIELDS,
     ParameterError,
@@ -15,6 +17,7 @@ from zicarq.core import (
     pos_part,
     validate,
 )
+from zicarq.regions import oracle_rx1_hk, region_o11_hk, region_o12_hk
 from zicarq.simulator import run_trials
 
 # every float but NaN, with the signed zeros and infinities always tried
@@ -122,6 +125,10 @@ class TestExtDiv:
         assert ext_div(num, lo) >= ext_div(num, hi)
 
 
+class _Real(float):
+    """A float subclass: not an exact float, so it takes the full test."""
+
+
 class TestValidate:
     def test_accepts_valid(self):
         p = SystemParams(r1=0.5, r2=0.9, t2=0.4, b=0.1, beta=1.3, L=2)
@@ -169,20 +176,27 @@ class TestValidate:
             *[({"r1": 0.5, "r2": 0.5, name: bad}, f"^{name} must be a finite real number$")
               for name in REAL_FIELDS
               for bad in (math.nan, math.inf, -math.inf, np.float64("nan"), "0.5", None)],
+            # an int too large for a float is no finite real number either
+            *[({"r1": 0.5, "r2": 0.5, name: bad}, f"^{name} must be a finite real number$")
+              for name in REAL_FIELDS for bad in (10**400, -10**400)],
         ],
     )
     def test_bounds(self, kwargs, match):
         with pytest.raises(ParameterError, match=match):
             validate(SystemParams(**{"L": 1, **kwargs}))
 
-    @pytest.mark.parametrize("value", [1, np.float64(0.25), Exponent(0.25)],
-                             ids=["int", "np.float64", "Exponent"])
+    @pytest.mark.parametrize("value", [1, np.float64(0.25), _Real(0.25)],
+                             ids=["int", "np.float64", "float-subclass"])
     def test_accepts_other_reals(self, value):
         # a real that is not an exact float is accepted as it is, in each field
         for name in REAL_FIELDS:
             p = SystemParams(**{"r1": 0.5, "r2": 1.0, "t2": 0.0, name: value})
             assert validate(p) is p
             assert getattr(p, name) is value
+
+    def test_accepts_a_large_int_that_fits_a_float(self):
+        p = SystemParams(r1=0.5, r2=0.5, b=10**308, beta=10**308)
+        assert validate(p) is p
 
     def test_derived_s2(self):
         p = SystemParams(r1=0.1, r2=0.7, t2=0.2, L=2)
@@ -232,3 +246,34 @@ class TestSchemeId:
         with pytest.raises(ParameterError,
                            match="unknown scheme 'bogus'; valid schemes: .*hk-stop"):
             call(SystemParams(r1=0.3, r2=0.3))
+
+
+class TestRoundIndex:
+    # hk at L 2; round 1 of each form runs first, so a cached round 1
+    # cannot answer for True
+    P = SystemParams(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
+
+    @pytest.mark.parametrize("form", [d11_hk, d12_hk, d12_hk_stop, oracle_rx1_hk,
+                                      region_o11_hk, region_o12_hk])
+    @pytest.mark.parametrize("i", [1.5, 1.0, True, np.int64(1)],
+                             ids=["1.5", "1.0", "True", "np.int64"])
+    def test_non_int_round_refused(self, form, i):
+        form(self.P, 1)
+        with pytest.raises(ParameterError,
+                           match=f"^round index i must be an int, got {re.escape(repr(i))}$"):
+            form(self.P, i)
+
+    @pytest.mark.parametrize("rounds", [None, 0, 1, 2])
+    def test_rounds_in_0_to_L(self, rounds):
+        l = self.P.L if rounds is None else rounds
+        assert d2_hk(self.P, rounds) == analytic._d2_hk(self.P, l)
+
+    @pytest.mark.parametrize("rounds, match", [
+        (3, "^rounds=3 outside 0..2$"),
+        (-1, "^rounds=-1 outside 0..2$"),
+        (1.5, "^rounds must be an int, got 1.5$"),
+        (True, "^rounds must be an int, got True$"),
+    ], ids=["3", "-1", "1.5", "True"])
+    def test_rounds_refused(self, rounds, match):
+        with pytest.raises(ParameterError, match=match):
+            d2_hk(self.P, rounds)

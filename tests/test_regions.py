@@ -217,7 +217,7 @@ class TestOracleSpotValues:
     def test_rate_at_floor_matches_closed_form(self):
         p = P(r1=RATE_FLOOR, r2=0.3, beta=0.8, b=0.1, L=2)
         got = oracle_min_exponent(region_o11_hk(p, 1))
-        assert got == pytest.approx(analytic.d11_hk(p, 1), abs=TOL)
+        assert got == pytest.approx(analytic.d11_hk(p, 1)[0], abs=TOL)
 
     def test_coop_o1(self):
         region = region_coop("O1_COOP", P(r1=0.8, r2=0.0, beta=0.3))
@@ -229,7 +229,7 @@ class TestOracleSpotValues:
         # verify samples, so this is where its closed form meets the oracle
         got = oracle_min_exponent_coop(region_coop("O1_COOP", P(r1=r1, r2=0.0, beta=beta)))
         assert abs(got - (2.0 - 1.5 * r1)) <= TOL
-        assert abs(analytic.d11c_cmo2(r1, beta) - got) <= TOL
+        assert abs(analytic.d11c_cmo2(r1, beta)[0] - got) <= TOL
 
     def test_coop_o3(self):
         region = region_coop("O3_COOP", P(r1=0.6, r2=0.0, beta=1.0))
@@ -270,7 +270,7 @@ class TestOracleSpotValues:
                                (SchemeId.COOP_DD, analytic.d2c_dd2)):
             got = oracle_d2_coop(p, scheme)
             assert oracle_d2_coop(p, scheme.value) == got
-            assert abs(got - closed(p.r1, p.r2, p.beta)) <= 1e-12
+            assert abs(got - closed(p.r1, p.r2, p.beta)[0]) <= 1e-12
 
     def test_rate_floor_rejected(self):
         p = P(r1=1e-6, r2=0.5, L=2)
@@ -296,7 +296,7 @@ class TestOracleSpotValues:
         r1, beta = 0.40554862885485976, 1.0625336881257679
         region = region_coop("O1_COOP", P(r1=r1, r2=0.0, beta=beta))
         got = oracle_min_exponent_coop(region)
-        assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14
+        assert abs(got - analytic.d11c_cmo2(r1, beta)[0]) <= 1e-14
         v = np.linspace(1.0, 1.0 / r1, 3)
         assert (_gamma_minima(region, v)[0] + 1.0 - r1 * v).min() - got > 0.02
 
@@ -307,7 +307,7 @@ class TestOracleSpotValues:
         r1, beta = 0.37671331736191965, 1.7328803218152593
         region = region_coop("O11_DD", P(r1=r1, r2=0.498533310040877, beta=beta))
         got = oracle_min_exponent_coop(region)
-        assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14
+        assert abs(got - analytic.d11c_cmo2(r1, beta)[0]) <= 1e-14
         assert sizes[0] == 2 and len(sizes) > 2, sizes
 
     def test_coop_search_cost(self, monkeypatch):
@@ -353,7 +353,7 @@ class TestOracleSpotValues:
         r1, beta = 0.5481476168670432, 1.6267914545847555
         p = P(r1=r1, r2=0.0, beta=beta)
         got = oracle_min_exponent_coop(region_coop("O1_COOP", p))
-        assert got == pytest.approx(analytic.d11c_cmo2(r1, beta), abs=1e-9)
+        assert got == pytest.approx(analytic.d11c_cmo2(r1, beta)[0], abs=1e-9)
         assert (2.0 - 1.5 * r1) - got > 4e-3
 
 
@@ -365,16 +365,16 @@ class TestOracleD1Hk:
     def test_matches_tian_when_split_disabled(self):
         p = P(r1=0.35, r2=0.6, t2=0.0, b=0.0, beta=1.1, L=3)
         assert oracle_d1_hk(p) == pytest.approx(
-            analytic.d1_tian_general(p), abs=TOL)
+            analytic.d1_tian_general(p)[0], abs=TOL)
 
     def test_single_round(self):
         p = P(r1=0.5, r2=0.5, t2=0.5, b=0.0, beta=0.7, L=1)
-        assert oracle_d1_hk(p) == pytest.approx(analytic.d1_hk(p), abs=TOL)
+        assert oracle_d1_hk(p) == pytest.approx(analytic.d1_hk(p)[0], abs=TOL)
 
     def test_saturated_rate_from_oracle(self):
         p = P(r1=1.0, r2=0.9, t2=0.0, b=0.0, beta=1.0, L=2)
         got = oracle_d1_hk(p)
-        assert got == pytest.approx(analytic.d1_hk(p), abs=TOL)
+        assert got == pytest.approx(analytic.d1_hk(p)[0], abs=TOL)
         assert got == pytest.approx(0.0, abs=TOL)
 
     def test_requires_positive_rates(self):
@@ -385,7 +385,7 @@ class TestOracleD1Hk:
     def test_rate_floor_only_on_regions_built(self, stop):
         # a single round builds no RX2 prefix region, so r2 may sit below the floor
         p = P(r1=0.3, r2=0.0, b=0.1, beta=0.5, L=1)
-        assert oracle_d1_hk(p, stop) == pytest.approx(analytic.d1_hk(p), abs=1e-12)
+        assert oracle_d1_hk(p, stop) == pytest.approx(analytic.d1_hk(p)[0], abs=1e-12)
         with pytest.raises(ParameterError, match=r"O_RX2_HK\(l=1\).*rate floor"):
             oracle_d1_hk(p.replace(L=2), stop)
 
@@ -402,7 +402,7 @@ class TestStopPolicyOracle:
             stop = oracle_d1_hk(p, stop=True)
             full = oracle_d1_hk(p)
             assert stop <= full + TOL
-            assert full <= analytic.d1_hk(p) + TOL
+            assert full <= analytic.d1_hk(p)[0] + TOL
 
     def test_keep_never_beats_policy_oracle(self):
         p = P(r1=0.3, r2=0.4, t2=0.2, b=0.1, beta=0.8, L=2)
@@ -479,7 +479,7 @@ class TestExactness:
         winners = set()
         for _ in range(60):
             p = sample_params(rng, SchemeId.COOP_STATIC)
-            d1, d2 = analytic.d_static_overall(p.r1, p.r2, p.beta)
+            (d1, _), (d2, _) = analytic.d_static_overall(p.r1, p.r2, p.beta)
 
             def coop(name):
                 return oracle_min_exponent_coop(region_coop(name, p))
@@ -509,7 +509,7 @@ class TestExactness:
             for L in (2,) if scheme in COOP_SCHEMES else range(1, 6):
                 for _ in range(3):
                     p = sample_params(rng, scheme).replace(beta=beta, L=L)
-                    for check, closed, oracle in _verify_checks(scheme, p):
+                    for check, (closed, _), oracle in _verify_checks(scheme, p):
                         assert abs(closed - oracle) <= 1e-12, (check, p)
 
     @pytest.mark.parametrize("b", [1e15, 1e16, 1e20])
@@ -520,20 +520,20 @@ class TestExactness:
         at_cap = p.replace(b=regions._cap(p.beta))
         for stop in (False, True):
             assert oracle_d1_hk(p, stop) == oracle_d1_hk(at_cap, stop)
-        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
+        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)[0]) <= 1e-12
         for i in (1, 2):
             got = oracle_min_exponent(region_o11_hk(p, i))
-            assert abs(got - analytic.d11_hk(p, i)) <= 1e-12
+            assert abs(got - analytic.d11_hk(p, i)[0]) <= 1e-12
         got = oracle_min_exponent(region_rx2_hk(p))
-        assert abs(got - analytic.d2_hk(p)) <= 1e-12
+        assert abs(got - analytic.d2_hk(p)[0]) <= 1e-12
 
     def test_beta_ceiling(self):
         # at the ceiling the oracle is exact; above it, it refuses
         p = P(r1=0.5, r2=0.5, t2=0.2, b=0.1, beta=BETA_CEILING, L=2)
-        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
+        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)[0]) <= 1e-12
         coop = P(r1=0.5, r2=0.5, beta=BETA_CEILING)
         got = oracle_min_exponent_coop(region_coop("O1_COOP", coop))
-        assert abs(got - analytic.d11c_cmo2(0.5, BETA_CEILING)) <= 1e-12
+        assert abs(got - analytic.d11c_cmo2(0.5, BETA_CEILING)[0]) <= 1e-12
         for beta in (math.nextafter(BETA_CEILING, math.inf), 1e100):
             for stop in (False, True):
                 with pytest.raises(ParameterError, match="beta.*ceiling"):
@@ -547,8 +547,8 @@ class TestExactness:
         p = P(r1=0.8145143700705831, r2=0.9187082787536379, t2=0.1963162175546898,
               b=0.27249134072900205, beta=5.0, L=3)
         got = oracle_min_exponent(region_rx2_hk(p.replace(L=1)))
-        assert abs(got - analytic.d2_hk(p, 1)) <= 1e-12
-        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)) <= 1e-12
+        assert abs(got - analytic.d2_hk(p, 1)[0]) <= 1e-12
+        assert abs(oracle_d1_hk(p) - analytic.d1_hk(p)[0]) <= 1e-12
 
 
 class TestNearRateFloor:
@@ -560,10 +560,10 @@ class TestNearRateFloor:
             r1 = float(r1)
             p = P(r1=r1, r2=0.0, beta=beta)
             got = oracle_min_exponent_coop(region_coop("O11_DD", p))
-            assert abs(got - analytic.d11c_cmo2(r1, beta)) <= 1e-14, r1
+            assert abs(got - analytic.d11c_cmo2(r1, beta)[0]) <= 1e-14, r1
             for r2 in (0.1, 0.5, 0.9):
                 got = oracle_min_exponent_coop(region_coop("O12_DD", p.replace(r2=r2)))
-                assert abs(got - analytic.d12c_dd2(r1, r2, beta)) <= 1e-14, (r1, r2)
+                assert abs(got - analytic.d12c_dd2(r1, r2, beta)[0]) <= 1e-14, (r1, r2)
 
 
 def _clear_compiled():

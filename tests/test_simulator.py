@@ -317,7 +317,7 @@ class TestEstimateDiversity:
 
     def test_slope_approaches_analytic_with_wider_grids(self):
         p = P(r1=0.2, r2=0.2, beta=0.5, L=1)
-        target = d1_cmo(p)  # 0.7
+        target = d1_cmo(p)[0]  # 0.7
         gaps = []
         for top in (20, 30, 40):
             grid = tuple(range(10, top + 1, 5))
