@@ -12,9 +12,11 @@ A flat key=value config file (# comments allowed) can preload any flag
 of the subcommand, keyed by the flag's name; explicit flags win.  Exit
 codes: 0 success, 1 validation error, 2 verification failure.
 
-Engines load on first use: ``verify`` imports numpy and the oracle,
+Engines load on first use: ``curve`` and ``simulate`` import the closed
+forms (``analytic``), ``verify`` numpy, the closed forms and the oracle,
 ``simulate`` and ``throughput`` the Monte Carlo engine, each when it runs,
-so ``curve``, ``--help`` and a usage error never import numpy.
+so start-up, ``--help`` and a usage error load no engine, ``throughput``
+no closed forms, and ``curve`` no numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import sys
 from functools import cache, lru_cache, partial
 
-from . import analytic
 from .core import (RATE_FLOOR, REAL_FIELDS, ParameterError, SchemeId, SystemParams,
                    check_seed)
 
@@ -33,6 +34,22 @@ from .core import (RATE_FLOOR, REAL_FIELDS, ParameterError, SchemeId, SystemPara
 # and so in a curve row's
 SWEEP_VARS = REAL_FIELDS
 MAX_GRID_POINTS = 100_000
+
+
+def __getattr__(name):
+    # the closed forms load on the first read of ``analytic``, which then
+    # binds them here like an import, so later reads skip this hook
+    if name != "analytic":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import analytic
+    globals()[name] = analytic
+    return analytic
+
+
+def _analytic():
+    """The closed forms through this module's ``analytic`` binding, so a
+    rebinding of ``cli.analytic`` is seen; the first call loads them."""
+    return sys.modules[__name__].analytic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +104,11 @@ def _parse_sweep(text: str):
 
 
 def _parse_schemes(text: str) -> list[SchemeId]:
-    return [SchemeId(tok.strip()) for tok in text.split(",")]
+    schemes = [SchemeId(tok.strip()) for tok in text.split(",")]
+    for i, s in enumerate(schemes):
+        if s in schemes[:i]:  # its rows would be written twice
+            raise ParameterError(f"--scheme names {s.value} more than once")
+    return schemes
 
 
 def _load_config(path: str, command: argparse.ArgumentParser) -> list[str]:
@@ -176,7 +197,7 @@ def cmd_curve(args) -> int:
     rows = []
     for s in schemes:
         name = s.value
-        for params, ((d1, l1), (d2, l2)) in zip(cells, analytic.scheme_curve(s, points)):
+        for params, ((d1, l1), (d2, l2)) in zip(cells, _analytic().scheme_curve(s, points)):
             c1, c2, branch = floats.get(d1), floats.get(d2), branches.get((l1, l2))
             if c1 is None:
                 c1 = _fmt(d1)
@@ -263,7 +284,7 @@ def cmd_simulate(args) -> int:
     for fit, rx in ((fit1, "RX1"), (fit2, "RX2")):
         if fit.dropped_rho_db:
             print(f"note: {rx} zero-outage points dropped from fit: {fit.dropped_rho_db}")
-    (d1, _), (d2, _) = analytic.scheme_dmt(scheme, p)
+    (d1, _), (d2, _) = _analytic().scheme_dmt(scheme, p)
 
     def cell(x):
         return "" if x is None or not math.isfinite(x) else _fmt(x)
