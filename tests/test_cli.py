@@ -657,6 +657,34 @@ class TestSharedParser:
         assert "--out PATH is required" in capsys.readouterr().err
 
 
+class TestAnalyticBinding:
+    """``cli.analytic`` is the binding the bench tracer reads and rebinds to
+    a proxy, so its reads and the calls made through it are pinned here."""
+
+    def test_reads_the_closed_forms(self):
+        assert cli.analytic is analytic
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(cli, "no_such_name")
+
+    def test_commands_call_through_the_binding(self, monkeypatch, tmp_path):
+        calls = []
+
+        class StandIn:  # the tracer's proxy, reduced to a call log
+            def __getattr__(self, name):
+                form = getattr(analytic, name)
+                return lambda *args: calls.append(name) or form(*args)
+
+        monkeypatch.setattr(cli, "analytic", StandIn())
+        out = str(tmp_path / "x.csv")
+        assert run(["curve", "--scheme", "hk,cmo,coop-dd", "--L", "2",
+                    "--sweep", "r1:0.1:0.5:0.2", "--out", out]) == 0
+        assert calls == ["scheme_curve"] * 3
+        calls.clear()
+        assert run(["simulate", "--rho-db", "10:15:5", "--trials", "1000",
+                    "--out", out]) == 0
+        assert calls == ["scheme_dmt"]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["curve", "--beta", "inf"],
@@ -745,6 +773,24 @@ class TestBadInput:
         rc = run([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "error: --seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,scheme", [
+        pytest.param(argv, scheme, id=" ".join(argv)) for argv, scheme in [
+            (["curve", "--scheme", "cmo,cmo"], "cmo"),
+            (["curve", "--scheme", "hk,tian, hk", "--L", "2"], "hk"),
+            (["verify", "--scheme", "hk,hk", "--samples", "3", "--seed", "7"], "hk"),
+            (["verify", "--scheme", "cmo,coop-dd,cmo,coop-dd", "--samples", "1"], "cmo"),
+        ]])
+    def test_repeated_scheme(self, argv, scheme, tmp_path, capsys):
+        # a table keyed by scheme gets one row per scheme and point: a
+        # repeated curve scheme wrote each row twice, and a repeated verify
+        # scheme two rows with different gaps, one per share of the draws
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert f"error: --scheme names {scheme} more than once" in err
+        assert stdout == ""
+        assert not out.exists()
 
     def test_grid_point_cap(self):
         # refused from the counts alone, before any point is built
